@@ -39,8 +39,8 @@ cfg = SamplerConfig(
     core_time_per_read_us=20,
     overhead=OverheadModel(programming_us=20_000, per_read_readout_us=1_980),
 )
-records = sample(model, cfg)
-report = summarize_instance([records], list(classical.events), layout, cnf,
+batch = sample(model, cfg)
+report = summarize_instance([batch], list(classical.events), layout, cnf,
                             instance_id="demo")
 
 q_core = report.timelines["quantum-core"]

@@ -45,16 +45,10 @@ for gi, series in enumerate(report.hamming_quantum_per_gauge):
 
 union = set()
 per_gauge_sets = []
-from cascor.metrics import distinct_solutions  # noqa: E402
 from cascor.samplers import decode_all  # noqa: E402
 
 for run in runs:
-    stream = [
-        (rec.core_time_us, sol)
-        for rec, sol in zip(run, decode_all(run, layout, cnf))
-        if sol is not None
-    ]
-    found = set(distinct_solutions(stream))
+    found = {sol for sol in decode_all(run, layout, cnf) if sol is not None}
     per_gauge_sets.append(found)
     union |= found
 

@@ -133,7 +133,7 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _sample_runs(model, layout, cnf, cfg, num_gauges):
+def _sample_runs(model, cfg, num_gauges):
     if num_gauges > 0:
         gauges = samplers_mod.random_gauges(model.num_qubits, num_gauges, cfg.seed)
         return samplers_mod.sample_with_srt_rotation(model, cfg, gauges)
@@ -144,17 +144,18 @@ def cmd_sample(args) -> int:
     cnf = _read_cnf(args.cnf)
     model, layout, _ = _read_compiled(args.model)
     cfg = _sampler_config(args)
-    runs = _sample_runs(model, layout, cnf, cfg, args.gauges)
+    runs = _sample_runs(model, cfg, args.gauges)
     lines = []
-    for gi, records in enumerate(runs):
-        decoded = samplers_mod.decode_all(records, layout, cnf)
+    solutions = 0
+    for gi, batch in enumerate(runs):
+        decoded = samplers_mod.decode_all(batch, layout, cnf)
+        solutions += sum(solution is not None for solution in decoded)
         gauge_tag = gi if args.gauges > 0 else None
-        for record, solution in zip(records, decoded):
+        for record, solution in zip(batch, decoded):
             lines.append(
                 json.dumps(samplers_mod.record_to_json(record, solution, gauge_tag))
             )
     Path(args.out).write_text("\n".join(lines) + "\n")
-    solutions = sum(1 for line in lines if '"solution": null' not in line)
     print(f"wrote {args.out} ({len(lines)} reads, {solutions} satisfying)")
     return EXIT_OK
 
@@ -191,7 +192,7 @@ def cmd_metrics(args) -> int:
             continue
         record, _, gauge = samplers_mod.record_from_json(line)
         runs_by_gauge.setdefault(0 if gauge is None else gauge, []).append(record)
-    runs = [runs_by_gauge[g] for g in sorted(runs_by_gauge)]
+    runs = [samplers_mod.SampleBatch.of(runs_by_gauge[g]) for g in sorted(runs_by_gauge)]
     events = [
         allsat_mod.event_from_json(line)
         for line in Path(args.events).read_text().splitlines()
@@ -205,36 +206,14 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(task: tuple[str, dict]) -> tuple[str, dict, list[dict]]:
-    path, opts = task
-    cnf = parse_dimacs(Path(path).read_text())
-    policy = (
-        ConstructionPolicy.seeded_random(opts["policy_seed"])
-        if opts["policy"] == "seeded_random"
-        else ConstructionPolicy(opts["policy"])
-    )
+def _bench_one(path: Path, cfg, policy, args) -> tuple[str, dict, list[dict]]:
+    cnf = parse_dimacs(path.read_text())
     model, layout = compile_cnf(cnf, policy)
-    cfg = samplers_mod.SamplerConfig(
-        num_reads=opts["reads"],
-        sweeps=opts["sweeps"],
-        beta_start=opts["beta_start"],
-        beta_end=opts["beta_end"],
-        seed=opts["seed"],
-        core_time_per_read_us=opts["core_time_us"],
-        overhead=samplers_mod.OverheadModel(
-            programming_us=opts["programming_us"],
-            per_read_readout_us=opts["readout_us"],
-            post_us=opts["post_us"],
-        ),
-    )
-    runs = _sample_runs(model, layout, cnf, cfg, opts["gauges"])
-    result = allsat_mod.enumerate_all(cnf, cap=opts["cap"], time_budget_us=opts["time_budget_us"])
-    events = _stabilized_events(result.events) if opts["stable"] else list(result.events)
-    instance_id = Path(path).stem
-    report = metrics_mod.summarize_instance(
-        runs, events, layout, cnf, instance_id=instance_id
-    )
-    return instance_id, report.to_json(), metrics_mod.report_csv_rows(report)
+    runs = _sample_runs(model, cfg, args.gauges)
+    result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
+    events = _stabilized_events(result.events) if args.stable_output else list(result.events)
+    report = metrics_mod.summarize_instance(runs, events, layout, cnf, instance_id=path.stem)
+    return path.stem, report.to_json(), metrics_mod.report_csv_rows(report)
 
 
 def _worker_count(num_tasks: int) -> int:
@@ -255,33 +234,22 @@ def cmd_bench(args) -> int:
     instance_paths = sorted(Path(args.instances).glob("*.cnf"))
     if not instance_paths:
         raise FileNotFoundError(f"no .cnf instances under {args.instances}")
-    opts = {
-        "policy": args.policy,
-        "policy_seed": args.policy_seed,
-        "reads": args.reads,
-        "sweeps": args.sweeps,
-        "beta_start": args.beta_start,
-        "beta_end": args.beta_end,
-        "core_time_us": args.core_time_us,
-        "programming_us": args.programming_us,
-        "readout_us": args.readout_us,
-        "post_us": args.post_us,
-        "gauges": args.gauges,
-        "cap": args.cap,
-        "time_budget_us": args.time_budget_us,
-        "stable": args.stable_output,
-    }
+    cfg = _sampler_config(args)
+    policy = _policy_from_args(args)
     # Per-instance seeds derive from the master seed and sorted position.
-    tasks = [
-        (str(path), {**opts, "seed": args.seed + idx})
-        for idx, path in enumerate(instance_paths)
-    ]
-    workers = _worker_count(len(tasks))
+    n = len(instance_paths)
+    jobs = (
+        instance_paths,
+        [replace(cfg, seed=args.seed + idx) for idx in range(n)],
+        [policy] * n,
+        [args] * n,
+    )
+    workers = _worker_count(n)
     if workers == 1:
-        results = [_bench_one(task) for task in tasks]
+        results = list(map(_bench_one, *jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_one, tasks))
+            results = list(pool.map(_bench_one, *jobs))
 
     rows: list[dict] = []
     for _, _, instance_rows in results:

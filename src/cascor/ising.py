@@ -2,13 +2,15 @@
 
 Energy convention: E(s) = sum_i h_i s_i + sum_{i<j} J_ij s_i s_j over spins
 s_i in {+1, -1}, with +1 encoding boolean true.  Coefficients are kept as
-Python numbers, so models with integer coefficients produce exact integer
-energies.
+Python numbers; energies_of_states, the one evaluator, works on the model's
+cached array form, which is int64 for integer coefficients, so those models
+produce exact integer energies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,16 @@ Gauge = tuple[int, ...]
 
 ENUMERATION_QUBIT_LIMIT = 26
 _CHUNK_BITS = 20  # enumerate in blocks of 2^20 states
+
+
+class IsingArrays(NamedTuple):
+    """Dense fields, canonical pair lists, and the symmetric float64 coupling matrix."""
+
+    h: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_v: np.ndarray
+    coupling: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,25 +98,23 @@ class IsingModel:
             float(v).is_integer() for v in self.J.values()
         )
 
-    def dense_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(h_vec, pair_i, pair_j, pair_val) with integer dtype when exact."""
+    @cached_property
+    def arrays(self) -> IsingArrays:
+        """Array form, built on first use: integer dtype when the model is integral."""
         dtype = np.int64 if self.is_integral() else np.float64
-        h_vec = np.zeros(self.num_qubits, dtype=dtype)
-        for q, v in self.h.items():
-            h_vec[q] = v
+        h = np.zeros(self.num_qubits, dtype=dtype)
+        h[list(self.h)] = list(self.h.values())
         pairs = sorted(self.J.items())
         pair_i = np.array([k[0] for k, _ in pairs], dtype=np.intp)
         pair_j = np.array([k[1] for k, _ in pairs], dtype=np.intp)
         pair_v = np.array([v for _, v in pairs], dtype=dtype)
-        return h_vec, pair_i, pair_j, pair_v
-
-    def coupling_matrix(self) -> np.ndarray:
-        """Dense symmetric coupling matrix with zero diagonal (float64)."""
-        mat = np.zeros((self.num_qubits, self.num_qubits), dtype=np.float64)
-        for (i, j), v in self.J.items():
-            mat[i, j] = v
-            mat[j, i] = v
-        return mat
+        coupling = np.zeros((self.num_qubits, self.num_qubits), dtype=np.float64)
+        coupling[pair_i, pair_j] = pair_v
+        coupling[pair_j, pair_i] = pair_v
+        arrays = IsingArrays(h, pair_i, pair_j, pair_v, coupling)
+        for a in arrays:  # shared by every caller, so no caller may write to it
+            a.flags.writeable = False
+        return arrays
 
 
 def _check_spins(num_qubits: int, spins: SpinState, what: str = "spin state") -> None:
@@ -117,18 +127,25 @@ def _check_spins(num_qubits: int, spins: SpinState, what: str = "spin state") ->
 def energy(model: IsingModel, spins: SpinState) -> float:
     """Exact energy of one spin state (integer result for integer models)."""
     _check_spins(model.num_qubits, spins)
-    total = sum(v * spins[q] for q, v in model.h.items())
-    total += sum(v * spins[i] * spins[j] for (i, j), v in model.J.items())
-    return total
+    return energies_of_states(model, np.array([spins]))[0].item()
 
 
-def energies_of_states(model: IsingModel, spins: np.ndarray) -> np.ndarray:
-    """Vectorized energies for a (num_states, num_qubits) array of +/-1 spins."""
-    h_vec, pi, pj, pv = model.dense_arrays()
-    s = np.asarray(spins)
-    e = s @ h_vec
-    if len(pv):
-        e = e + (s[:, pi] * s[:, pj]) @ pv
+def energies_of_states(
+    model: IsingModel, spins: np.ndarray, qubits: range | None = None
+) -> np.ndarray:
+    """Energies of a (num_states, width) array of +/-1 spins.
+
+    Column c holds qubit ``qubits.start + c``; only the fields and couplings
+    that lie entirely inside ``qubits`` (default: all of them) are summed.
+    Integral models give int64 energies, others float64.
+    """
+    lo, hi = (0, model.num_qubits) if qubits is None else (qubits.start, qubits.stop)
+    h, pi, pj, pv, _ = model.arrays
+    inside = (pi >= lo) & (pj < hi)
+    s = np.asarray(spins, dtype=h.dtype)
+    e = s @ h[lo:hi]
+    if inside.any():
+        e = e + (s[:, pi[inside] - lo] * s[:, pj[inside] - lo]) @ pv[inside]
     return e
 
 
@@ -157,21 +174,6 @@ def _spins_for_indices(indices: np.ndarray, num_qubits: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
-def _side_energies(
-    spins: np.ndarray, offset: int, model: IsingModel, dtype
-) -> np.ndarray:
-    """Energies of h and J terms that live entirely on qubits [offset, offset+w)."""
-    w = spins.shape[1]
-    e = np.zeros(len(spins), dtype=dtype)
-    for q, v in model.h.items():
-        if offset <= q < offset + w:
-            e += dtype(v) * spins[:, q - offset]
-    for (i, j), v in model.J.items():
-        if offset <= i < offset + w and offset <= j < offset + w:
-            e += dtype(v) * spins[:, i - offset] * spins[:, j - offset]
-    return e
-
-
 def enumerate_ground_states(
     model: IsingModel, limit: int = ENUMERATION_QUBIT_LIMIT
 ) -> tuple[float, set[SpinState]]:
@@ -194,7 +196,7 @@ def enumerate_ground_states(
     hi_bits = n - lo_bits
     lo_spins = _spins_for_indices(np.arange(1 << lo_bits, dtype=np.int64), lo_bits)
     lo = lo_spins.astype(dtype)
-    e_lo = _side_energies(lo, 0, model, dtype)
+    e_lo = energies_of_states(model, lo_spins, range(lo_bits)).astype(dtype)
 
     if hi_bits == 0:
         energies = e_lo
@@ -203,11 +205,8 @@ def enumerate_ground_states(
     else:
         hi_spins = _spins_for_indices(np.arange(1 << hi_bits, dtype=np.int64), hi_bits)
         hi = hi_spins.astype(dtype)
-        e_hi = _side_energies(hi, lo_bits, model, dtype)
-        cross = np.zeros((lo_bits, hi_bits), dtype=dtype)
-        for (i, j), v in model.J.items():
-            if i < lo_bits <= j:
-                cross[i, j - lo_bits] = v
+        e_hi = energies_of_states(model, hi_spins, range(lo_bits, n)).astype(dtype)
+        cross = model.arrays.coupling[:lo_bits, lo_bits:].astype(dtype)
         lo_cross = lo @ cross  # (2^lo_bits, hi_bits)
 
         best = None

@@ -248,7 +248,7 @@ def _with_overlap(
 
 
 def summarize_instance(
-    quantum_runs: Sequence[Sequence],
+    quantum_runs: Sequence,
     classical_events: Sequence,
     layout: PenaltyLayout,
     cnf: Cnf,
@@ -256,8 +256,8 @@ def summarize_instance(
 ) -> InstanceReport:
     """Aggregate one instance's quantum and classical streams into a report.
 
-    ``quantum_runs`` is one SampleRecord sequence per gauge (a single list for
-    plain sampling); gauge runs are treated as executed back to back, so their
+    ``quantum_runs`` holds one SampleBatch per gauge (a single batch for plain
+    sampling); gauge runs are treated as executed back to back, so their
     time axes are offset cumulatively before merging into one quantum stream.
     ``classical_events`` are SolutionEvents from the enumerator.
     """
@@ -268,19 +268,16 @@ def summarize_instance(
     per_gauge_distinct: list[list[Assignment]] = []
     core_offset = 0
     wall_offset = 0
-    for records in quantum_runs:
-        decoded = decode_all(list(records), layout, cnf)
-        gauge_stream = []
-        for record, solution in zip(records, decoded):
-            if solution is None:
-                continue
-            core_stream.append((core_offset + record.core_time_us, solution))
-            wall_stream.append((wall_offset + record.wall_time_us, solution))
-            gauge_stream.append((record.core_time_us, solution))
-        per_gauge_distinct.append(distinct_solutions(gauge_stream))
-        if records:
-            core_offset += records[-1].core_time_us
-            wall_offset += records[-1].wall_time_us
+    for batch in quantum_runs:
+        decoded = decode_all(batch, layout, cnf)
+        core, wall = batch.core_time_us.tolist(), batch.wall_time_us.tolist()
+        hits = [r for r, solution in enumerate(decoded) if solution is not None]
+        core_stream += [(core_offset + core[r], decoded[r]) for r in hits]
+        wall_stream += [(wall_offset + wall[r], decoded[r]) for r in hits]
+        per_gauge_distinct.append(distinct_solutions((core[r], decoded[r]) for r in hits))
+        if core:
+            core_offset += core[-1]
+            wall_offset += wall[-1]
 
     classical_stream: list[TimedSolution] = [
         (e.wall_time_us, e.assignment) for e in classical_events

@@ -6,6 +6,11 @@ Timing is bookkeeping, not measurement: every read costs a fixed core
 duration (the hardware analog is 20 microseconds), and wallclock adds
 configured programming, per-read readout, and postprocessing overheads.
 
+A run comes back as one SampleBatch: the final spins of every read in a
+single int8 array, their energies, and the cumulative core and wall times.
+Iterating a batch yields one SampleRecord per read, the row type of the JSONL
+output.
+
 Determinism: read r consumes only its own RNG stream, derived from the master
 seed and r, so results are identical regardless of how reads are batched or
 parallelized.
@@ -14,19 +19,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .compiler import PenaltyLayout
-from .ising import Gauge, IsingModel, SpinState, apply_gauge, ungauge_sample
-from .sat import Assignment, Cnf, evaluate
+from .ising import Gauge, IsingModel, SpinState, apply_gauge, energies_of_states
+from .sat import Assignment, Cnf
 
 __all__ = [
     "OverheadModel",
     "SamplerConfig",
     "SampleRecord",
+    "SampleBatch",
     "sample",
-    "decode_sample",
     "decode_all",
     "sample_with_srt_rotation",
     "random_gauges",
@@ -83,19 +89,50 @@ class SampleRecord:
     wall_time_us: int
 
 
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """All reads of one sampling run; row r of every array belongs to read r.
+
+    ``spins`` is (reads, qubits) int8, ``energies`` is int64 for integral
+    models and float64 otherwise, and ``core_time_us``/``wall_time_us`` are
+    the int64 cumulative times after each read.
+    """
+
+    spins: np.ndarray
+    energies: np.ndarray
+    core_time_us: np.ndarray
+    wall_time_us: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.spins)
+
+    def __iter__(self) -> Iterator[SampleRecord]:
+        rows = zip(self.spins.tolist(), self.energies.tolist(),
+                   self.core_time_us.tolist(), self.wall_time_us.tolist())
+        for r, (spins, e, core, wall) in enumerate(rows):
+            yield SampleRecord(r, tuple(spins), e, core, wall)
+
+    @classmethod
+    def of(cls, records: Sequence[SampleRecord]) -> "SampleBatch":
+        """Batch of a nonempty record sequence in read order (e.g. parsed JSONL rows)."""
+        return cls(
+            np.array([r.spins for r in records], dtype=np.int8),
+            np.array([r.energy for r in records]),
+            np.array([r.core_time_us for r in records], dtype=np.int64),
+            np.array([r.wall_time_us for r in records], dtype=np.int64),
+        )
+
+
 def _read_rng(seed: int, read_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, read_index)))
 
 
-def _anneal_chunk(
-    model: IsingModel, cfg: SamplerConfig, read_indices: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run one batch of reads; returns (spins (C,N) int8, energies (C,))."""
+def _anneal_chunk(model: IsingModel, cfg: SamplerConfig, read_indices: range) -> np.ndarray:
+    """Run one batch of reads; returns their final spins, (C, N) int8."""
     n = model.num_qubits
     count = len(read_indices)
-    coupling = model.coupling_matrix()
-    h_vec, pair_i, pair_j, pair_v = model.dense_arrays()
-    h_f = h_vec.astype(np.float64)
+    coupling = model.arrays.coupling
+    h_f = model.arrays.h.astype(np.float64)
 
     # Each read's stream: n init draws, then one uniform per proposal.
     states = np.empty((count, n), dtype=np.float64)
@@ -116,72 +153,42 @@ def _anneal_chunk(
                 uniforms[:, s, i] < np.exp(np.minimum(-beta * delta, 0.0))
             )
             states[accept, i] *= -1.0
-
-    energies = states @ h_f
-    if len(pair_v):
-        energies = energies + (states[:, pair_i] * states[:, pair_j]) @ pair_v.astype(
-            np.float64
-        )
-    return states.astype(np.int8), energies
+    return states.astype(np.int8)
 
 
-def sample(model: IsingModel, cfg: SamplerConfig) -> list[SampleRecord]:
+def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:
     """Draw cfg.num_reads independent annealed samples with cumulative timing."""
-    integral = model.is_integral()
+    spins = np.concatenate([
+        _anneal_chunk(model, cfg, range(start, min(start + _READ_CHUNK, cfg.num_reads)))
+        for start in range(0, cfg.num_reads, _READ_CHUNK)
+    ])
+    reads_done = np.arange(1, cfg.num_reads + 1, dtype=np.int64)
     per_read_wall = cfg.core_time_per_read_us + cfg.overhead.per_read_readout_us
     base_wall = cfg.overhead.programming_us + cfg.overhead.post_us
-
-    records: list[SampleRecord] = []
-    for start in range(0, cfg.num_reads, _READ_CHUNK):
-        chunk = range(start, min(start + _READ_CHUNK, cfg.num_reads))
-        spins, energies = _anneal_chunk(model, cfg, chunk)
-        for row, r in enumerate(chunk):
-            e = energies[row]
-            records.append(
-                SampleRecord(
-                    read_index=r,
-                    spins=tuple(int(s) for s in spins[row]),
-                    energy=int(e) if integral else float(e),
-                    core_time_us=(r + 1) * cfg.core_time_per_read_us,
-                    wall_time_us=base_wall + (r + 1) * per_read_wall,
-                )
-            )
-    return records
+    return SampleBatch(
+        spins,
+        energies_of_states(model, spins),
+        reads_done * cfg.core_time_per_read_us,
+        base_wall + reads_done * per_read_wall,
+    )
 
 
-def decode_sample(
-    record: SampleRecord, layout: PenaltyLayout, cnf: Cnf
-) -> Assignment | None:
-    """Variable-bit projection of a sample, returned only if it satisfies the CNF.
+def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assignment | None]:
+    """Variable-bit projection of every read, kept only where it satisfies the CNF.
 
     Ancilla consistency and sample energy are deliberately ignored; variables
     absent from every clause have no qubit and default to false.
     """
-    bits = [False] * cnf.num_vars
+    bits = np.zeros((len(batch), cnf.num_vars), dtype=bool)
     for var, q in layout.var_to_qubit.items():
-        bits[var - 1] = record.spins[q] > 0
-    assignment = tuple(bits)
-    return assignment if evaluate(cnf, assignment) else None
-
-
-def decode_all(
-    records: list[SampleRecord], layout: PenaltyLayout, cnf: Cnf
-) -> list[Assignment | None]:
-    """Vectorized decode_sample over a whole record list."""
-    if not records:
-        return []
-    spins = np.array([r.spins for r in records], dtype=np.int8)
-    bits = np.zeros((len(records), cnf.num_vars), dtype=bool)
-    for var, q in layout.var_to_qubit.items():
-        bits[:, var - 1] = spins[:, q] > 0
-    satisfied = np.ones(len(records), dtype=bool)
+        bits[:, var - 1] = batch.spins[:, q] > 0
+    satisfied = np.ones(len(batch), dtype=bool)
     for clause in cnf.clauses:
-        clause_sat = np.zeros(len(records), dtype=bool)
+        clause_sat = np.zeros(len(batch), dtype=bool)
         for lit in clause.literals:
             clause_sat |= bits[:, lit.var - 1] != lit.negated
         satisfied &= clause_sat
-    rows = bits.tolist()
-    return [tuple(rows[i]) if satisfied[i] else None for i in range(len(records))]
+    return [tuple(row) if ok else None for row, ok in zip(bits.tolist(), satisfied.tolist())]
 
 
 def _derived_seed(seed: int, stream: int) -> int:
@@ -202,24 +209,21 @@ def random_gauges(num_qubits: int, count: int, seed: int) -> list[Gauge]:
 
 def sample_with_srt_rotation(
     model: IsingModel, cfg: SamplerConfig, gauges: list[Gauge]
-) -> list[list[SampleRecord]]:
+) -> list[SampleBatch]:
     """Sample once per gauge on the gauge-transformed model, un-gauging the spins.
 
-    Record energies are preserved from the gauged run; by the gauge identity
-    they equal the original model's energy of the un-gauged spins exactly.
+    Energies are kept from the gauged run; by the gauge identity they equal
+    the original model's energy of the un-gauged spins exactly.
     """
-    runs: list[list[SampleRecord]] = []
+    runs: list[SampleBatch] = []
     for gi, gauge in enumerate(gauges):
         if len(gauge) != model.num_qubits:
             raise ValueError(
                 f"gauge {gi} has length {len(gauge)}, model has {model.num_qubits} qubits"
             )
         gauged = apply_gauge(model, gauge)
-        run_cfg = replace(cfg, seed=_derived_seed(cfg.seed, gi))
-        records = sample(gauged, run_cfg)
-        runs.append(
-            [replace(rec, spins=ungauge_sample(rec.spins, gauge)) for rec in records]
-        )
+        batch = sample(gauged, replace(cfg, seed=_derived_seed(cfg.seed, gi)))
+        runs.append(replace(batch, spins=batch.spins * np.array(gauge, dtype=np.int8)))
     return runs
 
 

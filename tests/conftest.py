@@ -2,7 +2,8 @@
 
 brute_force_solutions evaluates clause semantics directly over all 2^n
 assignments with numpy; slow_energy and slow_min_states walk states in pure
-Python.  These are the reference implementations the package is tested
+Python; slow_decode projects one read at a time and checks it with
+sat.evaluate.  These are the reference implementations the package is tested
 against.
 """
 from __future__ import annotations
@@ -35,6 +36,26 @@ def slow_energy(model: IsingModel, spins: tuple[int, ...]) -> float:
     for (i, j), v in model.J.items():
         total += v * spins[i] * spins[j]
     return total
+
+
+def slow_decode(spin_rows, layout, cnf: Cnf) -> list[tuple[bool, ...] | None]:
+    """Per-read variable projection, kept where the CNF evaluates true."""
+    from cascor.sat import evaluate
+
+    decoded = []
+    for spins in spin_rows:
+        bits = [False] * cnf.num_vars
+        for var, q in layout.var_to_qubit.items():
+            bits[var - 1] = spins[q] > 0
+        decoded.append(tuple(bits) if evaluate(cnf, tuple(bits)) else None)
+    return decoded
+
+
+def assert_same_batch(a, b) -> None:
+    """Two SampleBatches hold equal arrays of equal dtypes."""
+    for name in ("spins", "energies", "core_time_us", "wall_time_us"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def all_states(n: int):

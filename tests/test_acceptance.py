@@ -37,7 +37,7 @@ from cascor.samplers import (
 )
 from cascor.sat import Clause, Cnf, Literal, MixedSatSpec, evaluate, generate_mixed_sat
 
-from conftest import brute_force_solutions
+from conftest import brute_force_solutions, slow_energy
 
 
 def _report(number: int, description: str) -> None:
@@ -221,7 +221,7 @@ def test_acceptance_5_srt_correctness():
         runs = sample_with_srt_rotation(model, cfg, random_gauges(model.num_qubits, 3, 55))
         for run in runs:
             for record, assignment in zip(run, decode_all(run, layout, cnf)):
-                assert record.energy == energy(model, record.spins)
+                assert record.energy == slow_energy(model, record.spins)
                 if assignment is not None:
                     assert evaluate(cnf, assignment)
     _report(5, "spectrum multisets invariant under 50 gauges x 20 models; SRT decodes satisfy")
@@ -303,6 +303,7 @@ def _bench_instances(count: int):
     return instances
 
 
+@pytest.mark.slow
 def test_acceptance_8_qualitative_pipeline_reproduction():
     """Core-axis crossover for a majority; wallclock never ahead (100x overhead)."""
     assert BENCH_OVERHEAD.per_read_readout_us + 20 >= 100 * 20
@@ -319,9 +320,9 @@ def test_acceptance_8_qualitative_pipeline_reproduction():
             core_time_per_read_us=20,
             overhead=BENCH_OVERHEAD,
         )
-        records = sample(model, cfg)
+        batch = sample(model, cfg)
         report = summarize_instance(
-            [records], list(classical.events), layout, cnf, instance_id=f"i{seed}"
+            [batch], list(classical.events), layout, cnf, instance_id=f"i{seed}"
         )
         assert report.crossovers["wall"].outcome == "quantum_never_ahead"
         core = report.crossovers["core"]
@@ -368,6 +369,7 @@ def _coverage_instances(count: int):
     return instances
 
 
+@pytest.mark.slow
 def test_acceptance_9_sampler_statistical_coverage():
     instances = _coverage_instances(5)
     successes = 0
@@ -377,8 +379,8 @@ def test_acceptance_9_sampler_statistical_coverage():
         for trial in range(20):
             trials += 1
             cfg = SamplerConfig(num_reads=10_000, seed=7_000_000 + 1009 * trial + idx)
-            records = sample(model, cfg)
-            found = {a for a in decode_all(records, layout, cnf) if a is not None}
+            batch = sample(model, cfg)
+            found = {a for a in decode_all(batch, layout, cnf) if a is not None}
             if found == truth:
                 successes += 1
     assert trials == 100

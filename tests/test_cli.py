@@ -227,6 +227,15 @@ def test_bench_empty_dir_is_input_error(tmp_path):
                "--out", str(tmp_path / "o.csv")) == 2
 
 
+def test_stray_policy_seed_is_input_error_in_compile_and_bench(tmp_path):
+    inst_dir = make_bench_dir(tmp_path)
+    flags = ("--policy", "chain", "--policy-seed", "3")
+    assert run("compile", "--cnf", str(inst_dir / "i0.cnf"), *flags,
+               "--out", str(tmp_path / "m.json")) == 2
+    assert run("bench", "--instances", str(inst_dir), "--seed", "1", *flags,
+               "--out", str(tmp_path / "o.csv")) == 2
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert run("compile", "--cnf", str(tmp_path / "nope.cnf"),
                "--out", str(tmp_path / "m.json")) == 2

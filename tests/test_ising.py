@@ -135,6 +135,28 @@ def test_enumerate_matches_slow_oracle(rng):
         assert enumerate_ground_states(m) == slow_min_states(m)
 
 
+def test_float_model_matches_reference_within_rounding(rng):
+    # The vectorized sums run in another order than the reference loops, so
+    # float models agree to rounding; generic coefficients leave no ties.
+    for _ in range(5):
+        n = int(rng.integers(2, 8))
+        pairs = itertools.combinations(range(n), 2)
+        m = IsingModel(n, {q: float(rng.normal()) for q in range(n)},
+                       {k: float(rng.normal()) for k in pairs})
+        assert not m.is_integral()
+        for s in all_states(n):
+            assert energy(m, s) == pytest.approx(slow_energy(m, s), rel=1e-12, abs=1e-12)
+        e, states = enumerate_ground_states(m)
+        slow_e, slow_states = slow_min_states(m)
+        assert e == pytest.approx(slow_e, rel=1e-12) and states == slow_states
+
+
+def test_model_arrays_are_read_only():
+    with pytest.raises(ValueError):
+        H2.arrays.h[0] = 5
+    assert energy(H2, (1, 1)) == -1
+
+
 def test_enumerate_limit():
     with pytest.raises(ValueError):
         enumerate_ground_states(IsingModel(30), limit=26)

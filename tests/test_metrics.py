@@ -15,7 +15,7 @@ from cascor.metrics import (
     report_csv_rows,
     summarize_instance,
 )
-from cascor.samplers import SampleRecord
+from cascor.samplers import SampleBatch, SampleRecord
 from cascor.sat import Cnf
 
 A = (False, False, False)
@@ -155,7 +155,7 @@ def test_summarize_qualitative_fixture():
         SolutionEvent(2, 55, (False, True)),
         SolutionEvent(3, 60, (True, False)),
     ]
-    report = summarize_instance([records], events, layout, cnf, instance_id="fx")
+    report = summarize_instance([SampleBatch.of(records)], events, layout, cnf, instance_id="fx")
     assert report.timelines["quantum-core"].points == ((20, 1), (60, 2), (80, 3))
     assert report.timelines["classical-wall"].points == ((50, 1), (55, 2), (60, 3))
     core = report.crossovers["core"]
@@ -172,7 +172,7 @@ def test_summarize_unsat_flags_empty():
     cnf = Cnf.of(1, [[1], [-1]])
     model, layout = compile_cnf(cnf)
     records = [_record(0, (1,), 20, 20)]
-    report = summarize_instance([records], [], layout, cnf, instance_id="unsat")
+    report = summarize_instance([SampleBatch.of(records)], [], layout, cnf, instance_id="unsat")
     assert report.no_solutions is True
     assert report.timelines["quantum-core"].points == ()
     assert report.crossovers == {"core": None, "wall": None}
@@ -185,7 +185,7 @@ def test_summarize_gauge_streams_offset_and_split():
     run0 = [_record(0, tt, 20, 2020), _record(1, tt, 40, 4040)]
     run1 = [_record(0, tf, 20, 2020), _record(1, tt, 40, 4040)]
     events = [SolutionEvent(1, 30, (True, True))]
-    report = summarize_instance([run0, run1], events, layout, cnf)
+    report = summarize_instance([SampleBatch.of(run0), SampleBatch.of(run1)], events, layout, cnf)
     # second gauge's reads land after the first run on the merged axis
     assert report.timelines["quantum-core"].points == ((20, 1), (60, 2))
     assert len(report.hamming_quantum_per_gauge) == 2
@@ -201,7 +201,7 @@ def test_report_roundtrip_and_csv():
         SolutionEvent(1, 15, (True, True)),
         SolutionEvent(2, 25, (False, True)),
     ]
-    report = summarize_instance([records], events, layout, cnf, instance_id="rt")
+    report = summarize_instance([SampleBatch.of(records)], events, layout, cnf, instance_id="rt")
     back = InstanceReport.from_json(json.loads(report.to_json_text()))
     assert back == report
 

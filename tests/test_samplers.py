@@ -1,16 +1,19 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascor.samplers as samplers
 from cascor.compiler import compile_cnf
-from cascor.ising import IsingModel, energy, enumerate_ground_states
+from cascor.ising import IsingModel, energies_of_states, enumerate_ground_states
 from cascor.samplers import (
     OverheadModel,
+    SampleBatch,
     SampleRecord,
     SamplerConfig,
     decode_all,
-    decode_sample,
     random_gauges,
     record_from_json,
     record_to_json,
@@ -19,7 +22,13 @@ from cascor.samplers import (
 )
 from cascor.sat import Cnf, evaluate
 
-from conftest import brute_force_solutions
+from conftest import (
+    assert_same_batch,
+    brute_force_solutions,
+    random_small_cnf,
+    slow_decode,
+    slow_energy,
+)
 
 H2 = IsingModel.from_terms(2, {0: -1, 1: -1}, {(0, 1): 1})
 
@@ -39,14 +48,14 @@ def test_config_validation():
 
 def test_deterministic_for_seed():
     cfg = SamplerConfig(num_reads=50, sweeps=20, seed=99)
-    assert sample(H2, cfg) == sample(H2, cfg)
+    assert_same_batch(sample(H2, cfg), sample(H2, cfg))
 
 
 def test_chunking_does_not_change_results(monkeypatch):
     cfg = SamplerConfig(num_reads=10, sweeps=15, seed=5)
     full = sample(H2, cfg)
     monkeypatch.setattr(samplers, "_READ_CHUNK", 3)
-    assert sample(H2, cfg) == full
+    assert_same_batch(sample(H2, cfg), full)
 
 
 def test_core_time_sequence():
@@ -74,8 +83,22 @@ def test_wall_time_overhead_accounting():
 
 def test_energies_match_ising_energy():
     cfg = SamplerConfig(num_reads=40, sweeps=10, seed=3)
-    for record in sample(H2, cfg):
-        assert record.energy == energy(H2, record.spins)
+    batch = sample(H2, cfg)
+    assert batch.energies.dtype == np.int64
+    for record in batch:
+        assert record.energy == slow_energy(H2, record.spins)
+
+
+def test_batch_rows_are_plain_python_records():
+    overhead = OverheadModel(programming_us=1000, per_read_readout_us=180, post_us=50)
+    cfg = SamplerConfig(num_reads=6, sweeps=5, seed=6, overhead=overhead)
+    batch = sample(H2, cfg)
+    records = list(batch)
+    assert len(batch) == len(records) == 6
+    assert [r.read_index for r in records] == list(range(6))
+    for r in records:
+        assert type(r.energy) is int and all(type(s) is int for s in r.spins)
+    assert_same_batch(SampleBatch.of(records), batch)
 
 
 def test_h2_reaches_all_ground_states():
@@ -91,29 +114,53 @@ def test_decode_rules():
     model, layout = compile_cnf(cnf)
     # satisfying variable bits with a deliberately wrong ancilla still decode
     broken = SampleRecord(0, (1, -1, -1, -1), 99, 20, 20)
-    assert decode_sample(broken, layout, cnf) == (True, False, False)
+    assert decode_all(SampleBatch.of([broken]), layout, cnf) == [(True, False, False)]
     # unsatisfying projection decodes to nothing
     pair = Cnf.of(2, [[1, 2]])
     pm, pl = compile_cnf(pair)
     low = SampleRecord(0, (-1, -1), 3, 20, 20)
-    assert decode_sample(low, pl, pair) is None
+    assert decode_all(SampleBatch.of([low]), pl, pair) == [None]
 
 
 def test_decode_defaults_unmapped_vars_false():
     cnf = Cnf.of(3, [[1, 3]])  # var 2 occurs nowhere
     model, layout = compile_cnf(cnf)
     rec = SampleRecord(0, (1, 1), -1, 20, 20)
-    assert decode_sample(rec, layout, cnf) == (True, False, True)
+    assert decode_all(SampleBatch.of([rec]), layout, cnf) == [(True, False, True)]
 
 
-def test_decode_all_matches_decode_sample():
+def test_decode_all_matches_projection_reference():
     cnf = Cnf.of(4, [[1, 2], [-2, 3], [3, 4]])
     model, layout = compile_cnf(cnf)
     cfg = SamplerConfig(num_reads=60, sweeps=20, seed=8)
-    records = sample(model, cfg)
-    batch = decode_all(records, layout, cnf)
-    for record, decoded in zip(records, batch):
-        assert decoded == decode_sample(record, layout, cnf)
+    batch = sample(model, cfg)
+    assert decode_all(batch, layout, cnf) == slow_decode(batch.spins.tolist(), layout, cnf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    reads=st.integers(0, 12),
+)
+def test_decode_and_range_energies_match_references(seed, n, m, reads):
+    rng = np.random.default_rng(seed)
+    cnf = random_small_cnf(rng, n=n, m=m)
+    model, layout = compile_cnf(cnf)
+    spins = (2 * rng.integers(0, 2, size=(reads, model.num_qubits)) - 1).astype(np.int8)
+    batch = SampleBatch(spins, np.zeros(reads, np.int64), np.zeros(reads, np.int64),
+                        np.zeros(reads, np.int64))
+    assert decode_all(batch, layout, cnf) == slow_decode(spins.tolist(), layout, cnf)
+
+    lo, hi = sorted(int(q) for q in rng.integers(0, model.num_qubits + 1, size=2))
+    inside = IsingModel(
+        hi - lo,
+        {q - lo: v for q, v in model.h.items() if lo <= q < hi},
+        {(i - lo, j - lo): v for (i, j), v in model.J.items() if lo <= i and j < hi},
+    )
+    got = energies_of_states(model, spins[:, lo:hi], range(lo, hi))
+    assert got.tolist() == [slow_energy(inside, tuple(row)) for row in spins[:, lo:hi].tolist()]
 
 
 def test_decoded_solutions_satisfy(rng):
@@ -131,7 +178,7 @@ def test_identity_gauge_matches_plain_sample_with_derived_seed():
     from cascor.samplers import _derived_seed
 
     plain = sample(H2, SamplerConfig(num_reads=30, sweeps=10, seed=_derived_seed(77, 0)))
-    assert rotated == plain
+    assert_same_batch(rotated, plain)
 
 
 def test_srt_energies_are_in_original_frame():
@@ -141,7 +188,7 @@ def test_srt_energies_are_in_original_frame():
     gauges = random_gauges(model.num_qubits, 3, seed=13)
     for run in sample_with_srt_rotation(model, cfg, gauges):
         for record in run:
-            assert record.energy == energy(model, record.spins)
+            assert record.energy == slow_energy(model, record.spins)
 
 
 def test_srt_decoded_union_within_solution_set():
