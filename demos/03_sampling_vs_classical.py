@@ -21,7 +21,7 @@ spec = MixedSatSpec(
     seed=4,
     solution_cap=10_000,
 )
-cnf = generate_mixed_sat(spec)
+cnf, _ = generate_mixed_sat(spec)
 model, layout = compile_cnf(cnf)
 print(f"instance: n={cnf.num_vars}, m={len(cnf.clauses)}, {model.num_qubits} qubits")
 

@@ -20,7 +20,7 @@ spec = MixedSatSpec(
     seed=21,
     solution_cap=500,
 )
-cnf = generate_mixed_sat(spec)
+cnf, _ = generate_mixed_sat(spec)
 model, layout = compile_cnf(cnf)
 classical = enumerate_all(cnf, cap=500)
 print(f"instance: n={cnf.num_vars}, {model.num_qubits} qubits, "

@@ -311,7 +311,7 @@ def enumerate_all(
 
     setup_start = time.monotonic_ns()
     solver = _Enumerator(cnf)
-    blocked = np.zeros(max(cap + 1, 16), dtype=np.int64)
+    blocked = np.zeros(16, dtype=np.int64)  # doubled when full, so cap sizes nothing
     num_blocked = 0
     setup_time_us = (time.monotonic_ns() - setup_start) // 1000
 
@@ -343,6 +343,8 @@ def enumerate_all(
                 assignment=_mask_to_assignment(model, cnf.num_vars),
             )
         )
+        if num_blocked == len(blocked):
+            blocked = np.concatenate([blocked, np.zeros_like(blocked)])
         blocked[num_blocked] = model
         num_blocked += 1
 

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 input error, 3 resource/limit error.
 All emitted durations are integer microseconds.  Outputs are byte-stable for
 fixed inputs, flags, and seeds, except classical-enumeration timestamps;
-``--stable-output`` substitutes deterministic ordinal pseudo-times for those
-so CI can diff complete outputs.
+``--stable-output`` substitutes ordinal pseudo-times for those (1 us per
+solution, in both allsat and bench) so CI can diff complete outputs.
 """
 from __future__ import annotations
 
@@ -61,16 +61,6 @@ def _read_compiled(path: str):
     return compiled_from_json(json.loads(Path(path).read_text()))
 
 
-def _policy_from_args(args) -> ConstructionPolicy:
-    if args.policy == "seeded_random":
-        if args.policy_seed is None:
-            raise ValueError("--policy seeded_random requires --policy-seed")
-        return ConstructionPolicy.seeded_random(args.policy_seed)
-    if args.policy_seed is not None:
-        raise ValueError("--policy-seed only applies to --policy seeded_random")
-    return ConstructionPolicy(args.policy)
-
-
 def _sampler_config(args) -> samplers_mod.SamplerConfig:
     return samplers_mod.SamplerConfig(
         num_reads=args.reads,
@@ -108,8 +98,7 @@ def cmd_gen(args) -> int:
         seed=args.seed,
         solution_cap=args.cap,
     )
-    cnf = generate_mixed_sat(spec, max_attempts=args.attempts)
-    count = allsat_mod.count_solutions_capped(cnf, args.cap)
+    cnf, count = generate_mixed_sat(spec, max_attempts=args.attempts)
     out = Path(args.out)
     out.write_text(emit_dimacs(cnf))
     sidecar = out.with_suffix(out.suffix + ".json")
@@ -122,7 +111,7 @@ def cmd_gen(args) -> int:
 
 def cmd_compile(args) -> int:
     cnf = _read_cnf(args.cnf)
-    policy = _policy_from_args(args)
+    policy = ConstructionPolicy(args.policy, args.policy_seed)
     model, layout = compile_cnf(cnf, policy)
     doc = compiled_to_json(model, layout, policy)
     Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -160,13 +149,16 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _stabilized_events(events):
+    # Ordinal pseudo-times (1 us per solution) stand in for the real clock.
+    return [replace(e, wall_time_us=e.index) for e in events]
+
+
 def cmd_allsat(args) -> int:
     cnf = _read_cnf(args.cnf)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
-    lines = []
-    for event in result.events:
-        stamp = 0 if args.stable_output else event.wall_time_us
-        lines.append(json.dumps(allsat_mod.event_to_json(replace(event, wall_time_us=stamp))))
+    events = _stabilized_events(result.events) if args.stable_output else result.events
+    lines = [json.dumps(allsat_mod.event_to_json(event)) for event in events]
     Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
     summary = {
         "count": len(result.events),
@@ -176,11 +168,6 @@ def cmd_allsat(args) -> int:
     }
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
-
-
-def _stabilized_events(events):
-    # Ordinal pseudo-times (1 us per solution) stand in for the real clock.
-    return [replace(e, wall_time_us=e.index) for e in events]
 
 
 def cmd_metrics(args) -> int:
@@ -235,7 +222,7 @@ def cmd_bench(args) -> int:
     if not instance_paths:
         raise FileNotFoundError(f"no .cnf instances under {args.instances}")
     cfg = _sampler_config(args)
-    policy = _policy_from_args(args)
+    policy = ConstructionPolicy(args.policy, args.policy_seed)
     # Per-instance seeds derive from the master seed and sorted position.
     n = len(instance_paths)
     jobs = (

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ising import IsingModel
-from .sat import Clause, Cnf
+from .sat import Clause, Cnf, _derived_seed
 
 __all__ = [
     "TermSet",
@@ -313,10 +313,6 @@ def build_clause_penalty(
     return ClausePenalty(terms, variable_qubits, tuple(ancillas), clause_ground_energy(k))
 
 
-def _derive_clause_seed(seed: int, clause_index: int) -> int:
-    return int(np.random.SeedSequence((seed, clause_index)).generate_state(1, np.uint64)[0])
-
-
 def compile_cnf(
     cnf: Cnf, policy: ConstructionPolicy | None = None
 ) -> tuple[IsingModel, PenaltyLayout]:
@@ -343,7 +339,7 @@ def compile_cnf(
     for idx, clause in enumerate(cnf.clauses):
         clause_policy = policy
         if policy.kind == "seeded_random":
-            clause_policy = replace(policy, seed=_derive_clause_seed(policy.seed, idx))
+            clause_policy = replace(policy, seed=_derived_seed(policy.seed, idx))
         penalty = build_clause_penalty(clause, alloc, var_to_qubit, clause_policy)
         total.merge(penalty.terms)
         clause_ancillas.append(penalty.ancilla_qubits)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .compiler import PenaltyLayout
@@ -260,8 +261,19 @@ def summarize_instance(
     sampling); gauge runs are treated as executed back to back, so their
     time axes are offset cumulatively before merging into one quantum stream.
     ``classical_events`` are SolutionEvents from the enumerator.
+
+    Both streams are compared over one solution space, the variables the
+    formula uses: decoded reads and classical assignments are projected onto
+    ``cnf.variables_used()`` before timelines, overlap and Hamming series are
+    built (the decoder sets an unused variable to false, ALL-SAT yields both).
     """
     from .samplers import decode_all  # local import keeps module deps one-way
+
+    used = set(cnf.variables_used())
+    keep = [v in used for v in range(1, cnf.num_vars + 1)]
+
+    def project(assignment: Assignment) -> Assignment:
+        return tuple(compress(assignment, keep))
 
     core_stream: list[TimedSolution] = []
     wall_stream: list[TimedSolution] = []
@@ -271,16 +283,16 @@ def summarize_instance(
     for batch in quantum_runs:
         decoded = decode_all(batch, layout, cnf)
         core, wall = batch.core_time_us.tolist(), batch.wall_time_us.tolist()
-        hits = [r for r, solution in enumerate(decoded) if solution is not None]
-        core_stream += [(core_offset + core[r], decoded[r]) for r in hits]
-        wall_stream += [(wall_offset + wall[r], decoded[r]) for r in hits]
-        per_gauge_distinct.append(distinct_solutions((core[r], decoded[r]) for r in hits))
+        hits = [(r, project(s)) for r, s in enumerate(decoded) if s is not None]
+        core_stream += [(core_offset + core[r], s) for r, s in hits]
+        wall_stream += [(wall_offset + wall[r], s) for r, s in hits]
+        per_gauge_distinct.append(distinct_solutions((core[r], s) for r, s in hits))
         if core:
             core_offset += core[-1]
             wall_offset += wall[-1]
 
     classical_stream: list[TimedSolution] = [
-        (e.wall_time_us, e.assignment) for e in classical_events
+        (e.wall_time_us, project(e.assignment)) for e in classical_events
     ]
 
     timelines = {

@@ -25,7 +25,7 @@ import numpy as np
 
 from .compiler import PenaltyLayout
 from .ising import Gauge, IsingModel, SpinState, apply_gauge, energies_of_states
-from .sat import Assignment, Cnf
+from .sat import Assignment, Cnf, _derived_rng, _derived_seed
 
 __all__ = [
     "OverheadModel",
@@ -123,10 +123,6 @@ class SampleBatch:
         )
 
 
-def _read_rng(seed: int, read_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, read_index)))
-
-
 def _anneal_chunk(model: IsingModel, cfg: SamplerConfig, read_indices: range) -> np.ndarray:
     """Run one batch of reads; returns their final spins, (C, N) int8."""
     n = model.num_qubits
@@ -138,7 +134,7 @@ def _anneal_chunk(model: IsingModel, cfg: SamplerConfig, read_indices: range) ->
     states = np.empty((count, n), dtype=np.float64)
     uniforms = np.empty((count, cfg.sweeps, n), dtype=np.float64)
     for row, r in enumerate(read_indices):
-        rng = _read_rng(cfg.seed, r)
+        rng = _derived_rng(cfg.seed, r)
         states[row] = 2.0 * rng.integers(0, 2, size=n) - 1.0
         uniforms[row] = rng.random((cfg.sweeps, n))
 
@@ -191,16 +187,12 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
     return [tuple(row) if ok else None for row, ok in zip(bits.tolist(), satisfied.tolist())]
 
 
-def _derived_seed(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)[0])
-
-
 _GAUGE_STREAM_TAG = 0x67617567  # keeps gauge draws off the per-read streams
 
 
 def random_gauges(num_qubits: int, count: int, seed: int) -> list[Gauge]:
     """Deterministic random +/-1 gauges for SRT rotation runs."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _GAUGE_STREAM_TAG)))
+    rng = _derived_rng(seed, _GAUGE_STREAM_TAG)
     return [
         tuple(int(g) for g in (2 * rng.integers(0, 2, size=num_qubits) - 1))
         for _ in range(count)

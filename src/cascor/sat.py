@@ -245,9 +245,14 @@ def evaluate(cnf: Cnf, assignment: Assignment) -> bool:
     )
 
 
-def _derived_rng(seed: int, attempt: int) -> np.random.Generator:
-    # One independent stream per retry; attempt 0 is the spec seed itself.
-    return np.random.default_rng(np.random.SeedSequence((seed, attempt)))
+def _derived_rng(seed: int, stream: int) -> np.random.Generator:
+    """Independent generator for one numbered stream of a master seed."""
+    return np.random.default_rng(np.random.SeedSequence((seed, stream)))
+
+
+def _derived_seed(seed: int, stream: int) -> int:
+    """Independent 64-bit seed for one numbered stream of a master seed."""
+    return int(np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)[0])
 
 
 def _draw_instance(spec: MixedSatSpec, rng: np.random.Generator) -> Cnf:
@@ -265,13 +270,14 @@ def _draw_instance(spec: MixedSatSpec, rng: np.random.Generator) -> Cnf:
     return Cnf(spec.num_vars, tuple(clauses))
 
 
-def generate_mixed_sat(spec: MixedSatSpec, max_attempts: int = 1000) -> Cnf:
+def generate_mixed_sat(spec: MixedSatSpec, max_attempts: int = 1000) -> tuple[Cnf, int]:
     """Generate a random mixed-SAT instance whose solution count lies in [1, cap].
 
-    Instances are drawn from the seeded distribution and checked with the
-    ALL-SAT enumerator capped at ``spec.solution_cap``; unsatisfiable or
+    Returns the instance and its exact solution count.  Instances are drawn
+    from the seeded distribution and checked with one ALL-SAT run capped at
+    ``spec.solution_cap``, whose count is the one returned; unsatisfiable or
     over-cap draws are discarded and the seed is re-derived per attempt, so a
-    fixed spec always yields the same instance.
+    fixed spec always yields the same instance and count.
     """
     from . import allsat  # deferred: allsat imports this module's types
 
@@ -279,7 +285,7 @@ def generate_mixed_sat(spec: MixedSatSpec, max_attempts: int = 1000) -> Cnf:
         cnf = _draw_instance(spec, _derived_rng(spec.seed, attempt))
         result = allsat.enumerate_all(cnf, cap=spec.solution_cap)
         if result.complete and 1 <= len(result.events):
-            return cnf
+            return cnf, len(result.events)
     raise GenerationError(
         f"no admissible instance in {max_attempts} attempts for seed {spec.seed}"
     )

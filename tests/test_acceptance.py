@@ -291,7 +291,7 @@ def _bench_instances(count: int):
         )
         seed += 1
         try:
-            cnf = generate_mixed_sat(spec, max_attempts=25)
+            cnf, _ = generate_mixed_sat(spec, max_attempts=25)
         except Exception:
             continue
         if len(cnf.variables_used()) != 20:
@@ -354,7 +354,7 @@ def _coverage_instances(count: int):
         )
         seed += 1
         try:
-            cnf = generate_mixed_sat(spec, max_attempts=10)
+            cnf, _ = generate_mixed_sat(spec, max_attempts=10)
         except Exception:
             continue
         if len(cnf.variables_used()) != 10:

@@ -2,9 +2,13 @@ import json
 
 import pytest
 
+import cascor.allsat as allsat_mod
+import cascor.sat as sat_mod
 from cascor.cli import main
 from cascor.metrics import CSV_COLUMNS, InstanceReport
 from cascor.sat import evaluate, parse_dimacs
+
+from conftest import brute_force_solutions
 
 
 def run(*argv):
@@ -36,6 +40,24 @@ def test_gen_deterministic(tmp_path):
     a = gen_instance(tmp_path, "a.cnf")
     b = gen_instance(tmp_path, "b.cnf")
     assert a.read_text() == b.read_text()
+
+
+def test_gen_enumerates_each_attempt_once(tmp_path, monkeypatch):
+    # The count gen writes comes from the screening run; no second enumeration.
+    calls = {"draw": 0, "enumerate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sat_mod, "_draw_instance", counted("draw", sat_mod._draw_instance))
+    monkeypatch.setattr(allsat_mod, "enumerate_all", counted("enumerate", allsat_mod.enumerate_all))
+    path = gen_instance(tmp_path, seed=12, cap=8)
+    assert calls["draw"] > 1 and calls["enumerate"] == calls["draw"]
+    sidecar = json.loads((tmp_path / "inst.cnf.json").read_text())
+    assert sidecar["solution_count"] == len(brute_force_solutions(parse_dimacs(path.read_text())))
 
 
 def test_gen_missing_weights_is_usage_error(tmp_path):
@@ -141,6 +163,16 @@ def test_allsat_cap_hit_flagged(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 100
 
 
+def test_allsat_huge_cap_sizes_nothing_by_the_cap(tmp_path, capsys):
+    path = tmp_path / "four.cnf"
+    path.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    out = tmp_path / "events.jsonl"
+    assert run("allsat", "--cnf", str(path), "--cap", "1000000000000", "--out", str(out)) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["count"] == 4 and summary["complete"] is True
+    assert len(out.read_text().splitlines()) == 4
+
+
 def test_allsat_stable_output_bytes(tmp_path, capsys):
     path = gen_instance(tmp_path)
     capsys.readouterr()  # drop the gen summary line
@@ -151,6 +183,9 @@ def test_allsat_stable_output_bytes(tmp_path, capsys):
                    "--stable-output", "--out", str(out)) == 0
         blobs.append(out.read_bytes() + capsys.readouterr().out.encode())
     assert blobs[0] == blobs[1]
+    # the same clock as bench --stable-output: 1 us per solution
+    events = [json.loads(line) for line in (tmp_path / "e1.jsonl").read_text().splitlines()]
+    assert events and all(e["wall_time_us"] == e["index"] for e in events)
 
 
 def test_metrics_subcommand_roundtrip(tmp_path):

@@ -7,10 +7,13 @@ artifact on purpose updates the digest here and says why in CHANGES.md.
 Three n=12, m=16 instances (g2 leaves variable 5 unused, g3 variables 2 and
 11), compiled with the chain policy, 300 reads of 30 sweeps each.  Printed
 summaries are pinned too, with the temporary directory replaced by ``<tmp>``.
+The file-based commands are also checked to reproduce ``bench``'s reports.
 """
 from __future__ import annotations
 
 import hashlib
+
+import pytest
 
 from cascor.cli import main
 
@@ -32,32 +35,32 @@ INSTANCES = {
 SAMPLER = ("--reads", "300", "--sweeps", "30", "--programming-us", "1000", "--readout-us", "180")
 
 EXPECTED = {
-    "bench0.csv": "0fcafc9af0dc26300785d0a2c5738fd95bbae7d5a97e3108a4354da6847bf38d",
+    "bench0.csv": "77f7f9ec55e0c16466faa6e512908d403e5a8f5ecfa8a106496625a2a0dad068",
     "bench0/g1.report.json": "58be62e051e08a7453cb847c6a400a6ad97adb1b536b59dadf004bea50a71049",
-    "bench0/g2.report.json": "c734be5175ad254eb74edaa231cf369cd2f7bddb4d5034ee437d9c6dee5b521d",
-    "bench0/g3.report.json": "da419c32404f8458fcee8062f199ac779d17e99a3546395f577b7a9948f68c87",
-    "bench2.csv": "ee3ea0cab68ccb8b061e18653727441a4f81eadc03f621edbb491f48e59bb212",
+    "bench0/g2.report.json": "46142443f9ce3c27bf6ed5965033a8f9e276cfae07b81d20cf9dff7a80c76258",
+    "bench0/g3.report.json": "aa30c8c490bb6c88a2955ae5bac6f0aad48017bd5c7e1ff6f1f24de240aceed2",
+    "bench2.csv": "b0be09d529b722abbb0214ec14911ddf239e0f2e7e57434b01c17c0a3178f2cd",
     "bench2/g1.report.json": "5c31d4b93ad3f56dbd929949e227f2dade152c9722c3b4c4070a77264ea7d8cc",
-    "bench2/g2.report.json": "a623cb45e307d9ec5432e6e6e154c268d24f47ea4901c25e0961e33c1efb537a",
-    "bench2/g3.report.json": "77907e7c5682a6f7bd8e7bf5f0daba3d73ccb3cd91737250ecb7aee89b4e2488",
-    "g1.events.jsonl": "3ff54ba342ed66f062e571b64dbdbe2b50721ed44335a2bf273d7625768ee85c",
+    "bench2/g2.report.json": "054357b1d2074e0fc7d8df51a8ac3a9cf469b5fa799c74c3b463e52096accf8c",
+    "bench2/g3.report.json": "2a8e6e848347935e122cfe166d6160207d4b9b3c722233719d2c3f82d19afa01",
+    "g1.events.jsonl": "2519632f393fa14e7bc0b5c02ace60f4615b4dc185d05802c16b924068d3ca80",
     "g1.gauged.jsonl": "384c7f2f9ab0742c5f5391087a4fd9f299d1974828ac1dbde494684cf91b98e5",
-    "g1.gauged.report.json": "c5288c77bfe9cf2e9e2a7c9bc45ecb9b33455ac18c7b5357093a05fa04773f04",
+    "g1.gauged.report.json": "c41b25089f76e82e613858475e6b52fc38aebd32a0114cae2f651b05e505586f",
     "g1.model.json": "d8e29c094627bca54cd3c66f5a7ba11020caa70f3ad6b5828c4818f50f5d5520",
     "g1.plain.jsonl": "5cf6e923a3f034a4c111f10d7e686dd6f4aeca5a82eb5a6b56ad048d6d60f64d",
-    "g1.plain.report.json": "11a0862d696c6c4cc8225a348d2d909bfc4fad82666a4618112e5899f208def5",
-    "g2.events.jsonl": "26763b261c2aec824da49fd4cc5f3bf4d9c20620f4a0ab3db816de6a948f9979",
+    "g1.plain.report.json": "9ef153aa6949797b00558d6223bf35140c38fdb007137401e602ba2a18041da7",
+    "g2.events.jsonl": "8634af77f077f7034a9f257f2e71eac5f4ab2bd3e407227b62dcd2803ab48ae9",
     "g2.gauged.jsonl": "23eee8bf8bc09fb1286d7401e5383ec5667f6a163afdd95ee443a1d441eae28f",
-    "g2.gauged.report.json": "604366ce5adee1dbbed4e4c6f571d15469ee6df20807feeb5f1a501f1fe2ba3c",
+    "g2.gauged.report.json": "964a280d69f26c47752e3c221634c0a76a122bed10d5bd45953c7ac8e608ea62",
     "g2.model.json": "dcd884df478f6cb4d8d95ef0c124663bfcf622adf796a5448508f67c99280543",
     "g2.plain.jsonl": "d2822691155225c025a1bd8d7a0b748ab34fbbb663c865c7585ca27a5a733479",
-    "g2.plain.report.json": "7b2d69634e1f9f09bf565b3a00c89c89aa7f8c212a497b2a83c4fdb666e18407",
-    "g3.events.jsonl": "305f38f4ea2ce73e30c99c033df2083a0842d359a0afad13f9b2b26221a02839",
+    "g2.plain.report.json": "8a52ff5e671c0e7d72c7c8da0daa89021facdaf0e9e36a7e53635d00fa781d41",
+    "g3.events.jsonl": "88e1b13234892f2bbbb101e060b96bfec3c9e5993ceea95ff26a24af96818045",
     "g3.gauged.jsonl": "794361cae4d68a3eb817c4b5c156a8e96bbbcb5e9255aad6228568aae0a9c5ac",
-    "g3.gauged.report.json": "eea661848ed47ce4ba22d4a648329ea06cf02bc7edf58a76bbcae2a503704dc8",
+    "g3.gauged.report.json": "e517f33e513572578de3b150a8d0d24cb0151b7e1e24759a408a2f7294734f9e",
     "g3.model.json": "a0d5832650c5e34f8fb6064c40fdaa31efa57b3f7115f202392363afb20d6d13",
     "g3.plain.jsonl": "645e58060932402610173f86dafc3ee210d1d28d59bc1113fe68c225755cb3d3",
-    "g3.plain.report.json": "4d1c814a0fd133d5c5881dfc378facf4858448bc24258e3bc0c110c734a8e978",
+    "g3.plain.report.json": "374a4da0eb55b1a889a4db6d3373e072f3ce626207d6d62a4efc751cdc263d3d",
     "stdout": "3a7f259ecd2e2e5a90436cfeb22a909c14a96b2b8f168d111eb7135ff9008f0e",
 }
 
@@ -111,3 +114,34 @@ def cli_artifact_digests(tmp_path, capsys, monkeypatch) -> dict[str, str]:
 
 def test_cli_artifacts_match_pinned_digests(tmp_path, capsys, monkeypatch):
     assert cli_artifact_digests(tmp_path, capsys, monkeypatch) == EXPECTED
+
+
+@pytest.mark.parametrize("gauges", ["0", "2"])
+def test_file_pipeline_reproduces_bench_reports(tmp_path, monkeypatch, gauges):
+    """`metrics` over `sample --seed 11+idx` and `allsat --stable-output` events
+    gives the bytes of each `bench --seed 11 --stable-output` report."""
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    for name, text in INSTANCES.items():
+        (inst_dir / f"{name}.cnf").write_text(text)
+    reports = tmp_path / "reports"
+    assert main(["bench", "--instances", str(inst_dir), "--seed", "11", *SAMPLER,
+                 "--gauges", gauges, "--stable-output", "--reports-dir", str(reports),
+                 "--out", str(tmp_path / "bench.csv")]) == 0
+
+    for idx, name in enumerate(sorted(INSTANCES)):
+        cnf, out = inst_dir / f"{name}.cnf", tmp_path / name
+        for argv in (
+            ("compile", "--cnf", cnf, "--out", f"{out}.model.json"),
+            ("sample", "--model", f"{out}.model.json", "--cnf", cnf, "--seed", 11 + idx,
+             *SAMPLER, "--gauges", gauges, "--out", f"{out}.jsonl"),
+            ("allsat", "--cnf", cnf, "--stable-output", "--out", f"{out}.events.jsonl"),
+            ("metrics", "--cnf", cnf, "--model", f"{out}.model.json", "--samples",
+             f"{out}.jsonl", "--events", f"{out}.events.jsonl", "--instance-id", name,
+             "--out", f"{out}.report.json"),
+        ):
+            assert main([str(a) for a in argv]) == 0
+        assert (tmp_path / f"{name}.report.json").read_bytes() == (
+            reports / f"{name}.report.json"
+        ).read_bytes(), name

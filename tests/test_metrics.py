@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cascor.allsat import SolutionEvent
+from cascor.allsat import SolutionEvent, enumerate_all
 from cascor.compiler import compile_cnf
 from cascor.metrics import (
     DistinctTimeline,
@@ -15,8 +18,10 @@ from cascor.metrics import (
     report_csv_rows,
     summarize_instance,
 )
-from cascor.samplers import SampleBatch, SampleRecord
+from cascor.samplers import SampleBatch, SampleRecord, SamplerConfig, sample
 from cascor.sat import Cnf
+
+from conftest import brute_force_solutions, random_small_cnf, slow_decode
 
 A = (False, False, False)
 B = (False, True, True)
@@ -209,3 +214,54 @@ def test_report_roundtrip_and_csv():
     assert [r["crossover_axis"] for r in rows] == ["core", "wall"]
     assert all(r["instance_id"] == "rt" for r in rows)
     assert rows[0]["n"] == 2 and rows[0]["qubits"] == 2
+
+
+def test_summarize_compares_over_used_variables():
+    # Variable 4 occurs in no clause: ALL-SAT yields 8 full assignments, but
+    # over the used variables 1..3 there are only 4 solutions.
+    cnf = Cnf.of(4, [[1, 2], [-1, 3]])
+    model, layout = compile_cnf(cnf)
+    events = enumerate_all(cnf, cap=100).events
+    assert len(events) == 8
+    batch = sample(model, SamplerConfig(num_reads=200, sweeps=20, seed=5))
+    report = summarize_instance([batch], events, layout, cnf)
+    assert report.metadata["classical_distinct"] == 4
+    assert report.metadata["quantum_distinct"] == 4
+    assert len(report.timelines["classical-wall"].points) == 4
+    assert len(report.hamming_classical) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    m=st.integers(1, 6),
+    pad=st.integers(0, 3),
+    reads=st.integers(1, 16),
+)
+def test_summary_solution_space_is_the_used_variable_projection(seed, n, m, pad, reads):
+    rng = np.random.default_rng(seed)
+    cnf = Cnf(n + pad, random_small_cnf(rng, n=n, m=m).clauses)
+    model, layout = compile_cnf(cnf)
+    spins = (2 * rng.integers(0, 2, size=(reads, model.num_qubits)) - 1).astype(np.int8)
+    times = np.arange(1, reads + 1, dtype=np.int64)
+    batch = SampleBatch(spins, np.zeros(reads, np.int64), times, times)
+    events = list(enumerate_all(cnf, cap=1 << cnf.num_vars).events)
+    used = cnf.variables_used()
+
+    def project(assignment):
+        return tuple(assignment[v - 1] for v in used)
+
+    truth = {project(a) for a in brute_force_solutions(cnf)}
+    decoded = [a for a in slow_decode(spins.tolist(), layout, cnf) if a is not None]
+    quantum = {project(a) for a in decoded}
+    report = summarize_instance([batch], events, layout, cnf)
+    assert report.metadata["classical_distinct"] == len(truth)
+    assert report.metadata["quantum_distinct"] == len(quantum)
+    assert quantum <= truth
+    # Feeding the decoded reads to the classical side as well adds nothing:
+    # the report counts both streams in one space.
+    last = events[-1].wall_time_us if events else 0
+    extra = [SolutionEvent(len(events) + i + 1, last, a) for i, a in enumerate(decoded)]
+    widened = summarize_instance([batch], events + extra, layout, cnf)
+    assert widened.metadata["classical_distinct"] == len(truth)

@@ -118,7 +118,7 @@ def test_generation_deterministic():
 
 def test_generation_length_support():
     spec = MixedSatSpec(8, 6, {2: 0.5, 4: 0.5}, seed=7, solution_cap=256)
-    cnf = generate_mixed_sat(spec)
+    cnf, _ = generate_mixed_sat(spec)
     assert all(len(c) in (2, 4) for c in cnf.clauses)
     for clause in cnf.clauses:
         variables = [lit.var for lit in clause.literals]
@@ -127,8 +127,8 @@ def test_generation_length_support():
 
 def test_generation_respects_cap():
     spec = MixedSatSpec(4, 2, {2: 1.0, 3: 1.0}, seed=5, solution_cap=16)
-    cnf = generate_mixed_sat(spec)
-    count = len(brute_force_solutions(cnf))
+    cnf, count = generate_mixed_sat(spec)
+    assert count == len(brute_force_solutions(cnf))
     assert 1 <= count <= 16
 
 
