@@ -26,6 +26,7 @@ __all__ = [
     "SolutionEvent",
     "EnumerationResult",
     "enumerate_all",
+    "check_enumeration",
     "count_solutions_capped",
     "event_to_json",
     "event_from_json",
@@ -294,6 +295,14 @@ def _mask_to_assignment(mask: int, n: int) -> Assignment:
     return tuple(bool((mask >> v) & 1) for v in range(n))
 
 
+def check_enumeration(num_vars: int, cap: int) -> None:
+    """Raise ValueError unless enumerate_all accepts this variable count and cap."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if num_vars > _MASK_VAR_LIMIT:
+        raise ValueError(f"enumeration supports up to {_MASK_VAR_LIMIT} variables")
+
+
 def enumerate_all(
     cnf: Cnf, cap: int, time_budget_us: int | None = None
 ) -> EnumerationResult:
@@ -304,10 +313,7 @@ def enumerate_all(
     enumerates completely), or with neither on budget expiry.  Unsatisfiable
     input yields an empty, complete result.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if cnf.num_vars > _MASK_VAR_LIMIT:
-        raise ValueError(f"enumeration supports up to {_MASK_VAR_LIMIT} variables")
+    check_enumeration(cnf.num_vars, cap)
 
     setup_start = time.monotonic_ns()
     solver = _Enumerator(cnf)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from . import samplers as samplers_mod
 from .compiler import AllocationError, ConstructionPolicy, compile_cnf, compiled_from_json, compiled_to_json
 from .sat import (
     Cnf,
-    DimacsError,
     GenerationError,
     MixedSatSpec,
     emit_dimacs,
@@ -37,6 +37,23 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+
+
+class InputError(Exception):
+    """A malformed input file or a flag value the pipeline cannot take."""
+
+
+@contextmanager
+def _input_boundary():
+    """Report KeyError/ValueError from parsing, reading or flag-to-config code as InputError.
+
+    Only that code runs inside; the same classes raised by the pipeline itself
+    are internal faults and propagate unchanged.
+    """
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise InputError(exc) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,12 +70,38 @@ def _parse_lengths(text: str) -> dict[int, float]:
     return weights
 
 
-def _read_cnf(path: str) -> Cnf:
+def _read_cnf(path: str | Path) -> Cnf:
     return parse_dimacs(Path(path).read_text())
+
+
+def _read_compilable_cnf(path: str | Path) -> Cnf:
+    cnf = _read_cnf(path)
+    if not cnf.clauses:
+        raise ValueError("cannot compile a CNF with no clauses")
+    return cnf
 
 
 def _read_compiled(path: str):
     return compiled_from_json(json.loads(Path(path).read_text()))
+
+
+def _read_sample_runs(path: str) -> list[samplers_mod.SampleBatch]:
+    """One batch per gauge tag of a sample JSONL file, in tag order."""
+    runs_by_gauge: dict[int, list] = {}
+    for line in Path(path).read_text().splitlines():
+        if not line.strip():
+            continue
+        record, _, gauge = samplers_mod.record_from_json(line)
+        runs_by_gauge.setdefault(0 if gauge is None else gauge, []).append(record)
+    return [samplers_mod.SampleBatch.of(runs_by_gauge[g]) for g in sorted(runs_by_gauge)]
+
+
+def _read_events(path: str) -> list[allsat_mod.SolutionEvent]:
+    return [
+        allsat_mod.event_from_json(line)
+        for line in Path(path).read_text().splitlines()
+        if line.strip()
+    ]
 
 
 def _sampler_config(args) -> samplers_mod.SamplerConfig:
@@ -91,13 +134,15 @@ def _add_sampler_flags(sub) -> None:
 
 
 def cmd_gen(args) -> int:
-    spec = MixedSatSpec(
-        num_vars=args.n,
-        num_clauses=args.m,
-        length_weights=_parse_lengths(args.lengths),
-        seed=args.seed,
-        solution_cap=args.cap,
-    )
+    with _input_boundary():
+        spec = MixedSatSpec(
+            num_vars=args.n,
+            num_clauses=args.m,
+            length_weights=_parse_lengths(args.lengths),
+            seed=args.seed,
+            solution_cap=args.cap,
+        )
+        allsat_mod.check_enumeration(spec.num_vars, spec.solution_cap)
     cnf, count = generate_mixed_sat(spec, max_attempts=args.attempts)
     out = Path(args.out)
     out.write_text(emit_dimacs(cnf))
@@ -110,8 +155,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    cnf = _read_cnf(args.cnf)
-    policy = ConstructionPolicy(args.policy, args.policy_seed)
+    with _input_boundary():
+        cnf = _read_compilable_cnf(args.cnf)
+        policy = ConstructionPolicy(args.policy, args.policy_seed)
     model, layout = compile_cnf(cnf, policy)
     doc = compiled_to_json(model, layout, policy)
     Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -130,9 +176,10 @@ def _sample_runs(model, cfg, num_gauges):
 
 
 def cmd_sample(args) -> int:
-    cnf = _read_cnf(args.cnf)
-    model, layout, _ = _read_compiled(args.model)
-    cfg = _sampler_config(args)
+    with _input_boundary():
+        cnf = _read_cnf(args.cnf)
+        model, layout, _ = _read_compiled(args.model)
+        cfg = _sampler_config(args)
     runs = _sample_runs(model, cfg, args.gauges)
     lines = []
     solutions = 0
@@ -155,7 +202,9 @@ def _stabilized_events(events):
 
 
 def cmd_allsat(args) -> int:
-    cnf = _read_cnf(args.cnf)
+    with _input_boundary():
+        cnf = _read_cnf(args.cnf)
+        allsat_mod.check_enumeration(cnf.num_vars, args.cap)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
     events = _stabilized_events(result.events) if args.stable_output else result.events
     lines = [json.dumps(allsat_mod.event_to_json(event)) for event in events]
@@ -171,20 +220,11 @@ def cmd_allsat(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    cnf = _read_cnf(args.cnf)
-    _, layout, _ = _read_compiled(args.model)
-    runs_by_gauge: dict[int, list] = {}
-    for line in Path(args.samples).read_text().splitlines():
-        if not line.strip():
-            continue
-        record, _, gauge = samplers_mod.record_from_json(line)
-        runs_by_gauge.setdefault(0 if gauge is None else gauge, []).append(record)
-    runs = [samplers_mod.SampleBatch.of(runs_by_gauge[g]) for g in sorted(runs_by_gauge)]
-    events = [
-        allsat_mod.event_from_json(line)
-        for line in Path(args.events).read_text().splitlines()
-        if line.strip()
-    ]
+    with _input_boundary():
+        cnf = _read_cnf(args.cnf)
+        _, layout, _ = _read_compiled(args.model)
+        runs = _read_sample_runs(args.samples)
+        events = _read_events(args.events)
     report = metrics_mod.summarize_instance(
         runs, events, layout, cnf, instance_id=args.instance_id
     )
@@ -194,7 +234,9 @@ def cmd_metrics(args) -> int:
 
 
 def _bench_one(path: Path, cfg, policy, args) -> tuple[str, dict, list[dict]]:
-    cnf = parse_dimacs(path.read_text())
+    with _input_boundary():
+        cnf = _read_compilable_cnf(path)
+        allsat_mod.check_enumeration(cnf.num_vars, args.cap)
     model, layout = compile_cnf(cnf, policy)
     runs = _sample_runs(model, cfg, args.gauges)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
@@ -221,8 +263,9 @@ def cmd_bench(args) -> int:
     instance_paths = sorted(Path(args.instances).glob("*.cnf"))
     if not instance_paths:
         raise FileNotFoundError(f"no .cnf instances under {args.instances}")
-    cfg = _sampler_config(args)
-    policy = ConstructionPolicy(args.policy, args.policy_seed)
+    with _input_boundary():
+        cfg = _sampler_config(args)
+        policy = ConstructionPolicy(args.policy, args.policy_seed)
     # Per-instance seeds derive from the master seed and sorted position.
     n = len(instance_paths)
     jobs = (
@@ -328,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GenerationError, AllocationError) as exc:
         print(f"cascor: limit error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (DimacsError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"cascor: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,8 +12,10 @@ Iterating a batch yields one SampleRecord per read, the row type of the JSONL
 output.
 
 Determinism: read r consumes only its own RNG stream, derived from the master
-seed and r, so results are identical regardless of how reads are batched or
-parallelized.
+seed and r: n draws for its initial spins, then one uniform per proposal, spin
+by spin and sweep by sweep.  The kernel anneals a chunk of reads together,
+spin-major, and draws each read's uniforms a block of sweeps at a time, so the
+spins are the same for any read chunk and any sweep block.
 """
 from __future__ import annotations
 
@@ -40,7 +42,9 @@ __all__ = [
     "record_from_json",
 ]
 
-_READ_CHUNK = 512
+_READ_CHUNK = 2048
+# Byte cap on one chunk's block of pre-drawn uniforms (at least one sweep's worth).
+_UNIFORMS_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -130,26 +134,40 @@ def _anneal_chunk(model: IsingModel, cfg: SamplerConfig, read_indices: range) ->
     coupling = model.arrays.coupling
     h_f = model.arrays.h.astype(np.float64)
 
-    # Each read's stream: n init draws, then one uniform per proposal.
-    states = np.empty((count, n), dtype=np.float64)
-    uniforms = np.empty((count, cfg.sweeps, n), dtype=np.float64)
-    for row, r in enumerate(read_indices):
-        rng = _derived_rng(cfg.seed, r)
-        states[row] = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        uniforms[row] = rng.random((cfg.sweeps, n))
+    # Each read's stream: n init draws, then one uniform per proposal, drawn a
+    # block of sweeps at a time so the buffer stays within _UNIFORMS_BYTES.
+    rngs = [_derived_rng(cfg.seed, r) for r in read_indices]
+    states = np.empty((n, count), dtype=np.float64)  # spin-major: row i is spin i of every read
+    for col, rng in enumerate(rngs):
+        states[:, col] = 2.0 * rng.integers(0, 2, size=n) - 1.0
+    block = max(1, min(cfg.sweeps, _UNIFORMS_BYTES // max(1, 8 * count * n)))
+    uniforms = np.empty((count, block, n), dtype=np.float64)
+    arg = np.empty(count, dtype=np.float64)
+    accept = np.empty(count, dtype=bool)
 
     betas = np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)
     for s in range(cfg.sweeps):
-        beta = betas[s]
+        b = s % block
+        if b == 0:
+            width = min(block, cfg.sweeps - s)
+            for row, rng in enumerate(rngs):
+                rng.random(out=uniforms[row, :width])
+        sweep_uniforms = uniforms[:, b].T.copy()
+        two_beta = 2.0 * betas[s]
         for i in range(n):
-            # flipping spin i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
-            local = states @ coupling[i] + h_f[i]
-            delta = -2.0 * states[:, i] * local
-            accept = (delta <= 0) | (
-                uniforms[:, s, i] < np.exp(np.minimum(-beta * delta, 0.0))
-            )
-            states[accept, i] *= -1.0
-    return states.astype(np.int8)
+            # Flipping spin i changes the energy by delta = -2 s_i (h_i + sum_j J_ij s_j)
+            # and is accepted when u < exp(min(-beta * delta, 0)); that is 1 when
+            # delta <= 0, above every uniform.  Scaling by 2 and by s_i = +/-1 is
+            # exact, so 2 beta * s_i * local rounds exactly like -beta * delta.
+            np.matmul(coupling[i], states, out=arg)
+            arg += h_f[i]
+            arg *= states[i]
+            arg *= two_beta
+            np.minimum(arg, 0.0, out=arg)
+            np.exp(arg, out=arg)
+            np.less(sweep_uniforms[i], arg, out=accept)
+            np.negative(states[i], out=states[i], where=accept)
+    return states.T.astype(np.int8, order="C")
 
 
 def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:

@@ -246,8 +246,11 @@ def evaluate(cnf: Cnf, assignment: Assignment) -> bool:
 
 
 def _derived_rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent generator for one numbered stream of a master seed."""
-    return np.random.default_rng(np.random.SeedSequence((seed, stream)))
+    """Independent generator for one numbered stream of a master seed.
+
+    Builds what ``np.random.default_rng`` would, without its dispatch.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
 def _derived_seed(seed: int, stream: int) -> int:

@@ -3,8 +3,9 @@
 brute_force_solutions evaluates clause semantics directly over all 2^n
 assignments with numpy; slow_energy and slow_min_states walk states in pure
 Python; slow_decode projects one read at a time and checks it with
-sat.evaluate.  These are the reference implementations the package is tested
-against.
+sat.evaluate; slow_anneal is the read-major Metropolis loop that draws every
+uniform of a read up front.  These are the reference implementations the
+package is tested against.
 """
 from __future__ import annotations
 
@@ -49,6 +50,39 @@ def slow_decode(spin_rows, layout, cnf: Cnf) -> list[tuple[bool, ...] | None]:
             bits[var - 1] = spins[q] > 0
         decoded.append(tuple(bits) if evaluate(cnf, tuple(bits)) else None)
     return decoded
+
+
+def slow_anneal(model: IsingModel, cfg, read_indices=None) -> np.ndarray:
+    """Final spins of the given reads (default: all), (C, N) int8."""
+    from cascor.sat import _derived_rng
+
+    if read_indices is None:
+        read_indices = range(cfg.num_reads)
+    n = model.num_qubits
+    count = len(read_indices)
+    coupling = model.arrays.coupling
+    h_f = model.arrays.h.astype(np.float64)
+
+    # Each read's stream: n init draws, then one uniform per proposal.
+    states = np.empty((count, n), dtype=np.float64)
+    uniforms = np.empty((count, cfg.sweeps, n), dtype=np.float64)
+    for row, r in enumerate(read_indices):
+        rng = _derived_rng(cfg.seed, r)
+        states[row] = 2.0 * rng.integers(0, 2, size=n) - 1.0
+        uniforms[row] = rng.random((cfg.sweeps, n))
+
+    betas = np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)
+    for s in range(cfg.sweeps):
+        beta = betas[s]
+        for i in range(n):
+            # flipping spin i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
+            local = states @ coupling[i] + h_f[i]
+            delta = -2.0 * states[:, i] * local
+            accept = (delta <= 0) | (
+                uniforms[:, s, i] < np.exp(np.minimum(-beta * delta, 0.0))
+            )
+            states[accept, i] *= -1.0
+    return states.astype(np.int8)
 
 
 def assert_same_batch(a, b) -> None:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import cascor.allsat as allsat_mod
+import cascor.metrics as metrics_mod
 import cascor.sat as sat_mod
 from cascor.cli import main
 from cascor.metrics import CSV_COLUMNS, InstanceReport
@@ -269,6 +270,21 @@ def test_stray_policy_seed_is_input_error_in_compile_and_bench(tmp_path):
                "--out", str(tmp_path / "m.json")) == 2
     assert run("bench", "--instances", str(inst_dir), "--seed", "1", *flags,
                "--out", str(tmp_path / "o.csv")) == 2
+
+
+def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch, capsys):
+    # The KeyError/ValueError catch covers parsing and flags only, not the pipeline.
+    inst_dir = make_bench_dir(tmp_path)
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+
+    def broken_summary(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(metrics_mod, "summarize_instance", broken_summary)
+    with pytest.raises(KeyError, match="internal"):
+        run("bench", "--instances", str(inst_dir), "--seed", "1", "--reads", "5",
+            "--sweeps", "3", "--out", str(tmp_path / "o.csv"))
+    assert "input error" not in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(tmp_path):

@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cascor.samplers as samplers
@@ -26,6 +27,7 @@ from conftest import (
     assert_same_batch,
     brute_force_solutions,
     random_small_cnf,
+    slow_anneal,
     slow_decode,
     slow_energy,
 )
@@ -56,6 +58,67 @@ def test_chunking_does_not_change_results(monkeypatch):
     full = sample(H2, cfg)
     monkeypatch.setattr(samplers, "_READ_CHUNK", 3)
     assert_same_batch(sample(H2, cfg), full)
+    # 3-read chunks of H2 take 48 bytes of uniforms per sweep: blocks of
+    # 4, 4, 4 and 3 sweeps, then one sweep at a time
+    for budget in (192, 1):
+        monkeypatch.setattr(samplers, "_UNIFORMS_BYTES", budget)
+        assert_same_batch(sample(H2, cfg), full)
+
+
+def random_float_model(rng: np.random.Generator, n: int) -> IsingModel:
+    h = {q: float(rng.normal()) for q in range(n) if rng.random() < 0.7}
+    J = {(i, j): float(rng.normal())
+         for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+    return IsingModel(n, h, J)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    integral=st.booleans(),
+    reads=st.integers(1, 9),
+    sweeps=st.integers(1, 12),
+    chunk=st.integers(1, 4),
+    block=st.integers(1, 5),
+)
+@example(seed=1, integral=True, reads=7, sweeps=7, chunk=3, block=3)  # 3+3+1 sweeps
+@example(seed=2, integral=False, reads=5, sweeps=4, chunk=2, block=1)
+def test_sample_matches_reference_anneal(seed, integral, reads, sweeps, chunk, block):
+    rng = np.random.default_rng(seed)
+    if integral:
+        cnf = random_small_cnf(rng, n=int(rng.integers(1, 7)), m=int(rng.integers(1, 7)))
+        model, _ = compile_cnf(cnf)
+    else:
+        model = random_float_model(rng, int(rng.integers(1, 9)))
+    cfg = SamplerConfig(num_reads=reads, sweeps=sweeps, seed=seed,
+                        beta_end=float(rng.uniform(0.1, 8.0)))
+    # Float-valued local fields may differ from the reference's in the last bit
+    # (the dot products sum in another order); a spin could differ only if a
+    # uniform fell within that rounding of its acceptance probability.
+    expected = slow_anneal(model, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        # full chunks anneal `block` sweeps per draw; a short last chunk takes more
+        mp.setattr(samplers, "_READ_CHUNK", chunk)
+        mp.setattr(samplers, "_UNIFORMS_BYTES", 8 * chunk * model.num_qubits * block)
+        spins = sample(model, cfg).spins
+    assert spins.dtype == expected.dtype and np.array_equal(spins, expected)
+    assert spins.strides == expected.strides  # row-major, as consumers of reads expect
+
+
+def test_uniforms_buffer_is_bounded(monkeypatch):
+    # Drawing every uniform up front would take 64 x 400 x 20 x 8 bytes, about 4 MB.
+    chain = IsingModel(20, {q: 1 for q in range(0, 20, 3)},
+                       {(q, q + 1): -1 for q in range(19)})
+    monkeypatch.setattr(samplers, "_UNIFORMS_BYTES", 4096)
+    sample(chain, SamplerConfig(num_reads=1, sweeps=1))  # caches and lazy imports
+    cfg = SamplerConfig(num_reads=64, sweeps=400, seed=3)
+    tracemalloc.start()
+    try:
+        sample(chain, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 400 * 20 * 8 // 8
 
 
 def test_core_time_sequence():
