@@ -11,16 +11,39 @@ single int8 array, their energies, and the cumulative core and wall times.
 Iterating a batch yields one SampleRecord per read, the row type of the JSONL
 output.
 
-Determinism: read r consumes only its own RNG stream, derived from the master
-seed and r: n draws for its initial spins, then one uniform per proposal, spin
-by spin and sweep by sweep.  The kernel anneals a chunk of reads together,
-spin-major, and draws each read's uniforms a block of sweeps at a time, so the
-spins are the same for any read chunk and any sweep block.
+Determinism: read r consumes only its own RNG stream, the one numpy's
+Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
+integers(0, 2) for its initial spins, then one uniform per proposal, spin by
+spin and sweep by sweep.  So read r depends only on (seed, r), and a k-read
+run is the first k reads of any longer run.
+
+The anneal runs in a C kernel (_anneal.c), compiled with the system C
+compiler (``cc``) on first use into the per-user cache directory
+($XDG_CACHE_HOME/cascor, else ~/.cache/cascor) and loaded through ctypes.
+It replays each read's stream itself and sweeps the spins in order, with
+local fields summed over neighbour lists.  A flip with v = s_i * local >= 0
+is always accepted; otherwise it is accepted when u < exp(2 beta v).
+For integral models v is an exact integer, and the probabilities come from a
+table numpy computes as exp(-2 beta k) for each sweep and each k up to the
+largest |local|, so they are the very values the numpy reference loop
+(tests/conftest.py::slow_anneal) computes.  Float models, and integral
+models whose table would exceed _TABLE_BYTES, call libm's exp instead, which
+can differ from numpy's in the last bit; like a float local field summed in
+another order, that changes a spin only if a uniform falls within one ulp of
+its acceptance probability.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import json
+import operator
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,9 +65,13 @@ __all__ = [
     "record_from_json",
 ]
 
-_READ_CHUNK = 2048
-# Byte cap on one chunk's block of pre-drawn uniforms (at least one sweep's worth).
-_UNIFORMS_BYTES = 8 << 20
+_SOURCE = Path(__file__).with_name("_anneal.c")
+_CC = "cc"
+# No -ffast-math, and no fused multiply-adds: local fields and exp arguments
+# must round as the numpy reference rounds them.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# Integral models whose acceptance table would exceed this many bytes call exp.
+_TABLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,55 +154,88 @@ class SampleBatch:
         )
 
 
-def _anneal_chunk(model: IsingModel, cfg: SamplerConfig, read_indices: range) -> np.ndarray:
-    """Run one batch of reads; returns their final spins, (C, N) int8."""
+def _build_kernel() -> Path:
+    """Path of the compiled kernel in the per-user cache, compiling it first if absent.
+
+    The file is keyed by a SHA-256 of the source, compiler and flags, and is
+    compiled under a temporary name and renamed into place, so processes that
+    build at once each load a complete library.
+    """
+    command = [_CC, *_CFLAGS]
+    key = hashlib.sha256(repr(command).encode() + _SOURCE.read_bytes()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "cascor"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = cache.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise RuntimeError(f"kernel cache {cache} is not private to this user")
+    lib = cache / f"_anneal-{key[:32]}.so"
+    if lib.exists():
+        return lib
+    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run([*command, "-o", tmp, str(_SOURCE), "-lm"],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"C compiler {_CC!r} failed on {_SOURCE.name}:\n{done.stderr}")
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def _kernel():
+    """The anneal kernel's C function, built and loaded on first use."""
+    try:
+        kernel = ctypes.CDLL(str(_build_kernel())).cascor_anneal
+    except OSError as exc:
+        # say, no compiler: cli.main would report a FileNotFoundError as an input error
+        raise RuntimeError(
+            f"cannot build or load the anneal kernel with C compiler {_CC!r}: {exc}") from exc
+    i64 = ctypes.c_int64
+    u32s, i64s, f64s, i8s = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                             for t in (np.uint32, np.int64, np.float64, np.int8))
+    kernel.argtypes = [u32s, i64, i64, i64, i64, i64s, i64s, f64s, f64s, f64s, f64s, i64,
+                       f64s, i8s]
+    kernel.restype = None
+    return kernel
+
+
+def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
+    """Final spins of every read, (reads, qubits) int8."""
+    seed = operator.index(cfg.seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    # SeedSequence's entropy words: the seed's 32-bit digits, least significant first
+    shifts = range(0, max(seed.bit_length(), 1), 32)
+    seed_words = np.array([seed >> shift & 0xFFFFFFFF for shift in shifts], dtype=np.uint32)
     n = model.num_qubits
-    count = len(read_indices)
     coupling = model.arrays.coupling
-    h_f = model.arrays.h.astype(np.float64)
-
-    # Each read's stream: n init draws, then one uniform per proposal, drawn a
-    # block of sweeps at a time so the buffer stays within _UNIFORMS_BYTES.
-    rngs = [_derived_rng(cfg.seed, r) for r in read_indices]
-    states = np.empty((n, count), dtype=np.float64)  # spin-major: row i is spin i of every read
-    for col, rng in enumerate(rngs):
-        states[:, col] = 2.0 * rng.integers(0, 2, size=n) - 1.0
-    block = max(1, min(cfg.sweeps, _UNIFORMS_BYTES // max(1, 8 * count * n)))
-    uniforms = np.empty((count, block, n), dtype=np.float64)
-    arg = np.empty(count, dtype=np.float64)
-    accept = np.empty(count, dtype=bool)
-
-    betas = np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)
-    for s in range(cfg.sweeps):
-        b = s % block
-        if b == 0:
-            width = min(block, cfg.sweeps - s)
-            for row, rng in enumerate(rngs):
-                rng.random(out=uniforms[row, :width])
-        sweep_uniforms = uniforms[:, b].T.copy()
-        two_beta = 2.0 * betas[s]
-        for i in range(n):
-            # Flipping spin i changes the energy by delta = -2 s_i (h_i + sum_j J_ij s_j)
-            # and is accepted when u < exp(min(-beta * delta, 0)); that is 1 when
-            # delta <= 0, above every uniform.  Scaling by 2 and by s_i = +/-1 is
-            # exact, so 2 beta * s_i * local rounds exactly like -beta * delta.
-            np.matmul(coupling[i], states, out=arg)
-            arg += h_f[i]
-            arg *= states[i]
-            arg *= two_beta
-            np.minimum(arg, 0.0, out=arg)
-            np.exp(arg, out=arg)
-            np.less(sweep_uniforms[i], arg, out=accept)
-            np.negative(states[i], out=states[i], where=accept)
-    return states.T.astype(np.int8, order="C")
+    h = model.arrays.h.astype(np.float64)
+    rows, cols = np.nonzero(coupling)  # row-major: CSR order
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    two_betas = 2.0 * np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)
+    table = np.empty((cfg.sweeps, 0))
+    if model.is_integral():
+        # v = s_i * local is an exact integer, |v| <= vmax.  Scaling by 2 and negating
+        # are exact, so np.exp of 2 beta * -k is the reference's exp(-beta * delta) bit
+        # for bit; libm's exp is not (it differs in the last bit on some inputs).
+        vmax = int(np.max(np.abs(h) + np.abs(coupling).sum(axis=1), initial=0))
+        if cfg.sweeps * (vmax + 1) * 8 <= _TABLE_BYTES:
+            table = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
+    spins = np.empty((cfg.num_reads, n), dtype=np.int8)
+    _kernel()(seed_words, len(seed_words), cfg.num_reads, n, cfg.sweeps, indptr,
+              cols.astype(np.int64), coupling[rows, cols], h, two_betas,
+              table, table.shape[1], np.empty(n), spins)
+    return spins
 
 
 def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:
     """Draw cfg.num_reads independent annealed samples with cumulative timing."""
-    spins = np.concatenate([
-        _anneal_chunk(model, cfg, range(start, min(start + _READ_CHUNK, cfg.num_reads)))
-        for start in range(0, cfg.num_reads, _READ_CHUNK)
-    ])
+    spins = _anneal(model, cfg)
     reads_done = np.arange(1, cfg.num_reads + 1, dtype=np.int64)
     per_read_wall = cfg.core_time_per_read_us + cfg.overhead.per_read_readout_us
     base_wall = cfg.overhead.programming_us + cfg.overhead.post_us

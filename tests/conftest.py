@@ -134,3 +134,14 @@ def random_small_cnf(rng: np.random.Generator, n: int, m: int, max_k: int = 4) -
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def private_kernel_cache(tmp_path, monkeypatch):
+    """An empty kernel cache directory; the kernel loaded from it is forgotten afterwards."""
+    from cascor import samplers
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    samplers._kernel.cache_clear()
+    yield tmp_path / "cascor"
+    samplers._kernel.cache_clear()

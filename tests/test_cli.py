@@ -4,6 +4,7 @@ import pytest
 
 import cascor.allsat as allsat_mod
 import cascor.metrics as metrics_mod
+import cascor.samplers as samplers_mod
 import cascor.sat as sat_mod
 from cascor.cli import main
 from cascor.metrics import CSV_COLUMNS, InstanceReport
@@ -151,6 +152,17 @@ def test_sample_deterministic_bytes(tmp_path):
                    "--out", str(out)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_missing_compiler_is_not_an_input_error(tmp_path, private_kernel_cache, monkeypatch):
+    cnf_path = gen_instance(tmp_path)
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    monkeypatch.setattr(samplers_mod, "_CC", "cascor-no-such-cc")
+    # subprocess raises FileNotFoundError, which main() would report as exit 2
+    with pytest.raises(RuntimeError, match="cascor-no-such-cc"):
+        run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1", "--reads", "2",
+            "--sweeps", "2", "--out", str(tmp_path / "s.jsonl"))
 
 
 def test_allsat_cap_hit_flagged(tmp_path, capsys):

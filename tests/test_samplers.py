@@ -53,16 +53,14 @@ def test_deterministic_for_seed():
     assert_same_batch(sample(H2, cfg), sample(H2, cfg))
 
 
-def test_chunking_does_not_change_results(monkeypatch):
-    cfg = SamplerConfig(num_reads=10, sweeps=15, seed=5)
-    full = sample(H2, cfg)
-    monkeypatch.setattr(samplers, "_READ_CHUNK", 3)
-    assert_same_batch(sample(H2, cfg), full)
-    # 3-read chunks of H2 take 48 bytes of uniforms per sweep: blocks of
-    # 4, 4, 4 and 3 sweeps, then one sweep at a time
-    for budget in (192, 1):
-        monkeypatch.setattr(samplers, "_UNIFORMS_BYTES", budget)
-        assert_same_batch(sample(H2, cfg), full)
+def test_reads_are_a_prefix_of_longer_runs():
+    # read r depends only on (seed, r), so fewer reads give the first rows
+    cnf = Cnf.of(4, [[1, 2, 3], [-1, 4], [2, -3, 4]])
+    model, _ = compile_cnf(cnf)
+    full = sample(model, SamplerConfig(num_reads=40, sweeps=15, seed=5)).spins
+    for k in (1, 2, 17, 39):
+        assert np.array_equal(sample(model, SamplerConfig(num_reads=k, sweeps=15, seed=5)).spins,
+                              full[:k])
 
 
 def random_float_model(rng: np.random.Generator, n: int) -> IsingModel:
@@ -78,12 +76,10 @@ def random_float_model(rng: np.random.Generator, n: int) -> IsingModel:
     integral=st.booleans(),
     reads=st.integers(1, 9),
     sweeps=st.integers(1, 12),
-    chunk=st.integers(1, 4),
-    block=st.integers(1, 5),
 )
-@example(seed=1, integral=True, reads=7, sweeps=7, chunk=3, block=3)  # 3+3+1 sweeps
-@example(seed=2, integral=False, reads=5, sweeps=4, chunk=2, block=1)
-def test_sample_matches_reference_anneal(seed, integral, reads, sweeps, chunk, block):
+@example(seed=1, integral=True, reads=7, sweeps=7)
+@example(seed=2, integral=False, reads=5, sweeps=4)
+def test_sample_matches_reference_anneal(seed, integral, reads, sweeps):
     rng = np.random.default_rng(seed)
     if integral:
         cnf = random_small_cnf(rng, n=int(rng.integers(1, 7)), m=int(rng.integers(1, 7)))
@@ -93,23 +89,63 @@ def test_sample_matches_reference_anneal(seed, integral, reads, sweeps, chunk, b
     cfg = SamplerConfig(num_reads=reads, sweeps=sweeps, seed=seed,
                         beta_end=float(rng.uniform(0.1, 8.0)))
     # Float-valued local fields may differ from the reference's in the last bit
-    # (the dot products sum in another order); a spin could differ only if a
-    # uniform fell within that rounding of its acceptance probability.
+    # (the dot products sum in another order), and libm's exp from numpy's; a
+    # spin could differ only if a uniform fell within that rounding of its
+    # acceptance probability.
     expected = slow_anneal(model, cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        # full chunks anneal `block` sweeps per draw; a short last chunk takes more
-        mp.setattr(samplers, "_READ_CHUNK", chunk)
-        mp.setattr(samplers, "_UNIFORMS_BYTES", 8 * chunk * model.num_qubits * block)
-        spins = sample(model, cfg).spins
+    spins = sample(model, cfg).spins
     assert spins.dtype == expected.dtype and np.array_equal(spins, expected)
     assert spins.strides == expected.strides  # row-major, as consumers of reads expect
 
 
-def test_uniforms_buffer_is_bounded(monkeypatch):
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 13])
+def test_kernel_streams_match_reference(seed, n):
+    # seeds of one to seven entropy words, odd and even initial-spin draws
+    rng = np.random.default_rng(n)
+    model = IsingModel.from_terms(
+        n, {q: int(rng.integers(-2, 3)) for q in range(n)},
+        {(i, j): int(rng.integers(-2, 3)) for i in range(n) for j in range(i + 1, n)})
+    cfg = SamplerConfig(num_reads=6, sweeps=9, seed=seed, beta_end=2.0)
+    assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
+
+
+def test_integral_model_beyond_the_table_cap_matches_reference():
+    # a field of 10^6 would need 10^6 + 8 table entries per sweep, so the kernel calls exp
+    model = IsingModel(5, {0: 10**6, 1: -3, 3: 2}, {(0, 1): 1, (1, 2): -2, (2, 3): 1, (3, 4): 3})
+    cfg = SamplerConfig(num_reads=50, sweeps=20, seed=4, beta_end=1.0)
+    assert cfg.sweeps * (10**6 + 8) * 8 > samplers._TABLE_BYTES
+    assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError):
+        sample(H2, SamplerConfig(num_reads=1, sweeps=1, seed=-1))
+
+
+def test_cold_and_warm_kernel_cache_give_identical_spins(private_kernel_cache):
+    cfg = SamplerConfig(num_reads=30, sweeps=10, seed=12)
+    cold = sample(H2, cfg).spins
+    [lib] = private_kernel_cache.iterdir()  # the build left no temporary file
+    assert private_kernel_cache.stat().st_mode & 0o777 == 0o700
+    built = lib.stat().st_mtime_ns
+    samplers._kernel.cache_clear()
+    warm = sample(H2, cfg).spins
+    assert list(private_kernel_cache.iterdir()) == [lib] and lib.stat().st_mtime_ns == built
+    assert np.array_equal(cold, warm)
+
+
+def test_failed_kernel_build_carries_compiler_stderr(private_kernel_cache, monkeypatch):
+    monkeypatch.setattr(samplers, "_CFLAGS", samplers._CFLAGS + ("-fno-such-option",))
+    with pytest.raises(RuntimeError, match="(?s)'cc'.*no-such-option"):
+        sample(H2, SamplerConfig(num_reads=1, sweeps=1))
+    assert list(private_kernel_cache.iterdir()) == []
+
+
+def test_uniforms_buffer_is_bounded():
     # Drawing every uniform up front would take 64 x 400 x 20 x 8 bytes, about 4 MB.
     chain = IsingModel(20, {q: 1 for q in range(0, 20, 3)},
                        {(q, q + 1): -1 for q in range(19)})
-    monkeypatch.setattr(samplers, "_UNIFORMS_BYTES", 4096)
     sample(chain, SamplerConfig(num_reads=1, sweeps=1))  # caches and lazy imports
     cfg = SamplerConfig(num_reads=64, sweeps=400, seed=3)
     tracemalloc.start()
