@@ -7,6 +7,13 @@
  * and every proposal then consumes one next_double.  Spins therefore match
  * the numpy reference loop bit for bit wherever the acceptance probabilities
  * do (see the samplers module docstring).
+ *
+ * There are two loops.  Integral models (cascor_anneal_int) keep int64 local
+ * fields: summed once per read, then updated along the flipped spin's
+ * neighbour list on each accepted flip.  Integer sums are exact in any order,
+ * so every proposal sees the field a row sum would give.  Float models
+ * (cascor_anneal_float) sum the neighbour row at every proposal, so their
+ * rounding stays that of a row sum.
  */
 #include <math.h>
 #include <stdint.h>
@@ -95,38 +102,45 @@ static void seed_stream(pcg64 *g, const uint32_t *seed_words, int64_t seed_len, 
     pcg_next(g);
 }
 
-/* Anneal reads [0, reads) of an n-spin model and write their final spins,
- * read-major, to out (reads * n int8).
- *
- * Spin i's neighbours are indices[indptr[i] .. indptr[i+1]) with couplings
- * values[...]; h holds the fields.  Sweep t runs at inverse temperature
- * two_betas[t] / 2.  A flip of spin i with v = s_i * local is accepted when
- * v >= 0 or u < p, where p = table[t * table_width - v] if table_width > 0
- * (integral models: v is an exact integer and the table holds
- * exp(-two_betas[t] * k)), and p = exp(two_betas[t] * v) otherwise.
- * spins is scratch space for n doubles. */
-void cascor_anneal(const uint32_t *seed_words, int64_t seed_len, int64_t reads, int64_t n,
-                   int64_t sweeps, const int64_t *indptr, const int64_t *indices,
-                   const double *values, const double *h, const double *two_betas,
-                   const double *table, int64_t table_width, double *spins, int8_t *out)
+/* Seed read r's stream and draw its n initial spins into s. */
+static void start_read(pcg64 *g, const uint32_t *seed_words, int64_t seed_len, int64_t r,
+                       int64_t n, int8_t *s)
+{
+    seed_stream(g, seed_words, seed_len, (uint64_t)r);
+    uint64_t word = 0;
+    for (int64_t k = 0; k < n; k++) {
+        uint32_t half;
+        if (k & 1) {
+            half = (uint32_t)(word >> 32);
+        } else {
+            word = pcg_next(g);
+            half = (uint32_t)word;
+        }
+        s[k] = (half >> 31) ? 1 : -1;
+    }
+}
+
+/* Both loops anneal reads [0, reads) of an n-spin model and write their
+ * final spins, read-major, to out (reads * n int8).  Spin i's neighbours are
+ * indices[indptr[i] .. indptr[i+1]) with couplings values[...]; h holds the
+ * fields.  Sweep t runs at inverse temperature two_betas[t] / 2, and a flip
+ * of spin i with v = s_i * local is accepted when u < p(v), with p(v) = 1
+ * for v >= 0 (u < 1 always holds) and exp(two_betas[t] * v) otherwise.
+ * The float loop keeps the spins of the read it anneals as doubles in spins
+ * (scratch space for n doubles). */
+void cascor_anneal_float(const uint32_t *seed_words, int64_t seed_len, int64_t reads,
+                         int64_t n, int64_t sweeps, const int64_t *indptr,
+                         const int64_t *indices, const double *values, const double *h,
+                         const double *two_betas, double *spins, int8_t *out)
 {
     for (int64_t r = 0; r < reads; r++) {
         pcg64 g;
-        seed_stream(&g, seed_words, seed_len, (uint64_t)r);
-        uint64_t word = 0;
-        for (int64_t k = 0; k < n; k++) {
-            uint32_t half;
-            if (k & 1) {
-                half = (uint32_t)(word >> 32);
-            } else {
-                word = pcg_next(&g);
-                half = (uint32_t)word;
-            }
-            spins[k] = (half >> 31) ? 1.0 : -1.0;
-        }
+        int8_t *s = out + r * n;
+        start_read(&g, seed_words, seed_len, r, n, s);
+        for (int64_t k = 0; k < n; k++)
+            spins[k] = s[k];
         for (int64_t t = 0; t < sweeps; t++) {
             const double two_beta = two_betas[t];
-            const double *row = table + t * table_width;
             for (int64_t i = 0; i < n; i++) {
                 const double u = next_double(&g);
                 double local = 0.0;
@@ -134,11 +148,51 @@ void cascor_anneal(const uint32_t *seed_words, int64_t seed_len, int64_t reads, 
                     local += values[k] * spins[indices[k]];
                 local += h[i];
                 const double v = spins[i] * local;
-                if (v >= 0.0 || u < (table_width ? row[(int64_t)-v] : exp(two_beta * v)))
+                if (v >= 0.0 || u < exp(two_beta * v))
                     spins[i] = -spins[i];
             }
         }
         for (int64_t k = 0; k < n; k++)
-            out[r * n + k] = spins[k] > 0.0 ? 1 : -1;
+            s[k] = spins[k] > 0.0 ? 1 : -1;
+    }
+}
+
+/* The integral loop: values and h are integers whose absolute sum is at most
+ * 2^53, so every local field fits in int64 and converts to double exactly.
+ * If table_width > 0, p(v) is table[t * table_width + (v < 0 ? -v : 0)],
+ * whose row t holds exp(-two_betas[t] * k) for k < table_width, so entry 0
+ * is 1; otherwise p(v) calls exp.  fields is scratch space for n int64. */
+void cascor_anneal_int(const uint32_t *seed_words, int64_t seed_len, int64_t reads,
+                       int64_t n, int64_t sweeps, const int64_t *indptr,
+                       const int64_t *indices, const int64_t *values, const int64_t *h,
+                       const double *two_betas, const double *table, int64_t table_width,
+                       int64_t *fields, int8_t *out)
+{
+    for (int64_t r = 0; r < reads; r++) {
+        pcg64 g;
+        int8_t *s = out + r * n;
+        start_read(&g, seed_words, seed_len, r, n, s);
+        for (int64_t i = 0; i < n; i++) {
+            int64_t local = h[i];
+            for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
+                local += values[k] * s[indices[k]];
+            fields[i] = local;
+        }
+        for (int64_t t = 0; t < sweeps; t++) {
+            const double two_beta = two_betas[t];
+            const double *row = table + t * table_width;
+            for (int64_t i = 0; i < n; i++) {
+                const double u = next_double(&g);
+                const int64_t v = s[i] * fields[i];
+                const double p = table_width ? row[v < 0 ? -v : 0]
+                                             : (v < 0 ? exp(two_beta * (double)v) : 1.0);
+                if (u < p) {
+                    s[i] = -s[i];
+                    const int64_t step = 2 * s[i];  /* s_i moved by 2 s_i(new) */
+                    for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
+                        fields[indices[k]] += step * values[k];
+                }
+            }
+        }
     }
 }

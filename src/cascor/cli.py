@@ -246,8 +246,12 @@ def _bench_one(path: Path, cfg, policy, args) -> tuple[str, dict, list[dict]]:
 
 
 def _worker_count(num_tasks: int) -> int:
+    """Bench workers: THREADS_ENV (else the CPU count), clamped to [1, num_tasks]."""
     env = os.environ.get(THREADS_ENV, "")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer, not {env!r}") from None
     return max(1, min(cap, num_tasks))
 
 
@@ -263,18 +267,18 @@ def cmd_bench(args) -> int:
     instance_paths = sorted(Path(args.instances).glob("*.cnf"))
     if not instance_paths:
         raise FileNotFoundError(f"no .cnf instances under {args.instances}")
+    n = len(instance_paths)
     with _input_boundary():
         cfg = _sampler_config(args)
         policy = ConstructionPolicy(args.policy, args.policy_seed)
+        workers = _worker_count(n)
     # Per-instance seeds derive from the master seed and sorted position.
-    n = len(instance_paths)
     jobs = (
         instance_paths,
         [replace(cfg, seed=args.seed + idx) for idx in range(n)],
         [policy] * n,
         [args] * n,
     )
-    workers = _worker_count(n)
     if workers == 1:
         results = list(map(_bench_one, *jobs))
     else:

@@ -3,8 +3,9 @@
 Energy convention: E(s) = sum_i h_i s_i + sum_{i<j} J_ij s_i s_j over spins
 s_i in {+1, -1}, with +1 encoding boolean true.  Coefficients are kept as
 Python numbers; energies_of_states, the one evaluator, works on the model's
-cached array form, which is int64 for integer coefficients, so those models
-produce exact integer energies.
+cached array form, which is int64 for integral models (integer coefficients
+whose absolute sum is at most 2**53), so those models produce exact integer
+energies.
 """
 from __future__ import annotations
 
@@ -34,16 +35,28 @@ Gauge = tuple[int, ...]
 
 ENUMERATION_QUBIT_LIMIT = 26
 _CHUNK_BITS = 20  # enumerate in blocks of 2^20 states
+# Integral models keep sum|h| + sum|J| at most this, so every energy and local
+# field is exact in int64 and in float64.
+INTEGRAL_MAGNITUDE_LIMIT = 2**53
 
 
 class IsingArrays(NamedTuple):
-    """Dense fields, canonical pair lists, and the symmetric float64 coupling matrix."""
+    """Dense fields, canonical pair lists, and the couplings in symmetric CSR form.
+
+    ``pair_i < pair_j`` hold every coupler once, sorted, with value ``pair_v``.
+    Qubit q's neighbours are ``indices[indptr[q]:indptr[q + 1]]``, ascending,
+    with couplings ``data[indptr[q]:indptr[q + 1]]``, so each coupler appears
+    in both of its rows.  ``h``, ``pair_v`` and ``data`` are int64 for
+    integral models and float64 otherwise.
+    """
 
     h: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_v: np.ndarray
-    coupling: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,10 +106,18 @@ class IsingModel:
                 del clean_j[key]
         return cls(num_qubits, clean_h, clean_j)
 
+    @cached_property
+    def _integer_magnitude(self) -> int | None:
+        """sum|h| + sum|J| as an exact integer, or None if a coefficient is fractional."""
+        values = [*self.h.values(), *self.J.values()]
+        if not all(float(v).is_integer() for v in values):
+            return None
+        return sum(abs(int(v)) for v in values)
+
     def is_integral(self) -> bool:
-        return all(float(v).is_integer() for v in self.h.values()) and all(
-            float(v).is_integer() for v in self.J.values()
-        )
+        """Integer coefficients with sum|h| + sum|J| <= INTEGRAL_MAGNITUDE_LIMIT."""
+        magnitude = self._integer_magnitude
+        return magnitude is not None and magnitude <= INTEGRAL_MAGNITUDE_LIMIT
 
     @cached_property
     def arrays(self) -> IsingArrays:
@@ -108,10 +129,13 @@ class IsingModel:
         pair_i = np.array([k[0] for k, _ in pairs], dtype=np.intp)
         pair_j = np.array([k[1] for k, _ in pairs], dtype=np.intp)
         pair_v = np.array([v for _, v in pairs], dtype=dtype)
-        coupling = np.zeros((self.num_qubits, self.num_qubits), dtype=np.float64)
-        coupling[pair_i, pair_j] = pair_v
-        coupling[pair_j, pair_i] = pair_v
-        arrays = IsingArrays(h, pair_i, pair_j, pair_v, coupling)
+        rows = np.concatenate([pair_i, pair_j])
+        cols = np.concatenate([pair_j, pair_i])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(self.num_qubits + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.num_qubits), out=indptr[1:])
+        arrays = IsingArrays(h, pair_i, pair_j, pair_v, indptr,
+                             cols[order].astype(np.int64), np.concatenate([pair_v, pair_v])[order])
         for a in arrays:  # shared by every caller, so no caller may write to it
             a.flags.writeable = False
         return arrays
@@ -140,7 +164,8 @@ def energies_of_states(
     Integral models give int64 energies, others float64.
     """
     lo, hi = (0, model.num_qubits) if qubits is None else (qubits.start, qubits.stop)
-    h, pi, pj, pv, _ = model.arrays
+    a = model.arrays
+    h, pi, pj, pv = a.h, a.pair_i, a.pair_j, a.pair_v
     inside = (pi >= lo) & (pj < hi)
     s = np.asarray(spins, dtype=h.dtype)
     e = s @ h[lo:hi]
@@ -181,9 +206,10 @@ def enumerate_ground_states(
 
     Intended as a verification oracle, so it refuses models above ``limit``
     qubits rather than approximating.  The scan splits the qubits into a low
-    and a high half so the cross terms become one matrix product per block;
-    integer models are evaluated in float32, which is exact for the small
-    coefficient sums involved (all intermediates stay far below 2**24).
+    and a high half so the cross terms become one matrix product per block.
+    Every intermediate is bounded by sum|h| + sum|J|, so integral models below
+    2**24 are evaluated exactly in float32, and all others in float64, which
+    is exact for integral models up to their 2**53 bound.
     """
     n = model.num_qubits
     if n > limit:
@@ -191,7 +217,8 @@ def enumerate_ground_states(
     if n == 0:
         return 0, {()}
 
-    dtype = np.float32 if model.is_integral() else np.float64
+    small = model.is_integral() and model._integer_magnitude < 2**24
+    dtype = np.float32 if small else np.float64
     lo_bits = min(n, _CHUNK_BITS // 2 + 3)  # low half; index bit q <-> qubit q
     hi_bits = n - lo_bits
     lo_spins = _spins_for_indices(np.arange(1 << lo_bits, dtype=np.int64), lo_bits)
@@ -206,7 +233,11 @@ def enumerate_ground_states(
         hi_spins = _spins_for_indices(np.arange(1 << hi_bits, dtype=np.int64), hi_bits)
         hi = hi_spins.astype(dtype)
         e_hi = energies_of_states(model, hi_spins, range(lo_bits, n)).astype(dtype)
-        cross = model.arrays.coupling[:lo_bits, lo_bits:].astype(dtype)
+        # every cross pair has i < lo_bits <= j, since pairs are canonical
+        pi, pj, pv = model.arrays.pair_i, model.arrays.pair_j, model.arrays.pair_v
+        spans = (pi < lo_bits) & (pj >= lo_bits)
+        cross = np.zeros((lo_bits, hi_bits), dtype=dtype)
+        cross[pi[spans], pj[spans] - lo_bits] = pv[spans]
         lo_cross = lo @ cross  # (2^lo_bits, hi_bits)
 
         best = None

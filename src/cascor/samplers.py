@@ -20,17 +20,24 @@ run is the first k reads of any longer run.
 The anneal runs in a C kernel (_anneal.c), compiled with the system C
 compiler (``cc``) on first use into the per-user cache directory
 ($XDG_CACHE_HOME/cascor, else ~/.cache/cascor) and loaded through ctypes.
-It replays each read's stream itself and sweeps the spins in order, with
-local fields summed over neighbour lists.  A flip with v = s_i * local >= 0
-is always accepted; otherwise it is accepted when u < exp(2 beta v).
-For integral models v is an exact integer, and the probabilities come from a
-table numpy computes as exp(-2 beta k) for each sweep and each k up to the
-largest |local|, so they are the very values the numpy reference loop
-(tests/conftest.py::slow_anneal) computes.  Float models, and integral
-models whose table would exceed _TABLE_BYTES, call libm's exp instead, which
-can differ from numpy's in the last bit; like a float local field summed in
-another order, that changes a spin only if a uniform falls within one ulp of
-its acceptance probability.
+It replays each read's stream itself and sweeps the spins in order over the
+model's CSR neighbour lists (IsingModel.arrays).  A flip with
+v = s_i * local >= 0 is always accepted; otherwise it is accepted when
+u < exp(2 beta v).  The kernel has two loops:
+
+- Integral models keep int64 local fields, summed once per read and updated
+  along a flipped spin's neighbour list on each accepted flip.  Integer sums
+  are exact in any order, so v is the reference's v, and the probabilities
+  come from a table numpy computes as exp(-2 beta k) for each sweep and each
+  k up to the largest |local|: the very values the numpy reference loop
+  (tests/conftest.py::slow_anneal) computes.
+- Float models sum each local field over its neighbour row at every
+  proposal, since fields updated incrementally would drift from a row sum.
+
+Float models, and integral models whose table would exceed _TABLE_BYTES,
+call libm's exp instead, which can differ from numpy's in the last bit; like
+a float local field summed in another order, that changes a spin only if a
+uniform falls within one ulp of its acceptance probability.
 """
 from __future__ import annotations
 
@@ -187,9 +194,9 @@ def _build_kernel() -> Path:
 
 @functools.cache
 def _kernel():
-    """The anneal kernel's C function, built and loaded on first use."""
+    """The anneal kernel's C library, built and loaded on first use."""
     try:
-        kernel = ctypes.CDLL(str(_build_kernel())).cascor_anneal
+        lib = ctypes.CDLL(str(_build_kernel()))
     except OSError as exc:
         # say, no compiler: cli.main would report a FileNotFoundError as an input error
         raise RuntimeError(
@@ -197,10 +204,11 @@ def _kernel():
     i64 = ctypes.c_int64
     u32s, i64s, f64s, i8s = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
                              for t in (np.uint32, np.int64, np.float64, np.int8))
-    kernel.argtypes = [u32s, i64, i64, i64, i64, i64s, i64s, f64s, f64s, f64s, f64s, i64,
-                       f64s, i8s]
-    kernel.restype = None
-    return kernel
+    head = [u32s, i64, i64, i64, i64, i64s, i64s]  # stream, sizes and CSR structure
+    lib.cascor_anneal_float.argtypes = [*head, f64s, f64s, f64s, f64s, i8s]
+    lib.cascor_anneal_int.argtypes = [*head, i64s, i64s, f64s, f64s, i64, i64s, i8s]
+    lib.cascor_anneal_float.restype = lib.cascor_anneal_int.restype = None
+    return lib
 
 
 def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
@@ -212,24 +220,23 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     shifts = range(0, max(seed.bit_length(), 1), 32)
     seed_words = np.array([seed >> shift & 0xFFFFFFFF for shift in shifts], dtype=np.uint32)
     n = model.num_qubits
-    coupling = model.arrays.coupling
-    h = model.arrays.h.astype(np.float64)
-    rows, cols = np.nonzero(coupling)  # row-major: CSR order
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    a = model.arrays
     two_betas = 2.0 * np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)
-    table = np.empty((cfg.sweeps, 0))
-    if model.is_integral():
-        # v = s_i * local is an exact integer, |v| <= vmax.  Scaling by 2 and negating
-        # are exact, so np.exp of 2 beta * -k is the reference's exp(-beta * delta) bit
-        # for bit; libm's exp is not (it differs in the last bit on some inputs).
-        vmax = int(np.max(np.abs(h) + np.abs(coupling).sum(axis=1), initial=0))
-        if cfg.sweeps * (vmax + 1) * 8 <= _TABLE_BYTES:
-            table = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
     spins = np.empty((cfg.num_reads, n), dtype=np.int8)
-    _kernel()(seed_words, len(seed_words), cfg.num_reads, n, cfg.sweeps, indptr,
-              cols.astype(np.int64), coupling[rows, cols], h, two_betas,
-              table, table.shape[1], np.empty(n), spins)
+    head = (seed_words, len(seed_words), cfg.num_reads, n, cfg.sweeps, a.indptr, a.indices)
+    if not model.is_integral():
+        _kernel().cascor_anneal_float(*head, a.data, a.h, two_betas, np.empty(n), spins)
+        return spins
+    # v = s_i * local is an exact integer, |v| <= vmax.  Scaling by 2 and negating
+    # are exact, so np.exp of 2 beta * -k is the reference's exp(-beta * delta) bit
+    # for bit; libm's exp is not (it differs in the last bit on some inputs).
+    row_abs = np.diff(np.concatenate([[0], np.cumsum(np.abs(a.data))])[a.indptr])
+    vmax = int(np.max(np.abs(a.h) + row_abs, initial=0))
+    table = np.empty((cfg.sweeps, 0))
+    if cfg.sweeps * (vmax + 1) * 8 <= _TABLE_BYTES:
+        table = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
+    _kernel().cascor_anneal_int(*head, a.data, a.h, two_betas, table, table.shape[1],
+                                np.empty(n, dtype=np.int64), spins)
     return spins
 
 

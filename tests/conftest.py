@@ -60,7 +60,9 @@ def slow_anneal(model: IsingModel, cfg, read_indices=None) -> np.ndarray:
         read_indices = range(cfg.num_reads)
     n = model.num_qubits
     count = len(read_indices)
-    coupling = model.arrays.coupling
+    coupling = np.zeros((n, n))
+    for (i, j), v in model.J.items():
+        coupling[i, j] = coupling[j, i] = v
     h_f = model.arrays.h.astype(np.float64)
 
     # Each read's stream: n init draws, then one uniform per proposal.

@@ -6,7 +6,7 @@ import cascor.allsat as allsat_mod
 import cascor.metrics as metrics_mod
 import cascor.samplers as samplers_mod
 import cascor.sat as sat_mod
-from cascor.cli import main
+from cascor.cli import _worker_count, main
 from cascor.metrics import CSV_COLUMNS, InstanceReport
 from cascor.sat import evaluate, parse_dimacs
 
@@ -154,6 +154,22 @@ def test_sample_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_sample_of_fields_past_the_integral_bound(tmp_path):
+    # -1e20 is a whole number, but sum|h| exceeds 2**53: the model samples as float64
+    cnf_path = tmp_path / "or.cnf"
+    cnf_path.write_text("p cnf 2 1\n1 2 0\n")
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    doc = json.loads(model.read_text())
+    doc["h"] = [-1e20, -1e20]
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "3",
+               "--reads", "5", "--sweeps", "4", "--out", str(out)) == 0
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == 5 and all(line["spins"] == [1, 1] for line in lines)
+
+
 def test_missing_compiler_is_not_an_input_error(tmp_path, private_kernel_cache, monkeypatch):
     cnf_path = gen_instance(tmp_path)
     model = tmp_path / "model.json"
@@ -266,6 +282,17 @@ def test_bench_parallel_matches_serial(tmp_path, monkeypatch):
         ) == 0
         outputs[threads] = out.read_bytes()
     assert outputs["1"] == outputs["2"]
+
+
+def test_bad_thread_count_is_input_error(tmp_path, monkeypatch, capsys):
+    inst_dir = make_bench_dir(tmp_path)
+    monkeypatch.setenv("CASCOR_THREADS", "two")
+    assert run("bench", "--instances", str(inst_dir), "--seed", "1",
+               "--out", str(tmp_path / "o.csv")) == 2
+    assert "CASCOR_THREADS must be an integer, not 'two'" in capsys.readouterr().err
+    for value, workers in (("0", 1), ("-3", 1), ("2", 2), ("9", 3)):
+        monkeypatch.setenv("CASCOR_THREADS", value)
+        assert _worker_count(3) == workers
 
 
 def test_bench_empty_dir_is_input_error(tmp_path):

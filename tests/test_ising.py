@@ -1,6 +1,8 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cascor.compiler import compile_cnf
@@ -155,6 +157,47 @@ def test_model_arrays_are_read_only():
     with pytest.raises(ValueError):
         H2.arrays.h[0] = 5
     assert energy(H2, (1, 1)) == -1
+
+
+def test_csr_rows_hold_ascending_neighbours(rng):
+    # the order row-major np.nonzero of the dense matrix gives
+    for _ in range(10):
+        n = int(rng.integers(1, 12))
+        m = random_model(rng, n)
+        dense = np.zeros((n, n), dtype=np.int64)
+        for (i, j), v in m.J.items():
+            dense[i, j] = dense[j, i] = v
+        rows, cols = np.nonzero(dense)
+        a = m.arrays
+        assert a.indptr.tolist() == [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
+        assert a.indices.tolist() == cols.tolist()
+        assert a.data.tolist() == dense[rows, cols].tolist()
+
+
+def test_sparse_model_arrays_scale_with_couplers():
+    n = 4000
+    chain = IsingModel(n, {q: 1 for q in range(0, n, 3)}, {(q, q + 1): -1 for q in range(n - 1)})
+    tracemalloc.start()
+    try:
+        assert chain.arrays.indptr[-1] == 2 * len(chain.J)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * (n + len(chain.J)) < n * n * 8 // 20
+
+
+def test_integral_models_are_bounded_by_their_magnitude():
+    assert IsingModel(2, {0: 2**52, 1: -(2**52)}, {}).is_integral()
+    assert not IsingModel(2, {0: 2**52, 1: -(2**52) - 1}, {}).is_integral()
+    # int64 energies would wrap at 2**63; float64 ones hold these powers of two exactly
+    big = IsingModel(2, {0: 2**62}, {(0, 1): 2**62})
+    assert not big.is_integral()
+    assert [energy(big, s) for s in all_states(2)] == [slow_energy(big, s) for s in all_states(2)]
+
+
+def test_enumerate_is_exact_past_float32():
+    m = IsingModel(2, {0: 2**25 + 1, 1: 2**25}, {})
+    assert enumerate_ground_states(m) == slow_min_states(m) == (-(2**26) - 1, {(-1, -1)})
 
 
 def test_enumerate_limit():

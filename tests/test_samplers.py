@@ -1,4 +1,5 @@
 import json
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,31 @@ def test_integral_model_beyond_the_table_cap_matches_reference():
     cfg = SamplerConfig(num_reads=50, sweeps=20, seed=4, beta_end=1.0)
     assert cfg.sweeps * (10**6 + 8) * 8 > samplers._TABLE_BYTES
     assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
+
+
+@pytest.mark.parametrize("vmax", [8191, 8192])
+def test_integral_model_at_the_table_cap_matches_reference(vmax):
+    # 16 sweeps x (8191 + 1) entries x 8 bytes is exactly the cap; one column more calls exp
+    model = IsingModel(4, {0: vmax - 1, 2: -3}, {(0, 1): 1, (1, 2): 2, (2, 3): -1})
+    cfg = SamplerConfig(num_reads=40, sweeps=16, seed=vmax, beta_start=1e-4, beta_end=2e-3)
+    assert (cfg.sweeps * (vmax + 1) * 8 <= samplers._TABLE_BYTES) == (vmax == 8191)
+    assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
+
+
+def test_star_model_matches_reference():
+    # each flip of the hub moves 150 leaf fields, each leaf flip the hub's
+    rng = np.random.default_rng(17)
+    n = 151
+    model = IsingModel(n, {0: 3, 5: -2}, {(0, q): int(rng.choice([-2, -1, 1, 2]))
+                                          for q in range(1, n)})
+    cfg = SamplerConfig(num_reads=20, sweeps=30, seed=8, beta_end=1.5)
+    assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
+
+
+def test_kernel_source_compiles_without_warnings():
+    done = subprocess.run([samplers._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                           str(samplers._SOURCE)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_negative_seed_is_rejected():
