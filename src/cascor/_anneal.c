@@ -126,34 +126,30 @@ static void start_read(pcg64 *g, const uint32_t *seed_words, int64_t seed_len, i
  * fields.  Sweep t runs at inverse temperature two_betas[t] / 2, and a flip
  * of spin i with v = s_i * local is accepted when u < p(v), with p(v) = 1
  * for v >= 0 (u < 1 always holds) and exp(two_betas[t] * v) otherwise.
- * The float loop keeps the spins of the read it anneals as doubles in spins
- * (scratch space for n doubles). */
+ * Both anneal the int8 spins of the read in place in out; the float loop's
+ * products take a spin promoted to double, which is exactly +1.0 or -1.0. */
 void cascor_anneal_float(const uint32_t *seed_words, int64_t seed_len, int64_t reads,
                          int64_t n, int64_t sweeps, const int64_t *indptr,
                          const int64_t *indices, const double *values, const double *h,
-                         const double *two_betas, double *spins, int8_t *out)
+                         const double *two_betas, int8_t *out)
 {
     for (int64_t r = 0; r < reads; r++) {
         pcg64 g;
         int8_t *s = out + r * n;
         start_read(&g, seed_words, seed_len, r, n, s);
-        for (int64_t k = 0; k < n; k++)
-            spins[k] = s[k];
         for (int64_t t = 0; t < sweeps; t++) {
             const double two_beta = two_betas[t];
             for (int64_t i = 0; i < n; i++) {
                 const double u = next_double(&g);
                 double local = 0.0;
                 for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
-                    local += values[k] * spins[indices[k]];
+                    local += values[k] * s[indices[k]];
                 local += h[i];
-                const double v = spins[i] * local;
+                const double v = s[i] * local;
                 if (v >= 0.0 || u < exp(two_beta * v))
-                    spins[i] = -spins[i];
+                    s[i] = -s[i];
             }
         }
-        for (int64_t k = 0; k < n; k++)
-            s[k] = spins[k] > 0.0 ? 1 : -1;
     }
 }
 

@@ -11,16 +11,19 @@ current partial assignment is filtered as the search descends, a subtree is
 abandoned when every one of its completions is blocked, and a pure literal is
 only eliminated when no consistent block constrains it.  This is the same
 pruning the clauses would provide, computed in bulk.
+
+This module owns the event JSONL file: events_to_jsonl writes a whole file
+and events_from_jsonl reads one back, checking every field.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .sat import Assignment, Cnf
+from .sat import Assignment, Cnf, _bit_text, _column, _jsonl_objects
 
 __all__ = [
     "SolutionEvent",
@@ -28,8 +31,8 @@ __all__ = [
     "enumerate_all",
     "check_enumeration",
     "count_solutions_capped",
-    "event_to_json",
-    "event_from_json",
+    "events_to_jsonl",
+    "events_from_jsonl",
 ]
 
 _MASK_VAR_LIMIT = 62  # assignments are stored as int64 bit masks
@@ -365,18 +368,36 @@ def count_solutions_capped(cnf: Cnf, cap: int) -> int | None:
     return len(result.events)
 
 
-def event_to_json(event: SolutionEvent) -> dict:
-    return {
-        "index": event.index,
-        "wall_time_us": event.wall_time_us,
-        "assignment": "".join("1" if b else "0" for b in event.assignment),
-    }
-
-
-def event_from_json(line: str | dict) -> SolutionEvent:
-    doc = json.loads(line) if isinstance(line, str) else line
-    return SolutionEvent(
-        index=int(doc["index"]),
-        wall_time_us=int(doc["wall_time_us"]),
-        assignment=tuple(c == "1" for c in doc["assignment"]),
+def events_to_jsonl(events: Sequence[SolutionEvent]) -> str:
+    """The event JSONL text: one line per event, in order."""
+    return "".join(
+        f'{{"index": {e.index}, "wall_time_us": {e.wall_time_us}, '
+        f'"assignment": "{_bit_text(e.assignment)}"}}\n'
+        for e in events
     )
+
+
+def events_from_jsonl(text: str, num_vars: int) -> list[SolutionEvent]:
+    """The events of an event JSONL text.
+
+    Raises ValueError unless the lines hold indices 1, 2, ... in order,
+    integer times that are non-negative and never decrease, and assignments
+    of num_vars 0/1 characters.
+    """
+    indices, times, texts = [], [], []
+    for doc in _jsonl_objects(text):
+        indices.append(doc["index"])
+        times.append(doc["wall_time_us"])
+        texts.append(doc["assignment"])
+    k = len(indices)
+    if not np.array_equal(_column(indices, "index", (k,)), np.arange(1, k + 1)):
+        raise ValueError(f"event indices are not 1..{k} in order")
+    times = _column(times, "wall_time_us", (k,)).astype(np.int64)
+    if np.any(np.diff(times, prepend=0) < 0):
+        raise ValueError("event times must be non-negative and never decrease")
+    joined = "".join(t if type(t) is str and len(t) == num_vars else "?" for t in texts)
+    if not set(joined) <= {"0", "1"}:
+        raise ValueError(f"every assignment must be {num_vars} characters of 0 or 1")
+    bits = np.frombuffer(joined.encode(), dtype=np.uint8).reshape(k, num_vars) == ord("1")
+    rows = zip(times.tolist(), bits.tolist())
+    return [SolutionEvent(index, t, tuple(a)) for index, (t, a) in enumerate(rows, 1)]

@@ -85,25 +85,6 @@ def _read_compiled(path: str):
     return compiled_from_json(json.loads(Path(path).read_text()))
 
 
-def _read_sample_runs(path: str) -> list[samplers_mod.SampleBatch]:
-    """One batch per gauge tag of a sample JSONL file, in tag order."""
-    runs_by_gauge: dict[int, list] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        record, _, gauge = samplers_mod.record_from_json(line)
-        runs_by_gauge.setdefault(0 if gauge is None else gauge, []).append(record)
-    return [samplers_mod.SampleBatch.of(runs_by_gauge[g]) for g in sorted(runs_by_gauge)]
-
-
-def _read_events(path: str) -> list[allsat_mod.SolutionEvent]:
-    return [
-        allsat_mod.event_from_json(line)
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
-
-
 def _sampler_config(args) -> samplers_mod.SamplerConfig:
     return samplers_mod.SamplerConfig(
         num_reads=args.reads,
@@ -181,18 +162,10 @@ def cmd_sample(args) -> int:
         model, layout, _ = _read_compiled(args.model)
         cfg = _sampler_config(args)
     runs = _sample_runs(model, cfg, args.gauges)
-    lines = []
-    solutions = 0
-    for gi, batch in enumerate(runs):
-        decoded = samplers_mod.decode_all(batch, layout, cnf)
-        solutions += sum(solution is not None for solution in decoded)
-        gauge_tag = gi if args.gauges > 0 else None
-        for record, solution in zip(batch, decoded):
-            lines.append(
-                json.dumps(samplers_mod.record_to_json(record, solution, gauge_tag))
-            )
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(lines)} reads, {solutions} satisfying)")
+    decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
+    Path(args.out).write_text(samplers_mod.samples_to_jsonl(runs, decoded, gauged=args.gauges > 0))
+    solutions = sum(solution is not None for run in decoded for solution in run)
+    print(f"wrote {args.out} ({sum(map(len, runs))} reads, {solutions} satisfying)")
     return EXIT_OK
 
 
@@ -207,8 +180,7 @@ def cmd_allsat(args) -> int:
         allsat_mod.check_enumeration(cnf.num_vars, args.cap)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
     events = _stabilized_events(result.events) if args.stable_output else result.events
-    lines = [json.dumps(allsat_mod.event_to_json(event)) for event in events]
-    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(args.out).write_text(allsat_mod.events_to_jsonl(events))
     summary = {
         "count": len(result.events),
         "complete": result.complete,
@@ -222,9 +194,9 @@ def cmd_allsat(args) -> int:
 def cmd_metrics(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
-        _, layout, _ = _read_compiled(args.model)
-        runs = _read_sample_runs(args.samples)
-        events = _read_events(args.events)
+        model, layout, _ = _read_compiled(args.model)
+        runs = samplers_mod.samples_from_jsonl(Path(args.samples).read_text(), model.num_qubits)
+        events = allsat_mod.events_from_jsonl(Path(args.events).read_text(), cnf.num_vars)
     report = metrics_mod.summarize_instance(
         runs, events, layout, cnf, instance_id=args.instance_id
     )

@@ -14,6 +14,7 @@ assignments.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -376,10 +377,17 @@ def compiled_to_json(
     }
 
 
+def _coefficient(value):
+    """A model coefficient read from JSON: a real number within float64's finite range."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"model coefficient {value!r} is not a finite float64 number")
+    return value
+
+
 def compiled_from_json(doc: Mapping) -> tuple[IsingModel, PenaltyLayout, ConstructionPolicy]:
     """Inverse of compiled_to_json."""
-    h = {q: v for q, v in enumerate(doc["h"]) if v != 0}
-    J = {(int(i), int(j)): v for i, j, v in doc["J"]}
+    h = {q: v for q, v in enumerate(map(_coefficient, doc["h"])) if v != 0}
+    J = {(int(i), int(j)): _coefficient(v) for i, j, v in doc["J"]}
     model = IsingModel.from_terms(int(doc["num_qubits"]), h, J)
     layout = PenaltyLayout(
         var_to_qubit={int(v): int(q) for v, q in doc["var_to_qubit"].items()},

@@ -8,8 +8,9 @@ configured programming, per-read readout, and postprocessing overheads.
 
 A run comes back as one SampleBatch: the final spins of every read in a
 single int8 array, their energies, and the cumulative core and wall times.
-Iterating a batch yields one SampleRecord per read, the row type of the JSONL
-output.
+Iterating a batch yields one SampleRecord per read, a row of plain Python
+values.  The sample JSONL file is written whole from the batches' arrays by
+samples_to_jsonl and read back, every field checked, by samples_from_jsonl.
 
 Determinism: read r consumes only its own RNG stream, the one numpy's
 Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
@@ -57,7 +58,7 @@ import numpy as np
 
 from .compiler import PenaltyLayout
 from .ising import Gauge, IsingModel, SpinState, apply_gauge, energies_of_states
-from .sat import Assignment, Cnf, _derived_rng, _derived_seed
+from .sat import Assignment, Cnf, _bit_text, _column, _derived_rng, _derived_seed, _jsonl_objects
 
 __all__ = [
     "OverheadModel",
@@ -68,8 +69,8 @@ __all__ = [
     "decode_all",
     "sample_with_srt_rotation",
     "random_gauges",
-    "record_to_json",
-    "record_from_json",
+    "samples_to_jsonl",
+    "samples_from_jsonl",
 ]
 
 _SOURCE = Path(__file__).with_name("_anneal.c")
@@ -150,16 +151,6 @@ class SampleBatch:
         for r, (spins, e, core, wall) in enumerate(rows):
             yield SampleRecord(r, tuple(spins), e, core, wall)
 
-    @classmethod
-    def of(cls, records: Sequence[SampleRecord]) -> "SampleBatch":
-        """Batch of a nonempty record sequence in read order (e.g. parsed JSONL rows)."""
-        return cls(
-            np.array([r.spins for r in records], dtype=np.int8),
-            np.array([r.energy for r in records]),
-            np.array([r.core_time_us for r in records], dtype=np.int64),
-            np.array([r.wall_time_us for r in records], dtype=np.int64),
-        )
-
 
 def _build_kernel() -> Path:
     """Path of the compiled kernel in the per-user cache, compiling it first if absent.
@@ -205,7 +196,7 @@ def _kernel():
     u32s, i64s, f64s, i8s = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
                              for t in (np.uint32, np.int64, np.float64, np.int8))
     head = [u32s, i64, i64, i64, i64, i64s, i64s]  # stream, sizes and CSR structure
-    lib.cascor_anneal_float.argtypes = [*head, f64s, f64s, f64s, f64s, i8s]
+    lib.cascor_anneal_float.argtypes = [*head, f64s, f64s, f64s, i8s]
     lib.cascor_anneal_int.argtypes = [*head, i64s, i64s, f64s, f64s, i64, i64s, i8s]
     lib.cascor_anneal_float.restype = lib.cascor_anneal_int.restype = None
     return lib
@@ -225,7 +216,7 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     spins = np.empty((cfg.num_reads, n), dtype=np.int8)
     head = (seed_words, len(seed_words), cfg.num_reads, n, cfg.sweeps, a.indptr, a.indices)
     if not model.is_integral():
-        _kernel().cascor_anneal_float(*head, a.data, a.h, two_betas, np.empty(n), spins)
+        _kernel().cascor_anneal_float(*head, a.data, a.h, two_betas, spins)
         return spins
     # v = s_i * local is an exact integer, |v| <= vmax.  Scaling by 2 and negating
     # are exact, so np.exp of 2 beta * -k is the reference's exp(-beta * delta) bit
@@ -304,31 +295,61 @@ def sample_with_srt_rotation(
     return runs
 
 
-def record_to_json(
-    record: SampleRecord, solution: Assignment | None, gauge: int | None = None
-) -> dict:
-    doc = {
-        "read": record.read_index,
-        "spins": list(record.spins),
-        "energy": record.energy,
-        "core_time_us": record.core_time_us,
-        "wall_time_us": record.wall_time_us,
-        "solution": "".join("1" if b else "0" for b in solution) if solution else None,
-    }
-    if gauge is not None:
-        doc["gauge"] = gauge
-    return doc
+def samples_to_jsonl(
+    runs: Sequence[SampleBatch], decoded: Sequence[list[Assignment | None]], gauged: bool
+) -> str:
+    """The sample JSONL text of runs: one line per read, run after run.
+
+    decoded[g] is decode_all of runs[g]; when gauged, each line carries its
+    run's index as its gauge tag.
+    """
+    lines = []
+    for gauge, (batch, solutions) in enumerate(zip(runs, decoded)):
+        end = f', "gauge": {gauge}}}' if gauged else "}"
+        # json's text for each energy (ints as digits, floats as their repr)
+        energies = json.dumps(batch.energies.tolist())[1:-1].split(", ")
+        texts = [f'"{_bit_text(s)}"' if s else "null" for s in solutions]
+        rows = zip(batch.spins.tolist(), energies, batch.core_time_us.tolist(),
+                   batch.wall_time_us.tolist(), texts)
+        lines += [
+            f'{{"read": {r}, "spins": {spins}, "energy": {energy}, "core_time_us": {core}, '
+            f'"wall_time_us": {wall}, "solution": {solution}{end}'
+            for r, (spins, energy, core, wall, solution) in enumerate(rows)
+        ]
+    return "\n".join(lines) + "\n"
 
 
-def record_from_json(line: str | dict) -> tuple[SampleRecord, Assignment | None, int | None]:
-    doc = json.loads(line) if isinstance(line, str) else line
-    record = SampleRecord(
-        read_index=int(doc["read"]),
-        spins=tuple(int(s) for s in doc["spins"]),
-        energy=doc["energy"],
-        core_time_us=int(doc["core_time_us"]),
-        wall_time_us=int(doc["wall_time_us"]),
-    )
-    sol = doc.get("solution")
-    assignment = tuple(c == "1" for c in sol) if sol is not None else None
-    return record, assignment, doc.get("gauge")
+def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
+    """One SampleBatch per gauge tag of a sample JSONL text, in tag order.
+
+    A line without a gauge tag belongs to gauge 0.  Raises ValueError unless
+    every tag is an integer and each gauge's lines hold reads 0, 1, ... in
+    order, num_qubits spins of +1 or -1, a numeric energy, and integer times
+    that are non-negative and never decrease.  The solution field is not read.
+    """
+    runs: dict[int, dict[str, list]] = {}
+    for doc in _jsonl_objects(text):
+        gauge = doc.get("gauge", 0)
+        if type(gauge) is not int:
+            raise ValueError(f"gauge tag {gauge!r} is not an integer")
+        columns = runs.setdefault(gauge, {})
+        for name in ("read", "spins", "energy", "core_time_us", "wall_time_us"):
+            columns.setdefault(name, []).append(doc[name])
+    return [_batch_of_columns(runs[gauge], num_qubits, gauge) for gauge in sorted(runs)]
+
+
+def _batch_of_columns(columns: dict[str, list], num_qubits: int, gauge: int) -> SampleBatch:
+    k = len(columns["read"])
+
+    def column(name, shape=(k,), kinds="i"):
+        return _column(columns[name], f"gauge {gauge} {name}", shape, kinds)
+
+    if not np.array_equal(column("read"), np.arange(k)):
+        raise ValueError(f"gauge {gauge} reads are not 0..{k - 1} in order")
+    spins = column("spins", (k, num_qubits))
+    if np.any(np.abs(spins) != 1):
+        raise ValueError(f"gauge {gauge} spins must be +1 or -1")
+    times = [column("core_time_us").astype(np.int64), column("wall_time_us").astype(np.int64)]
+    if any(np.any(np.diff(t, prepend=0) < 0) for t in times):
+        raise ValueError(f"gauge {gauge} times must be non-negative and never decrease")
+    return SampleBatch(spins.astype(np.int8), column("energy", kinds="if"), *times)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -243,6 +243,37 @@ def evaluate(cnf: Cnf, assignment: Assignment) -> bool:
         any(assignment[lit.var - 1] != lit.negated for lit in clause.literals)
         for clause in cnf.clauses
     )
+
+
+def _bit_text(assignment: Assignment) -> str:
+    """An assignment as 0/1 characters, variable 1 first: the JSONL files' form."""
+    return "".join(["1" if b else "0" for b in assignment])
+
+
+def _jsonl_objects(text: str) -> Iterator[dict]:
+    """The JSON object on each nonblank line of a JSONL text; ValueError on anything else."""
+    for line in text.splitlines():
+        if line.strip():
+            doc = json.loads(line)
+            if type(doc) is not dict:
+                raise ValueError(f"line {line[:40]!r} is not a JSON object")
+            yield doc
+
+
+def _column(values: list, name: str, shape: tuple[int, ...], kinds: str = "i") -> np.ndarray:
+    """values as one array of the given shape; ValueError unless its dtype kind is in kinds.
+
+    Integers past int64 (object dtype), an all-boolean or string column, nulls
+    and ragged rows fail; numpy reads a boolean among integers as 0 or 1.
+    """
+    try:
+        array = np.array(values)
+    except ValueError:  # ragged rows
+        array = None
+    if array is None or array.shape != shape or (array.size and array.dtype.kind not in kinds):
+        kind = "numbers" if "f" in kinds else "integers"
+        raise ValueError(f"{name} must be {kind} of shape {shape}")
+    return array
 
 
 def _derived_rng(seed: int, stream: int) -> np.random.Generator:

@@ -87,6 +87,16 @@ def slow_anneal(model: IsingModel, cfg, read_indices=None) -> np.ndarray:
     return states.astype(np.int8)
 
 
+def batch_of(spins, core_time_us, wall_time_us, energies=None):
+    """A SampleBatch of the given rows, built from arrays; energies default to 0."""
+    from cascor.samplers import SampleBatch
+
+    spins = np.array(spins, dtype=np.int8)
+    energies = np.zeros(len(spins), dtype=np.int64) if energies is None else np.array(energies)
+    return SampleBatch(spins, energies, np.array(core_time_us, dtype=np.int64),
+                       np.array(wall_time_us, dtype=np.int64))
+
+
 def assert_same_batch(a, b) -> None:
     """Two SampleBatches hold equal arrays of equal dtypes."""
     for name in ("spins", "energies", "core_time_us", "wall_time_us"):

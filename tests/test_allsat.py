@@ -7,8 +7,8 @@ from cascor.allsat import (
     SolutionEvent,
     count_solutions_capped,
     enumerate_all,
-    event_from_json,
-    event_to_json,
+    events_from_jsonl,
+    events_to_jsonl,
 )
 from cascor.sat import Cnf, evaluate
 
@@ -107,5 +107,8 @@ def test_result_invariant():
 
 
 def test_event_json_roundtrip():
-    event = SolutionEvent(index=3, wall_time_us=152, assignment=(True, False, True))
-    assert event_from_json(json.dumps(event_to_json(event))) == event
+    events = [SolutionEvent(1, 0, (True, False, True)), SolutionEvent(2, 152, (False, False, True))]
+    text = events_to_jsonl(events)
+    assert text.splitlines()[1] == json.dumps({"index": 2, "wall_time_us": 152, "assignment": "001"})
+    assert text.endswith("\n") and events_from_jsonl(text, 3) == events
+    assert events_to_jsonl([]) == "" and events_from_jsonl("", 3) == []

@@ -335,3 +335,85 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         run("frobnicate")
     assert info.value.code == 1
+
+
+@pytest.fixture(scope="module")
+def stored_outputs(tmp_path_factory):
+    """Model, two-gauge sample and event files of one instance, as cascor writes them."""
+    tmp_path = tmp_path_factory.mktemp("stored")
+    cnf_path = gen_instance(tmp_path)
+    paths = {"cnf": cnf_path, "model": tmp_path / "model.json",
+             "samples": tmp_path / "samples.jsonl", "events": tmp_path / "events.jsonl"}
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(paths["model"])) == 0
+    assert run("sample", "--model", str(paths["model"]), "--cnf", str(cnf_path), "--seed", "2",
+               "--reads", "40", "--sweeps", "30", "--gauges", "2",
+               "--out", str(paths["samples"])) == 0
+    assert run("allsat", "--cnf", str(cnf_path), "--stable-output",
+               "--out", str(paths["events"])) == 0
+    return paths
+
+
+def _second_hit(docs):
+    """The second line of gauge 0 with a solution: a timeline sees its times."""
+    return [d for d in docs if d["gauge"] == 0 and d["solution"] is not None][1]
+
+
+# One case per fault: the file it is made in, and an edit of that file's parsed lines.
+MALFORMED = {
+    "mixed-gauge-tag-types": ("samples", lambda docs: docs[0].update(gauge="0")),
+    "spins-shorter-than-model": (
+        "samples", lambda docs: [doc.update(spins=doc["spins"][:1]) for doc in docs]),
+    "spins-longer-than-model": (
+        "samples", lambda docs: [doc.update(spins=doc["spins"] + [1]) for doc in docs]),
+    "spin-not-plus-or-minus-one": (
+        "samples", lambda docs: docs[0].update(spins=[0] + docs[0]["spins"][1:])),
+    "boolean-gauge-tag": (
+        "samples", lambda docs: [doc.update(gauge=True) for doc in docs if doc["gauge"] == 1]),
+    "non-integer-time": ("samples", lambda docs: docs[0].update(core_time_us=None)),
+    "decreasing-core-time": ("samples", lambda docs: _second_hit(docs).update(core_time_us=0)),
+    "decreasing-wall-time": ("samples", lambda docs: _second_hit(docs).update(wall_time_us=0)),
+    "assignment-length-not-num-vars": (
+        "events", lambda docs: docs[0].update(assignment=docs[0]["assignment"][:-1])),
+    "assignment-not-bits": (
+        "events", lambda docs: docs[0].update(assignment="x" + docs[0]["assignment"][1:])),
+    "decreasing-event-time": ("events", lambda docs: docs[-1].update(wall_time_us=0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_stored_output_is_input_error(case, stored_outputs, tmp_path, capsys):
+    which, mutate = MALFORMED[case]
+    paths = dict(stored_outputs)
+    docs = [json.loads(line) for line in paths[which].read_text().splitlines()]
+    mutate(docs)
+    paths[which] = tmp_path / paths[which].name
+    paths[which].write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    capsys.readouterr()
+    assert run("metrics", "--cnf", str(paths["cnf"]), "--model", str(paths["model"]),
+               "--samples", str(paths["samples"]), "--events", str(paths["events"]),
+               "--out", str(tmp_path / "report.json")) == 2
+    err = capsys.readouterr().err
+    assert "cascor: input error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, text", [
+    ("h", "1" + "0" * 400),  # an integer past float64's range: float() overflows
+    ("J", '"nan"'),  # a string
+    ("h", "1e400"),  # the json module parses it as inf
+], ids=["integer-past-float64", "string-coupling", "infinite-field"])
+def test_unusable_model_coefficient_is_input_error(field, text, tmp_path, capsys):
+    cnf_path = tmp_path / "or.cnf"
+    cnf_path.write_text("p cnf 2 1\n1 2 0\n")
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    doc = json.loads(model.read_text())
+    if field == "h":
+        doc["h"][0] = "@"
+    else:
+        doc["J"][0][2] = "@"
+    model.write_text(json.dumps(doc).replace('"@"', text))
+    capsys.readouterr()
+    assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
+               "--reads", "2", "--sweeps", "2", "--out", str(tmp_path / "s.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "cascor: input error: model coefficient" in err and "Traceback" not in err

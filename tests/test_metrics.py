@@ -18,10 +18,10 @@ from cascor.metrics import (
     report_csv_rows,
     summarize_instance,
 )
-from cascor.samplers import SampleBatch, SampleRecord, SamplerConfig, sample
+from cascor.samplers import SampleBatch, SamplerConfig, sample
 from cascor.sat import Cnf
 
-from conftest import brute_force_solutions, random_small_cnf, slow_decode
+from conftest import batch_of, brute_force_solutions, random_small_cnf, slow_decode
 
 A = (False, False, False)
 B = (False, True, True)
@@ -134,10 +134,6 @@ def test_hamming_permutation_invariance():
     assert hamming_neighbor_distances(sols) == hamming_neighbor_distances(permuted)
 
 
-def _record(read, spins, core, wall):
-    return SampleRecord(read, spins, 0, core, wall)
-
-
 def _fixture_instance():
     cnf = Cnf.of(2, [[1, 2]])
     model, layout = compile_cnf(cnf)
@@ -149,18 +145,13 @@ def test_summarize_qualitative_fixture():
     quantum-wall (100x overhead) behind from the start."""
     cnf, model, layout = _fixture_instance()
     tt, tf, ft = (1, 1), (1, -1), (-1, 1)
-    records = [
-        _record(0, tt, 20, 2020),
-        _record(1, tt, 40, 4040),
-        _record(2, tf, 60, 6060),
-        _record(3, ft, 80, 8080),
-    ]
+    batch = batch_of([tt, tt, tf, ft], [20, 40, 60, 80], [2020, 4040, 6060, 8080])
     events = [
         SolutionEvent(1, 50, (True, True)),
         SolutionEvent(2, 55, (False, True)),
         SolutionEvent(3, 60, (True, False)),
     ]
-    report = summarize_instance([SampleBatch.of(records)], events, layout, cnf, instance_id="fx")
+    report = summarize_instance([batch], events, layout, cnf, instance_id="fx")
     assert report.timelines["quantum-core"].points == ((20, 1), (60, 2), (80, 3))
     assert report.timelines["classical-wall"].points == ((50, 1), (55, 2), (60, 3))
     core = report.crossovers["core"]
@@ -176,8 +167,8 @@ def test_summarize_qualitative_fixture():
 def test_summarize_unsat_flags_empty():
     cnf = Cnf.of(1, [[1], [-1]])
     model, layout = compile_cnf(cnf)
-    records = [_record(0, (1,), 20, 20)]
-    report = summarize_instance([SampleBatch.of(records)], [], layout, cnf, instance_id="unsat")
+    batch = batch_of([(1,)], [20], [20])
+    report = summarize_instance([batch], [], layout, cnf, instance_id="unsat")
     assert report.no_solutions is True
     assert report.timelines["quantum-core"].points == ()
     assert report.crossovers == {"core": None, "wall": None}
@@ -187,10 +178,10 @@ def test_summarize_unsat_flags_empty():
 def test_summarize_gauge_streams_offset_and_split():
     cnf, model, layout = _fixture_instance()
     tt, tf = (1, 1), (1, -1)
-    run0 = [_record(0, tt, 20, 2020), _record(1, tt, 40, 4040)]
-    run1 = [_record(0, tf, 20, 2020), _record(1, tt, 40, 4040)]
+    run0 = batch_of([tt, tt], [20, 40], [2020, 4040])
+    run1 = batch_of([tf, tt], [20, 40], [2020, 4040])
     events = [SolutionEvent(1, 30, (True, True))]
-    report = summarize_instance([SampleBatch.of(run0), SampleBatch.of(run1)], events, layout, cnf)
+    report = summarize_instance([run0, run1], events, layout, cnf)
     # second gauge's reads land after the first run on the merged axis
     assert report.timelines["quantum-core"].points == ((20, 1), (60, 2))
     assert len(report.hamming_quantum_per_gauge) == 2
@@ -201,12 +192,12 @@ def test_summarize_gauge_streams_offset_and_split():
 
 def test_report_roundtrip_and_csv():
     cnf, model, layout = _fixture_instance()
-    records = [_record(0, (1, 1), 20, 2020), _record(1, (1, -1), 40, 4040)]
+    batch = batch_of([(1, 1), (1, -1)], [20, 40], [2020, 4040])
     events = [
         SolutionEvent(1, 15, (True, True)),
         SolutionEvent(2, 25, (False, True)),
     ]
-    report = summarize_instance([SampleBatch.of(records)], events, layout, cnf, instance_id="rt")
+    report = summarize_instance([batch], events, layout, cnf, instance_id="rt")
     back = InstanceReport.from_json(json.loads(report.to_json_text()))
     assert back == report
 

@@ -13,19 +13,19 @@ from cascor.ising import IsingModel, energies_of_states, enumerate_ground_states
 from cascor.samplers import (
     OverheadModel,
     SampleBatch,
-    SampleRecord,
     SamplerConfig,
     decode_all,
     random_gauges,
-    record_from_json,
-    record_to_json,
     sample,
     sample_with_srt_rotation,
+    samples_from_jsonl,
+    samples_to_jsonl,
 )
 from cascor.sat import Cnf, evaluate
 
 from conftest import (
     assert_same_batch,
+    batch_of,
     brute_force_solutions,
     random_small_cnf,
     slow_anneal,
@@ -223,7 +223,8 @@ def test_batch_rows_are_plain_python_records():
     assert [r.read_index for r in records] == list(range(6))
     for r in records:
         assert type(r.energy) is int and all(type(s) is int for s in r.spins)
-    assert_same_batch(SampleBatch.of(records), batch)
+    columns = zip(*((r.spins, r.core_time_us, r.wall_time_us, r.energy) for r in records))
+    assert_same_batch(batch_of(*columns), batch)
 
 
 def test_h2_reaches_all_ground_states():
@@ -238,20 +239,20 @@ def test_decode_rules():
     cnf = Cnf.of(3, [[1, 2, 3]])
     model, layout = compile_cnf(cnf)
     # satisfying variable bits with a deliberately wrong ancilla still decode
-    broken = SampleRecord(0, (1, -1, -1, -1), 99, 20, 20)
-    assert decode_all(SampleBatch.of([broken]), layout, cnf) == [(True, False, False)]
+    broken = batch_of([(1, -1, -1, -1)], [20], [20], [99])
+    assert decode_all(broken, layout, cnf) == [(True, False, False)]
     # unsatisfying projection decodes to nothing
     pair = Cnf.of(2, [[1, 2]])
     pm, pl = compile_cnf(pair)
-    low = SampleRecord(0, (-1, -1), 3, 20, 20)
-    assert decode_all(SampleBatch.of([low]), pl, pair) == [None]
+    low = batch_of([(-1, -1)], [20], [20], [3])
+    assert decode_all(low, pl, pair) == [None]
 
 
 def test_decode_defaults_unmapped_vars_false():
     cnf = Cnf.of(3, [[1, 3]])  # var 2 occurs nowhere
     model, layout = compile_cnf(cnf)
-    rec = SampleRecord(0, (1, 1), -1, 20, 20)
-    assert decode_all(SampleBatch.of([rec]), layout, cnf) == [(True, False, True)]
+    rec = batch_of([(1, 1)], [20], [20], [-1])
+    assert decode_all(rec, layout, cnf) == [(True, False, True)]
 
 
 def test_decode_all_matches_projection_reference():
@@ -335,8 +336,35 @@ def test_srt_gauge_dimension_check():
 
 
 def test_record_json_roundtrip():
-    record = SampleRecord(7, (1, -1, 1), -3, 160, 2160)
-    for solution, gauge in [((True, False, True), 2), (None, None)]:
-        line = json.dumps(record_to_json(record, solution, gauge))
-        back, sol, g = record_from_json(line)
-        assert back == record and sol == solution and g == gauge
+    runs = [batch_of([(1, -1, 1), (-1, -1, 1)], [20, 40], [2020, 4040], [-3, 1]),
+            batch_of([(1, 1, 1)], [20], [2020], [-2.5])]
+    decoded = [[(True, False, True), None], [(False, True, True)]]
+    text = samples_to_jsonl(runs, decoded, gauged=True)
+    # the line format: json.dumps of these keys in this order
+    lines = [
+        {"read": 0, "spins": [1, -1, 1], "energy": -3, "core_time_us": 20,
+         "wall_time_us": 2020, "solution": "101", "gauge": 0},
+        {"read": 1, "spins": [-1, -1, 1], "energy": 1, "core_time_us": 40,
+         "wall_time_us": 4040, "solution": None, "gauge": 0},
+        {"read": 0, "spins": [1, 1, 1], "energy": -2.5, "core_time_us": 20,
+         "wall_time_us": 2020, "solution": "011", "gauge": 1},
+    ]
+    assert text == "".join(json.dumps(line) + "\n" for line in lines)
+    for back, run in zip(samples_from_jsonl(text, 3), runs, strict=True):
+        assert_same_batch(back, run)
+    plain = samples_to_jsonl(runs[:1], decoded[:1], gauged=False)
+    assert plain.splitlines()[1] == json.dumps({k: v for k, v in lines[1].items() if k != "gauge"})
+    (back,) = samples_from_jsonl(plain, 3)
+    assert_same_batch(back, runs[0])
+
+
+def test_sampled_runs_roundtrip_through_jsonl():
+    cnf = Cnf.of(4, [[1, 2], [-2, 3], [3, 4]])
+    model, layout = compile_cnf(cnf)
+    cfg = SamplerConfig(num_reads=30, sweeps=10, seed=4)
+    runs = sample_with_srt_rotation(model, cfg, random_gauges(model.num_qubits, 3, seed=4))
+    decoded = [decode_all(run, layout, cnf) for run in runs]
+    back = samples_from_jsonl(samples_to_jsonl(runs, decoded, gauged=True), model.num_qubits)
+    assert len(back) == 3
+    for a, b in zip(back, runs):
+        assert_same_batch(a, b)
