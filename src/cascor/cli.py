@@ -81,8 +81,15 @@ def _read_compilable_cnf(path: str | Path) -> Cnf:
     return cnf
 
 
-def _read_compiled(path: str):
-    return compiled_from_json(json.loads(Path(path).read_text()))
+def _read_compiled(path: str, cnf: Cnf):
+    """The model and layout at path; ValueError unless the layout fits cnf and the model."""
+    model, layout, _ = compiled_from_json(json.loads(Path(path).read_text()))
+    variables = sorted(layout.var_to_qubit)
+    if variables != list(cnf.variables_used()):
+        raise ValueError(f"model lays out variables {variables}, not the CNF's used variables")
+    if not all(0 <= q < model.num_qubits for q in layout.var_to_qubit.values()):
+        raise ValueError(f"model maps a variable to a qubit outside 0..{model.num_qubits - 1}")
+    return model, layout
 
 
 def _sampler_config(args) -> samplers_mod.SamplerConfig:
@@ -159,7 +166,7 @@ def _sample_runs(model, cfg, num_gauges):
 def cmd_sample(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
-        model, layout, _ = _read_compiled(args.model)
+        model, layout = _read_compiled(args.model, cnf)
         cfg = _sampler_config(args)
     runs = _sample_runs(model, cfg, args.gauges)
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
@@ -194,7 +201,7 @@ def cmd_allsat(args) -> int:
 def cmd_metrics(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
-        model, layout, _ = _read_compiled(args.model)
+        model, layout = _read_compiled(args.model, cnf)
         runs = samplers_mod.samples_from_jsonl(Path(args.samples).read_text(), model.num_qubits)
         events = allsat_mod.events_from_jsonl(Path(args.events).read_text(), cnf.num_vars)
     report = metrics_mod.summarize_instance(

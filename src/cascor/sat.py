@@ -6,6 +6,7 @@ following DIMACS convention; assignments are tuples of booleans indexed by
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -263,16 +264,20 @@ def _jsonl_objects(text: str) -> Iterator[dict]:
 def _column(values: list, name: str, shape: tuple[int, ...], kinds: str = "i") -> np.ndarray:
     """values as one array of the given shape; ValueError unless its dtype kind is in kinds.
 
-    Integers past int64 (object dtype), an all-boolean or string column, nulls
-    and ragged rows fail; numpy reads a boolean among integers as 0 or 1.
+    Integers past int64 (object dtype), booleans, strings, nulls and ragged
+    rows fail.
     """
     try:
         array = np.array(values)
     except ValueError:  # ragged rows
         array = None
+    kind = "numbers" if "f" in kinds else "integers"
     if array is None or array.shape != shape or (array.size and array.dtype.kind not in kinds):
-        kind = "numbers" if "f" in kinds else "integers"
         raise ValueError(f"{name} must be {kind} of shape {shape}")
+    # numpy reads a boolean among numbers as 0 or 1; rows are lists once the shape holds
+    scalars = itertools.chain.from_iterable(values) if len(shape) == 2 else values
+    if bool in set(map(type, scalars)):
+        raise ValueError(f"{name} must be {kind}, not booleans")
     return array
 
 
@@ -307,19 +312,20 @@ def _draw_instance(spec: MixedSatSpec, rng: np.random.Generator) -> Cnf:
 def generate_mixed_sat(spec: MixedSatSpec, max_attempts: int = 1000) -> tuple[Cnf, int]:
     """Generate a random mixed-SAT instance whose solution count lies in [1, cap].
 
-    Returns the instance and its exact solution count.  Instances are drawn
-    from the seeded distribution and checked with one ALL-SAT run capped at
-    ``spec.solution_cap``, whose count is the one returned; unsatisfiable or
-    over-cap draws are discarded and the seed is re-derived per attempt, so a
-    fixed spec always yields the same instance and count.
+    Returns the instance and its exact solution count over all ``num_vars``
+    variables.  Instances are drawn from the seeded distribution and screened
+    by ``allsat.count_solutions_capped`` at ``spec.solution_cap``, whose count
+    is the one returned; unsatisfiable or over-cap draws are discarded and the
+    seed is re-derived per attempt, so a fixed spec always yields the same
+    instance and count.
     """
     from . import allsat  # deferred: allsat imports this module's types
 
     for attempt in range(max_attempts):
         cnf = _draw_instance(spec, _derived_rng(spec.seed, attempt))
-        result = allsat.enumerate_all(cnf, cap=spec.solution_cap)
-        if result.complete and 1 <= len(result.events):
-            return cnf, len(result.events)
+        count = allsat.count_solutions_capped(cnf, spec.solution_cap)
+        if count:
+            return cnf, count
     raise GenerationError(
         f"no admissible instance in {max_attempts} attempts for seed {spec.seed}"
     )

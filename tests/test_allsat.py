@@ -1,7 +1,12 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cascor.allsat as allsat_mod
 from cascor.allsat import (
     EnumerationResult,
     SolutionEvent,
@@ -112,3 +117,52 @@ def test_event_json_roundtrip():
     assert text.splitlines()[1] == json.dumps({"index": 2, "wall_time_us": 152, "assignment": "001"})
     assert text.endswith("\n") and events_from_jsonl(text, 3) == events
     assert events_to_jsonl([]) == "" and events_from_jsonl("", 3) == []
+
+
+@st.composite
+def cnf_and_cap(draw, num_vars):
+    """A CNF over variables 1..n (some maybe unused), clause lengths 1..n, and a cap in 1..2**n+1."""
+    n = draw(num_vars)
+    clauses = []
+    for _ in range(draw(st.integers(0, 8)) if n else 0):
+        variables = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(1, n))]
+        clauses.append([v if draw(st.booleans()) else -v for v in variables])
+    return Cnf.of(n, clauses), draw(st.integers(1, (1 << n) + 1))
+
+
+def _capped_truth(cnf, cap):
+    count = len(brute_force_solutions(cnf))
+    return count if count <= cap else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(cnf_and_cap(st.integers(0, 10)))
+def test_counter_matches_the_truth_table(case):
+    cnf, cap = case
+    assert count_solutions_capped(cnf, cap) == _capped_truth(cnf, cap)
+    with mock.patch.object(allsat_mod, "_COUNT_MAX_BYTES", 0):  # the enumerator counts
+        assert count_solutions_capped(cnf, cap) == _capped_truth(cnf, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cnf_and_cap(st.integers(11, 16)))
+def test_counter_matches_the_truth_table_past_twelve_variables(case):
+    # variables 13..n each have a table axis of their own
+    cnf, cap = case
+    assert count_solutions_capped(cnf, cap) == _capped_truth(cnf, cap)
+
+
+@pytest.mark.parametrize("n, bound", [
+    (26, allsat_mod._COUNT_MAX_BYTES * 5 // 4),  # the table and its per-word counts
+    (30, 1 << 20),  # no table: the capped enumerator counts
+])
+def test_counter_allocation_is_bounded(n, bound):
+    # a ring of implications x_v -> x_{v+1}: all false or all true, 2 solutions
+    cnf = Cnf.of(n, [[-v, v % n + 1] for v in range(1, n + 1)])
+    tracemalloc.start()
+    try:
+        assert count_solutions_capped(cnf, 10) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

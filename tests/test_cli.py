@@ -44,9 +44,10 @@ def test_gen_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def test_gen_enumerates_each_attempt_once(tmp_path, monkeypatch):
-    # The count gen writes comes from the screening run; no second enumeration.
-    calls = {"draw": 0, "enumerate": 0}
+def test_gen_counts_each_draw_once(tmp_path, monkeypatch):
+    # The count gen writes comes from the one screening count of its draw; at
+    # n=6 the truth table is one word, so the enumerator never runs.
+    calls = {"draw": 0, "count": 0, "enumerate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -55,9 +56,11 @@ def test_gen_enumerates_each_attempt_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sat_mod, "_draw_instance", counted("draw", sat_mod._draw_instance))
+    monkeypatch.setattr(allsat_mod, "count_solutions_capped",
+                        counted("count", allsat_mod.count_solutions_capped))
     monkeypatch.setattr(allsat_mod, "enumerate_all", counted("enumerate", allsat_mod.enumerate_all))
     path = gen_instance(tmp_path, seed=12, cap=8)
-    assert calls["draw"] > 1 and calls["enumerate"] == calls["draw"]
+    assert calls["draw"] > 1 and calls["count"] == calls["draw"] and calls["enumerate"] == 0
     sidecar = json.loads((tmp_path / "inst.cnf.json").read_text())
     assert sidecar["solution_count"] == len(brute_force_solutions(parse_dimacs(path.read_text())))
 
@@ -377,6 +380,11 @@ MALFORMED = {
     "assignment-not-bits": (
         "events", lambda docs: docs[0].update(assignment="x" + docs[0]["assignment"][1:])),
     "decreasing-event-time": ("events", lambda docs: docs[-1].update(wall_time_us=0)),
+    "boolean-spin": ("samples", lambda docs: docs[0]["spins"].__setitem__(0, True)),
+    "boolean-time": ("samples", lambda docs: docs[0].update(core_time_us=False)),
+    "boolean-read-index": ("samples", lambda docs: docs[1].update(read=True)),
+    "boolean-event-index": ("events", lambda docs: docs[0].update(index=True)),
+    "boolean-event-time": ("events", lambda docs: docs[0].update(wall_time_us=False)),
 }
 
 
@@ -417,3 +425,31 @@ def test_unusable_model_coefficient_is_input_error(field, text, tmp_path, capsys
                "--reads", "2", "--sweeps", "2", "--out", str(tmp_path / "s.jsonl")) == 2
     err = capsys.readouterr().err
     assert "cascor: input error: model coefficient" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sample", "metrics"])
+@pytest.mark.parametrize("fault", ["cnf-of-other-variables", "qubit-past-num-qubits"])
+def test_model_layout_not_fitting_the_cnf_is_input_error(command, fault, tmp_path, capsys):
+    cnf_path = tmp_path / "or.cnf"
+    cnf_path.write_text("p cnf 3 1\n1 2 3 0\n")
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    samples, events = tmp_path / "s.jsonl", tmp_path / "e.jsonl"
+    assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
+               "--reads", "2", "--sweeps", "2", "--out", str(samples)) == 0
+    assert run("allsat", "--cnf", str(cnf_path), "--out", str(events)) == 0
+    if fault == "cnf-of-other-variables":
+        cnf_path.write_text("p cnf 2 1\n1 2 0\n")
+    else:
+        doc = json.loads(model.read_text())
+        doc["var_to_qubit"]["3"] = doc["num_qubits"]
+        model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = {
+        "sample": ["--seed", "1", "--reads", "2", "--sweeps", "2"],
+        "metrics": ["--samples", str(samples), "--events", str(events)],
+    }[command]
+    assert run(command, "--model", str(model), "--cnf", str(cnf_path), *argv,
+               "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "cascor: input error: model" in err and "Traceback" not in err
