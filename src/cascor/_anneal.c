@@ -58,9 +58,15 @@ static inline uint64_t pcg_next(pcg64 *g)
     return (x >> rot) | (x << ((-rot) & 63));
 }
 
+/* A uniform double u = m / 2^53 from the top 53 bits m of the next word. */
+static inline double unit_of(uint64_t m)
+{
+    return (double)m * (1.0 / 9007199254740992.0);
+}
+
 static inline double next_double(pcg64 *g)
 {
-    return (double)(pcg_next(g) >> 11) * (1.0 / 9007199254740992.0);
+    return unit_of(pcg_next(g) >> 11);
 }
 
 /* PCG64 seeded from SeedSequence(entropy) with entropy = seed words, then r's words. */
@@ -155,14 +161,17 @@ void cascor_anneal_float(const uint32_t *seed_words, int64_t seed_len, int64_t r
 
 /* The integral loop: values and h are integers whose absolute sum is at most
  * 2^53, so every local field fits in int64 and converts to double exactly.
- * If table_width > 0, p(v) is table[t * table_width + (v < 0 ? -v : 0)],
- * whose row t holds exp(-two_betas[t] * k) for k < table_width, so entry 0
- * is 1; otherwise p(v) calls exp.  fields is scratch space for n int64. */
-void cascor_anneal_int(const uint32_t *seed_words, int64_t seed_len, int64_t reads,
-                       int64_t n, int64_t sweeps, const int64_t *indptr,
-                       const int64_t *indices, const int64_t *values, const int64_t *h,
-                       const double *two_betas, const double *table, int64_t table_width,
-                       int64_t *fields, int8_t *out)
+ * If table_width > 0, the flip is accepted when the uniform's 53-bit integer
+ * m = pcg_next >> 11 is below table[t * table_width + (v < 0 ? -v : 0)],
+ * whose row t holds ceil(exp(-two_betas[t] * k) * 2^53) for k < table_width
+ * (entry 0 is 2^53).  That is u < p(v) exactly, since u = m / 2^53.
+ * Otherwise p(v) calls exp.  fields is scratch space for n int64. */
+void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads,
+                       int64_t n, int64_t sweeps, const int64_t *restrict indptr,
+                       const int64_t *restrict indices, const int64_t *restrict values,
+                       const int64_t *restrict h, const double *restrict two_betas,
+                       const uint64_t *restrict table, int64_t table_width,
+                       int64_t *restrict fields, int8_t *restrict out)
 {
     for (int64_t r = 0; r < reads; r++) {
         pcg64 g;
@@ -176,13 +185,14 @@ void cascor_anneal_int(const uint32_t *seed_words, int64_t seed_len, int64_t rea
         }
         for (int64_t t = 0; t < sweeps; t++) {
             const double two_beta = two_betas[t];
-            const double *row = table + t * table_width;
+            const uint64_t *row = table + t * table_width;
             for (int64_t i = 0; i < n; i++) {
-                const double u = next_double(&g);
+                const uint64_t m = pcg_next(&g) >> 11;
                 const int64_t v = s[i] * fields[i];
-                const double p = table_width ? row[v < 0 ? -v : 0]
-                                             : (v < 0 ? exp(two_beta * (double)v) : 1.0);
-                if (u < p) {
+                const int accept = table_width
+                    ? m < row[v < 0 ? -v : 0]
+                    : v >= 0 || unit_of(m) < exp(two_beta * (double)v);
+                if (accept) {
                     s[i] = -s[i];
                     const int64_t step = 2 * s[i];  /* s_i moved by 2 s_i(new) */
                     for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)

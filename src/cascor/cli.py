@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -284,6 +285,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one tree serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="cascor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

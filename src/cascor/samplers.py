@@ -10,7 +10,9 @@ A run comes back as one SampleBatch: the final spins of every read in a
 single int8 array, their energies, and the cumulative core and wall times.
 Iterating a batch yields one SampleRecord per read, a row of plain Python
 values.  The sample JSONL file is written whole from the batches' arrays by
-samples_to_jsonl and read back, every field checked, by samples_from_jsonl.
+samples_to_jsonl, which builds the text of each distinct spins row and
+solution once, and read back, every field checked, by samples_from_jsonl,
+which keeps only a tuple of the five fields it reads from each line.
 
 Determinism: read r consumes only its own RNG stream, the one numpy's
 Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
@@ -31,7 +33,12 @@ u < exp(2 beta v).  The kernel has two loops:
   are exact in any order, so v is the reference's v, and the probabilities
   come from a table numpy computes as exp(-2 beta k) for each sweep and each
   k up to the largest |local|: the very values the numpy reference loop
-  (tests/conftest.py::slow_anneal) computes.
+  (tests/conftest.py::slow_anneal) computes.  The table holds each p as the
+  integer ceil(p * 2**53), and the kernel accepts when the 53-bit integer m
+  of the uniform u = m / 2**53 is below it.  For an integer m, m < p * 2**53
+  holds exactly when m < ceil(p * 2**53), and scaling by 2**53 (ldexp) is
+  exact for every double in [0, 1], subnormals included, so the integer
+  comparison is u < p bit for bit.
 - Float models sum each local field over its neighbour row at every
   proposal, since fields updated incrementally would drift from a row sum.
 
@@ -193,11 +200,11 @@ def _kernel():
         raise RuntimeError(
             f"cannot build or load the anneal kernel with C compiler {_CC!r}: {exc}") from exc
     i64 = ctypes.c_int64
-    u32s, i64s, f64s, i8s = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                             for t in (np.uint32, np.int64, np.float64, np.int8))
+    u32s, u64s, i64s, f64s, i8s = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                                   for t in (np.uint32, np.uint64, np.int64, np.float64, np.int8))
     head = [u32s, i64, i64, i64, i64, i64s, i64s]  # stream, sizes and CSR structure
     lib.cascor_anneal_float.argtypes = [*head, f64s, f64s, f64s, i8s]
-    lib.cascor_anneal_int.argtypes = [*head, i64s, i64s, f64s, f64s, i64, i64s, i8s]
+    lib.cascor_anneal_int.argtypes = [*head, i64s, i64s, f64s, u64s, i64, i64s, i8s]
     lib.cascor_anneal_float.restype = lib.cascor_anneal_int.restype = None
     return lib
 
@@ -223,9 +230,11 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     # for bit; libm's exp is not (it differs in the last bit on some inputs).
     row_abs = np.diff(np.concatenate([[0], np.cumsum(np.abs(a.data))])[a.indptr])
     vmax = int(np.max(np.abs(a.h) + row_abs, initial=0))
-    table = np.empty((cfg.sweeps, 0))
+    table = np.empty((cfg.sweeps, 0), dtype=np.uint64)
     if cfg.sweeps * (vmax + 1) * 8 <= _TABLE_BYTES:
-        table = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
+        # u < p exactly when u's 53-bit integer is below ceil(p * 2**53)
+        p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
+        table = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
     _kernel().cascor_anneal_int(*head, a.data, a.h, two_betas, table, table.shape[1],
                                 np.empty(n, dtype=np.int64), spins)
     return spins
@@ -308,8 +317,14 @@ def samples_to_jsonl(
         end = f', "gauge": {gauge}}}' if gauged else "}"
         # json's text for each energy (ints as digits, floats as their repr)
         energies = json.dumps(batch.energies.tolist())[1:-1].split(", ")
-        texts = [f'"{_bit_text(s)}"' if s else "null" for s in solutions]
-        rows = zip(batch.spins.tolist(), energies, batch.core_time_us.tolist(),
+        # reads collapse onto few states, so each distinct row's text is built once
+        row_texts: dict[tuple, str] = {}
+        spin_texts = [row_texts.get(row) or row_texts.setdefault(row, str(list(row)))
+                      for row in map(tuple, batch.spins.tolist())]
+        bit_texts: dict[Assignment | None, str] = {}
+        texts = [bit_texts.get(s) or bit_texts.setdefault(s, f'"{_bit_text(s)}"' if s else "null")
+                 for s in solutions]
+        rows = zip(spin_texts, energies, batch.core_time_us.tolist(),
                    batch.wall_time_us.tolist(), texts)
         lines += [
             f'{{"read": {r}, "spins": {spins}, "energy": {energy}, "core_time_us": {core}, '
@@ -317,6 +332,10 @@ def samples_to_jsonl(
             for r, (spins, energy, core, wall, solution) in enumerate(rows)
         ]
     return "\n".join(lines) + "\n"
+
+
+_SAMPLE_FIELDS = ("read", "spins", "energy", "core_time_us", "wall_time_us")
+_sample_fields = operator.itemgetter(*_SAMPLE_FIELDS)
 
 
 def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
@@ -327,18 +346,17 @@ def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
     order, num_qubits spins of +1 or -1, a numeric energy, and integer times
     that are non-negative and never decrease.  The solution field is not read.
     """
-    runs: dict[int, dict[str, list]] = {}
+    runs: dict[int, list[tuple]] = {}
     for doc in _jsonl_objects(text):
         gauge = doc.get("gauge", 0)
         if type(gauge) is not int:
             raise ValueError(f"gauge tag {gauge!r} is not an integer")
-        columns = runs.setdefault(gauge, {})
-        for name in ("read", "spins", "energy", "core_time_us", "wall_time_us"):
-            columns.setdefault(name, []).append(doc[name])
-    return [_batch_of_columns(runs[gauge], num_qubits, gauge) for gauge in sorted(runs)]
+        runs.setdefault(gauge, []).append(_sample_fields(doc))
+    return [_batch_of_columns(dict(zip(_SAMPLE_FIELDS, zip(*runs[gauge]))), num_qubits, gauge)
+            for gauge in sorted(runs)]
 
 
-def _batch_of_columns(columns: dict[str, list], num_qubits: int, gauge: int) -> SampleBatch:
+def _batch_of_columns(columns: dict[str, Sequence], num_qubits: int, gauge: int) -> SampleBatch:
     k = len(columns["read"])
 
     def column(name, shape=(k,), kinds="i"):

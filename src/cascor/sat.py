@@ -252,12 +252,25 @@ def _bit_text(assignment: Assignment) -> str:
 
 
 def _jsonl_objects(text: str) -> Iterator[dict]:
-    """The JSON object on each nonblank line of a JSONL text; ValueError on anything else."""
-    for line in text.splitlines():
+    """The JSON object on each nonblank line of a JSONL text; ValueError on anything else.
+
+    Lines end at "\n" only, and are cut from text one at a time.  A line is
+    decoded as json.loads decodes a string, without its wrapper: JSON
+    whitespace (space, tab, CR, LF) may surround the one value, and anything
+    else (a second value, a form feed, a BOM) fails.
+    """
+    decode = json.JSONDecoder().raw_decode
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        line, start = text[start:stop], stop + 1
         if line.strip():
-            doc = json.loads(line)
-            if type(doc) is not dict:
-                raise ValueError(f"line {line[:40]!r} is not a JSON object")
+            body = line.strip(" \t\r\n")
+            doc, end = decode(body)
+            if end != len(body) or type(doc) is not dict:
+                raise ValueError(f"line {line[:40]!r} is not one JSON object")
             yield doc
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import cascor.allsat as allsat_mod
+import cascor.cli as cli
 import cascor.metrics as metrics_mod
 import cascor.samplers as samplers_mod
 import cascor.sat as sat_mod
@@ -340,6 +341,59 @@ def test_unknown_subcommand_is_usage_error():
     assert info.value.code == 1
 
 
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+
+    class CountedParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "cascor":  # subcommand parsers are named "cascor gen" and so on
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", CountedParser)
+    cli.build_parser.cache_clear()
+    try:
+        cnf_path = gen_instance(tmp_path)
+        model, samples, events = (tmp_path / name for name in ("m.json", "s.jsonl", "e.jsonl"))
+        assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+        assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
+                   "--reads", "10", "--sweeps", "5", "--out", str(samples)) == 0
+        assert run("allsat", "--cnf", str(cnf_path), "--out", str(events)) == 0
+        assert run("metrics", "--cnf", str(cnf_path), "--model", str(model), "--samples",
+                   str(samples), "--events", str(events), "--out", str(tmp_path / "r.json")) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_one_parser_gives_the_bytes_of_fresh_calls(tmp_path, capsys):
+    cnf_path = gen_instance(tmp_path)
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    calls = {
+        "gauged": ["--seed", "3", "--reads", "30", "--sweeps", "10", "--gauges", "4"],
+        "usage-error": ["--seed", "3", "--reads", "many"],
+        "plain": ["--seed", "3", "--reads", "30", "--sweeps", "10"],
+    }
+
+    def call(name, out):
+        capsys.readouterr()
+        try:
+            code = run("sample", "--model", str(model), "--cnf", str(cnf_path),
+                       *calls[name], "--out", str(out))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        body = out.read_bytes() if out.exists() else b""
+        return code, body, captured.out.replace(str(out), "OUT"), captured.err
+
+    in_sequence = {name: call(name, tmp_path / f"seq-{name}.jsonl") for name in calls}
+    for name in calls:
+        cli.build_parser.cache_clear()
+        assert call(name, tmp_path / f"fresh-{name}.jsonl") == in_sequence[name], name
+    assert [in_sequence[name][0] for name in calls] == [0, 1, 0]
+
+
 @pytest.fixture(scope="module")
 def stored_outputs(tmp_path_factory):
     """Model, two-gauge sample and event files of one instance, as cascor writes them."""
@@ -354,6 +408,12 @@ def stored_outputs(tmp_path_factory):
     assert run("allsat", "--cnf", str(cnf_path), "--stable-output",
                "--out", str(paths["events"])) == 0
     return paths
+
+
+def run_metrics(paths, out):
+    return run("metrics", "--cnf", str(paths["cnf"]), "--model", str(paths["model"]),
+               "--samples", str(paths["samples"]), "--events", str(paths["events"]),
+               "--out", str(out))
 
 
 def _second_hit(docs):
@@ -397,11 +457,46 @@ def test_malformed_stored_output_is_input_error(case, stored_outputs, tmp_path, 
     paths[which] = tmp_path / paths[which].name
     paths[which].write_text("".join(json.dumps(doc) + "\n" for doc in docs))
     capsys.readouterr()
-    assert run("metrics", "--cnf", str(paths["cnf"]), "--model", str(paths["model"]),
-               "--samples", str(paths["samples"]), "--events", str(paths["events"]),
-               "--out", str(tmp_path / "report.json")) == 2
+    assert run_metrics(paths, tmp_path / "report.json") == 2
     err = capsys.readouterr().err
     assert "cascor: input error:" in err and "Traceback" not in err
+
+
+# One case per fault json.loads refuses in a line, made in the file's text.
+MALFORMED_TEXT = {
+    "two-objects-on-one-line": lambda text: text.replace("}\n", "} ", 1),
+    "object-split-across-two-lines": lambda text: text.replace(", ", ",\n", 1),
+    "line-led-by-form-feed": lambda text: "\x0c" + text,
+    "utf8-bom": lambda text: "\ufeff" + text,
+}
+
+
+@pytest.mark.parametrize("which", ["samples", "events"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+def test_malformed_stored_text_is_input_error(case, which, stored_outputs, tmp_path, capsys):
+    paths = dict(stored_outputs)
+    text = MALFORMED_TEXT[case](paths[which].read_text())
+    paths[which] = tmp_path / paths[which].name
+    paths[which].write_bytes(text.encode())
+    capsys.readouterr()
+    assert run_metrics(paths, tmp_path / "report.json") == 2
+    err = capsys.readouterr().err
+    assert "cascor: input error:" in err and "Traceback" not in err
+
+
+def test_stored_text_with_json_whitespace_and_blank_lines_is_read(stored_outputs, tmp_path):
+    # spaces, tabs and CR around a line's object, and blank lines, are allowed
+    paths = dict(stored_outputs)
+    for which in ("samples", "events"):
+        lines = paths[which].read_text().splitlines()
+        paths[which] = tmp_path / paths[which].name
+        paths[which].write_bytes("".join(f" \t{line}\r\n\x0c\n" for line in lines).encode())
+    reports = []
+    for name, source in (("plain", stored_outputs), ("spaced", paths)):
+        out = tmp_path / f"{name}.json"
+        assert run_metrics(source, out) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("field, text", [

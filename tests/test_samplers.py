@@ -21,7 +21,7 @@ from cascor.samplers import (
     samples_from_jsonl,
     samples_to_jsonl,
 )
-from cascor.sat import Cnf, evaluate
+from cascor.sat import Cnf, _derived_rng, evaluate
 
 from conftest import (
     assert_same_batch,
@@ -166,6 +166,54 @@ def test_failed_kernel_build_carries_compiler_stderr(private_kernel_cache, monke
     with pytest.raises(RuntimeError, match="(?s)'cc'.*no-such-option"):
         sample(H2, SamplerConfig(num_reads=1, sweeps=1))
     assert list(private_kernel_cache.iterdir()) == []
+
+
+TWO_BETA_K = st.builds(lambda beta, k: float(np.exp(2.0 * beta * -k)),
+                      st.floats(1e-4, 30.0), st.integers(0, 5000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([0.0, 5e-324, 1.0]) | TWO_BETA_K, offset=st.integers(-2, 2))
+@example(p=5e-324, offset=0)
+@example(p=1.0, offset=-1)
+def test_integer_acceptance_is_the_float_comparison(p, offset):
+    # The integral kernel accepts when m < ceil(p * 2**53), where m is the 53-bit
+    # integer of the uniform u = m / 2**53 it would otherwise compare with p.
+    threshold = int(np.ceil(np.ldexp(np.array([p]), 53)).astype(np.uint64)[0])
+    assert threshold <= 2**53
+    m = threshold + offset
+    if 0 <= m < 2**53:
+        assert (m * 2.0**-53 < p) == (m < threshold)
+
+
+@pytest.mark.parametrize("accepted", [False, True])
+def test_uniform_next_to_its_acceptance_probability(accepted):
+    # One qubit with h = 1 and one sweep at beta: read 0 makes one proposal, from
+    # spin -1 (v = -1), accepted when its uniform u < p = exp(-2 beta).  beta is
+    # moved ulp by ulp until p is as close to u as it gets from below (rejected) or
+    # from above (accepted), so u's 53-bit integer m is at the table's threshold.
+    model = IsingModel(1, {0: 1}, {})
+    for seed in range(100):
+        rng = _derived_rng(seed, 0)
+        spin, u = 2 * int(rng.integers(0, 2, size=1)[0]) - 1, rng.random()
+        if spin == -1 and u < 0.05:
+            break
+
+    def p_of(beta):  # as the sampler builds the table: 2 beta, times -k for k = 1
+        return np.exp(np.outer(2.0 * np.linspace(beta, beta, 1), -np.arange(2)))[0, 1]
+
+    beta = -np.log(u) / 2
+    inward = np.inf if accepted else -np.inf  # raising beta lowers p
+    while (p_of(beta) > u) != accepted:
+        beta = np.nextafter(beta, -inward)
+    while (p_of(np.nextafter(beta, inward)) > u) == accepted:
+        beta = np.nextafter(beta, inward)
+    assert np.ceil(np.ldexp(p_of(beta), 53)) == int(u * 2**53) + accepted
+    cfg = SamplerConfig(num_reads=1, sweeps=1, beta_start=float(beta), beta_end=float(beta),
+                        seed=seed)
+    spins = sample(model, cfg).spins
+    assert spins[0, 0] == (1 if accepted else -1)
+    assert np.array_equal(spins, slow_anneal(model, cfg))
 
 
 def test_uniforms_buffer_is_bounded():
@@ -368,3 +416,80 @@ def test_sampled_runs_roundtrip_through_jsonl():
     assert len(back) == 3
     for a, b in zip(back, runs):
         assert_same_batch(a, b)
+
+
+def reference_samples_jsonl(runs, decoded, gauged):
+    """The sample JSONL text written line by line from plain values."""
+    lines = []
+    for gauge, (batch, solutions) in enumerate(zip(runs, decoded)):
+        tag = f', "gauge": {gauge}' if gauged else ""
+        rows = zip(batch.spins.tolist(), batch.energies.tolist(), batch.core_time_us.tolist(),
+                   batch.wall_time_us.tolist(), solutions)
+        for r, (spins, energy, core, wall, solution) in enumerate(rows):
+            bits = "null" if solution is None else '"' + "".join("01"[b] for b in solution) + '"'
+            lines.append(f'{{"read": {r}, "spins": {spins}, "energy": {json.dumps(energy)}, '
+                         f'"core_time_us": {core}, "wall_time_us": {wall}, '
+                         f'"solution": {bits}{tag}}}\n')
+    return "".join(lines)
+
+
+@st.composite
+def sample_files(draw):
+    """Runs, their decoded solutions and a gauged flag, with rows drawn from a few states."""
+    n, num_vars = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    states = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n),
+        st.none() | st.lists(st.booleans(), min_size=num_vars, max_size=num_vars).map(tuple),
+    ), min_size=1, max_size=4))
+    integral, gauged = draw(st.booleans()), draw(st.booleans())
+    energy = st.integers(-2**62, 2**62) if integral else st.floats(allow_nan=False,
+                                                                    allow_infinity=False)
+    runs, decoded = [], []
+    for _ in range(draw(st.integers(1, 3)) if gauged else 1):
+        rows = draw(st.lists(st.sampled_from(states), min_size=1, max_size=12))
+        k = len(rows)
+        times = [np.cumsum(draw(st.lists(st.integers(0, 10**9), min_size=k, max_size=k)))
+                 for _ in range(2)]
+        energies = draw(st.lists(energy, min_size=k, max_size=k))
+        runs.append(batch_of([spins for spins, _ in rows], *times,
+                             np.array(energies, dtype=np.int64 if integral else np.float64)))
+        decoded.append([solution for _, solution in rows])
+    return runs, decoded, gauged, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_files())
+def test_sample_text_roundtrip_matches_reference_writer(case):
+    runs, decoded, gauged, n = case
+    text = samples_to_jsonl(runs, decoded, gauged)
+    assert text == reference_samples_jsonl(runs, decoded, gauged)
+    back = samples_from_jsonl(text, n)
+    assert len(back) == len(runs)
+    for a, b in zip(back, runs):
+        assert_same_batch(a, b)
+    # JSON whitespace around a line's object, CRLF line ends and blank lines read the same
+    spaced = "".join(f" \t{line}\r\n \n" for line in text.splitlines())
+    for a, b in zip(samples_from_jsonl(spaced, n), runs, strict=True):
+        assert_same_batch(a, b)
+
+
+def test_sample_reader_keeps_no_line_dicts():
+    # 4 gauges x 5000 reads of 20 qubits.  The reader that gathered a list per field
+    # (each line's dict dropped after its line) peaked at 12.54 MB under CPython
+    # 3.11; one that keeps every line's dict peaks at 24.7 MB.
+    rng = np.random.default_rng(0)
+    k, n = 5000, 20
+    t = np.arange(1, k + 1, dtype=np.int64)
+    runs = [batch_of(2 * rng.integers(0, 2, size=(k, n)) - 1, 20 * t, 100 + 25 * t,
+                     rng.integers(-40, 40, size=k)) for _ in range(4)]
+    text = samples_to_jsonl(runs, [[None] * k] * 4, gauged=True)
+    samples_from_jsonl(text[:text.index("\n") + 1], n)  # caches and lazy imports
+    tracemalloc.start()
+    try:
+        back = samples_from_jsonl(text, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(back, runs, strict=True):
+        assert_same_batch(a, b)
+    assert peak < 12_540_000
