@@ -5,12 +5,16 @@ most-occurrences branching) and excludes each model found by blocking the
 full assignment, until the search space is exhausted, a solution cap is
 reached, or a time budget expires.
 
-Blocking clauses mention every variable, so they are stored as integer
-assignment masks and handled wholesale: the set of blocks consistent with the
-current partial assignment is filtered as the search descends, a subtree is
-abandoned when every one of its completions is blocked, and a pure literal is
-only eliminated when no consistent block constrains it.  This is the same
-pruning the clauses would provide, computed in bulk.
+A search state is an immutable pair of int masks, so everything a state
+determines (the units a literal implies, the branch literal, the pure-literal
+candidates) is computed once per enumeration and looked up by later solves,
+which would otherwise walk the same prefix again from the root.  Blocking
+clauses mention every variable, so they are kept as one bitset per literal
+over block indices and handled wholesale: the blocks consistent with a state
+are an AND of its literals' bitsets, a subtree is abandoned when every one of
+its completions is blocked, and a pure literal is only eliminated when no
+consistent block holds it.  This is the same pruning the clauses would
+provide, computed in bulk.
 
 count_solutions_capped counts without enumerating, on a bit-sliced truth
 table; generate_mixed_sat screens its draws with it.
@@ -38,9 +42,10 @@ __all__ = [
     "events_from_jsonl",
 ]
 
-_MASK_VAR_LIMIT = 62  # assignments are stored as int64 bit masks
+_MASK_VAR_LIMIT = 62  # the most variables enumerate_all accepts, part of the CLI contract
 _TIMEOUT_CHECK_NODES = 2048
 _DEAD_SET_LIMIT = 2_000_000  # memoization is an optimization; stop growing past this
+_MEMO_LIMIT = 100_000  # entries in each of the closure and branch-info memos, ~190 B each
 _COUNT_MAX_BYTES = 8 << 20  # count_solutions_capped's truth table: n <= 26 variables
 _ALL_ONES = (1 << 64) - 1
 # Bit b of truth-table word w is the assignment whose variables 1..6 spell b
@@ -67,12 +72,21 @@ class EnumerationResult:
     ``complete`` means the search space was exhausted; ``cap_hit`` means a
     solution beyond the cap exists (the first ``cap`` are in ``events``).
     The two are mutually exclusive; both false means the time budget expired.
+
+    The search counters are deterministic for a run the budget did not cut:
+    ``nodes`` search nodes visited, ``solve_calls`` solves started,
+    ``dead_size`` states recorded as holding no unblocked model and
+    ``dead_hits`` subtrees skipped because their state was recorded.
     """
 
     events: tuple[SolutionEvent, ...]
     complete: bool
     cap_hit: bool
     setup_time_us: int = 0
+    nodes: int = 0
+    solve_calls: int = 0
+    dead_size: int = 0
+    dead_hits: int = 0
 
     def __post_init__(self) -> None:
         if self.complete and self.cap_hit:
@@ -86,223 +100,220 @@ class _Timeout(Exception):
     pass
 
 
-class _Enumerator:
-    """Persistent DPLL state reused across solve calls; undo restores it fully.
+def _literals(bits: int, value: int):
+    """The literal indices that ``value`` gives the variables on ``bits``."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield 2 * (low.bit_length() - 1) + (not value & low)
 
-    Blocks (previously found models) live in one int-mask array.  The subset
-    consistent with the partial assignment is materialized only once the
-    number of unassigned variables drops to the boundary, then filtered
-    incrementally below it; above the boundary pure-literal elimination is
-    skipped whenever blocks exist, which is sound since the rule is optional.
+
+class _Enumerator:
+    """DPLL search whose states are immutable int-mask pairs, memoized across solves.
+
+    A state is ``(assigned, value)``: bit v of ``assigned`` is set when
+    variable v + 1 has a value, and bit v of ``value`` holds it.  Literals are
+    indices ``2 * v`` (true) and ``2 * v + 1`` (false), so ``lit ^ 1`` negates.
+
+    Only the literals a search applies trigger unit propagation, so the
+    closure of a state plus a literal is a pure function of the masks, and so
+    are a state's branch literal (most occurrences in unsatisfied clauses,
+    lowest index on ties, the polarity that occurs more) and its pure-literal
+    candidates.  ``closures`` and ``infos`` memoize both for every solve of
+    one enumeration; later solves walk the prefix earlier ones computed
+    without re-deriving it.  A state's info is derived from its predecessor's
+    unsatisfied-clause bitset, minus the clauses its new literals satisfy.
+
+    Blocks (models found so far) are bit k of ``blocks_with[lit]`` for each
+    literal model k makes true, so the blocks consistent with a state are an
+    AND of its literals' bitsets.  That active set is materialized once at
+    most ``_ACTIVE_BOUNDARY`` variables are unassigned, or from the root when
+    there are no blocks or few variables; a subtree is abandoned when every
+    one of its completions is blocked, and a pure literal is eliminated only
+    when no active block holds it, never while the set is unmaterialized,
+    which is sound since the rule is optional.
     """
 
     _ACTIVE_BOUNDARY = 16
 
     def __init__(self, cnf: Cnf):
-        self.n = cnf.num_vars
-        self.clauses: list[list[int]] = [
-            [lit.to_dimacs() for lit in clause.literals] for clause in cnf.clauses
-        ]
-        self.occ: list[list[int]] = [[] for _ in range(2 * self.n)]
-        for ci, lits in enumerate(self.clauses):
-            for lit in lits:
-                self.occ[self._lidx(lit)].append(ci)
-        self.assign = [0] * self.n  # 0 unassigned, +1 true, -1 false
-        self.assigned_count = 0
-        self.assigned_mask = 0
-        self.value_mask = 0
-        self.free_count = [len(lits) for lits in self.clauses]
-        self.sat_count = [0] * len(self.clauses)
-        self.lit_active = [len(self.occ[i]) for i in range(2 * self.n)]
+        n = self.n = cnf.num_vars
+        self.pos: list[int] = []  # per clause: the variables it holds true, as a mask
+        self.neg: list[int] = []
+        self.occ: list[list[int]] = [[] for _ in range(2 * n)]  # clauses holding each literal
+        for ci, clause in enumerate(cnf.clauses):
+            pos = neg = 0
+            for lit in clause.literals:
+                v = lit.var - 1
+                if lit.negated:
+                    neg |= 1 << v
+                else:
+                    pos |= 1 << v
+                self.occ[2 * v + lit.negated].append(ci)
+            self.pos.append(pos)
+            self.neg.append(neg)
+        self.clause_vars = [p | q for p, q in zip(self.pos, self.neg)]
+        self.occ_bits = [sum(1 << ci for ci in cs) for cs in self.occ]
+        self.blocks_with = [0] * (2 * n)
+        self.all_blocks = 0
+        self.num_blocks = 0
+        self.closures: dict[tuple[int, int, int], tuple[int, int] | None] = {}
+        # (branch literal, pure-literal candidates, unsatisfied-clause bitset)
+        self.infos: dict[tuple[int, int], tuple[int, tuple[int, ...], int]] = {}
+        self.root_info = self._info_of(0, (1 << len(self.pos)) - 1)
         self.deadline_ns: int | None = None
-        self._nodes = 0
-        # Partial assignments proven to hold no unblocked model.  Blocks only
-        # grow, so dead stays dead; later solves skip these subtrees outright.
+        self.nodes = 0
+        self.solve_calls = 0
+        self.dead_hits = 0
+        # States proven to hold no unblocked model.  Blocks only grow, so dead
+        # stays dead; later solves skip these subtrees outright.
         self.dead: set[tuple[int, int]] = set()
 
-    @staticmethod
-    def _lidx(lit: int) -> int:
-        return 2 * (lit - 1) if lit > 0 else 2 * (-lit - 1) + 1
+    # -- pure functions of the masks, memoized -------------------------------------
 
-    # -- assignment bookkeeping ------------------------------------------------
-
-    def _assign_lit(self, lit: int, applied: list[int], units: list[int]) -> bool:
-        v = abs(lit) - 1
-        val = 1 if lit > 0 else -1
-        cur = self.assign[v]
-        if cur != 0:
-            return cur == val
-        self.assign[v] = val
-        self.assigned_count += 1
-        self.assigned_mask |= 1 << v
-        if val > 0:
-            self.value_mask |= 1 << v
-        applied.append(lit)
-
-        clauses, occ = self.clauses, self.occ
-        sat_count, free_count, lit_active = self.sat_count, self.free_count, self.lit_active
-        for ci in occ[2 * lit - 2 if lit > 0 else -2 * lit - 1]:
-            free_count[ci] -= 1
-            sat_count[ci] += 1
-            if sat_count[ci] == 1:
-                for l in clauses[ci]:
-                    lit_active[2 * l - 2 if l > 0 else -2 * l - 1] -= 1
-        ok = True
-        assign = self.assign
-        for ci in occ[2 * lit - 1 if lit > 0 else -2 * lit - 2]:
-            free_count[ci] -= 1
-            if sat_count[ci] == 0:
-                fc = free_count[ci]
-                if fc == 0:
-                    ok = False
-                elif fc == 1:
-                    for l in clauses[ci]:
-                        if assign[abs(l) - 1] == 0:
-                            units.append(l)
-                            break
-        return ok
-
-    def _undo(self, applied: list[int]) -> None:
-        clauses, occ = self.clauses, self.occ
-        sat_count, free_count, lit_active = self.sat_count, self.free_count, self.lit_active
-        for lit in reversed(applied):
-            v = abs(lit) - 1
-            for ci in occ[2 * lit - 2 if lit > 0 else -2 * lit - 1]:
-                free_count[ci] += 1
-                sat_count[ci] -= 1
-                if sat_count[ci] == 0:
-                    for l in clauses[ci]:
-                        lit_active[2 * l - 2 if l > 0 else -2 * l - 1] += 1
-            for ci in occ[2 * lit - 1 if lit > 0 else -2 * lit - 2]:
-                free_count[ci] += 1
-            self.assign[v] = 0
-            self.assigned_count -= 1
-            self.assigned_mask &= ~(1 << v)
-            self.value_mask &= ~(1 << v)
-
-    # -- block handling ----------------------------------------------------------
-
-    @staticmethod
-    def _filter_blocks(active: np.ndarray, lit: int) -> np.ndarray:
-        if not active.size:
-            return active
-        v = abs(lit) - 1
-        want = 1 if lit > 0 else 0
-        return active[((active >> v) & 1) == want]
-
-    def _materialize(self, blocks: np.ndarray) -> np.ndarray:
-        return blocks[(blocks & self.assigned_mask) == self.value_mask]
-
-    def _pure_literal(self, active: np.ndarray | None) -> int | None:
-        if active is None:
-            return None  # blocks exist but are not materialized yet; skip the rule
-        lit_active, assign = self.lit_active, self.assign
-        ones_mask = None  # lazily reduced: bits set to 1 / 0 in some active block
-        zeros_mask = None
-        for v in range(self.n):
-            if assign[v] != 0:
+    def _propagate(self, assigned: int, value: int, lit: int) -> tuple[int, int] | None:
+        """The state after lit and the units it implies, or None on a conflict."""
+        occ, pos, neg, clause_vars = self.occ, self.pos, self.neg, self.clause_vars
+        queue = [lit]
+        for lit in queue:
+            bit = 1 << (lit >> 1)
+            if assigned & bit:
+                if bool(value & bit) == lit & 1:
+                    return None
                 continue
-            pa = lit_active[2 * v]
-            na = lit_active[2 * v + 1]
-            if pa > 0 and na == 0:
-                # sound only if no consistent block constrains var v to true
-                if not active.size:
-                    return v + 1
-                if ones_mask is None:
-                    ones_mask = int(np.bitwise_or.reduce(active))
-                if not (ones_mask >> v) & 1:
-                    return v + 1
-            elif na > 0 and pa == 0:
-                if not active.size:
-                    return -(v + 1)
-                if zeros_mask is None:
-                    zeros_mask = int(np.bitwise_or.reduce(~active))
-                if not (zeros_mask >> v) & 1:
-                    return -(v + 1)
-        return None
+            assigned |= bit
+            if not lit & 1:
+                value |= bit
+            falsified = assigned & ~value
+            for ci in occ[lit ^ 1]:
+                if value & pos[ci] or falsified & neg[ci]:
+                    continue
+                free = clause_vars[ci] & ~assigned
+                if not free:
+                    return None
+                if not free & (free - 1):
+                    queue.append(2 * (free.bit_length() - 1) + (not free & pos[ci]))
+        return assigned, value
 
-    def _pick_branch(self) -> int:
-        lit_active, assign = self.lit_active, self.assign
-        best_v, best_score = -1, -1
+    def _close(self, assigned: int, value: int, lit: int) -> tuple[int, int] | None:
+        key = (assigned, value, lit)
+        closed = self.closures.get(key, key)  # the key itself marks a miss: None is a conflict
+        if closed is key:
+            closed = self._propagate(assigned, value, lit)
+            if len(self.closures) < _MEMO_LIMIT:
+                self.closures[key] = closed
+        return closed
+
+    def _info_of(self, assigned: int, unsat: int) -> tuple[int, tuple[int, ...], int]:
+        occ_bits = self.occ_bits
+        best_score, best_lit = -1, -1
+        candidates = []
         for v in range(self.n):
-            if assign[v] != 0:
+            if assigned >> v & 1:
                 continue
-            score = lit_active[2 * v] + lit_active[2 * v + 1]
-            if score > best_score:
-                best_v, best_score = v, score
-        lit = best_v + 1
-        return lit if lit_active[2 * best_v] >= lit_active[2 * best_v + 1] else -lit
+            p = (occ_bits[2 * v] & unsat).bit_count()
+            q = (occ_bits[2 * v + 1] & unsat).bit_count()
+            if p + q > best_score:
+                best_score = p + q
+                best_lit = 2 * v + (p < q)
+            if p:
+                if not q:
+                    candidates.append(2 * v)
+            elif q:
+                candidates.append(2 * v + 1)
+        return best_lit, tuple(candidates), unsat
 
-    # -- search ------------------------------------------------------------------
+    def _info(self, assigned: int, value: int, before: int, info: tuple) -> tuple:
+        """The info of (assigned, value), whose variables on ``assigned & ~before``
+        were set after the state that ``info`` describes."""
+        key = (assigned, value)
+        found = self.infos.get(key)
+        if found is not None:
+            return found
+        unsat = info[2]
+        for lit in _literals(assigned & ~before, value):
+            unsat &= ~self.occ_bits[lit]
+        found = self._info_of(assigned, unsat)
+        if len(self.infos) < _MEMO_LIMIT:
+            self.infos[key] = found
+        return found
+
+    # -- blocks ------------------------------------------------------------------------
+
+    def block(self, model: int) -> None:
+        """Exclude a full assignment from every later solve."""
+        bit = 1 << self.num_blocks
+        for v in range(self.n):
+            self.blocks_with[2 * v + (not model >> v & 1)] |= bit
+        self.all_blocks |= bit
+        self.num_blocks += 1
+
+    def _consistent(self, assigned: int, value: int) -> int:
+        active = self.all_blocks
+        for lit in _literals(assigned, value):
+            active &= self.blocks_with[lit]
+        return active
+
+    # -- search ------------------------------------------------------------------------
 
     def _search(
-        self, blocks: np.ndarray, active: np.ndarray | None, pending: list[int]
+        self, assigned: int, value: int, info: tuple, active: int | None, lit: int | None
     ) -> int | None:
-        self._nodes += 1
-        if self.deadline_ns is not None and self._nodes % _TIMEOUT_CHECK_NODES == 0:
+        self.nodes += 1
+        if self.deadline_ns is not None and self.nodes % _TIMEOUT_CHECK_NODES == 0:
             if time.monotonic_ns() > self.deadline_ns:
                 raise _Timeout
 
-        applied: list[int] = []
-        units = list(pending)
-        ok = True
-        i = 0
-        while ok:
-            if i < len(units):
-                lit = units[i]
-                i += 1
-                before = self.assign[abs(lit) - 1]
-                ok = self._assign_lit(lit, applied, units)
-                if ok and before == 0 and active is not None:
-                    active = self._filter_blocks(active, lit)
-                continue
-            if active is None and self.n - self.assigned_count <= self._ACTIVE_BOUNDARY:
-                active = self._materialize(blocks)
-            pure = self._pure_literal(active)
-            if pure is None:
-                break
-            units.append(pure)
-
-        if ok and active is not None and active.size:
-            unassigned = self.n - self.assigned_count
-            if active.size == (1 << unassigned):
-                ok = False  # every completion below here is already blocked
-        if ok and self.assigned_count == self.n:
-            if active is None:
-                active = self._materialize(blocks)
-            if active.size:
-                if len(self.dead) < _DEAD_SET_LIMIT:
-                    self.dead.add((self.assigned_mask, self.value_mask))
-                self._undo(applied)
+        if lit is not None:
+            closed = self._close(assigned, value, lit)
+            if closed is None:
                 return None
-            model = self.value_mask
-            self._undo(applied)
-            return model
-        if not ok:
-            self._undo(applied)
-            return None
+            before = assigned
+            assigned, value = closed
+            if active:
+                for fresh in _literals(assigned & ~before, value):
+                    active &= self.blocks_with[fresh]
+            info = self._info(assigned, value, before, info)
+        unassigned = self.n - assigned.bit_count()
+        if active is None and unassigned <= self._ACTIVE_BOUNDARY:
+            active = self._consistent(assigned, value)
+        while active is not None:
+            for pure in info[1]:
+                if not active & self.blocks_with[pure]:
+                    break
+            else:
+                break
+            # every active block holds the pure literal's negation, so none is left
+            active = 0
+            before = assigned
+            assigned |= 1 << (pure >> 1)
+            if not pure & 1:
+                value |= 1 << (pure >> 1)
+            unassigned -= 1
+            info = self._info(assigned, value, before, info)
 
-        key = (self.assigned_mask, self.value_mask)
+        if active and active.bit_count() == 1 << unassigned:
+            return None  # every completion below here is already blocked
+        if not unassigned:
+            return value
+        key = (assigned, value)
         if key in self.dead:
-            self._undo(applied)
+            self.dead_hits += 1
             return None
-        first = self._pick_branch()
-        for lit in (first, -first):
-            model = self._search(blocks, active, [lit])
+        first = info[0]
+        for lit in (first, first ^ 1):
+            model = self._search(assigned, value, info, active, lit)
             if model is not None:
-                self._undo(applied)
                 return model
         if len(self.dead) < _DEAD_SET_LIMIT:
             self.dead.add(key)
-        self._undo(applied)
         return None
 
-    def solve(self, blocks: np.ndarray) -> int | None:
+    def solve(self) -> int | None:
         """Find one model consistent with no block, or None if exhausted."""
-        active = blocks if not blocks.size else None
-        if active is None and self.n <= self._ACTIVE_BOUNDARY:
-            active = blocks
-        return self._search(blocks, active, [])
+        self.solve_calls += 1
+        active = self.all_blocks if not self.num_blocks or self.n <= self._ACTIVE_BOUNDARY else None
+        return self._search(0, 0, self.root_info, active, None)
 
 
 def _mask_to_assignment(mask: int, n: int) -> Assignment:
@@ -331,8 +342,6 @@ def enumerate_all(
 
     setup_start = time.monotonic_ns()
     solver = _Enumerator(cnf)
-    blocked = np.zeros(16, dtype=np.int64)  # doubled when full, so cap sizes nothing
-    num_blocked = 0
     setup_time_us = (time.monotonic_ns() - setup_start) // 1000
 
     events: list[SolutionEvent] = []
@@ -346,7 +355,7 @@ def enumerate_all(
         if solver.deadline_ns is not None and time.monotonic_ns() > solver.deadline_ns:
             break
         try:
-            model = solver.solve(blocked[:num_blocked])
+            model = solver.solve()
         except _Timeout:
             break
         if model is None:
@@ -363,12 +372,13 @@ def enumerate_all(
                 assignment=_mask_to_assignment(model, cnf.num_vars),
             )
         )
-        if num_blocked == len(blocked):
-            blocked = np.concatenate([blocked, np.zeros_like(blocked)])
-        blocked[num_blocked] = model
-        num_blocked += 1
+        solver.block(model)
 
-    return EnumerationResult(tuple(events), complete, cap_hit, int(setup_time_us))
+    return EnumerationResult(
+        tuple(events), complete, cap_hit, int(setup_time_us),
+        nodes=solver.nodes, solve_calls=solver.solve_calls,
+        dead_size=len(solver.dead), dead_hits=solver.dead_hits,
+    )
 
 
 def _literal_words(lit: int, n: int) -> np.ndarray:

@@ -5,7 +5,9 @@ A timeline counts distinct solutions against a time axis.  The quantum-analog
 stream has two axes (core annealing time and wallclock time); the classical
 stream has wallclock only.  The crossover point is the smallest distinct-
 solution count at which the classical curve's time drops to or below the
-quantum curve's (ties favor the classical solver).
+quantum curve's (ties favor the classical solver).  Each crossover also
+carries its first-solution ratio t_c[0] / t_q[0]: the factor by which the
+classical clock could be sped up before the outcome turns quantum_never_ahead.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ CSV_COLUMNS = [
     "crossover_axis",
     "crossover_count",
     "crossover_time_us",
+    "first_solution_ratio",
     "overlap_jaccard",
     "hamming_mean_classical",
     "hamming_mean_quantum_per_gauge",
@@ -83,12 +86,16 @@ class DistinctTimeline:
 
 @dataclass(frozen=True)
 class CrossoverReport:
-    """Where (if anywhere) the classical curve crosses under the quantum curve."""
+    """Where (if anywhere) the classical curve crosses under the quantum curve.
+
+    ``first_solution_ratio`` is t_c[0] / t_q[0], None when t_q[0] is 0.
+    """
 
     outcome: str  # cross_at | quantum_never_ahead | quantum_always_ahead
     count: int | None = None
     time_us: float | None = None
     overlap_fraction: float | None = None
+    first_solution_ratio: float | None = None
 
     def __post_init__(self) -> None:
         if self.outcome == "cross_at":
@@ -101,6 +108,8 @@ class CrossoverReport:
             raise ValueError(f"unknown outcome {self.outcome!r}")
         if self.overlap_fraction is not None and not 0 <= self.overlap_fraction <= 1:
             raise ValueError("overlap_fraction must be in [0, 1]")
+        if self.first_solution_ratio is not None and not self.first_solution_ratio >= 0:
+            raise ValueError("first_solution_ratio must be >= 0")
 
     def to_json(self) -> dict:
         return {
@@ -108,11 +117,13 @@ class CrossoverReport:
             "count": self.count,
             "time_us": self.time_us,
             "overlap_fraction": self.overlap_fraction,
+            "first_solution_ratio": self.first_solution_ratio,
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "CrossoverReport":
-        return cls(doc["outcome"], doc["count"], doc["time_us"], doc["overlap_fraction"])
+        return cls(doc["outcome"], doc["count"], doc["time_us"], doc["overlap_fraction"],
+                   doc["first_solution_ratio"])
 
 
 def build_timeline(events: Iterable[TimedSolution], source: str) -> DistinctTimeline:
@@ -146,17 +157,20 @@ def find_crossover(q: DistinctTimeline, c: DistinctTimeline) -> CrossoverReport:
     quantum_never_ahead when the classical solver's first solution is no later
     than the quantum one's; otherwise cross_at the smallest m where the
     classical time is <= the quantum time; quantum_always_ahead when no such m
-    exists within the comparable range.
+    exists within the comparable range.  Every outcome carries the
+    first-solution ratio t_c[0] / t_q[0] (None when t_q[0] is 0).
     """
     if not q.points or not c.points:
         raise ValueError("crossover requires nonempty timelines")
     t_q, t_c = q.times(), c.times()
+    ratio = t_c[0] / t_q[0] if t_q[0] else None
     if t_q[0] >= t_c[0]:
-        return CrossoverReport("quantum_never_ahead")
+        return CrossoverReport("quantum_never_ahead", first_solution_ratio=ratio)
     for m in range(1, min(len(t_q), len(t_c)) + 1):
         if t_c[m - 1] <= t_q[m - 1]:
-            return CrossoverReport("cross_at", count=m, time_us=t_c[m - 1])
-    return CrossoverReport("quantum_always_ahead")
+            return CrossoverReport("cross_at", count=m, time_us=t_c[m - 1],
+                                   first_solution_ratio=ratio)
+    return CrossoverReport("quantum_always_ahead", first_solution_ratio=ratio)
 
 
 def overlap_fraction(a: Iterable[Assignment], b: Iterable[Assignment]) -> float:
@@ -362,6 +376,7 @@ def report_csv_rows(report: InstanceReport) -> list[dict]:
                 "crossover_axis": axis,
                 "crossover_count": crossing.count if crossing else None,
                 "crossover_time_us": crossing.time_us if crossing else None,
+                "first_solution_ratio": crossing.first_solution_ratio if crossing else None,
                 "overlap_jaccard": crossing.overlap_fraction if crossing else None,
                 "hamming_mean_classical": classical_mean,
                 "hamming_mean_quantum_per_gauge": gauge_cell,

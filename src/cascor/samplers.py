@@ -310,8 +310,11 @@ def samples_to_jsonl(
     """The sample JSONL text of runs: one line per read, run after run.
 
     decoded[g] is decode_all of runs[g]; when gauged, each line carries its
-    run's index as its gauge tag.
+    run's index as its gauge tag.  Untagged lines all belong to gauge 0, so
+    more than one run without gauged raises ValueError.
     """
+    if not gauged and len(runs) > 1:
+        raise ValueError(f"{len(runs)} runs need gauge tags; an untagged file holds one run")
     lines = []
     for gauge, (batch, solutions) in enumerate(zip(runs, decoded)):
         end = f', "gauge": {gauge}}}' if gauged else "}"

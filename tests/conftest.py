@@ -4,8 +4,9 @@ brute_force_solutions evaluates clause semantics directly over all 2^n
 assignments with numpy; slow_energy and slow_min_states walk states in pure
 Python; slow_decode projects one read at a time and checks it with
 sat.evaluate; slow_anneal is the read-major Metropolis loop that draws every
-uniform of a read up front.  These are the reference implementations the
-package is tested against.
+uniform of a read up front; slow_enumerate is the blocking-clause ALL-SAT
+search on mutable counters with undo and a numpy block array.  These are the
+reference implementations the package is tested against.
 """
 from __future__ import annotations
 
@@ -85,6 +86,245 @@ def slow_anneal(model: IsingModel, cfg, read_indices=None) -> np.ndarray:
             )
             states[accept, i] *= -1.0
     return states.astype(np.int8)
+
+
+class _SlowEnumerator:
+    """Persistent DPLL state reused across solve calls; undo restores it fully.
+
+    Blocks (previously found models) live in one int-mask array.  The subset
+    consistent with the partial assignment is materialized only once the
+    number of unassigned variables drops to the boundary, then filtered
+    incrementally below it; above the boundary pure-literal elimination is
+    skipped whenever blocks exist, which is sound since the rule is optional.
+    """
+
+    _ACTIVE_BOUNDARY = 16
+
+    def __init__(self, cnf: Cnf, dead_limit: int):
+        self.n = cnf.num_vars
+        self.clauses: list[list[int]] = [
+            [lit.to_dimacs() for lit in clause.literals] for clause in cnf.clauses
+        ]
+        self.occ: list[list[int]] = [[] for _ in range(2 * self.n)]
+        for ci, lits in enumerate(self.clauses):
+            for lit in lits:
+                self.occ[self._lidx(lit)].append(ci)
+        self.assign = [0] * self.n  # 0 unassigned, +1 true, -1 false
+        self.assigned_count = 0
+        self.assigned_mask = 0
+        self.value_mask = 0
+        self.free_count = [len(lits) for lits in self.clauses]
+        self.sat_count = [0] * len(self.clauses)
+        self.lit_active = [len(self.occ[i]) for i in range(2 * self.n)]
+        self.nodes = 0
+        self.dead_hits = 0
+        self.dead_limit = dead_limit
+        self.dead: set[tuple[int, int]] = set()
+
+    @staticmethod
+    def _lidx(lit: int) -> int:
+        return 2 * (lit - 1) if lit > 0 else 2 * (-lit - 1) + 1
+
+    def _assign_lit(self, lit: int, applied: list[int], units: list[int]) -> bool:
+        v = abs(lit) - 1
+        val = 1 if lit > 0 else -1
+        cur = self.assign[v]
+        if cur != 0:
+            return cur == val
+        self.assign[v] = val
+        self.assigned_count += 1
+        self.assigned_mask |= 1 << v
+        if val > 0:
+            self.value_mask |= 1 << v
+        applied.append(lit)
+
+        clauses, occ = self.clauses, self.occ
+        sat_count, free_count, lit_active = self.sat_count, self.free_count, self.lit_active
+        for ci in occ[2 * lit - 2 if lit > 0 else -2 * lit - 1]:
+            free_count[ci] -= 1
+            sat_count[ci] += 1
+            if sat_count[ci] == 1:
+                for l in clauses[ci]:
+                    lit_active[2 * l - 2 if l > 0 else -2 * l - 1] -= 1
+        ok = True
+        assign = self.assign
+        for ci in occ[2 * lit - 1 if lit > 0 else -2 * lit - 2]:
+            free_count[ci] -= 1
+            if sat_count[ci] == 0:
+                fc = free_count[ci]
+                if fc == 0:
+                    ok = False
+                elif fc == 1:
+                    for l in clauses[ci]:
+                        if assign[abs(l) - 1] == 0:
+                            units.append(l)
+                            break
+        return ok
+
+    def _undo(self, applied: list[int]) -> None:
+        clauses, occ = self.clauses, self.occ
+        sat_count, free_count, lit_active = self.sat_count, self.free_count, self.lit_active
+        for lit in reversed(applied):
+            v = abs(lit) - 1
+            for ci in occ[2 * lit - 2 if lit > 0 else -2 * lit - 1]:
+                free_count[ci] += 1
+                sat_count[ci] -= 1
+                if sat_count[ci] == 0:
+                    for l in clauses[ci]:
+                        lit_active[2 * l - 2 if l > 0 else -2 * l - 1] += 1
+            for ci in occ[2 * lit - 1 if lit > 0 else -2 * lit - 2]:
+                free_count[ci] += 1
+            self.assign[v] = 0
+            self.assigned_count -= 1
+            self.assigned_mask &= ~(1 << v)
+            self.value_mask &= ~(1 << v)
+
+    @staticmethod
+    def _filter_blocks(active: np.ndarray, lit: int) -> np.ndarray:
+        if not active.size:
+            return active
+        v = abs(lit) - 1
+        want = 1 if lit > 0 else 0
+        return active[((active >> v) & 1) == want]
+
+    def _materialize(self, blocks: np.ndarray) -> np.ndarray:
+        return blocks[(blocks & self.assigned_mask) == self.value_mask]
+
+    def _pure_literal(self, active: np.ndarray | None) -> int | None:
+        if active is None:
+            return None  # blocks exist but are not materialized yet; skip the rule
+        lit_active, assign = self.lit_active, self.assign
+        ones_mask = None  # lazily reduced: bits set to 1 / 0 in some active block
+        zeros_mask = None
+        for v in range(self.n):
+            if assign[v] != 0:
+                continue
+            pa = lit_active[2 * v]
+            na = lit_active[2 * v + 1]
+            if pa > 0 and na == 0:
+                # sound only if no consistent block constrains var v to true
+                if not active.size:
+                    return v + 1
+                if ones_mask is None:
+                    ones_mask = int(np.bitwise_or.reduce(active))
+                if not (ones_mask >> v) & 1:
+                    return v + 1
+            elif na > 0 and pa == 0:
+                if not active.size:
+                    return -(v + 1)
+                if zeros_mask is None:
+                    zeros_mask = int(np.bitwise_or.reduce(~active))
+                if not (zeros_mask >> v) & 1:
+                    return -(v + 1)
+        return None
+
+    def _pick_branch(self) -> int:
+        lit_active, assign = self.lit_active, self.assign
+        best_v, best_score = -1, -1
+        for v in range(self.n):
+            if assign[v] != 0:
+                continue
+            score = lit_active[2 * v] + lit_active[2 * v + 1]
+            if score > best_score:
+                best_v, best_score = v, score
+        lit = best_v + 1
+        return lit if lit_active[2 * best_v] >= lit_active[2 * best_v + 1] else -lit
+
+    def _search(
+        self, blocks: np.ndarray, active: np.ndarray | None, pending: list[int]
+    ) -> int | None:
+        self.nodes += 1
+        applied: list[int] = []
+        units = list(pending)
+        ok = True
+        i = 0
+        while ok:
+            if i < len(units):
+                lit = units[i]
+                i += 1
+                before = self.assign[abs(lit) - 1]
+                ok = self._assign_lit(lit, applied, units)
+                if ok and before == 0 and active is not None:
+                    active = self._filter_blocks(active, lit)
+                continue
+            if active is None and self.n - self.assigned_count <= self._ACTIVE_BOUNDARY:
+                active = self._materialize(blocks)
+            pure = self._pure_literal(active)
+            if pure is None:
+                break
+            units.append(pure)
+
+        if ok and active is not None and active.size:
+            unassigned = self.n - self.assigned_count
+            if active.size == (1 << unassigned):
+                ok = False  # every completion below here is already blocked
+        if ok and self.assigned_count == self.n:
+            if active is None:
+                active = self._materialize(blocks)
+            if active.size:
+                if len(self.dead) < self.dead_limit:
+                    self.dead.add((self.assigned_mask, self.value_mask))
+                self._undo(applied)
+                return None
+            model = self.value_mask
+            self._undo(applied)
+            return model
+        if not ok:
+            self._undo(applied)
+            return None
+
+        key = (self.assigned_mask, self.value_mask)
+        if key in self.dead:
+            self.dead_hits += 1
+            self._undo(applied)
+            return None
+        first = self._pick_branch()
+        for lit in (first, -first):
+            model = self._search(blocks, active, [lit])
+            if model is not None:
+                self._undo(applied)
+                return model
+        if len(self.dead) < self.dead_limit:
+            self.dead.add(key)
+        self._undo(applied)
+        return None
+
+    def solve(self, blocks: np.ndarray) -> int | None:
+        """Find one model consistent with no block, or None if exhausted."""
+        active = blocks if not blocks.size else None
+        if active is None and self.n <= self._ACTIVE_BOUNDARY:
+            active = blocks
+        return self._search(blocks, active, [])
+
+
+def slow_enumerate(cnf: Cnf, cap: int, dead_limit: int = 2_000_000) -> dict:
+    """Untimed blocking-clause ALL-SAT: assignments in discovery order, outcome and counters."""
+    solver = _SlowEnumerator(cnf, dead_limit)
+    blocked: list[int] = []
+    models: list[int] = []
+    complete = cap_hit = False
+    solve_calls = 0
+    while True:
+        solve_calls += 1
+        model = solver.solve(np.array(blocked, dtype=np.int64))
+        if model is None:
+            complete = True
+            break
+        if len(models) == cap:
+            cap_hit = True
+            break
+        models.append(model)
+        blocked.append(model)
+    n = cnf.num_vars
+    return {
+        "assignments": [tuple(bool(m >> v & 1) for v in range(n)) for m in models],
+        "complete": complete,
+        "cap_hit": cap_hit,
+        "nodes": solver.nodes,
+        "solve_calls": solve_calls,
+        "dead_size": len(solver.dead),
+        "dead_hits": solver.dead_hits,
+    }
 
 
 def batch_of(spins, core_time_us, wall_time_us, energies=None):

@@ -6,6 +6,7 @@ oracle checks are exact integer comparisons; the pipeline reproduction
 classical wallclocks, sized so the qualitative outcome has wide margins.
 """
 import itertools
+import statistics
 
 import numpy as np
 import pytest
@@ -309,6 +310,7 @@ def test_acceptance_8_qualitative_pipeline_reproduction():
     assert BENCH_OVERHEAD.per_read_readout_us + 20 >= 100 * 20
     instances = _bench_instances(20)
     core_crossings = 0
+    core_ratios = []
     for seed, cnf, classical in instances:
         model, layout = compile_cnf(cnf)
         cfg = SamplerConfig(
@@ -326,6 +328,7 @@ def test_acceptance_8_qualitative_pipeline_reproduction():
         )
         assert report.crossovers["wall"].outcome == "quantum_never_ahead"
         core = report.crossovers["core"]
+        core_ratios.append(core.first_solution_ratio)
         if core.outcome == "cross_at":
             core_crossings += 1
             assert core.count >= 1
@@ -336,6 +339,7 @@ def test_acceptance_8_qualitative_pipeline_reproduction():
     _report(
         8,
         f"pipeline on {len(instances)} instances: {core_crossings} core-axis crossovers, "
+        f"median core-axis first-solution ratio {statistics.median(core_ratios):.3g}, "
         "wallclock never ahead",
     )
 

@@ -35,32 +35,32 @@ INSTANCES = {
 SAMPLER = ("--reads", "300", "--sweeps", "30", "--programming-us", "1000", "--readout-us", "180")
 
 EXPECTED = {
-    "bench0.csv": "77f7f9ec55e0c16466faa6e512908d403e5a8f5ecfa8a106496625a2a0dad068",
-    "bench0/g1.report.json": "58be62e051e08a7453cb847c6a400a6ad97adb1b536b59dadf004bea50a71049",
-    "bench0/g2.report.json": "46142443f9ce3c27bf6ed5965033a8f9e276cfae07b81d20cf9dff7a80c76258",
-    "bench0/g3.report.json": "aa30c8c490bb6c88a2955ae5bac6f0aad48017bd5c7e1ff6f1f24de240aceed2",
-    "bench2.csv": "b0be09d529b722abbb0214ec14911ddf239e0f2e7e57434b01c17c0a3178f2cd",
-    "bench2/g1.report.json": "5c31d4b93ad3f56dbd929949e227f2dade152c9722c3b4c4070a77264ea7d8cc",
-    "bench2/g2.report.json": "054357b1d2074e0fc7d8df51a8ac3a9cf469b5fa799c74c3b463e52096accf8c",
-    "bench2/g3.report.json": "2a8e6e848347935e122cfe166d6160207d4b9b3c722233719d2c3f82d19afa01",
+    "bench0.csv": "49a6f381c7994905743b8b7938239a430b1aab0af53cdf66a01d40e99a218522",
+    "bench0/g1.report.json": "e82b007e2af5a4573a6b815a59d04bff0334f6f303e8ac90d5b175be0e94990b",
+    "bench0/g2.report.json": "d812fb23f21c58a479285685b4748d056ce389691e8827a8586012c585782ce1",
+    "bench0/g3.report.json": "a5a3b79c06127d9df1336cc8c897c7d9cc7258c7cbbffd711f5a7cf8bc197454",
+    "bench2.csv": "867400f0260ffcb0e9e819964ee223029b76428a454747ccb204e1807a6a32de",
+    "bench2/g1.report.json": "125c531d8375efb5ba65e08bf29e7f8f3cdd99840a1e4b964aff03f3eea3d985",
+    "bench2/g2.report.json": "55f4ac27c2940d1c49e70568df936e1de7f3efaaa0ad7bc9e33ea4c8d43d75d0",
+    "bench2/g3.report.json": "3b38518aae3db53cfe9d969113f1d9ff65d57a797cb6d12439d6027a2e525516",
     "g1.events.jsonl": "2519632f393fa14e7bc0b5c02ace60f4615b4dc185d05802c16b924068d3ca80",
     "g1.gauged.jsonl": "384c7f2f9ab0742c5f5391087a4fd9f299d1974828ac1dbde494684cf91b98e5",
-    "g1.gauged.report.json": "c41b25089f76e82e613858475e6b52fc38aebd32a0114cae2f651b05e505586f",
+    "g1.gauged.report.json": "40a8887cca1464dfa41feaf64221dc2f302fa340a8dc75a5525518a847d5673e",
     "g1.model.json": "d8e29c094627bca54cd3c66f5a7ba11020caa70f3ad6b5828c4818f50f5d5520",
     "g1.plain.jsonl": "5cf6e923a3f034a4c111f10d7e686dd6f4aeca5a82eb5a6b56ad048d6d60f64d",
-    "g1.plain.report.json": "9ef153aa6949797b00558d6223bf35140c38fdb007137401e602ba2a18041da7",
+    "g1.plain.report.json": "268903137198c381994db0f17b81b6a24caaa635c5b2bccf2e19fa0398dc0c8e",
     "g2.events.jsonl": "8634af77f077f7034a9f257f2e71eac5f4ab2bd3e407227b62dcd2803ab48ae9",
     "g2.gauged.jsonl": "23eee8bf8bc09fb1286d7401e5383ec5667f6a163afdd95ee443a1d441eae28f",
-    "g2.gauged.report.json": "964a280d69f26c47752e3c221634c0a76a122bed10d5bd45953c7ac8e608ea62",
+    "g2.gauged.report.json": "b0b7ab59abe94221ca04eedbf5a67a5d7081ad3cb45f3e7a9970501dd7c6400e",
     "g2.model.json": "dcd884df478f6cb4d8d95ef0c124663bfcf622adf796a5448508f67c99280543",
     "g2.plain.jsonl": "d2822691155225c025a1bd8d7a0b748ab34fbbb663c865c7585ca27a5a733479",
-    "g2.plain.report.json": "8a52ff5e671c0e7d72c7c8da0daa89021facdaf0e9e36a7e53635d00fa781d41",
+    "g2.plain.report.json": "43347be47959d29093d63c363e76f14ee6a90e328c01687d53811ac51dfa2f56",
     "g3.events.jsonl": "88e1b13234892f2bbbb101e060b96bfec3c9e5993ceea95ff26a24af96818045",
     "g3.gauged.jsonl": "794361cae4d68a3eb817c4b5c156a8e96bbbcb5e9255aad6228568aae0a9c5ac",
-    "g3.gauged.report.json": "e517f33e513572578de3b150a8d0d24cb0151b7e1e24759a408a2f7294734f9e",
+    "g3.gauged.report.json": "d2ef964b5db1a6d0ac95e0f29f2982a0dc4a1a308a062484555f11f29c92e0b1",
     "g3.model.json": "a0d5832650c5e34f8fb6064c40fdaa31efa57b3f7115f202392363afb20d6d13",
     "g3.plain.jsonl": "645e58060932402610173f86dafc3ee210d1d28d59bc1113fe68c225755cb3d3",
-    "g3.plain.report.json": "374a4da0eb55b1a889a4db6d3373e072f3ce626207d6d62a4efc751cdc263d3d",
+    "g3.plain.report.json": "f3d378ff80914f550530f3b25b2a8fb9fd48da473a474d1772929c3c686a9ac8",
     "stdout": "3a7f259ecd2e2e5a90436cfeb22a909c14a96b2b8f168d111eb7135ff9008f0e",
 }
 

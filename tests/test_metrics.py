@@ -100,6 +100,20 @@ def test_crossover_rescaling_invariance():
         assert scaled.outcome == base.outcome and scaled.count == base.count
 
 
+def test_first_solution_ratio_on_every_outcome():
+    # t_c[0] / t_q[0]: how much faster the classical clock could run before
+    # the outcome turns quantum_never_ahead
+    q = line([10, 20, 30], "quantum-core")
+    never = find_crossover(q, line([5, 50, 500]))
+    assert never.outcome == "quantum_never_ahead" and never.first_solution_ratio == 0.5
+    crossing = find_crossover(q, line([15, 20, 30]))
+    assert crossing.outcome == "cross_at" and crossing.first_solution_ratio == 1.5
+    always = find_crossover(line([1, 2, 3], "quantum-core"), line([5, 6, 7]))
+    assert always.outcome == "quantum_always_ahead" and always.first_solution_ratio == 5.0
+    # a quantum stream whose first solution costs no time leaves no finite ratio
+    assert find_crossover(line([0, 1], "quantum-core"), line([0, 1])).first_solution_ratio is None
+
+
 def test_crossover_requires_nonempty():
     with pytest.raises(ValueError):
         find_crossover(line([], "quantum-core"), line([1]))
@@ -205,6 +219,10 @@ def test_report_roundtrip_and_csv():
     assert [r["crossover_axis"] for r in rows] == ["core", "wall"]
     assert all(r["instance_id"] == "rt" for r in rows)
     assert rows[0]["n"] == 2 and rows[0]["qubits"] == 2
+    # core: t_c[0] = 15 against t_q[0] = 20; wall: 15 against 2020
+    assert rows[0]["first_solution_ratio"] == 0.75
+    assert rows[1]["first_solution_ratio"] == 15 / 2020
+    assert report.crossovers["core"].first_solution_ratio == 0.75
 
 
 def test_summarize_compares_over_used_variables():

@@ -406,6 +406,13 @@ def test_record_json_roundtrip():
     assert_same_batch(back, runs[0])
 
 
+def test_untagged_writer_refuses_several_runs():
+    # untagged lines all read back as gauge 0, so two runs would not round-trip
+    runs = [batch_of([(1, -1)], [20], [2020]), batch_of([(1, 1)], [20], [2020])]
+    with pytest.raises(ValueError, match="gauge tags"):
+        samples_to_jsonl(runs, [[None], [None]], gauged=False)
+
+
 def test_sampled_runs_roundtrip_through_jsonl():
     cnf = Cnf.of(4, [[1, 2], [-2, 3], [3, 4]])
     model, layout = compile_cnf(cnf)
