@@ -11,9 +11,10 @@
  * There are two loops.  Integral models (cascor_anneal_int) keep int64 local
  * fields: summed once per read, then updated along the flipped spin's
  * neighbour list on each accepted flip.  Integer sums are exact in any order,
- * so every proposal sees the field a row sum would give.  Float models
- * (cascor_anneal_float) sum the neighbour row at every proposal, so their
- * rounding stays that of a row sum.
+ * so every proposal sees the field a row sum would give, and acceptance is
+ * one lookup in a table of probabilities.  Float models (cascor_anneal_float)
+ * sum the neighbour row at every proposal, so their rounding stays that of a
+ * row sum; integral models whose table would be too large run this loop too.
  */
 #include <math.h>
 #include <stdint.h>
@@ -160,18 +161,17 @@ void cascor_anneal_float(const uint32_t *seed_words, int64_t seed_len, int64_t r
 }
 
 /* The integral loop: values and h are integers whose absolute sum is at most
- * 2^53, so every local field fits in int64 and converts to double exactly.
- * If table_width > 0, the flip is accepted when the uniform's 53-bit integer
- * m = pcg_next >> 11 is below table[t * table_width + (v < 0 ? -v : 0)],
- * whose row t holds ceil(exp(-two_betas[t] * k) * 2^53) for k < table_width
- * (entry 0 is 2^53).  That is u < p(v) exactly, since u = m / 2^53.
- * Otherwise p(v) calls exp.  fields is scratch space for n int64. */
+ * 2^53, so every local field fits in int64.  The flip is accepted when the
+ * uniform's 53-bit integer m = pcg_next >> 11 is below
+ * table[t * table_width + (v < 0 ? -v : 0)], whose row t holds
+ * ceil(exp(-two_betas[t] * k) * 2^53) for k < table_width, with table_width
+ * above every |v| (entry 0 is 2^53).  That is u < p(v) exactly, since
+ * u = m / 2^53.  fields is scratch space for n int64. */
 void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads,
                        int64_t n, int64_t sweeps, const int64_t *restrict indptr,
                        const int64_t *restrict indices, const int64_t *restrict values,
-                       const int64_t *restrict h, const double *restrict two_betas,
-                       const uint64_t *restrict table, int64_t table_width,
-                       int64_t *restrict fields, int8_t *restrict out)
+                       const int64_t *restrict h, const uint64_t *restrict table,
+                       int64_t table_width, int64_t *restrict fields, int8_t *restrict out)
 {
     for (int64_t r = 0; r < reads; r++) {
         pcg64 g;
@@ -184,15 +184,10 @@ void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, in
             fields[i] = local;
         }
         for (int64_t t = 0; t < sweeps; t++) {
-            const double two_beta = two_betas[t];
             const uint64_t *row = table + t * table_width;
             for (int64_t i = 0; i < n; i++) {
-                const uint64_t m = pcg_next(&g) >> 11;
                 const int64_t v = s[i] * fields[i];
-                const int accept = table_width
-                    ? m < row[v < 0 ? -v : 0]
-                    : v >= 0 || unit_of(m) < exp(two_beta * (double)v);
-                if (accept) {
+                if ((pcg_next(&g) >> 11) < row[v < 0 ? -v : 0]) {
                     s[i] = -s[i];
                     const int64_t step = 2 * s[i];  /* s_i moved by 2 s_i(new) */
                     for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .compiler import PenaltyLayout
-    from .sat import Assignment
 
 __all__ = [
     "IsingModel",
@@ -25,9 +21,7 @@ __all__ = [
     "Gauge",
     "energy",
     "apply_gauge",
-    "ungauge_sample",
     "enumerate_ground_states",
-    "min_energy_over_ancillas",
 ]
 
 SpinState = tuple[int, ...]
@@ -186,13 +180,6 @@ def apply_gauge(model: IsingModel, gauge: Gauge) -> IsingModel:
     return IsingModel(model.num_qubits, h, J)
 
 
-def ungauge_sample(spins: SpinState, gauge: Gauge) -> SpinState:
-    """Map a sample of the gauged model back to the original frame (self-inverse)."""
-    if len(spins) != len(gauge):
-        raise ValueError(f"spin length {len(spins)} != gauge length {len(gauge)}")
-    return tuple(s * g for s, g in zip(spins, gauge))
-
-
 def _spins_for_indices(indices: np.ndarray, num_qubits: int) -> np.ndarray:
     # Bit q of the state index holds qubit q; bit 1 -> spin +1.
     bits = (indices[:, None] >> np.arange(num_qubits, dtype=np.int64)) & 1
@@ -214,116 +201,45 @@ def enumerate_ground_states(
     n = model.num_qubits
     if n > limit:
         raise ValueError(f"{n} qubits exceeds enumeration limit {limit}")
-    if n == 0:
-        return 0, {()}
 
     small = model.is_integral() and model._integer_magnitude < 2**24
     dtype = np.float32 if small else np.float64
     lo_bits = min(n, _CHUNK_BITS // 2 + 3)  # low half; index bit q <-> qubit q
-    hi_bits = n - lo_bits
+    hi_bits = n - lo_bits  # 0 when n is small: one block holding one high state
     lo_spins = _spins_for_indices(np.arange(1 << lo_bits, dtype=np.int64), lo_bits)
     lo = lo_spins.astype(dtype)
     e_lo = energies_of_states(model, lo_spins, range(lo_bits)).astype(dtype)
+    hi_spins = _spins_for_indices(np.arange(1 << hi_bits, dtype=np.int64), hi_bits)
+    hi = hi_spins.astype(dtype)
+    e_hi = energies_of_states(model, hi_spins, range(lo_bits, n)).astype(dtype)
+    # every cross pair has i < lo_bits <= j, since pairs are canonical
+    pi, pj, pv = model.arrays.pair_i, model.arrays.pair_j, model.arrays.pair_v
+    spans = (pi < lo_bits) & (pj >= lo_bits)
+    cross = np.zeros((lo_bits, hi_bits), dtype=dtype)
+    cross[pi[spans], pj[spans] - lo_bits] = pv[spans]
+    lo_cross = lo @ cross  # (2^lo_bits, hi_bits)
 
-    if hi_bits == 0:
-        energies = e_lo
-        best = energies.min()
-        attained = np.nonzero(energies == best)[0].astype(np.int64)
-    else:
-        hi_spins = _spins_for_indices(np.arange(1 << hi_bits, dtype=np.int64), hi_bits)
-        hi = hi_spins.astype(dtype)
-        e_hi = energies_of_states(model, hi_spins, range(lo_bits, n)).astype(dtype)
-        # every cross pair has i < lo_bits <= j, since pairs are canonical
-        pi, pj, pv = model.arrays.pair_i, model.arrays.pair_j, model.arrays.pair_v
-        spans = (pi < lo_bits) & (pj >= lo_bits)
-        cross = np.zeros((lo_bits, hi_bits), dtype=dtype)
-        cross[pi[spans], pj[spans] - lo_bits] = pv[spans]
-        lo_cross = lo @ cross  # (2^lo_bits, hi_bits)
-
-        best = None
-        attained_parts: list[np.ndarray] = []
-        block = max(1, (1 << _CHUNK_BITS) >> lo_bits)
-        for start in range(0, 1 << hi_bits, block):
-            stop = min(start + block, 1 << hi_bits)
-            grid = lo_cross @ hi[start:stop].T  # (2^lo_bits, stop-start)
-            grid += e_lo[:, None]
-            grid += e_hi[None, start:stop]
-            block_min = grid.min()
-            if best is None or block_min < best:
-                best = block_min
-                attained_parts = []
-            if block_min == best:
-                lo_idx, hi_idx = np.nonzero(grid == best)
-                attained_parts.append(
-                    lo_idx.astype(np.int64) | ((hi_idx + start).astype(np.int64) << lo_bits)
-                )
-        attained = np.concatenate(attained_parts)
+    best = None
+    attained_parts: list[np.ndarray] = []
+    block = max(1, (1 << _CHUNK_BITS) >> lo_bits)
+    for start in range(0, 1 << hi_bits, block):
+        stop = min(start + block, 1 << hi_bits)
+        grid = lo_cross @ hi[start:stop].T  # (2^lo_bits, stop-start)
+        grid += e_lo[:, None]
+        grid += e_hi[None, start:stop]
+        block_min = grid.min()
+        if best is None or block_min < best:
+            best = block_min
+            attained_parts = []
+        if block_min == best:
+            lo_idx, hi_idx = np.nonzero(grid == best)
+            attained_parts.append(
+                lo_idx.astype(np.int64) | ((hi_idx + start).astype(np.int64) << lo_bits)
+            )
+    attained = np.concatenate(attained_parts)
 
     states = {tuple(row) for row in _spins_for_indices(attained, n).tolist()}
     min_energy = best.item()
     if model.is_integral():
         min_energy = int(min_energy)
     return min_energy, states
-
-
-def min_energy_over_ancillas(
-    model: IsingModel, layout: "PenaltyLayout", assignment: "Assignment"
-) -> float:
-    """Minimum model energy with variable qubits clamped to an assignment.
-
-    Ancillas of different clauses never share a coupling, so each clause's
-    ancilla block is minimized independently; the result equals
-    layout.ground_bound exactly when the assignment satisfies the source CNF.
-    """
-    for var in layout.var_to_qubit:
-        if var - 1 >= len(assignment):
-            raise ValueError(f"assignment does not cover mapped variable {var}")
-
-    spin_of: dict[int, int] = {
-        q: (1 if assignment[var - 1] else -1) for var, q in layout.var_to_qubit.items()
-    }
-    clause_of_ancilla: dict[int, int] = {}
-    for c, ancillas in enumerate(layout.clause_ancillas):
-        for q in ancillas:
-            clause_of_ancilla[q] = c
-
-    # Split the Hamiltonian into a clamped part and per-clause ancilla blocks.
-    fixed = 0.0
-    lin: dict[int, dict[int, float]] = {}  # clause -> ancilla -> coefficient
-    quad: dict[int, dict[tuple[int, int], float]] = {}
-    for q, v in model.h.items():
-        if q in spin_of:
-            fixed += v * spin_of[q]
-        else:
-            c = clause_of_ancilla[q]
-            lin.setdefault(c, {})[q] = lin.get(c, {}).get(q, 0) + v
-    for (i, j), v in model.J.items():
-        i_anc, j_anc = i in clause_of_ancilla, j in clause_of_ancilla
-        if not i_anc and not j_anc:
-            fixed += v * spin_of[i] * spin_of[j]
-        elif i_anc and j_anc:
-            ci, cj = clause_of_ancilla[i], clause_of_ancilla[j]
-            if ci != cj:
-                raise ValueError(f"coupling ({i}, {j}) spans clauses {ci} and {cj}")
-            quad.setdefault(ci, {})[(i, j)] = v
-        else:
-            anc, other = (i, j) if i_anc else (j, i)
-            c = clause_of_ancilla[anc]
-            lin.setdefault(c, {})
-            lin[c][anc] = lin[c].get(anc, 0) + v * spin_of[other]
-
-    total = fixed
-    for c, ancillas in enumerate(layout.clause_ancillas):
-        if not ancillas:
-            continue
-        c_lin = lin.get(c, {})
-        c_quad = quad.get(c, {})
-        best = None
-        for mask in range(1 << len(ancillas)):
-            s = {q: (1 if (mask >> p) & 1 else -1) for p, q in enumerate(ancillas)}
-            e = sum(v * s[q] for q, v in c_lin.items())
-            e += sum(v * s[i] * s[j] for (i, j), v in c_quad.items())
-            if best is None or e < best:
-                best = e
-        total += best
-    return total

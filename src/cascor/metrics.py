@@ -1,6 +1,10 @@
 """Solver-comparison analyses: distinct-solution timelines, crossover points,
 solution-set overlap, and neighbor Hamming-distance diversity.
 
+Every analysis runs on assignment codes: unbounded Python ints whose bit
+v-1 holds variable v (the enumerator's value layout), masked to the
+variables the formula uses.
+
 A timeline counts distinct solutions against a time axis.  The quantum-analog
 stream has two axes (core annealing time and wallclock time); the classical
 stream has wallclock only.  The crossover point is the smallest distinct-
@@ -13,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Iterable, Sequence
 
 from .compiler import PenaltyLayout
@@ -24,7 +27,6 @@ __all__ = [
     "CrossoverReport",
     "InstanceReport",
     "build_timeline",
-    "distinct_solutions",
     "find_crossover",
     "overlap_fraction",
     "hamming_neighbor_distances",
@@ -33,7 +35,7 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-TimedSolution = tuple[float, Assignment]
+TimedSolution = tuple[float, int]  # (time, assignment code)
 
 SOURCE_QUANTUM_CORE = "quantum-core"
 SOURCE_QUANTUM_WALL = "quantum-wall"
@@ -129,7 +131,7 @@ class CrossoverReport:
 def build_timeline(events: Iterable[TimedSolution], source: str) -> DistinctTimeline:
     """First occurrence of each distinct solution contributes one point; repeats are ignored."""
     points: list[tuple[float, int]] = []
-    seen: set[Assignment] = set()
+    seen: set[int] = set()
     last_t = None
     for t, solution in events:
         if last_t is not None and t < last_t:
@@ -140,15 +142,6 @@ def build_timeline(events: Iterable[TimedSolution], source: str) -> DistinctTime
         seen.add(solution)
         points.append((t, len(seen)))
     return DistinctTimeline(tuple(points), source)
-
-
-def distinct_solutions(events: Iterable[TimedSolution]) -> list[Assignment]:
-    """Distinct solutions in first-occurrence order."""
-    seen: dict[Assignment, None] = {}
-    for _, solution in events:
-        if solution not in seen:
-            seen[solution] = None
-    return list(seen)
 
 
 def find_crossover(q: DistinctTimeline, c: DistinctTimeline) -> CrossoverReport:
@@ -173,7 +166,7 @@ def find_crossover(q: DistinctTimeline, c: DistinctTimeline) -> CrossoverReport:
     return CrossoverReport("quantum_always_ahead", first_solution_ratio=ratio)
 
 
-def overlap_fraction(a: Iterable[Assignment], b: Iterable[Assignment]) -> float:
+def overlap_fraction(a: Iterable[int], b: Iterable[int]) -> float:
     """Jaccard overlap |a & b| / |a | b|; zero when both sets are empty."""
     sa, sb = set(a), set(b)
     union = sa | sb
@@ -182,14 +175,17 @@ def overlap_fraction(a: Iterable[Assignment], b: Iterable[Assignment]) -> float:
     return len(sa & sb) / len(union)
 
 
-def hamming_neighbor_distances(solutions: Sequence[Assignment]) -> list[int]:
-    """Bit distance between each consecutive pair of assignments."""
-    out: list[int] = []
-    for prev, cur in zip(solutions, solutions[1:]):
-        if len(prev) != len(cur):
-            raise ValueError("assignments have mismatched lengths")
-        out.append(sum(x != y for x, y in zip(prev, cur)))
-    return out
+def hamming_neighbor_distances(codes: Sequence[int]) -> list[int]:
+    """Bit distance between each consecutive pair of assignment codes."""
+    return [(a ^ b).bit_count() for a, b in zip(codes, codes[1:])]
+
+
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack(assignment: Assignment) -> int:
+    """The code of a bool tuple, before masking: bit v-1 holds variable v."""
+    return int(b"0" + bytes(assignment[::-1]).translate(_BIT_CHARS), 2)
 
 
 @dataclass(frozen=True)
@@ -250,18 +246,6 @@ class InstanceReport:
         )
 
 
-def _with_overlap(
-    report: CrossoverReport,
-    q_ordered: list[Assignment],
-    c_ordered: list[Assignment],
-) -> CrossoverReport:
-    if report.outcome != "cross_at":
-        return report
-    m = report.count
-    frac = overlap_fraction(q_ordered[:m], c_ordered[:m])
-    return replace(report, overlap_fraction=frac)
-
-
 def summarize_instance(
     quantum_runs: Sequence,
     classical_events: Sequence,
@@ -277,36 +261,32 @@ def summarize_instance(
     ``classical_events`` are SolutionEvents from the enumerator.
 
     Both streams are compared over one solution space, the variables the
-    formula uses: decoded reads and classical assignments are projected onto
-    ``cnf.variables_used()`` before timelines, overlap and Hamming series are
-    built (the decoder sets an unused variable to false, ALL-SAT yields both).
+    formula uses: each distinct decoded read and each classical assignment is
+    packed once into a code, whose mask drops the unused variables (the
+    decoder sets them to false, ALL-SAT yields both values).
     """
     from .samplers import decode_all  # local import keeps module deps one-way
 
-    used = set(cnf.variables_used())
-    keep = [v in used for v in range(1, cnf.num_vars + 1)]
-
-    def project(assignment: Assignment) -> Assignment:
-        return tuple(compress(assignment, keep))
-
+    mask = sum(1 << (v - 1) for v in cnf.variables_used())
     core_stream: list[TimedSolution] = []
     wall_stream: list[TimedSolution] = []
-    per_gauge_distinct: list[list[Assignment]] = []
+    per_gauge_distinct: list[list[int]] = []
     core_offset = 0
     wall_offset = 0
     for batch in quantum_runs:
         decoded = decode_all(batch, layout, cnf)
+        code_of = {s: _pack(s) & mask for s in set(decoded) if s is not None}
         core, wall = batch.core_time_us.tolist(), batch.wall_time_us.tolist()
-        hits = [(r, project(s)) for r, s in enumerate(decoded) if s is not None]
-        core_stream += [(core_offset + core[r], s) for r, s in hits]
-        wall_stream += [(wall_offset + wall[r], s) for r, s in hits]
-        per_gauge_distinct.append(distinct_solutions((core[r], s) for r, s in hits))
+        hits = [(r, code_of[s]) for r, s in enumerate(decoded) if s is not None]
+        core_stream += [(core_offset + core[r], c) for r, c in hits]
+        wall_stream += [(wall_offset + wall[r], c) for r, c in hits]
+        per_gauge_distinct.append(list(dict.fromkeys(c for _, c in hits)))
         if core:
             core_offset += core[-1]
             wall_offset += wall[-1]
 
     classical_stream: list[TimedSolution] = [
-        (e.wall_time_us, project(e.assignment)) for e in classical_events
+        (e.wall_time_us, _pack(e.assignment) & mask) for e in classical_events
     ]
 
     timelines = {
@@ -315,8 +295,8 @@ def summarize_instance(
         SOURCE_CLASSICAL_WALL: build_timeline(classical_stream, SOURCE_CLASSICAL_WALL),
     }
 
-    q_ordered = distinct_solutions(core_stream)
-    c_ordered = distinct_solutions(classical_stream)
+    q_ordered = list(dict.fromkeys(c for _, c in core_stream))
+    c_ordered = list(dict.fromkeys(c for _, c in classical_stream))
 
     crossovers: dict[str, CrossoverReport | None] = {}
     for axis, q_source in (("core", SOURCE_QUANTUM_CORE), ("wall", SOURCE_QUANTUM_WALL)):
@@ -325,7 +305,12 @@ def summarize_instance(
         if not q_line.points or not c_line.points:
             crossovers[axis] = None
             continue
-        crossovers[axis] = _with_overlap(find_crossover(q_line, c_line), q_ordered, c_ordered)
+        crossing = find_crossover(q_line, c_line)
+        if crossing.outcome == "cross_at":
+            m = crossing.count
+            overlap = overlap_fraction(q_ordered[:m], c_ordered[:m])
+            crossing = replace(crossing, overlap_fraction=overlap)
+        crossovers[axis] = crossing
 
     hamming_per_gauge = tuple(
         tuple(hamming_neighbor_distances(distinct)) for distinct in per_gauge_distinct

@@ -43,9 +43,11 @@ u < exp(2 beta v).  The kernel has two loops:
   proposal, since fields updated incrementally would drift from a row sum.
 
 Float models, and integral models whose table would exceed _TABLE_BYTES,
-call libm's exp instead, which can differ from numpy's in the last bit; like
-a float local field summed in another order, that changes a spin only if a
-uniform falls within one ulp of its acceptance probability.
+run the float loop (the latter on float64 copies of their integer arrays,
+whose sums stay exact below 2**53), which calls libm's exp.  That can differ
+from numpy's in the last bit; like a float local field summed in another
+order, it changes a spin only if a uniform falls within one ulp of its
+acceptance probability.
 """
 from __future__ import annotations
 
@@ -85,7 +87,7 @@ _CC = "cc"
 # No -ffast-math, and no fused multiply-adds: local fields and exp arguments
 # must round as the numpy reference rounds them.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# Integral models whose acceptance table would exceed this many bytes call exp.
+# Integral models whose acceptance table would exceed this many bytes run the float loop.
 _TABLE_BYTES = 1 << 20
 
 
@@ -204,7 +206,7 @@ def _kernel():
                                    for t in (np.uint32, np.uint64, np.int64, np.float64, np.int8))
     head = [u32s, i64, i64, i64, i64, i64s, i64s]  # stream, sizes and CSR structure
     lib.cascor_anneal_float.argtypes = [*head, f64s, f64s, f64s, i8s]
-    lib.cascor_anneal_int.argtypes = [*head, i64s, i64s, f64s, u64s, i64, i64s, i8s]
+    lib.cascor_anneal_int.argtypes = [*head, i64s, i64s, u64s, i64, i64s, i8s]
     lib.cascor_anneal_float.restype = lib.cascor_anneal_int.restype = None
     return lib
 
@@ -222,21 +224,23 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     two_betas = 2.0 * np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)
     spins = np.empty((cfg.num_reads, n), dtype=np.int8)
     head = (seed_words, len(seed_words), cfg.num_reads, n, cfg.sweeps, a.indptr, a.indices)
-    if not model.is_integral():
-        _kernel().cascor_anneal_float(*head, a.data, a.h, two_betas, spins)
-        return spins
-    # v = s_i * local is an exact integer, |v| <= vmax.  Scaling by 2 and negating
-    # are exact, so np.exp of 2 beta * -k is the reference's exp(-beta * delta) bit
-    # for bit; libm's exp is not (it differs in the last bit on some inputs).
-    row_abs = np.diff(np.concatenate([[0], np.cumsum(np.abs(a.data))])[a.indptr])
-    vmax = int(np.max(np.abs(a.h) + row_abs, initial=0))
-    table = np.empty((cfg.sweeps, 0), dtype=np.uint64)
-    if cfg.sweeps * (vmax + 1) * 8 <= _TABLE_BYTES:
-        # u < p exactly when u's 53-bit integer is below ceil(p * 2**53)
-        p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
-        table = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
-    _kernel().cascor_anneal_int(*head, a.data, a.h, two_betas, table, table.shape[1],
-                                np.empty(n, dtype=np.int64), spins)
+    if model.is_integral():
+        # v = s_i * local is an exact integer, |v| <= vmax.  Scaling by 2 and negating
+        # are exact, so np.exp of 2 beta * -k is the reference's exp(-beta * delta) bit
+        # for bit; libm's exp is not (it differs in the last bit on some inputs).
+        row_abs = np.diff(np.concatenate([[0], np.cumsum(np.abs(a.data))])[a.indptr])
+        vmax = int(np.max(np.abs(a.h) + row_abs, initial=0))
+        if cfg.sweeps * (vmax + 1) * 8 <= _TABLE_BYTES:
+            # u < p exactly when u's 53-bit integer is below ceil(p * 2**53)
+            p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
+            table = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+            _kernel().cascor_anneal_int(*head, a.data, a.h, table, vmax + 1,
+                                        np.empty(n, dtype=np.int64), spins)
+            return spins
+    # Integer sums below 2**53 are exact in float64, so an integral model past
+    # the table cap gets the same v, uniform and exp call in the float loop.
+    _kernel().cascor_anneal_float(*head, a.data.astype(np.float64, copy=False),
+                                  a.h.astype(np.float64, copy=False), two_betas, spins)
     return spins
 
 

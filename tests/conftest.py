@@ -3,16 +3,19 @@
 brute_force_solutions evaluates clause semantics directly over all 2^n
 assignments with numpy; slow_energy and slow_min_states walk states in pure
 Python; slow_decode projects one read at a time and checks it with
-sat.evaluate; slow_anneal is the read-major Metropolis loop that draws every
-uniform of a read up front; slow_enumerate is the blocking-clause ALL-SAT
-search on mutable counters with undo and a numpy block array.  These are the
-reference implementations the package is tested against.
+sat.evaluate; ungauge_sample maps a gauged sample back spin by spin;
+min_energy_over_ancillas brute-forces each clause's ancilla block with the
+variable qubits clamped; slow_anneal is the read-major Metropolis loop that
+draws every uniform of a read up front; slow_enumerate is the blocking-clause
+ALL-SAT search on mutable counters with undo and a numpy block array.  These
+are the reference implementations the package is tested against.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from cascor.compiler import PenaltyLayout
 from cascor.ising import IsingModel
 from cascor.sat import Cnf
 
@@ -51,6 +54,76 @@ def slow_decode(spin_rows, layout, cnf: Cnf) -> list[tuple[bool, ...] | None]:
             bits[var - 1] = spins[q] > 0
         decoded.append(tuple(bits) if evaluate(cnf, tuple(bits)) else None)
     return decoded
+
+
+def ungauge_sample(spins: tuple[int, ...], gauge: tuple[int, ...]) -> tuple[int, ...]:
+    """Map a sample of the gauged model back to the original frame (self-inverse)."""
+    if len(spins) != len(gauge):
+        raise ValueError(f"spin length {len(spins)} != gauge length {len(gauge)}")
+    return tuple(s * g for s, g in zip(spins, gauge))
+
+
+def min_energy_over_ancillas(
+    model: IsingModel, layout: PenaltyLayout, assignment: tuple[bool, ...]
+) -> float:
+    """Minimum model energy with variable qubits clamped to an assignment.
+
+    Ancillas of different clauses never share a coupling, so each clause's
+    ancilla block is minimized independently; the result equals
+    layout.ground_bound exactly when the assignment satisfies the source CNF.
+    """
+    for var in layout.var_to_qubit:
+        if var - 1 >= len(assignment):
+            raise ValueError(f"assignment does not cover mapped variable {var}")
+
+    spin_of: dict[int, int] = {
+        q: (1 if assignment[var - 1] else -1) for var, q in layout.var_to_qubit.items()
+    }
+    clause_of_ancilla: dict[int, int] = {}
+    for c, ancillas in enumerate(layout.clause_ancillas):
+        for q in ancillas:
+            clause_of_ancilla[q] = c
+
+    # Split the Hamiltonian into a clamped part and per-clause ancilla blocks.
+    fixed = 0.0
+    lin: dict[int, dict[int, float]] = {}  # clause -> ancilla -> coefficient
+    quad: dict[int, dict[tuple[int, int], float]] = {}
+    for q, v in model.h.items():
+        if q in spin_of:
+            fixed += v * spin_of[q]
+        else:
+            c = clause_of_ancilla[q]
+            lin.setdefault(c, {})[q] = lin.get(c, {}).get(q, 0) + v
+    for (i, j), v in model.J.items():
+        i_anc, j_anc = i in clause_of_ancilla, j in clause_of_ancilla
+        if not i_anc and not j_anc:
+            fixed += v * spin_of[i] * spin_of[j]
+        elif i_anc and j_anc:
+            ci, cj = clause_of_ancilla[i], clause_of_ancilla[j]
+            if ci != cj:
+                raise ValueError(f"coupling ({i}, {j}) spans clauses {ci} and {cj}")
+            quad.setdefault(ci, {})[(i, j)] = v
+        else:
+            anc, other = (i, j) if i_anc else (j, i)
+            c = clause_of_ancilla[anc]
+            lin.setdefault(c, {})
+            lin[c][anc] = lin[c].get(anc, 0) + v * spin_of[other]
+
+    total = fixed
+    for c, ancillas in enumerate(layout.clause_ancillas):
+        if not ancillas:
+            continue
+        c_lin = lin.get(c, {})
+        c_quad = quad.get(c, {})
+        best = None
+        for mask in range(1 << len(ancillas)):
+            s = {q: (1 if (mask >> p) & 1 else -1) for p, q in enumerate(ancillas)}
+            e = sum(v * s[q] for q, v in c_lin.items())
+            e += sum(v * s[i] * s[j] for (i, j), v in c_quad.items())
+            if best is None or e < best:
+                best = e
+        total += best
+    return total
 
 
 def slow_anneal(model: IsingModel, cfg, read_indices=None) -> np.ndarray:

@@ -267,7 +267,7 @@ def test_acceptance_7_metrics_unit_fixtures():
     c2 = DistinctTimeline(((5, 1), (50, 2)), "classical-wall")
     assert find_crossover(q2, c2).outcome == "quantum_never_ahead"
 
-    a, b, c3 = (False,) * 3, (False, True, True), (True,) * 3
+    a, b, c3 = 0b000, 0b110, 0b111  # assignment codes: bit v-1 holds variable v
     assert overlap_fraction({a, b}, {b, c3}) == pytest.approx(1 / 3)
     assert hamming_neighbor_distances([a, b, c3]) == [2, 1]
     _report(7, "crossover m*=6, never-ahead rule, Jaccard 1/3, Hamming [2,1] fixtures")

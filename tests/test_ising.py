@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from cascor.compiler import compile_cnf
-from cascor.ising import (
-    IsingModel,
-    apply_gauge,
-    energy,
-    enumerate_ground_states,
-    min_energy_over_ancillas,
-    ungauge_sample,
-)
+from cascor.ising import IsingModel, apply_gauge, energy, enumerate_ground_states
 from cascor.sat import Cnf, evaluate
 
-from conftest import all_states, brute_force_solutions, random_small_cnf, slow_energy, slow_min_states
+from conftest import (
+    all_states,
+    brute_force_solutions,
+    min_energy_over_ancillas,
+    random_small_cnf,
+    slow_energy,
+    slow_min_states,
+    ungauge_sample,
+)
 
 
 H2 = IsingModel.from_terms(2, {0: -1, 1: -1}, {(0, 1): 1})
@@ -128,6 +129,8 @@ def test_enumerate_examples():
     }
     e, states = enumerate_ground_states(IsingModel(1, {0: -1}, {}))
     assert e == -1 and states == {(1,)}
+    # no qubits: one empty state of energy 0, through the same block scan
+    assert enumerate_ground_states(IsingModel(0)) == (0, {()})
 
 
 def test_enumerate_matches_slow_oracle(rng):

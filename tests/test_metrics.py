@@ -11,7 +11,6 @@ from cascor.metrics import (
     DistinctTimeline,
     InstanceReport,
     build_timeline,
-    distinct_solutions,
     find_crossover,
     hamming_neighbor_distances,
     overlap_fraction,
@@ -23,9 +22,14 @@ from cascor.sat import Cnf
 
 from conftest import batch_of, brute_force_solutions, random_small_cnf, slow_decode
 
-A = (False, False, False)
-B = (False, True, True)
-C = (True, True, True)
+# assignment codes: bit v-1 holds variable v
+A = 0b000
+B = 0b110
+C = 0b111
+
+
+def code(bits) -> int:
+    return sum(1 << i for i, b in enumerate(bits) if b)
 
 
 def line(times, source="classical-wall"):
@@ -51,10 +55,6 @@ def test_timeline_invariants():
         DistinctTimeline(((10, 1), (20, 3)), "classical-wall")
     with pytest.raises(ValueError):
         DistinctTimeline(((10, 1), (5, 2)), "classical-wall")
-
-
-def test_distinct_solutions_order():
-    assert distinct_solutions([(1, B), (2, A), (3, B), (4, C)]) == [B, A, C]
 
 
 def test_crossover_step_function_example():
@@ -130,22 +130,18 @@ def test_overlap_fraction():
 
 
 def test_hamming_neighbor_distances():
-    sols = [
-        (False, False, False),
-        (False, True, True),
-        (True, True, True),
-    ]
-    assert hamming_neighbor_distances(sols) == [2, 1]
-    assert hamming_neighbor_distances(sols[:1]) == []
-    with pytest.raises(ValueError):
-        hamming_neighbor_distances([(False,), (False, True)])
+    assert hamming_neighbor_distances([A, B, C]) == [2, 1]
+    assert hamming_neighbor_distances([A]) == []
+    # codes are unbounded ints: no width limit at 64 bits
+    assert hamming_neighbor_distances([0, (1 << 70) - 1, 1 << 69]) == [70, 69]
 
 
 def test_hamming_permutation_invariance():
     sols = [(True, False, True, False), (False, False, True, True), (True, True, False, False)]
     perm = [2, 0, 3, 1]
     permuted = [tuple(s[p] for p in perm) for s in sols]
-    assert hamming_neighbor_distances(sols) == hamming_neighbor_distances(permuted)
+    assert hamming_neighbor_distances([code(s) for s in sols]) == hamming_neighbor_distances(
+        [code(s) for s in permuted])
 
 
 def _fixture_instance():
@@ -253,24 +249,78 @@ def test_summary_solution_space_is_the_used_variable_projection(seed, n, m, pad,
     cnf = Cnf(n + pad, random_small_cnf(rng, n=n, m=m).clauses)
     model, layout = compile_cnf(cnf)
     spins = (2 * rng.integers(0, 2, size=(reads, model.num_qubits)) - 1).astype(np.int8)
-    times = np.arange(1, reads + 1, dtype=np.int64)
-    batch = SampleBatch(spins, np.zeros(reads, np.int64), times, times)
+    core = np.arange(1, reads + 1, dtype=np.int64)
+    wall = 100 + 3 * core
+    batch = SampleBatch(spins, np.zeros(reads, np.int64), core, wall)
     events = list(enumerate_all(cnf, cap=1 << cnf.num_vars).events)
     used = cnf.variables_used()
 
+    # the tuple reference: project every read and event, then dedupe
     def project(assignment):
         return tuple(assignment[v - 1] for v in used)
 
+    def first_times(stream):
+        first = {}
+        for t, a in stream:
+            first.setdefault(a, t)
+        return first
+
+    def points(first):
+        return tuple((t, k + 1) for k, t in enumerate(first.values()))
+
+    def tuple_hamming(seq):
+        return tuple(sum(x != y for x, y in zip(p, q)) for p, q in zip(seq, seq[1:]))
+
     truth = {project(a) for a in brute_force_solutions(cnf)}
-    decoded = [a for a in slow_decode(spins.tolist(), layout, cnf) if a is not None]
-    quantum = {project(a) for a in decoded}
+    decoded = slow_decode(spins.tolist(), layout, cnf)
+    hits = [(r, project(a)) for r, a in enumerate(decoded) if a is not None]
+    q_core = first_times((core[r].item(), a) for r, a in hits)
+    q_wall = first_times((wall[r].item(), a) for r, a in hits)
+    c_first = first_times((e.wall_time_us, project(e.assignment)) for e in events)
     report = summarize_instance([batch], events, layout, cnf)
-    assert report.metadata["classical_distinct"] == len(truth)
-    assert report.metadata["quantum_distinct"] == len(quantum)
-    assert quantum <= truth
+    assert report.metadata["classical_distinct"] == len(truth) == len(c_first)
+    assert report.metadata["quantum_distinct"] == len(q_core)
+    assert set(q_core) <= truth
+    assert report.timelines["quantum-core"].points == points(q_core)
+    assert report.timelines["quantum-wall"].points == points(q_wall)
+    assert report.timelines["classical-wall"].points == points(c_first)
+    assert report.hamming_classical == tuple_hamming(list(c_first))
+    assert report.hamming_quantum_per_gauge == (tuple_hamming(list(q_core)),)
     # Feeding the decoded reads to the classical side as well adds nothing:
     # the report counts both streams in one space.
     last = events[-1].wall_time_us if events else 0
-    extra = [SolutionEvent(len(events) + i + 1, last, a) for i, a in enumerate(decoded)]
+    found = [a for a in decoded if a is not None]
+    extra = [SolutionEvent(len(events) + i + 1, last, a) for i, a in enumerate(found)]
     widened = summarize_instance([batch], events + extra, layout, cnf)
     assert widened.metadata["classical_distinct"] == len(truth)
+
+
+def test_summary_codes_have_no_width_limit():
+    # 70 used variables in 35 pair clauses (x_{2k-1} or x_{2k}), plus one unused
+    n = 70
+    cnf = Cnf.of(n + 1, [[2 * k + 1, 2 * k + 2] for k in range(n // 2)])
+    model, layout = compile_cnf(cnf)
+    assert model.num_qubits == n
+
+    def read(bits):  # a read that decodes to bits over variables 1..n
+        spins = [0] * model.num_qubits
+        for var, q in layout.var_to_qubit.items():
+            spins[q] = 1 if bits[var - 1] else -1
+        return spins
+
+    ones = (True,) * n
+    odd = tuple(v % 2 == 1 for v in range(1, n + 1))  # one true per clause
+    even = tuple(not b for b in odd)
+    batch = batch_of([read(ones), read(odd), read(ones), read(even)],
+                     [20, 40, 60, 80], [20, 40, 60, 80])
+    # ALL-SAT yields both values of the unused variable n + 1
+    events = [SolutionEvent(1, 10, odd + (False,)), SolutionEvent(2, 30, odd + (True,)),
+              SolutionEvent(3, 50, ones + (True,))]
+    report = summarize_instance([batch], events, layout, cnf)
+    assert report.timelines["quantum-core"].points == ((20, 1), (40, 2), (80, 3))
+    assert report.timelines["classical-wall"].points == ((10, 1), (50, 2))
+    assert report.hamming_quantum_per_gauge == ((35, 70),)
+    assert report.hamming_classical == (35,)
+    assert report.crossovers["core"].outcome == "quantum_never_ahead"
+    assert report.metadata["quantum_distinct"] == 3
+    assert report.metadata["classical_distinct"] == 2
