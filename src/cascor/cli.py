@@ -22,7 +22,7 @@ from pathlib import Path
 from . import allsat as allsat_mod
 from . import metrics as metrics_mod
 from . import samplers as samplers_mod
-from .compiler import AllocationError, ConstructionPolicy, compile_cnf, compiled_from_json, compiled_to_json
+from .compiler import ConstructionPolicy, compile_cnf, compiled_from_json, compiled_to_json
 from .sat import (
     Cnf,
     GenerationError,
@@ -120,6 +120,11 @@ def _add_sampler_flags(sub) -> None:
     sub.add_argument("--post-us", type=int, default=0)
     sub.add_argument("--gauges", type=int, default=0,
                      help="number of spin-reversal gauge streams (0 = plain run)")
+
+
+def _add_policy_flags(sub) -> None:
+    sub.add_argument("--policy", choices=ConstructionPolicy.KINDS, default="chain")
+    sub.add_argument("--policy-seed", type=int, default=None)
 
 
 def cmd_gen(args) -> int:
@@ -302,8 +307,7 @@ def build_parser() -> _Parser:
 
     comp = sub.add_parser("compile", help="compile DIMACS CNF to an Ising penalty model")
     comp.add_argument("--cnf", required=True)
-    comp.add_argument("--policy", choices=["chain", "balanced", "seeded_random"], default="chain")
-    comp.add_argument("--policy-seed", type=int, default=None)
+    _add_policy_flags(comp)
     comp.add_argument("--out", required=True)
     comp.set_defaults(func=cmd_compile)
 
@@ -335,8 +339,7 @@ def build_parser() -> _Parser:
     ben = sub.add_parser("bench", help="full pipeline over a directory of instances")
     ben.add_argument("--instances", required=True)
     ben.add_argument("--seed", type=int, required=True)
-    ben.add_argument("--policy", choices=["chain", "balanced", "seeded_random"], default="chain")
-    ben.add_argument("--policy-seed", type=int, default=None)
+    _add_policy_flags(ben)
     _add_sampler_flags(ben)
     ben.add_argument("--cap", type=int, default=1_000_000)
     ben.add_argument("--time-budget-us", type=int, default=None)
@@ -353,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GenerationError, AllocationError) as exc:
+    except GenerationError as exc:
         print(f"cascor: limit error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (InputError, FileNotFoundError) as exc:

@@ -1,9 +1,10 @@
 """Compile CNF clauses into Ising penalty Hamiltonians via cascading ORs.
 
-A 2-literal clause is penalized directly (ground energy -1).  Longer clauses
-are built from OR-with-output blocks whose ancilla carries the disjunction of
-a subtree of literals; each block contributes -3 to the clause ground energy,
-so a k-literal clause spans 2(k-1) qubits at ground energy -1 - 3(k-2).
+A clause of k >= 2 literals is a cascade: OR-with-output blocks, whose
+ancilla carries the disjunction of a subtree of literals, feed one pair
+penalty at the root (ground energy -1).  Each block contributes -3 to the
+clause ground energy, so a k-literal clause spans 2(k-1) qubits at ground
+energy -1 - 3(k-2); a 2-literal clause is the root pair penalty alone.
 Negated literals flip the sign of every coefficient touching their qubit;
 ancillas are never negated.
 
@@ -15,21 +16,19 @@ assignments.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
-from .ising import IsingModel
+from .ising import IsingModel, TermSet
 from .sat import Clause, Cnf, _derived_seed
 
 __all__ = [
-    "TermSet",
     "ClausePenalty",
     "ConstructionPolicy",
     "PenaltyLayout",
     "QubitAllocator",
-    "AllocationError",
     "build_h2",
     "build_h_or",
     "build_clause_penalty",
@@ -37,52 +36,6 @@ __all__ = [
     "compiled_to_json",
     "compiled_from_json",
 ]
-
-
-class AllocationError(RuntimeError):
-    """Raised when a qubit allocator runs out of capacity."""
-
-
-@dataclass
-class TermSet:
-    """Accumulator for linear and pairwise spin coefficients.
-
-    Coefficients add when terms repeat (shared qubits collect contributions
-    from every block touching them); entries that cancel to zero are dropped.
-    """
-
-    linear: dict[int, float] = field(default_factory=dict)
-    quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def add_linear(self, q: int, coeff: float) -> None:
-        new = self.linear.get(q, 0) + coeff
-        if new == 0:
-            self.linear.pop(q, None)
-        else:
-            self.linear[q] = new
-
-    def add_quadratic(self, i: int, j: int, coeff: float) -> None:
-        if i == j:
-            raise ValueError(f"self-pair on qubit {i}")
-        key = (i, j) if i < j else (j, i)
-        new = self.quadratic.get(key, 0) + coeff
-        if new == 0:
-            self.quadratic.pop(key, None)
-        else:
-            self.quadratic[key] = new
-
-    def merge(self, other: "TermSet") -> None:
-        for q, v in other.linear.items():
-            self.add_linear(q, v)
-        for (i, j), v in other.quadratic.items():
-            self.add_quadratic(i, j, v)
-
-    def qubits(self) -> set[int]:
-        qs = set(self.linear)
-        for i, j in self.quadratic:
-            qs.add(i)
-            qs.add(j)
-        return qs
 
 
 @dataclass(frozen=True)
@@ -97,10 +50,10 @@ class ConstructionPolicy:
     kind: str
     seed: int | None = None
 
-    _KINDS = ("chain", "balanced", "seeded_random")
+    KINDS = ("chain", "balanced", "seeded_random")
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if (self.kind == "seeded_random") != (self.seed is not None):
             raise ValueError("seed must be present iff kind is seeded_random")
@@ -150,15 +103,12 @@ class PenaltyLayout:
 
 
 class QubitAllocator:
-    """Hands out fresh qubit indices, optionally bounded by a capacity."""
+    """Hands out fresh qubit indices, counting up from ``start``."""
 
-    def __init__(self, start: int = 0, capacity: int | None = None):
+    def __init__(self, start: int = 0):
         self._next = start
-        self._capacity = capacity
 
     def allocate(self) -> int:
-        if self._capacity is not None and self._next >= self._capacity:
-            raise AllocationError(f"allocator exhausted at {self._capacity} qubits")
         q = self._next
         self._next += 1
         return q
@@ -214,48 +164,37 @@ def clause_ground_energy(k: int) -> int:
     return -1 if k <= 2 else -1 - 3 * (k - 2)
 
 
-# Tree nodes are mutable lists: ["leaf", literal_position] or ["or", left, right].
+def _clause_tree(k: int, policy: ConstructionPolicy) -> tuple:
+    """The root pair of a k-literal clause's cascade (k >= 2) in the policy's shape:
+    an int is a literal position, a pair an OR block over its two subtrees."""
+    if policy.kind == "chain":
+        node = 0
+        for pos in range(1, k):
+            node = (node, pos)
+        return node
+    if policy.kind == "balanced":
+        def halve(lo: int, hi: int):
+            if hi - lo == 1:
+                return lo
+            mid = (lo + hi + 1) // 2
+            return halve(lo, mid), halve(mid, hi)
 
-
-def _chain_tree(k: int) -> tuple[list, list]:
-    acc: list = ["leaf", 0]
-    for pos in range(1, k - 1):
-        acc = ["or", acc, ["leaf", pos]]
-    return acc, ["leaf", k - 1]
-
-
-def _balanced_tree(positions: Sequence[int]) -> list:
-    if len(positions) == 1:
-        return ["leaf", positions[0]]
-    mid = (len(positions) + 1) // 2
-    return ["or", _balanced_tree(positions[:mid]), _balanced_tree(positions[mid:])]
-
-
-def _random_tree(k: int, seed: int) -> tuple[list, list]:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    left: list = ["leaf", 0]
-    right: list = ["leaf", 1]
-    leaves = [left, right]
+        return halve(0, k)
+    rng = np.random.default_rng(np.random.SeedSequence(policy.seed))
+    leaves = [0, 1]  # leaf positions, left to right
+    splits: list[list[int]] = [[] for _ in range(k)]  # positions split off each leaf
     for pos in range(2, k):
         pick = int(rng.integers(len(leaves)))
-        target = leaves[pick]
-        old_pos = target[1]
-        new_left: list = ["leaf", old_pos]
-        new_right: list = ["leaf", pos]
-        target.clear()
-        target.extend(["or", new_left, new_right])
-        leaves[pick : pick + 1] = [new_left, new_right]
-    return left, right
+        splits[leaves[pick]].append(pos)
+        leaves.insert(pick + 1, pos)
 
+    def grow(pos: int):
+        node = pos  # the latest split sits innermost
+        for other in reversed(splits[pos]):
+            node = (node, grow(other))
+        return node
 
-def _root_slots(k: int, policy: ConstructionPolicy) -> tuple[list, list]:
-    if policy.kind == "chain":
-        return _chain_tree(k)
-    if policy.kind == "balanced":
-        mid = (k + 1) // 2
-        positions = list(range(k))
-        return _balanced_tree(positions[:mid]), _balanced_tree(positions[mid:])
-    return _random_tree(k, policy.seed)
+    return grow(0), grow(1)
 
 
 def build_clause_penalty(
@@ -266,11 +205,11 @@ def build_clause_penalty(
 ) -> ClausePenalty:
     """Build the penalty for one clause, drawing ancillas from ``alloc``.
 
-    Length-1 clauses reduce to a single field; length 2 to the direct pair
-    penalty; longer clauses cascade OR blocks whose shape is set by the
-    policy, with shared-qubit coefficients collected additively (the first
-    ancilla of a 3-literal chain collects -2 from its OR block and -1 from
-    the pair penalty, i.e. -3).
+    Length-1 clauses reduce to a single field.  Longer clauses cascade OR
+    blocks, in the shape the policy sets, under one root pair penalty; a
+    2-literal clause is that pair penalty alone.  Shared-qubit coefficients
+    are collected additively (the first ancilla of a 3-literal chain collects
+    -2 from its OR block and -1 from the pair penalty, i.e. -3).
     """
     for lit in clause.literals:
         if lit.var not in var_map:
@@ -284,32 +223,23 @@ def build_clause_penalty(
     if k == 1:
         terms.add_linear(var_map[lits[0].var], _sign(lits[0].negated) * -1)
         return ClausePenalty(terms, variable_qubits, (), clause_ground_energy(1))
-    if k == 2:
-        terms = build_h2(
-            var_map[lits[0].var],
-            var_map[lits[1].var],
-            lits[0].negated,
-            lits[1].negated,
-        )
-        return ClausePenalty(terms, variable_qubits, (), clause_ground_energy(2))
 
     ancillas: list[int] = []
 
-    def emit(node: list) -> tuple[int, bool]:
-        if node[0] == "leaf":
-            lit = lits[node[1]]
+    def emit(node) -> tuple[int, bool]:
+        if isinstance(node, int):
+            lit = lits[node]
             return var_map[lit.var], lit.negated
-        _, left, right = node
-        lq, ln = emit(left)
-        rq, rn = emit(right)
+        lq, ln = emit(node[0])
+        rq, rn = emit(node[1])
         z = alloc.allocate()
         ancillas.append(z)
         terms.merge(build_h_or(lq, rq, z, ln, rn))
         return z, False
 
-    slot_a, slot_b = _root_slots(k, policy)
-    aq, an = emit(slot_a)
-    bq, bn = emit(slot_b)
+    left, right = _clause_tree(k, policy)
+    aq, an = emit(left)
+    bq, bn = emit(right)
     terms.merge(build_h2(aq, bq, an, bn))
     return ClausePenalty(terms, variable_qubits, tuple(ancillas), clause_ground_energy(k))
 
@@ -332,7 +262,7 @@ def compile_cnf(
     variables = cnf.variables_used()
     var_to_qubit = {v: i for i, v in enumerate(variables)}
     num_qubits = len(variables) + sum(max(len(c) - 2, 0) for c in cnf.clauses)
-    alloc = QubitAllocator(start=len(variables), capacity=num_qubits)
+    alloc = QubitAllocator(start=len(variables))
 
     total = TermSet()
     clause_ancillas: list[tuple[int, ...]] = []
@@ -346,7 +276,7 @@ def compile_cnf(
         clause_ancillas.append(penalty.ancilla_qubits)
         clause_grounds.append(penalty.ground_energy)
 
-    model = IsingModel.from_terms(num_qubits, total.linear, total.quadratic)
+    model = IsingModel(num_qubits, total.linear, total.quadratic)
     layout = PenaltyLayout(
         var_to_qubit=var_to_qubit,
         clause_ancillas=tuple(clause_ancillas),

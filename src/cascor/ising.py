@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "IsingModel",
+    "TermSet",
     "SpinState",
     "Gauge",
     "energy",
@@ -51,6 +52,42 @@ class IsingArrays(NamedTuple):
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+
+@dataclass
+class TermSet:
+    """Accumulator for linear and pairwise spin coefficients, kept canonical.
+
+    Coefficients add when terms repeat (shared qubits collect contributions
+    from every block touching them); pair keys are stored as (i, j) with
+    i < j, and entries that cancel to zero are dropped.
+    """
+
+    linear: dict[int, float] = field(default_factory=dict)
+    quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
+
+    def add_linear(self, q: int, coeff: float) -> None:
+        new = self.linear.get(q, 0) + coeff
+        if new == 0:
+            self.linear.pop(q, None)
+        else:
+            self.linear[q] = new
+
+    def add_quadratic(self, i: int, j: int, coeff: float) -> None:
+        if i == j:
+            raise ValueError(f"self-pair on qubit {i}")
+        key = (i, j) if i < j else (j, i)
+        new = self.quadratic.get(key, 0) + coeff
+        if new == 0:
+            self.quadratic.pop(key, None)
+        else:
+            self.quadratic[key] = new
+
+    def merge(self, other: "TermSet") -> None:
+        for q, v in other.linear.items():
+            self.add_linear(q, v)
+        for (i, j), v in other.quadratic.items():
+            self.add_quadratic(i, j, v)
 
 
 @dataclass(frozen=True)
@@ -89,16 +126,12 @@ class IsingModel:
         J: Mapping[tuple[int, int], float],
     ) -> "IsingModel":
         """Build a model, canonicalizing pair keys and dropping zero coefficients."""
-        clean_h = {q: v for q, v in h.items() if v != 0}
-        clean_j: dict[tuple[int, int], float] = {}
+        terms = TermSet()
+        for q, v in h.items():
+            terms.add_linear(q, v)
         for (i, j), v in J.items():
-            if v == 0:
-                continue
-            key = (i, j) if i < j else (j, i)
-            clean_j[key] = clean_j.get(key, 0) + v
-            if clean_j[key] == 0:
-                del clean_j[key]
-        return cls(num_qubits, clean_h, clean_j)
+            terms.add_quadratic(i, j, v)
+        return cls(num_qubits, terms.linear, terms.quadratic)
 
     @cached_property
     def _integer_magnitude(self) -> int | None:

@@ -81,10 +81,6 @@ class DistinctTimeline:
     def to_json(self) -> dict:
         return {"source": self.source, "points": [[t, c] for t, c in self.points]}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "DistinctTimeline":
-        return cls(tuple((p[0], int(p[1])) for p in doc["points"]), doc["source"])
-
 
 @dataclass(frozen=True)
 class CrossoverReport:
@@ -121,11 +117,6 @@ class CrossoverReport:
             "overlap_fraction": self.overlap_fraction,
             "first_solution_ratio": self.first_solution_ratio,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CrossoverReport":
-        return cls(doc["outcome"], doc["count"], doc["time_us"], doc["overlap_fraction"],
-                   doc["first_solution_ratio"])
 
 
 def build_timeline(events: Iterable[TimedSolution], source: str) -> DistinctTimeline:
@@ -222,28 +213,6 @@ class InstanceReport:
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, doc: dict | str) -> "InstanceReport":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        return cls(
-            instance_id=doc["instance_id"],
-            num_vars=int(doc["num_vars"]),
-            num_clauses=int(doc["num_clauses"]),
-            num_qubits=int(doc["num_qubits"]),
-            timelines={k: DistinctTimeline.from_json(v) for k, v in doc["timelines"].items()},
-            crossovers={
-                k: (CrossoverReport.from_json(v) if v is not None else None)
-                for k, v in doc["crossovers"].items()
-            },
-            hamming_classical=tuple(doc["hamming_classical"]),
-            hamming_quantum_per_gauge=tuple(
-                tuple(g) for g in doc["hamming_quantum_per_gauge"]
-            ),
-            no_solutions=bool(doc["no_solutions"]),
-            metadata=doc["metadata"],
-        )
 
 
 def summarize_instance(

@@ -147,20 +147,6 @@ class MixedSatSpec:
             "solution_cap": self.solution_cap,
         }
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "MixedSatSpec":
-        return cls(
-            num_vars=int(doc["num_vars"]),
-            num_clauses=int(doc["num_clauses"]),
-            length_weights={int(k): float(w) for k, w in doc["length_weights"].items()},
-            seed=int(doc["seed"]),
-            solution_cap=int(doc["solution_cap"]),
-        )
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "MixedSatSpec":
-        return cls.from_json(json.loads(text))
-
 
 def parse_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF text into a Cnf.

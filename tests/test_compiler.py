@@ -2,12 +2,13 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cascor.allsat import enumerate_all
 from cascor.compiler import (
-    AllocationError,
     ConstructionPolicy,
     QubitAllocator,
-    TermSet,
     build_clause_penalty,
     build_h2,
     build_h_or,
@@ -16,7 +17,7 @@ from cascor.compiler import (
     compiled_from_json,
     compiled_to_json,
 )
-from cascor.ising import IsingModel
+from cascor.ising import IsingModel, TermSet, enumerate_ground_states
 from cascor.sat import Clause, Cnf, Literal
 
 from conftest import all_states, brute_force_solutions, slow_energy, spectrum
@@ -286,14 +287,6 @@ def test_compile_rejects_empty():
         compile_cnf(Cnf(3))
 
 
-def test_allocator_exhaustion():
-    alloc = QubitAllocator(start=3, capacity=3)
-    with pytest.raises(AllocationError):
-        build_clause_penalty(
-            Clause.of(1, 2, 3), alloc, {1: 0, 2: 1, 3: 2}, ConstructionPolicy.chain()
-        )
-
-
 def test_missing_variable():
     with pytest.raises(KeyError):
         build_clause_penalty(
@@ -310,6 +303,38 @@ def test_json_roundtrip():
     assert model2 == model
     assert layout2 == layout
     assert policy2 == policy
+
+
+@st.composite
+def cnf_and_policy(draw):
+    """A CNF over at most 8 variables (some maybe unused), 1-4 clauses of 1-5 literals, and a policy."""
+    n = draw(st.integers(1, 8))
+    clauses = []
+    for _ in range(draw(st.integers(1, 4))):
+        variables = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(1, min(n, 5)))]
+        clauses.append([v if draw(st.booleans()) else -v for v in variables])
+    policy = draw(st.sampled_from(["chain", "balanced", "seeded_random"]))
+    seed = draw(st.integers(0, 2**32 - 1)) if policy == "seeded_random" else None
+    return Cnf.of(n, clauses), ConstructionPolicy(policy, seed)
+
+
+@settings(max_examples=250, deadline=None)
+@given(cnf_and_policy())
+def test_compiled_ground_space_is_the_solution_set(case):
+    """Under every policy the oracle reaches ground_bound iff the CNF is satisfiable,
+    and its ground states project onto the truth table, which equals ALL-SAT."""
+    cnf, policy = case
+    model, layout = compile_cnf(cnf, policy)
+    assert sum(map(len, layout.clause_ancillas)) == sum(max(len(c) - 2, 0) for c in cnf.clauses)
+    truth = brute_force_solutions(cnf)
+    assert set(enumerate_all(cnf, cap=1 << cnf.num_vars).assignments()) == truth
+    min_energy, states = enumerate_ground_states(model)
+    assert (min_energy == layout.ground_bound) == bool(truth)
+    assert min_energy >= layout.ground_bound
+    if truth:
+        used = cnf.variables_used()
+        projected = {tuple(s[layout.var_to_qubit[v]] > 0 for v in used) for s in states}
+        assert projected == {tuple(a[v - 1] for v in used) for a in truth}
 
 
 def test_seeded_random_deterministic():

@@ -5,17 +5,21 @@ output change between commits; these pins can.  A change that alters an
 artifact on purpose updates the digest here and says why in CHANGES.md.
 
 Three n=12, m=16 instances (g2 leaves variable 5 unused, g3 variables 2 and
-11), compiled with the chain policy, 300 reads of 30 sweeps each.  Printed
+11), compiled with the chain policy, 300 reads of 30 sweeps each; each is also
+compiled under the balanced and seeded_random policies.  Printed
 summaries are pinned too, with the temporary directory replaced by ``<tmp>``.
 The file-based commands are also checked to reproduce ``bench``'s reports.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from cascor.cli import main
+from cascor.compiler import ConstructionPolicy, compile_cnf, compiled_to_json
+from cascor.sat import Cnf
 
 INSTANCES = {
     "g1": "p cnf 12 16\n"
@@ -32,6 +36,11 @@ INSTANCES = {
     "10 -3 6 0 6 -3 0 -9 -10 0 -3 -9 8 4 0\n",
 }
 
+POLICIES = {
+    "balanced": ("--policy", "balanced"),
+    "seeded7": ("--policy", "seeded_random", "--policy-seed", "7"),
+}
+
 SAMPLER = ("--reads", "300", "--sweeps", "30", "--programming-us", "1000", "--readout-us", "180")
 
 EXPECTED = {
@@ -43,24 +52,30 @@ EXPECTED = {
     "bench2/g1.report.json": "125c531d8375efb5ba65e08bf29e7f8f3cdd99840a1e4b964aff03f3eea3d985",
     "bench2/g2.report.json": "55f4ac27c2940d1c49e70568df936e1de7f3efaaa0ad7bc9e33ea4c8d43d75d0",
     "bench2/g3.report.json": "3b38518aae3db53cfe9d969113f1d9ff65d57a797cb6d12439d6027a2e525516",
+    "g1.balanced.model.json": "8106a230ee94ad6c1c82b68dd063f35bf0e723c5907f428c2074ddca36e6dfd3",
     "g1.events.jsonl": "2519632f393fa14e7bc0b5c02ace60f4615b4dc185d05802c16b924068d3ca80",
     "g1.gauged.jsonl": "384c7f2f9ab0742c5f5391087a4fd9f299d1974828ac1dbde494684cf91b98e5",
     "g1.gauged.report.json": "40a8887cca1464dfa41feaf64221dc2f302fa340a8dc75a5525518a847d5673e",
     "g1.model.json": "d8e29c094627bca54cd3c66f5a7ba11020caa70f3ad6b5828c4818f50f5d5520",
     "g1.plain.jsonl": "5cf6e923a3f034a4c111f10d7e686dd6f4aeca5a82eb5a6b56ad048d6d60f64d",
     "g1.plain.report.json": "268903137198c381994db0f17b81b6a24caaa635c5b2bccf2e19fa0398dc0c8e",
+    "g1.seeded7.model.json": "5d2572f54e62e06da99a60004520280557f8fc212373ab8f4a297a02828139bc",
+    "g2.balanced.model.json": "ba87cda8251bdb1ae436351a40ef5afab34639f83cb04ccc7f8f9c3a961cfe57",
     "g2.events.jsonl": "8634af77f077f7034a9f257f2e71eac5f4ab2bd3e407227b62dcd2803ab48ae9",
     "g2.gauged.jsonl": "23eee8bf8bc09fb1286d7401e5383ec5667f6a163afdd95ee443a1d441eae28f",
     "g2.gauged.report.json": "b0b7ab59abe94221ca04eedbf5a67a5d7081ad3cb45f3e7a9970501dd7c6400e",
     "g2.model.json": "dcd884df478f6cb4d8d95ef0c124663bfcf622adf796a5448508f67c99280543",
     "g2.plain.jsonl": "d2822691155225c025a1bd8d7a0b748ab34fbbb663c865c7585ca27a5a733479",
     "g2.plain.report.json": "43347be47959d29093d63c363e76f14ee6a90e328c01687d53811ac51dfa2f56",
+    "g2.seeded7.model.json": "b62616c7562a769ad0faf5189678f10ecee771448d766ac208aaf428a3c9137d",
+    "g3.balanced.model.json": "f97af92dbddbd27e63e608d7451329f4941169665c477c90ac04c452aee52bb7",
     "g3.events.jsonl": "88e1b13234892f2bbbb101e060b96bfec3c9e5993ceea95ff26a24af96818045",
     "g3.gauged.jsonl": "794361cae4d68a3eb817c4b5c156a8e96bbbcb5e9255aad6228568aae0a9c5ac",
     "g3.gauged.report.json": "d2ef964b5db1a6d0ac95e0f29f2982a0dc4a1a308a062484555f11f29c92e0b1",
     "g3.model.json": "a0d5832650c5e34f8fb6064c40fdaa31efa57b3f7115f202392363afb20d6d13",
     "g3.plain.jsonl": "645e58060932402610173f86dafc3ee210d1d28d59bc1113fe68c225755cb3d3",
     "g3.plain.report.json": "f3d378ff80914f550530f3b25b2a8fb9fd48da473a474d1772929c3c686a9ac8",
+    "g3.seeded7.model.json": "f07247d79f79be10725894e805b1eb417224f2194cd9ee26768c93a0dfb12e24",
     "stdout": "3a7f259ecd2e2e5a90436cfeb22a909c14a96b2b8f168d111eb7135ff9008f0e",
 }
 
@@ -109,11 +124,36 @@ def cli_artifact_digests(tmp_path, capsys, monkeypatch) -> dict[str, str]:
             digests[f"bench{gauges}/{path.name}"] = _sha(path.read_bytes())
 
     digests["stdout"] = _sha("".join(stdout).encode())
+    for name in INSTANCES:
+        for label, flags in POLICIES.items():
+            model = tmp_path / f"{name}.{label}.model.json"
+            run("compile", "--cnf", inst_dir / f"{name}.cnf", *flags, "--out", model)
+            digests[model.name] = _sha(model.read_bytes())
     return digests
 
 
 def test_cli_artifacts_match_pinned_digests(tmp_path, capsys, monkeypatch):
     assert cli_artifact_digests(tmp_path, capsys, monkeypatch) == EXPECTED
+
+
+# One clause of each length 1-9 with alternating polarity, so every cascade
+# shape of every policy meets negated and plain literals.
+CONSTRUCTION_CNF = Cnf.of(9, [[v if v % 2 else -v for v in range(1, k + 1)] for k in range(1, 10)])
+CONSTRUCTION_POLICIES = [
+    ConstructionPolicy.chain(),
+    ConstructionPolicy.balanced(),
+    *(ConstructionPolicy.seeded_random(seed) for seed in range(20)),
+]
+CONSTRUCTION_DIGEST = "39a9e3602cbfabc3b9779cf88284bd8ac434a09f3ede76b06f3597fbb66147c3"
+
+
+def test_construction_matches_pinned_digest():
+    """compiled_to_json of CONSTRUCTION_CNF under chain, balanced and 20 seeds."""
+    digest = hashlib.sha256()
+    for policy in CONSTRUCTION_POLICIES:
+        doc = compiled_to_json(*compile_cnf(CONSTRUCTION_CNF, policy), policy)
+        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == CONSTRUCTION_DIGEST
 
 
 @pytest.mark.parametrize("gauges", ["0", "2"])

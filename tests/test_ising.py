@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import cascor.ising as ising_mod
 from cascor.compiler import compile_cnf
 from cascor.ising import IsingModel, apply_gauge, energy, enumerate_ground_states
 from cascor.sat import Cnf, evaluate
@@ -208,13 +209,25 @@ def test_enumerate_limit():
         enumerate_ground_states(IsingModel(30), limit=26)
 
 
-def test_enumerate_chunked_consistency():
-    # Model large enough to span multiple enumeration chunks is still exact.
-    cnf = Cnf.of(21, [[1, 2], [3, 4, 5]])
-    model, layout = compile_cnf(cnf)
-    assert model.num_qubits == 6  # only occurring variables get qubits
-    e, _ = enumerate_ground_states(model)
-    assert e == layout.ground_bound
+def test_enumerate_chunked_consistency(rng, monkeypatch):
+    # With 2^4-state chunks each block holds one high-half state, so 8-10
+    # qubit models run the block loop 8-32 times: minima tie and improve
+    # across blocks.  Quarter-integer models take the float64 path exactly.
+    monkeypatch.setattr(ising_mod, "_CHUNK_BITS", 4)
+    for n in (8, 9, 10):
+        for _ in range(3):
+            m = random_model(rng, n)
+            quarters = IsingModel(n, {q: v / 4 for q, v in m.h.items()},
+                                  {k: v / 4 for k, v in m.J.items()})
+            assert not quarters.is_integral()
+            for model in (m, quarters):
+                assert enumerate_ground_states(model) == slow_min_states(model)
+
+
+def test_enumerate_splits_past_the_low_half(rng):
+    # 14 qubits leave one qubit above the 13-bit low half at the default chunk size.
+    m = random_model(rng, 14)
+    assert enumerate_ground_states(m) == slow_min_states(m)
 
 
 def test_min_energy_over_ancillas_examples():
