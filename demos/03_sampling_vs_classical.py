@@ -45,16 +45,16 @@ report = summarize_instance([batch], list(classical.events), layout, cnf,
 
 q_core = report.timelines["quantum-core"]
 c_wall = report.timelines["classical-wall"]
-print(f"sampler found {q_core.final_count()} distinct solutions "
+print(f"sampler found {len(q_core.times)} distinct solutions "
       f"in {cfg.num_reads} reads")
 
 print("\ntime to reach m distinct solutions (microseconds):")
 print(f"  {'m':>6} {'quantum-core':>14} {'classical':>12}")
-comparable = min(q_core.final_count(), c_wall.final_count())
+comparable = min(len(q_core.times), len(c_wall.times))
 for m in [1, 2, 5, 10, comparable // 2, comparable]:
     if not 1 <= m <= comparable:
         continue
-    print(f"  {m:>6} {q_core.points[m - 1][0]:>14} {c_wall.points[m - 1][0]:>12}")
+    print(f"  {m:>6} {q_core.times[m - 1]:>14} {c_wall.times[m - 1]:>12}")
 
 core = report.crossovers["core"]
 wall = report.crossovers["wall"]

@@ -17,7 +17,6 @@ from .metrics import (
     CrossoverReport,
     DistinctTimeline,
     InstanceReport,
-    build_timeline,
     find_crossover,
     hamming_neighbor_distances,
     overlap_fraction,
@@ -74,7 +73,6 @@ __all__ = [
     "build_clause_penalty",
     "build_h2",
     "build_h_or",
-    "build_timeline",
     "compile_cnf",
     "count_solutions_capped",
     "decode_all",

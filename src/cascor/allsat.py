@@ -320,10 +320,12 @@ def _mask_to_assignment(mask: int, n: int) -> Assignment:
     return tuple(bool((mask >> v) & 1) for v in range(n))
 
 
-def check_enumeration(num_vars: int, cap: int) -> None:
-    """Raise ValueError unless enumerate_all accepts this variable count and cap."""
+def check_enumeration(num_vars: int, cap: int, time_budget_us: int | None = None) -> None:
+    """Raise ValueError unless enumerate_all accepts this variable count, cap and budget."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if time_budget_us is not None and time_budget_us < 0:
+        raise ValueError("time budget must be >= 0")
     if num_vars > _MASK_VAR_LIMIT:
         raise ValueError(f"enumeration supports up to {_MASK_VAR_LIMIT} variables")
 
@@ -338,7 +340,7 @@ def enumerate_all(
     enumerates completely), or with neither on budget expiry.  Unsatisfiable
     input yields an empty, complete result.
     """
-    check_enumeration(cnf.num_vars, cap)
+    check_enumeration(cnf.num_vars, cap, time_budget_us)
 
     setup_start = time.monotonic_ns()
     solver = _Enumerator(cnf)

@@ -9,7 +9,6 @@ solution, in both allsat and bench) so CI can diff complete outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -94,6 +93,9 @@ def _read_compiled(path: str, cnf: Cnf):
 
 
 def _sampler_config(args) -> samplers_mod.SamplerConfig:
+    """The flags' SamplerConfig; ValueError for a value it or --gauges cannot take."""
+    if args.gauges < 0:
+        raise ValueError(f"--gauges must be >= 0, not {args.gauges}")
     return samplers_mod.SamplerConfig(
         num_reads=args.reads,
         sweeps=args.sweeps,
@@ -110,14 +112,15 @@ def _sampler_config(args) -> samplers_mod.SamplerConfig:
 
 
 def _add_sampler_flags(sub) -> None:
-    sub.add_argument("--reads", type=int, default=1000)
-    sub.add_argument("--sweeps", type=int, default=100)
-    sub.add_argument("--beta-start", type=float, default=0.1)
-    sub.add_argument("--beta-end", type=float, default=5.0)
-    sub.add_argument("--core-time-us", type=int, default=20)
-    sub.add_argument("--programming-us", type=int, default=0)
-    sub.add_argument("--readout-us", type=int, default=0)
-    sub.add_argument("--post-us", type=int, default=0)
+    config, overhead = samplers_mod.SamplerConfig, samplers_mod.OverheadModel
+    sub.add_argument("--reads", type=int, default=config.num_reads)
+    sub.add_argument("--sweeps", type=int, default=config.sweeps)
+    sub.add_argument("--beta-start", type=float, default=config.beta_start)
+    sub.add_argument("--beta-end", type=float, default=config.beta_end)
+    sub.add_argument("--core-time-us", type=int, default=config.core_time_per_read_us)
+    sub.add_argument("--programming-us", type=int, default=overhead.programming_us)
+    sub.add_argument("--readout-us", type=int, default=overhead.per_read_readout_us)
+    sub.add_argument("--post-us", type=int, default=overhead.post_us)
     sub.add_argument("--gauges", type=int, default=0,
                      help="number of spin-reversal gauge streams (0 = plain run)")
 
@@ -137,6 +140,8 @@ def cmd_gen(args) -> int:
             solution_cap=args.cap,
         )
         allsat_mod.check_enumeration(spec.num_vars, spec.solution_cap)
+        if args.attempts < 1:
+            raise ValueError(f"--attempts must be >= 1, not {args.attempts}")
     cnf, count = generate_mixed_sat(spec, max_attempts=args.attempts)
     out = Path(args.out)
     out.write_text(emit_dimacs(cnf))
@@ -190,7 +195,7 @@ def _stabilized_events(events):
 def cmd_allsat(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
-        allsat_mod.check_enumeration(cnf.num_vars, args.cap)
+        allsat_mod.check_enumeration(cnf.num_vars, args.cap, args.time_budget_us)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
     events = _stabilized_events(result.events) if args.stable_output else result.events
     Path(args.out).write_text(allsat_mod.events_to_jsonl(events))
@@ -218,16 +223,15 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(path: Path, cfg, policy, args) -> tuple[str, dict, list[dict]]:
+def _bench_one(path: Path, cfg, policy, args) -> metrics_mod.InstanceReport:
     with _input_boundary():
         cnf = _read_compilable_cnf(path)
-        allsat_mod.check_enumeration(cnf.num_vars, args.cap)
+        allsat_mod.check_enumeration(cnf.num_vars, args.cap, args.time_budget_us)
     model, layout = compile_cnf(cnf, policy)
     runs = _sample_runs(model, cfg, args.gauges)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
     events = _stabilized_events(result.events) if args.stable_output else list(result.events)
-    report = metrics_mod.summarize_instance(runs, events, layout, cnf, instance_id=path.stem)
-    return path.stem, report.to_json(), metrics_mod.report_csv_rows(report)
+    return metrics_mod.summarize_instance(runs, events, layout, cnf, instance_id=path.stem)
 
 
 def _worker_count(num_tasks: int) -> int:
@@ -238,14 +242,6 @@ def _worker_count(num_tasks: int) -> int:
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be an integer, not {env!r}") from None
     return max(1, min(cap, num_tasks))
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def cmd_bench(args) -> int:
@@ -265,28 +261,20 @@ def cmd_bench(args) -> int:
         [args] * n,
     )
     if workers == 1:
-        results = list(map(_bench_one, *jobs))
+        reports = list(map(_bench_one, *jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_one, *jobs))
+            reports = list(pool.map(_bench_one, *jobs))
 
-    rows: list[dict] = []
-    for _, _, instance_rows in results:
-        rows.extend(instance_rows)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(metrics_mod.CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[col]) for col in metrics_mod.CSV_COLUMNS])
-
+    Path(args.out).write_text(metrics_mod.reports_csv_text(reports), newline="")
     if args.reports_dir:
         reports_dir = Path(args.reports_dir)
         reports_dir.mkdir(parents=True, exist_ok=True)
-        for instance_id, report_doc, _ in results:
-            (reports_dir / f"{instance_id}.report.json").write_text(
-                json.dumps(report_doc, sort_keys=True) + "\n"
+        for report in reports:
+            (reports_dir / f"{report.instance_id}.report.json").write_text(
+                report.to_json_text() + "\n"
             )
-    print(f"wrote {args.out} ({len(rows)} rows over {len(results)} instances)")
+    print(f"wrote {args.out} ({len(metrics_mod.CROSSOVER_AXES) * n} rows over {n} instances)")
     return EXIT_OK
 
 

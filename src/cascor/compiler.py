@@ -314,16 +314,24 @@ def _coefficient(value):
     return value
 
 
+def _qubit(value) -> int:
+    """A qubit index or count read from JSON: an integer, not a float, string or boolean."""
+    if type(value) is not int:
+        raise ValueError(f"model qubit index or count {value!r} is not an integer")
+    return value
+
+
 def compiled_from_json(doc: Mapping) -> tuple[IsingModel, PenaltyLayout, ConstructionPolicy]:
     """Inverse of compiled_to_json."""
+    num_qubits = _qubit(doc["num_qubits"])
     h = {q: v for q, v in enumerate(map(_coefficient, doc["h"])) if v != 0}
-    J = {(int(i), int(j)): _coefficient(v) for i, j, v in doc["J"]}
-    model = IsingModel.from_terms(int(doc["num_qubits"]), h, J)
+    J = {(_qubit(i), _qubit(j)): _coefficient(v) for i, j, v in doc["J"]}
+    model = IsingModel.from_terms(num_qubits, h, J)
     layout = PenaltyLayout(
-        var_to_qubit={int(v): int(q) for v, q in doc["var_to_qubit"].items()},
-        clause_ancillas=tuple(tuple(int(q) for q in a) for a in doc["clause_ancillas"]),
+        var_to_qubit={int(v): _qubit(q) for v, q in doc["var_to_qubit"].items()},
+        clause_ancillas=tuple(tuple(map(_qubit, a)) for a in doc["clause_ancillas"]),
         clause_ground_energies=tuple(doc["clause_ground_energies"]),
         ground_bound=doc["ground_bound"],
-        num_qubits=int(doc["num_qubits"]),
+        num_qubits=num_qubits,
     )
     return model, layout, ConstructionPolicy.from_json(doc["policy"])

@@ -1,22 +1,28 @@
 """Solver-comparison analyses: distinct-solution timelines, crossover points,
-solution-set overlap, and neighbor Hamming-distance diversity.
+solution-set overlap, and neighbor Hamming-distance diversity; and the one
+writer of report JSON and CSV text.
 
 Every analysis runs on assignment codes: unbounded Python ints whose bit
 v-1 holds variable v (the enumerator's value layout), masked to the
 variables the formula uses.
 
-A timeline counts distinct solutions against a time axis.  The quantum-analog
-stream has two axes (core annealing time and wallclock time); the classical
-stream has wallclock only.  The crossover point is the smallest distinct-
-solution count at which the classical curve's time drops to or below the
-quantum curve's (ties favor the classical solver).  Each crossover also
-carries its first-solution ratio t_c[0] / t_q[0]: the factor by which the
-classical clock could be sped up before the outcome turns quantum_never_ahead.
+A timeline holds the time at which each distinct solution first appears:
+times[k-1] is the time to k distinct solutions.  Each solver stream is
+scanned once for first occurrences; the quantum-analog stream's two axes
+(core annealing time and wallclock time) share that scan's indices, and the
+classical stream has wallclock only.  The crossover point is the smallest
+distinct-solution count at which the classical curve's time drops to or
+below the quantum curve's (ties favor the classical solver).  Each crossover
+also carries its first-solution ratio t_c[0] / t_q[0]: the factor by which
+the classical clock could be sped up before the outcome turns
+quantum_never_ahead.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 from .compiler import PenaltyLayout
@@ -26,20 +32,22 @@ __all__ = [
     "DistinctTimeline",
     "CrossoverReport",
     "InstanceReport",
-    "build_timeline",
     "find_crossover",
     "overlap_fraction",
     "hamming_neighbor_distances",
     "summarize_instance",
     "report_csv_rows",
+    "reports_csv_text",
     "CSV_COLUMNS",
+    "CROSSOVER_AXES",
 ]
-
-TimedSolution = tuple[float, int]  # (time, assignment code)
 
 SOURCE_QUANTUM_CORE = "quantum-core"
 SOURCE_QUANTUM_WALL = "quantum-wall"
 SOURCE_CLASSICAL_WALL = "classical-wall"
+
+# crossover axis -> the quantum timeline it compares with classical-wall
+CROSSOVER_AXES = {"core": SOURCE_QUANTUM_CORE, "wall": SOURCE_QUANTUM_WALL}
 
 CSV_COLUMNS = [
     "instance_id",
@@ -56,30 +64,24 @@ CSV_COLUMNS = [
 ]
 
 
+def _check_nondecreasing(times: Sequence[float], what: str) -> None:
+    for a, b in zip(times, times[1:]):
+        if b < a:
+            raise ValueError(f"{what} times decrease at t={b}")
+
+
 @dataclass(frozen=True)
 class DistinctTimeline:
-    """Monotone (time, distinct-count) curve; point k marks the k-th distinct solution."""
+    """Time-to-k-distinct-solutions curve: times[k-1] is when solution k first appeared."""
 
-    points: tuple[tuple[float, int], ...]
+    times: tuple[float, ...]
     source: str
 
     def __post_init__(self) -> None:
-        last_t = None
-        for idx, (t, count) in enumerate(self.points):
-            if count != idx + 1:
-                raise ValueError("counts must increase by exactly 1 per point")
-            if last_t is not None and t < last_t:
-                raise ValueError("times must be monotone non-decreasing")
-            last_t = t
-
-    def final_count(self) -> int:
-        return len(self.points)
-
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.points)
+        _check_nondecreasing(self.times, self.source)
 
     def to_json(self) -> dict:
-        return {"source": self.source, "points": [[t, c] for t, c in self.points]}
+        return {"source": self.source, "points": [[t, k] for k, t in enumerate(self.times, 1)]}
 
 
 @dataclass(frozen=True)
@@ -110,29 +112,7 @@ class CrossoverReport:
             raise ValueError("first_solution_ratio must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "count": self.count,
-            "time_us": self.time_us,
-            "overlap_fraction": self.overlap_fraction,
-            "first_solution_ratio": self.first_solution_ratio,
-        }
-
-
-def build_timeline(events: Iterable[TimedSolution], source: str) -> DistinctTimeline:
-    """First occurrence of each distinct solution contributes one point; repeats are ignored."""
-    points: list[tuple[float, int]] = []
-    seen: set[int] = set()
-    last_t = None
-    for t, solution in events:
-        if last_t is not None and t < last_t:
-            raise ValueError(f"event times decrease at t={t}")
-        last_t = t
-        if solution in seen:
-            continue
-        seen.add(solution)
-        points.append((t, len(seen)))
-    return DistinctTimeline(tuple(points), source)
+        return asdict(self)
 
 
 def find_crossover(q: DistinctTimeline, c: DistinctTimeline) -> CrossoverReport:
@@ -144,9 +124,9 @@ def find_crossover(q: DistinctTimeline, c: DistinctTimeline) -> CrossoverReport:
     exists within the comparable range.  Every outcome carries the
     first-solution ratio t_c[0] / t_q[0] (None when t_q[0] is 0).
     """
-    if not q.points or not c.points:
+    t_q, t_c = q.times, c.times
+    if not t_q or not t_c:
         raise ValueError("crossover requires nonempty timelines")
-    t_q, t_c = q.times(), c.times()
     ratio = t_c[0] / t_q[0] if t_q[0] else None
     if t_q[0] >= t_c[0]:
         return CrossoverReport("quantum_never_ahead", first_solution_ratio=ratio)
@@ -177,6 +157,20 @@ _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 def _pack(assignment: Assignment) -> int:
     """The code of a bool tuple, before masking: bit v-1 holds variable v."""
     return int(b"0" + bytes(assignment[::-1]).translate(_BIT_CHARS), 2)
+
+
+def _first_occurrences(codes: Sequence[int]) -> dict[int, int]:
+    """Each distinct code, in first-occurrence order, mapped to its first index."""
+    first: dict[int, int] = {}
+    for i, c in enumerate(codes):
+        first.setdefault(c, i)
+    return first
+
+
+def _timeline(times: Sequence[float], first: Iterable[int], source: str) -> DistinctTimeline:
+    """The stream's times at the first-occurrence indices, once all its times are checked."""
+    _check_nondecreasing(times, f"{source} event")
+    return DistinctTimeline(tuple(times[i] for i in first), source)
 
 
 @dataclass(frozen=True)
@@ -237,53 +231,45 @@ def summarize_instance(
     from .samplers import decode_all  # local import keeps module deps one-way
 
     mask = sum(1 << (v - 1) for v in cnf.variables_used())
-    core_stream: list[TimedSolution] = []
-    wall_stream: list[TimedSolution] = []
-    per_gauge_distinct: list[list[int]] = []
-    core_offset = 0
-    wall_offset = 0
+    q_codes: list[int] = []
+    q_core: list[int] = []
+    q_wall: list[int] = []
+    hamming_per_gauge: list[tuple[int, ...]] = []
+    core_offset = wall_offset = 0
     for batch in quantum_runs:
         decoded = decode_all(batch, layout, cnf)
         code_of = {s: _pack(s) & mask for s in set(decoded) if s is not None}
         core, wall = batch.core_time_us.tolist(), batch.wall_time_us.tolist()
-        hits = [(r, code_of[s]) for r, s in enumerate(decoded) if s is not None]
-        core_stream += [(core_offset + core[r], c) for r, c in hits]
-        wall_stream += [(wall_offset + wall[r], c) for r, c in hits]
-        per_gauge_distinct.append(list(dict.fromkeys(c for _, c in hits)))
+        hits = [r for r, s in enumerate(decoded) if s is not None]
+        codes = [code_of[decoded[r]] for r in hits]
+        q_codes += codes
+        q_core += [core_offset + core[r] for r in hits]
+        q_wall += [wall_offset + wall[r] for r in hits]
+        hamming_per_gauge.append(tuple(hamming_neighbor_distances(list(dict.fromkeys(codes)))))
         if core:
             core_offset += core[-1]
             wall_offset += wall[-1]
+    c_codes = [_pack(e.assignment) & mask for e in classical_events]
+    c_times = [e.wall_time_us for e in classical_events]
 
-    classical_stream: list[TimedSolution] = [
-        (e.wall_time_us, _pack(e.assignment) & mask) for e in classical_events
-    ]
-
+    q_first = _first_occurrences(q_codes)
+    c_first = _first_occurrences(c_codes)
+    q_ordered, c_ordered = list(q_first), list(c_first)
     timelines = {
-        SOURCE_QUANTUM_CORE: build_timeline(core_stream, SOURCE_QUANTUM_CORE),
-        SOURCE_QUANTUM_WALL: build_timeline(wall_stream, SOURCE_QUANTUM_WALL),
-        SOURCE_CLASSICAL_WALL: build_timeline(classical_stream, SOURCE_CLASSICAL_WALL),
+        SOURCE_QUANTUM_CORE: _timeline(q_core, q_first.values(), SOURCE_QUANTUM_CORE),
+        SOURCE_QUANTUM_WALL: _timeline(q_wall, q_first.values(), SOURCE_QUANTUM_WALL),
+        SOURCE_CLASSICAL_WALL: _timeline(c_times, c_first.values(), SOURCE_CLASSICAL_WALL),
     }
 
-    q_ordered = list(dict.fromkeys(c for _, c in core_stream))
-    c_ordered = list(dict.fromkeys(c for _, c in classical_stream))
-
-    crossovers: dict[str, CrossoverReport | None] = {}
-    for axis, q_source in (("core", SOURCE_QUANTUM_CORE), ("wall", SOURCE_QUANTUM_WALL)):
-        q_line = timelines[q_source]
-        c_line = timelines[SOURCE_CLASSICAL_WALL]
-        if not q_line.points or not c_line.points:
-            crossovers[axis] = None
-            continue
-        crossing = find_crossover(q_line, c_line)
-        if crossing.outcome == "cross_at":
-            m = crossing.count
-            overlap = overlap_fraction(q_ordered[:m], c_ordered[:m])
-            crossing = replace(crossing, overlap_fraction=overlap)
-        crossovers[axis] = crossing
-
-    hamming_per_gauge = tuple(
-        tuple(hamming_neighbor_distances(distinct)) for distinct in per_gauge_distinct
-    )
+    crossovers: dict[str, CrossoverReport | None] = dict.fromkeys(CROSSOVER_AXES)
+    if q_ordered and c_ordered:
+        for axis, q_source in CROSSOVER_AXES.items():
+            crossing = find_crossover(timelines[q_source], timelines[SOURCE_CLASSICAL_WALL])
+            if crossing.outcome == "cross_at":
+                m = crossing.count
+                overlap = overlap_fraction(q_ordered[:m], c_ordered[:m])
+                crossing = replace(crossing, overlap_fraction=overlap)
+            crossovers[axis] = crossing
 
     return InstanceReport(
         instance_id=instance_id,
@@ -293,16 +279,24 @@ def summarize_instance(
         timelines=timelines,
         crossovers=crossovers,
         hamming_classical=tuple(hamming_neighbor_distances(c_ordered)),
-        hamming_quantum_per_gauge=hamming_per_gauge,
+        hamming_quantum_per_gauge=tuple(hamming_per_gauge),
         no_solutions=not c_ordered and not q_ordered,
         metadata={
             "overlap_denominator": "jaccard",
             "deduplicated": True,
-            "num_gauges": len(per_gauge_distinct),
+            "num_gauges": len(hamming_per_gauge),
             "quantum_distinct": len(q_ordered),
             "classical_distinct": len(c_ordered),
         },
     )
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 def _mean(values: Sequence[int]) -> float | None:
@@ -311,15 +305,10 @@ def _mean(values: Sequence[int]) -> float | None:
 
 def report_csv_rows(report: InstanceReport) -> list[dict]:
     """Two plot-ready CSV rows per instance, one per crossover axis."""
-    gauge_means = [
-        _mean(series) for series in report.hamming_quantum_per_gauge
-    ]
-    gauge_cell = ";".join(
-        "" if m is None else f"{m:.6g}" for m in gauge_means
-    )
+    gauge_cell = ";".join(_csv_cell(_mean(series)) for series in report.hamming_quantum_per_gauge)
     classical_mean = _mean(report.hamming_classical)
     rows = []
-    for axis in ("core", "wall"):
+    for axis in CROSSOVER_AXES:
         crossing = report.crossovers.get(axis)
         rows.append(
             {
@@ -337,3 +326,13 @@ def report_csv_rows(report: InstanceReport) -> list[dict]:
             }
         )
     return rows
+
+
+def reports_csv_text(reports: Iterable[InstanceReport]) -> str:
+    """The bench CSV: a CSV_COLUMNS header, then report_csv_rows of each report, CRLF-ended."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_csv_cell(row[col]) for col in CSV_COLUMNS]
+                     for report in reports for row in report_csv_rows(report))
+    return out.getvalue()

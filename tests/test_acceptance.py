@@ -256,15 +256,13 @@ def test_acceptance_6_qubit_accounting():
 
 
 def test_acceptance_7_metrics_unit_fixtures():
-    q = DistinctTimeline(tuple((float(m), m) for m in range(1, 11)), "quantum-core")
-    c = DistinctTimeline(
-        tuple((5 + 0.1 * (m - 1), m) for m in range(1, 11)), "classical-wall"
-    )
+    q = DistinctTimeline(tuple(float(m) for m in range(1, 11)), "quantum-core")
+    c = DistinctTimeline(tuple(5 + 0.1 * (m - 1) for m in range(1, 11)), "classical-wall")
     crossing = find_crossover(q, c)
     assert crossing.outcome == "cross_at" and crossing.count == 6
 
-    q2 = DistinctTimeline(((10, 1), (20, 2)), "quantum-core")
-    c2 = DistinctTimeline(((5, 1), (50, 2)), "classical-wall")
+    q2 = DistinctTimeline((10, 20), "quantum-core")
+    c2 = DistinctTimeline((5, 50), "classical-wall")
     assert find_crossover(q2, c2).outcome == "quantum_never_ahead"
 
     a, b, c3 = 0b000, 0b110, 0b111  # assignment codes: bit v-1 holds variable v

@@ -315,6 +315,34 @@ def test_stray_policy_seed_is_input_error_in_compile_and_bench(tmp_path):
                "--out", str(tmp_path / "o.csv")) == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sample", "--gauges", "-2"),
+    ("bench", "--gauges", "-2"),
+    ("allsat", "--time-budget-us", "-5"),
+    ("bench", "--time-budget-us", "-5"),
+    ("gen", "--attempts", "0"),
+])
+def test_flag_value_out_of_range_is_input_error(command, flag, value, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+    inst_dir = make_bench_dir(tmp_path)
+    cnf = str(inst_dir / "i0.cnf")
+    model = tmp_path / "m.json"
+    assert run("compile", "--cnf", cnf, "--out", str(model)) == 0
+    argv = {
+        "sample": ["--model", str(model), "--cnf", cnf, "--seed", "1", "--reads", "2"],
+        "bench": ["--instances", str(inst_dir), "--seed", "1", "--reads", "2"],
+        "allsat": ["--cnf", cnf],
+        "gen": ["--n", "6", "--m", "1", "--lengths", "2:1", "--cap", "8", "--seed", "3"],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, *argv, flag, value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascor: input error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch, capsys):
     # The KeyError/ValueError catch covers parsing and flags only, not the pipeline.
     inst_dir = make_bench_dir(tmp_path)
@@ -520,6 +548,33 @@ def test_unusable_model_coefficient_is_input_error(field, text, tmp_path, capsys
                "--reads", "2", "--sweeps", "2", "--out", str(tmp_path / "s.jsonl")) == 2
     err = capsys.readouterr().err
     assert "cascor: input error: model coefficient" in err and "Traceback" not in err
+
+
+# One case per qubit index or count that int() would read as some other integer.
+NON_INTEGER_QUBITS = {
+    "float-coupler-index": lambda doc: doc["J"][0].__setitem__(0, 0.9),
+    "float-num-qubits": lambda doc: doc.update(num_qubits=3.7),
+    "string-num-qubits": lambda doc: doc.update(num_qubits=str(doc["num_qubits"])),
+    "boolean-variable-qubit": lambda doc: doc["var_to_qubit"].update({"2": True}),
+    "float-ancilla": lambda doc: doc["clause_ancillas"][0].__setitem__(0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_QUBITS))
+def test_non_integer_qubit_in_model_is_input_error(case, tmp_path, capsys):
+    cnf_path = tmp_path / "or.cnf"
+    cnf_path.write_text("p cnf 3 1\n1 2 3 0\n")
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    doc = json.loads(model.read_text())
+    assert doc["var_to_qubit"]["2"] == 1 and doc["clause_ancillas"] == [[3]]
+    NON_INTEGER_QUBITS[case](doc)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
+               "--reads", "2", "--sweeps", "2", "--out", str(tmp_path / "s.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "cascor: input error: model qubit" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["sample", "metrics"])

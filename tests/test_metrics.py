@@ -9,7 +9,6 @@ from cascor.allsat import SolutionEvent, enumerate_all
 from cascor.compiler import compile_cnf
 from cascor.metrics import (
     DistinctTimeline,
-    build_timeline,
     find_crossover,
     hamming_neighbor_distances,
     overlap_fraction,
@@ -32,28 +31,14 @@ def code(bits) -> int:
 
 
 def line(times, source="classical-wall"):
-    return DistinctTimeline(tuple((t, i + 1) for i, t in enumerate(times)), source)
-
-
-def test_build_timeline_dedup():
-    timeline = build_timeline([(10, A), (20, A), (30, B)], "classical-wall")
-    assert timeline.points == ((10, 1), (30, 2))
-
-
-def test_build_timeline_empty():
-    assert build_timeline([], "quantum-core").points == ()
-
-
-def test_build_timeline_rejects_decreasing_times():
-    with pytest.raises(ValueError):
-        build_timeline([(10, A), (5, B)], "quantum-core")
+    return DistinctTimeline(tuple(times), source)
 
 
 def test_timeline_invariants():
     with pytest.raises(ValueError):
-        DistinctTimeline(((10, 1), (20, 3)), "classical-wall")
-    with pytest.raises(ValueError):
-        DistinctTimeline(((10, 1), (5, 2)), "classical-wall")
+        DistinctTimeline((10, 5), "classical-wall")
+    assert DistinctTimeline((10, 10, 20), "classical-wall").to_json() == {
+        "source": "classical-wall", "points": [[10, 1], [10, 2], [20, 3]]}
 
 
 def test_crossover_step_function_example():
@@ -161,8 +146,8 @@ def test_summarize_qualitative_fixture():
         SolutionEvent(3, 60, (True, False)),
     ]
     report = summarize_instance([batch], events, layout, cnf, instance_id="fx")
-    assert report.timelines["quantum-core"].points == ((20, 1), (60, 2), (80, 3))
-    assert report.timelines["classical-wall"].points == ((50, 1), (55, 2), (60, 3))
+    assert report.timelines["quantum-core"].times == (20, 60, 80)
+    assert report.timelines["classical-wall"].times == (50, 55, 60)
     core = report.crossovers["core"]
     assert core.outcome == "cross_at" and core.count == 2
     assert core.time_us == 55
@@ -173,13 +158,67 @@ def test_summarize_qualitative_fixture():
     assert report.hamming_classical == (1, 2)
 
 
+def test_summarize_deduplicates_repeats():
+    cnf, model, layout = _fixture_instance()
+    tt, tf = (1, 1), (1, -1)
+    batch = batch_of([tt, tt, tf, tt, tf], [10, 20, 30, 40, 50], [110, 120, 130, 140, 150])
+    events = [SolutionEvent(1, 10, (True, True)), SolutionEvent(2, 20, (True, True)),
+              SolutionEvent(3, 30, (False, True))]
+    report = summarize_instance([batch], events, layout, cnf)
+    assert report.timelines["quantum-core"].times == (10, 30)
+    assert report.timelines["quantum-wall"].times == (110, 130)
+    assert report.timelines["classical-wall"].times == (10, 30)
+    assert report.metadata["quantum_distinct"] == report.metadata["classical_distinct"] == 2
+    assert report.hamming_quantum_per_gauge == ((1,),)
+
+
+def test_summarize_empty_streams():
+    cnf, model, layout = _fixture_instance()
+    report = summarize_instance([], [], layout, cnf)
+    assert {k: v.times for k, v in report.timelines.items()} == {
+        "quantum-core": (), "quantum-wall": (), "classical-wall": ()}
+    assert report.crossovers == {"core": None, "wall": None}
+    assert report.no_solutions is True and report.metadata["num_gauges"] == 0
+
+
+def _streams_with_a_decrease(stream):
+    """Runs and events whose times decrease only in stream (None: nowhere).
+
+    Each decrease falls between two reads, or two events, of the same
+    solution, so the first-occurrence times alone never decrease.
+    """
+    tt, tf = (1, 1), (1, -1)
+    core, wall, last_event = [10, 20, 30], [110, 120, 130], 40
+    runs = []
+    if stream == "core":
+        core[2] = 15
+    elif stream == "wall":
+        wall[2] = 115
+    elif stream == "classical":
+        last_event = 20
+    elif stream == "gauge-offset":  # the second gauge starts before the first one ends
+        runs.append(batch_of([tf], [-5], [0]))
+    runs.insert(0, batch_of([tt, tf, tf], core, wall))
+    events = [SolutionEvent(1, 10, (True, True)), SolutionEvent(2, 30, (False, True)),
+              SolutionEvent(3, last_event, (False, True))]
+    return runs, events
+
+
+@pytest.mark.parametrize("stream", ["core", "wall", "classical", "gauge-offset"])
+def test_summarize_rejects_decreasing_times(stream):
+    cnf, model, layout = _fixture_instance()
+    summarize_instance(*_streams_with_a_decrease(None), layout, cnf)
+    with pytest.raises(ValueError, match="times decrease"):
+        summarize_instance(*_streams_with_a_decrease(stream), layout, cnf)
+
+
 def test_summarize_unsat_flags_empty():
     cnf = Cnf.of(1, [[1], [-1]])
     model, layout = compile_cnf(cnf)
     batch = batch_of([(1,)], [20], [20])
     report = summarize_instance([batch], [], layout, cnf, instance_id="unsat")
     assert report.no_solutions is True
-    assert report.timelines["quantum-core"].points == ()
+    assert report.timelines["quantum-core"].times == ()
     assert report.crossovers == {"core": None, "wall": None}
     assert report.hamming_classical == ()
 
@@ -192,7 +231,7 @@ def test_summarize_gauge_streams_offset_and_split():
     events = [SolutionEvent(1, 30, (True, True))]
     report = summarize_instance([run0, run1], events, layout, cnf)
     # second gauge's reads land after the first run on the merged axis
-    assert report.timelines["quantum-core"].points == ((20, 1), (60, 2))
+    assert report.timelines["quantum-core"].times == (20, 60)
     assert len(report.hamming_quantum_per_gauge) == 2
     assert report.hamming_quantum_per_gauge[0] == ()
     assert report.hamming_quantum_per_gauge[1] == (1,)
@@ -230,7 +269,7 @@ def test_summarize_compares_over_used_variables():
     report = summarize_instance([batch], events, layout, cnf)
     assert report.metadata["classical_distinct"] == 4
     assert report.metadata["quantum_distinct"] == 4
-    assert len(report.timelines["classical-wall"].points) == 4
+    assert len(report.timelines["classical-wall"].times) == 4
     assert len(report.hamming_classical) == 3
 
 
@@ -263,9 +302,6 @@ def test_summary_solution_space_is_the_used_variable_projection(seed, n, m, pad,
             first.setdefault(a, t)
         return first
 
-    def points(first):
-        return tuple((t, k + 1) for k, t in enumerate(first.values()))
-
     def tuple_hamming(seq):
         return tuple(sum(x != y for x, y in zip(p, q)) for p, q in zip(seq, seq[1:]))
 
@@ -279,9 +315,9 @@ def test_summary_solution_space_is_the_used_variable_projection(seed, n, m, pad,
     assert report.metadata["classical_distinct"] == len(truth) == len(c_first)
     assert report.metadata["quantum_distinct"] == len(q_core)
     assert set(q_core) <= truth
-    assert report.timelines["quantum-core"].points == points(q_core)
-    assert report.timelines["quantum-wall"].points == points(q_wall)
-    assert report.timelines["classical-wall"].points == points(c_first)
+    assert report.timelines["quantum-core"].times == tuple(q_core.values())
+    assert report.timelines["quantum-wall"].times == tuple(q_wall.values())
+    assert report.timelines["classical-wall"].times == tuple(c_first.values())
     assert report.hamming_classical == tuple_hamming(list(c_first))
     assert report.hamming_quantum_per_gauge == (tuple_hamming(list(q_core)),)
     # Feeding the decoded reads to the classical side as well adds nothing:
@@ -315,8 +351,8 @@ def test_summary_codes_have_no_width_limit():
     events = [SolutionEvent(1, 10, odd + (False,)), SolutionEvent(2, 30, odd + (True,)),
               SolutionEvent(3, 50, ones + (True,))]
     report = summarize_instance([batch], events, layout, cnf)
-    assert report.timelines["quantum-core"].points == ((20, 1), (40, 2), (80, 3))
-    assert report.timelines["classical-wall"].points == ((10, 1), (50, 2))
+    assert report.timelines["quantum-core"].times == (20, 40, 80)
+    assert report.timelines["classical-wall"].times == (10, 50)
     assert report.hamming_quantum_per_gauge == ((35, 70),)
     assert report.hamming_classical == (35,)
     assert report.crossovers["core"].outcome == "quantum_never_ahead"
