@@ -181,7 +181,8 @@ def cmd_sample(args) -> int:
         cfg = _sampler_config(args)
     runs = _sample_runs(model, cfg, args.gauges)
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
-    Path(args.out).write_text(samplers_mod.samples_to_jsonl(runs, decoded, gauged=args.gauges > 0))
+    Path(args.out).write_text(samplers_mod.samples_to_jsonl(
+        model, runs, decoded, gauged=args.gauges > 0))
     solutions = sum(solution is not None for run in decoded for solution in run)
     print(f"wrote {args.out} ({sum(map(len, runs))} reads, {solutions} satisfying)")
     return EXIT_OK
@@ -252,6 +253,8 @@ def cmd_bench(args) -> int:
     with _input_boundary():
         cfg = _sampler_config(args)
         policy = ConstructionPolicy(args.policy, args.policy_seed)
+        # cap and budget before any worker starts; _bench_one checks each variable count
+        allsat_mod.check_enumeration(0, args.cap, args.time_budget_us)
         workers = _worker_count(n)
     # Per-instance seeds derive from the master seed and sorted position.
     jobs = (

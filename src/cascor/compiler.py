@@ -321,6 +321,13 @@ def _qubit(value) -> int:
     return value
 
 
+def _variable(key: str) -> int:
+    """A var_to_qubit key read from JSON: a variable number in canonical decimal."""
+    if not (key.isascii() and key.isdecimal() and key[0] != "0"):
+        raise ValueError(f"model qubit map key {key!r} is not a canonical variable number")
+    return int(key)
+
+
 def compiled_from_json(doc: Mapping) -> tuple[IsingModel, PenaltyLayout, ConstructionPolicy]:
     """Inverse of compiled_to_json."""
     num_qubits = _qubit(doc["num_qubits"])
@@ -328,10 +335,10 @@ def compiled_from_json(doc: Mapping) -> tuple[IsingModel, PenaltyLayout, Constru
     J = {(_qubit(i), _qubit(j)): _coefficient(v) for i, j, v in doc["J"]}
     model = IsingModel.from_terms(num_qubits, h, J)
     layout = PenaltyLayout(
-        var_to_qubit={int(v): _qubit(q) for v, q in doc["var_to_qubit"].items()},
+        var_to_qubit={_variable(v): _qubit(q) for v, q in doc["var_to_qubit"].items()},
         clause_ancillas=tuple(tuple(map(_qubit, a)) for a in doc["clause_ancillas"]),
-        clause_ground_energies=tuple(doc["clause_ground_energies"]),
-        ground_bound=doc["ground_bound"],
+        clause_ground_energies=tuple(map(_coefficient, doc["clause_ground_energies"])),
+        ground_bound=_coefficient(doc["ground_bound"]),
         num_qubits=num_qubits,
     )
     return model, layout, ConstructionPolicy.from_json(doc["policy"])

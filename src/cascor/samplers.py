@@ -7,12 +7,12 @@ duration (the hardware analog is 20 microseconds), and wallclock adds
 configured programming, per-read readout, and postprocessing overheads.
 
 A run comes back as one SampleBatch: the final spins of every read in a
-single int8 array, their energies, and the cumulative core and wall times.
-Iterating a batch yields one SampleRecord per read, a row of plain Python
-values.  The sample JSONL file is written whole from the batches' arrays by
-samples_to_jsonl, which builds the text of each distinct spins row and
+single int8 array and the cumulative core and wall times.  Iterating a batch
+yields one SampleRecord per read, a row of plain Python values.  The sample
+JSONL file is written whole by samples_to_jsonl, the one place a read's
+energy is computed, which builds the text of each distinct spins row and
 solution once, and read back, every field checked, by samples_from_jsonl,
-which keeps only a tuple of the five fields it reads from each line.
+which keeps a tuple of the five fields it reads from each line.
 
 Determinism: read r consumes only its own RNG stream, the one numpy's
 Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
@@ -128,11 +128,10 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One annealing read: final spins, energy, and cumulative timing."""
+    """One annealing read: final spins and cumulative timing."""
 
     read_index: int
     spins: SpinState
-    energy: float
     core_time_us: int
     wall_time_us: int
 
@@ -141,13 +140,11 @@ class SampleRecord:
 class SampleBatch:
     """All reads of one sampling run; row r of every array belongs to read r.
 
-    ``spins`` is (reads, qubits) int8, ``energies`` is int64 for integral
-    models and float64 otherwise, and ``core_time_us``/``wall_time_us`` are
-    the int64 cumulative times after each read.
+    ``spins`` is (reads, qubits) int8, and ``core_time_us``/``wall_time_us``
+    are the int64 cumulative times after each read.
     """
 
     spins: np.ndarray
-    energies: np.ndarray
     core_time_us: np.ndarray
     wall_time_us: np.ndarray
 
@@ -155,10 +152,9 @@ class SampleBatch:
         return len(self.spins)
 
     def __iter__(self) -> Iterator[SampleRecord]:
-        rows = zip(self.spins.tolist(), self.energies.tolist(),
-                   self.core_time_us.tolist(), self.wall_time_us.tolist())
-        for r, (spins, e, core, wall) in enumerate(rows):
-            yield SampleRecord(r, tuple(spins), e, core, wall)
+        rows = zip(self.spins.tolist(), self.core_time_us.tolist(), self.wall_time_us.tolist())
+        for r, (spins, core, wall) in enumerate(rows):
+            yield SampleRecord(r, tuple(spins), core, wall)
 
 
 def _build_kernel() -> Path:
@@ -252,7 +248,6 @@ def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:
     base_wall = cfg.overhead.programming_us + cfg.overhead.post_us
     return SampleBatch(
         spins,
-        energies_of_states(model, spins),
         reads_done * cfg.core_time_per_read_us,
         base_wall + reads_done * per_read_wall,
     )
@@ -291,11 +286,7 @@ def random_gauges(num_qubits: int, count: int, seed: int) -> list[Gauge]:
 def sample_with_srt_rotation(
     model: IsingModel, cfg: SamplerConfig, gauges: list[Gauge]
 ) -> list[SampleBatch]:
-    """Sample once per gauge on the gauge-transformed model, un-gauging the spins.
-
-    Energies are kept from the gauged run; by the gauge identity they equal
-    the original model's energy of the un-gauged spins exactly.
-    """
+    """Sample once per gauge on the gauge-transformed model, un-gauging the spins."""
     runs: list[SampleBatch] = []
     for gi, gauge in enumerate(gauges):
         if len(gauge) != model.num_qubits:
@@ -308,14 +299,14 @@ def sample_with_srt_rotation(
     return runs
 
 
-def samples_to_jsonl(
-    runs: Sequence[SampleBatch], decoded: Sequence[list[Assignment | None]], gauged: bool
-) -> str:
-    """The sample JSONL text of runs: one line per read, run after run.
+def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
+                     decoded: Sequence[list[Assignment | None]], gauged: bool) -> str:
+    """The sample JSONL text of runs of model: one line per read, run after run.
 
-    decoded[g] is decode_all of runs[g]; when gauged, each line carries its
-    run's index as its gauge tag.  Untagged lines all belong to gauge 0, so
-    more than one run without gauged raises ValueError.
+    Each line's energy is model's energy of its spins.  decoded[g] is
+    decode_all of runs[g]; when gauged, each line carries its run's index as
+    its gauge tag.  Untagged lines all belong to gauge 0, so more than one
+    run without gauged raises ValueError.
     """
     if not gauged and len(runs) > 1:
         raise ValueError(f"{len(runs)} runs need gauge tags; an untagged file holds one run")
@@ -323,7 +314,7 @@ def samples_to_jsonl(
     for gauge, (batch, solutions) in enumerate(zip(runs, decoded)):
         end = f', "gauge": {gauge}}}' if gauged else "}"
         # json's text for each energy (ints as digits, floats as their repr)
-        energies = json.dumps(batch.energies.tolist())[1:-1].split(", ")
+        energies = json.dumps(energies_of_states(model, batch.spins).tolist())[1:-1].split(", ")
         # reads collapse onto few states, so each distinct row's text is built once
         row_texts: dict[tuple, str] = {}
         spin_texts = [row_texts.get(row) or row_texts.setdefault(row, str(list(row)))
@@ -351,7 +342,8 @@ def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
     A line without a gauge tag belongs to gauge 0.  Raises ValueError unless
     every tag is an integer and each gauge's lines hold reads 0, 1, ... in
     order, num_qubits spins of +1 or -1, a numeric energy, and integer times
-    that are non-negative and never decrease.  The solution field is not read.
+    that are non-negative and never decrease.  The energies are checked and
+    then discarded; the solution field is not read.
     """
     runs: dict[int, list[tuple]] = {}
     for doc in _jsonl_objects(text):
@@ -377,4 +369,5 @@ def _batch_of_columns(columns: dict[str, Sequence], num_qubits: int, gauge: int)
     times = [column("core_time_us").astype(np.int64), column("wall_time_us").astype(np.int64)]
     if any(np.any(np.diff(t, prepend=0) < 0) for t in times):
         raise ValueError(f"gauge {gauge} times must be non-negative and never decrease")
-    return SampleBatch(spins.astype(np.int8), column("energy", kinds="if"), *times)
+    column("energy", kinds="if")
+    return SampleBatch(spins.astype(np.int8), *times)

@@ -2,7 +2,8 @@
 
 brute_force_solutions evaluates clause semantics directly over all 2^n
 assignments with numpy; slow_energy and slow_min_states walk states in pure
-Python; slow_decode projects one read at a time and checks it with
+Python, and assert_file_energies checks a sample file's energies with
+slow_energy; slow_decode projects one read at a time and checks it with
 sat.evaluate; ungauge_sample maps a gauged sample back spin by spin;
 min_energy_over_ancillas brute-forces each clause's ancilla block with the
 variable qubits clamped; slow_anneal is the read-major Metropolis loop that
@@ -11,6 +12,8 @@ ALL-SAT search on mutable counters with undo and a numpy block array.  These
 are the reference implementations the package is tested against.
 """
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -400,21 +403,27 @@ def slow_enumerate(cnf: Cnf, cap: int, dead_limit: int = 2_000_000) -> dict:
     }
 
 
-def batch_of(spins, core_time_us, wall_time_us, energies=None):
-    """A SampleBatch of the given rows, built from arrays; energies default to 0."""
+def batch_of(spins, core_time_us, wall_time_us):
+    """A SampleBatch of the given rows, built from arrays."""
     from cascor.samplers import SampleBatch
 
-    spins = np.array(spins, dtype=np.int8)
-    energies = np.zeros(len(spins), dtype=np.int64) if energies is None else np.array(energies)
-    return SampleBatch(spins, energies, np.array(core_time_us, dtype=np.int64),
+    return SampleBatch(np.array(spins, dtype=np.int8), np.array(core_time_us, dtype=np.int64),
                        np.array(wall_time_us, dtype=np.int64))
 
 
 def assert_same_batch(a, b) -> None:
     """Two SampleBatches hold equal arrays of equal dtypes."""
-    for name in ("spins", "energies", "core_time_us", "wall_time_us"):
+    for name in ("spins", "core_time_us", "wall_time_us"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_file_energies(model: IsingModel, text: str) -> None:
+    """Each line of a sample JSONL text holds slow_energy of its spins, int or float alike."""
+    for line in text.splitlines():
+        doc = json.loads(line)
+        expected = slow_energy(model, tuple(doc["spins"]))
+        assert type(doc["energy"]) is type(expected) and doc["energy"] == expected, line
 
 
 def all_states(n: int):

@@ -35,10 +35,11 @@ from cascor.samplers import (
     random_gauges,
     sample,
     sample_with_srt_rotation,
+    samples_to_jsonl,
 )
 from cascor.sat import Clause, Cnf, Literal, MixedSatSpec, evaluate, generate_mixed_sat
 
-from conftest import brute_force_solutions, slow_energy
+from conftest import assert_file_energies, brute_force_solutions
 
 
 def _report(number: int, description: str) -> None:
@@ -220,11 +221,11 @@ def test_acceptance_5_srt_correctness():
     for cnf, model, layout in models[:5]:
         cfg = SamplerConfig(num_reads=60, sweeps=30, seed=55)
         runs = sample_with_srt_rotation(model, cfg, random_gauges(model.num_qubits, 3, 55))
-        for run in runs:
-            for record, assignment in zip(run, decode_all(run, layout, cnf)):
-                assert record.energy == slow_energy(model, record.spins)
-                if assignment is not None:
-                    assert evaluate(cnf, assignment)
+        decoded = [decode_all(run, layout, cnf) for run in runs]
+        assert_file_energies(model, samples_to_jsonl(model, runs, decoded, gauged=True))
+        for assignment in itertools.chain.from_iterable(decoded):
+            if assignment is not None:
+                assert evaluate(cnf, assignment)
     _report(5, "spectrum multisets invariant under 50 gauges x 20 models; SRT decodes satisfy")
 
 

@@ -4,10 +4,12 @@ import pytest
 
 import cascor.allsat as allsat_mod
 import cascor.cli as cli
+import cascor.ising as ising_mod
 import cascor.metrics as metrics_mod
 import cascor.samplers as samplers_mod
 import cascor.sat as sat_mod
 from cascor.cli import _worker_count, main
+from cascor.ising import energies_of_states
 from cascor.metrics import CSV_COLUMNS
 from cascor.sat import evaluate, parse_dimacs
 
@@ -343,6 +345,24 @@ def test_flag_value_out_of_range_is_input_error(command, flag, value, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--cap", "0"), ("--time-budget-us", "-5")])
+def test_bench_flags_are_checked_before_workers_start(flag, value, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("CASCOR_THREADS", "2")
+    inst_dir = make_bench_dir(tmp_path)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("bench started a worker pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert run("bench", "--instances", str(inst_dir), "--seed", "1", flag, value,
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("cascor: input error:")
+    assert not out.exists()
+
+
 def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch, capsys):
     # The KeyError/ValueError catch covers parsing and flags only, not the pipeline.
     inst_dir = make_bench_dir(tmp_path)
@@ -444,6 +464,32 @@ def run_metrics(paths, out):
                "--out", str(out))
 
 
+def test_only_the_sample_writer_computes_energies(stored_outputs, tmp_path, monkeypatch):
+    # reports never read a read's energy: bench and metrics compute none, sample one per run
+    calls = []
+
+    def counted(model, spins, *rest):
+        calls.append(len(spins))
+        return energies_of_states(model, spins, *rest)
+
+    monkeypatch.setattr(samplers_mod, "energies_of_states", counted)
+    monkeypatch.setattr(ising_mod, "energies_of_states", counted)
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    for seed in (11, 12):
+        gen_instance(inst_dir, f"i{seed}.cnf", seed=seed, cap=60)
+    assert run("bench", "--instances", str(inst_dir), "--seed", "1", "--reads", "30",
+               "--sweeps", "5", "--gauges", "2", "--out", str(tmp_path / "o.csv")) == 0
+    assert run_metrics(stored_outputs, tmp_path / "report.json") == 0
+    assert calls == []
+    paths = stored_outputs
+    assert run("sample", "--model", str(paths["model"]), "--cnf", str(paths["cnf"]),
+               "--seed", "2", "--reads", "40", "--sweeps", "30", "--gauges", "3",
+               "--out", str(tmp_path / "s.jsonl")) == 0
+    assert calls == [40, 40, 40]
+
+
 def _second_hit(docs):
     """The second line of gauge 0 with a solution: a timeline sees its times."""
     return [d for d in docs if d["gauge"] == 0 and d["solution"] is not None][1]
@@ -531,17 +577,22 @@ def test_stored_text_with_json_whitespace_and_blank_lines_is_read(stored_outputs
     ("h", "1" + "0" * 400),  # an integer past float64's range: float() overflows
     ("J", '"nan"'),  # a string
     ("h", "1e400"),  # the json module parses it as inf
-], ids=["integer-past-float64", "string-coupling", "infinite-field"])
+    ("ground_bound", '"x"'),
+    ("clause_ground_energies", '"x"'),
+], ids=["integer-past-float64", "string-coupling", "infinite-field", "string-ground-bound",
+        "string-clause-ground-energy"])
 def test_unusable_model_coefficient_is_input_error(field, text, tmp_path, capsys):
     cnf_path = tmp_path / "or.cnf"
     cnf_path.write_text("p cnf 2 1\n1 2 0\n")
     model = tmp_path / "model.json"
     assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
     doc = json.loads(model.read_text())
-    if field == "h":
-        doc["h"][0] = "@"
-    else:
+    if field == "J":
         doc["J"][0][2] = "@"
+    elif field == "ground_bound":
+        doc["ground_bound"] = "@"
+    else:
+        doc[field][0] = "@"
     model.write_text(json.dumps(doc).replace('"@"', text))
     capsys.readouterr()
     assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
@@ -557,6 +608,11 @@ NON_INTEGER_QUBITS = {
     "string-num-qubits": lambda doc: doc.update(num_qubits=str(doc["num_qubits"])),
     "boolean-variable-qubit": lambda doc: doc["var_to_qubit"].update({"2": True}),
     "float-ancilla": lambda doc: doc["clause_ancillas"][0].__setitem__(0, 3.0),
+    # variable keys that int() reads as 2
+    "spaced-variable-key": lambda doc: doc["var_to_qubit"].update(
+        {" 2": doc["var_to_qubit"].pop("2")}),
+    "underscored-variable-key": lambda doc: doc["var_to_qubit"].update(
+        {"0_2": doc["var_to_qubit"].pop("2")}),
 }
 
 

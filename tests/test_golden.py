@@ -8,6 +8,8 @@ Three n=12, m=16 instances (g2 leaves variable 5 unused, g3 variables 2 and
 11), compiled with the chain policy, 300 reads of 30 sweeps each; each is also
 compiled under the balanced and seeded_random policies.  Printed
 summaries are pinned too, with the temporary directory replaced by ``<tmp>``.
+g1's chain model with every coefficient scaled by 0.1 pins the sample files
+of a float model, plain and gauged.
 The file-based commands are also checked to reproduce ``bench``'s reports.
 """
 from __future__ import annotations
@@ -154,6 +156,34 @@ def test_construction_matches_pinned_digest():
         doc = compiled_to_json(*compile_cnf(CONSTRUCTION_CNF, policy), policy)
         digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == CONSTRUCTION_DIGEST
+
+
+FLOAT_EXPECTED = {
+    "plain": "63e1ca1f19999476b1e9f6be244bb52688a3585fe0b69968c21bfb28e0631486",
+    "gauged": "38e9ef7ce632db039706a562f8251847b42aa8c4974700d07f87729116f93fd3",
+}
+
+
+def test_float_model_samples_match_pinned_digests(tmp_path):
+    """`sample`, plain and with 3 gauges, over g1's chain model with every
+    coefficient scaled by 0.1: energies of float models under gauges."""
+    cnf = tmp_path / "g1.cnf"
+    cnf.write_text(INSTANCES["g1"])
+    model = tmp_path / "g1.model.json"
+    assert main(["compile", "--cnf", str(cnf), "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["h"] = [0.1 * v for v in doc["h"]]
+    doc["J"] = [[i, j, 0.1 * v] for i, j, v in doc["J"]]
+    doc["ground_bound"] *= 0.1
+    doc["clause_ground_energies"] = [0.1 * e for e in doc["clause_ground_energies"]]
+    model.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    digests = {}
+    for kind, gauges in (("plain", "0"), ("gauged", "3")):
+        out = tmp_path / f"{kind}.jsonl"
+        assert main(["sample", "--model", str(model), "--cnf", str(cnf), "--seed", "3",
+                     *SAMPLER, "--gauges", gauges, "--out", str(out)]) == 0
+        digests[kind] = _sha(out.read_bytes())
+    assert digests == FLOAT_EXPECTED
 
 
 @pytest.mark.parametrize("gauges", ["0", "2"])

@@ -288,7 +288,7 @@ def test_summary_solution_space_is_the_used_variable_projection(seed, n, m, pad,
     spins = (2 * rng.integers(0, 2, size=(reads, model.num_qubits)) - 1).astype(np.int8)
     core = np.arange(1, reads + 1, dtype=np.int64)
     wall = 100 + 3 * core
-    batch = SampleBatch(spins, np.zeros(reads, np.int64), core, wall)
+    batch = SampleBatch(spins, core, wall)
     events = list(enumerate_all(cnf, cap=1 << cnf.num_vars).events)
     used = cnf.variables_used()
 

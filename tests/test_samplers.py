@@ -24,6 +24,7 @@ from cascor.samplers import (
 from cascor.sat import Cnf, _derived_rng, evaluate
 
 from conftest import (
+    assert_file_energies,
     assert_same_batch,
     batch_of,
     brute_force_solutions,
@@ -257,9 +258,7 @@ def test_wall_time_overhead_accounting():
 def test_energies_match_ising_energy():
     cfg = SamplerConfig(num_reads=40, sweeps=10, seed=3)
     batch = sample(H2, cfg)
-    assert batch.energies.dtype == np.int64
-    for record in batch:
-        assert record.energy == slow_energy(H2, record.spins)
+    assert_file_energies(H2, samples_to_jsonl(H2, [batch], [[None] * 40], gauged=False))
 
 
 def test_batch_rows_are_plain_python_records():
@@ -270,8 +269,8 @@ def test_batch_rows_are_plain_python_records():
     assert len(batch) == len(records) == 6
     assert [r.read_index for r in records] == list(range(6))
     for r in records:
-        assert type(r.energy) is int and all(type(s) is int for s in r.spins)
-    columns = zip(*((r.spins, r.core_time_us, r.wall_time_us, r.energy) for r in records))
+        assert all(type(s) is int for s in r.spins)
+    columns = zip(*((r.spins, r.core_time_us, r.wall_time_us) for r in records))
     assert_same_batch(batch_of(*columns), batch)
 
 
@@ -287,19 +286,19 @@ def test_decode_rules():
     cnf = Cnf.of(3, [[1, 2, 3]])
     model, layout = compile_cnf(cnf)
     # satisfying variable bits with a deliberately wrong ancilla still decode
-    broken = batch_of([(1, -1, -1, -1)], [20], [20], [99])
+    broken = batch_of([(1, -1, -1, -1)], [20], [20])
     assert decode_all(broken, layout, cnf) == [(True, False, False)]
     # unsatisfying projection decodes to nothing
     pair = Cnf.of(2, [[1, 2]])
     pm, pl = compile_cnf(pair)
-    low = batch_of([(-1, -1)], [20], [20], [3])
+    low = batch_of([(-1, -1)], [20], [20])
     assert decode_all(low, pl, pair) == [None]
 
 
 def test_decode_defaults_unmapped_vars_false():
     cnf = Cnf.of(3, [[1, 3]])  # var 2 occurs nowhere
     model, layout = compile_cnf(cnf)
-    rec = batch_of([(1, 1)], [20], [20], [-1])
+    rec = batch_of([(1, 1)], [20], [20])
     assert decode_all(rec, layout, cnf) == [(True, False, True)]
 
 
@@ -323,8 +322,7 @@ def test_decode_and_range_energies_match_references(seed, n, m, reads):
     cnf = random_small_cnf(rng, n=n, m=m)
     model, layout = compile_cnf(cnf)
     spins = (2 * rng.integers(0, 2, size=(reads, model.num_qubits)) - 1).astype(np.int8)
-    batch = SampleBatch(spins, np.zeros(reads, np.int64), np.zeros(reads, np.int64),
-                        np.zeros(reads, np.int64))
+    batch = SampleBatch(spins, np.zeros(reads, np.int64), np.zeros(reads, np.int64))
     assert decode_all(batch, layout, cnf) == slow_decode(spins.tolist(), layout, cnf)
 
     lo, hi = sorted(int(q) for q in rng.integers(0, model.num_qubits + 1, size=2))
@@ -359,10 +357,9 @@ def test_srt_energies_are_in_original_frame():
     cnf = Cnf.of(3, [[1, 2, 3], [-1, 2]])
     model, layout = compile_cnf(cnf)
     cfg = SamplerConfig(num_reads=25, sweeps=20, seed=13)
-    gauges = random_gauges(model.num_qubits, 3, seed=13)
-    for run in sample_with_srt_rotation(model, cfg, gauges):
-        for record in run:
-            assert record.energy == slow_energy(model, record.spins)
+    runs = sample_with_srt_rotation(model, cfg, random_gauges(model.num_qubits, 3, seed=13))
+    decoded = [decode_all(run, layout, cnf) for run in runs]
+    assert_file_energies(model, samples_to_jsonl(model, runs, decoded, gauged=True))
 
 
 def test_srt_decoded_union_within_solution_set():
@@ -384,23 +381,25 @@ def test_srt_gauge_dimension_check():
 
 
 def test_record_json_roundtrip():
-    runs = [batch_of([(1, -1, 1), (-1, -1, 1)], [20, 40], [2020, 4040], [-3, 1]),
-            batch_of([(1, 1, 1)], [20], [2020], [-2.5])]
+    model = IsingModel.from_terms(3, {0: -1.5, 2: -1}, {(0, 1): 1})
+    runs = [batch_of([(1, -1, 1), (-1, -1, 1)], [20, 40], [2020, 4040]),
+            batch_of([(1, 1, 1)], [20], [2020])]
     decoded = [[(True, False, True), None], [(False, True, True)]]
-    text = samples_to_jsonl(runs, decoded, gauged=True)
+    text = samples_to_jsonl(model, runs, decoded, gauged=True)
     # the line format: json.dumps of these keys in this order
     lines = [
-        {"read": 0, "spins": [1, -1, 1], "energy": -3, "core_time_us": 20,
+        {"read": 0, "spins": [1, -1, 1], "energy": -3.5, "core_time_us": 20,
          "wall_time_us": 2020, "solution": "101", "gauge": 0},
-        {"read": 1, "spins": [-1, -1, 1], "energy": 1, "core_time_us": 40,
+        {"read": 1, "spins": [-1, -1, 1], "energy": 1.5, "core_time_us": 40,
          "wall_time_us": 4040, "solution": None, "gauge": 0},
-        {"read": 0, "spins": [1, 1, 1], "energy": -2.5, "core_time_us": 20,
+        {"read": 0, "spins": [1, 1, 1], "energy": -1.5, "core_time_us": 20,
          "wall_time_us": 2020, "solution": "011", "gauge": 1},
     ]
     assert text == "".join(json.dumps(line) + "\n" for line in lines)
+    assert_file_energies(model, text)
     for back, run in zip(samples_from_jsonl(text, 3), runs, strict=True):
         assert_same_batch(back, run)
-    plain = samples_to_jsonl(runs[:1], decoded[:1], gauged=False)
+    plain = samples_to_jsonl(model, runs[:1], decoded[:1], gauged=False)
     assert plain.splitlines()[1] == json.dumps({k: v for k, v in lines[1].items() if k != "gauge"})
     (back,) = samples_from_jsonl(plain, 3)
     assert_same_batch(back, runs[0])
@@ -410,7 +409,7 @@ def test_untagged_writer_refuses_several_runs():
     # untagged lines all read back as gauge 0, so two runs would not round-trip
     runs = [batch_of([(1, -1)], [20], [2020]), batch_of([(1, 1)], [20], [2020])]
     with pytest.raises(ValueError, match="gauge tags"):
-        samples_to_jsonl(runs, [[None], [None]], gauged=False)
+        samples_to_jsonl(IsingModel(2), runs, [[None], [None]], gauged=False)
 
 
 def test_sampled_runs_roundtrip_through_jsonl():
@@ -419,22 +418,24 @@ def test_sampled_runs_roundtrip_through_jsonl():
     cfg = SamplerConfig(num_reads=30, sweeps=10, seed=4)
     runs = sample_with_srt_rotation(model, cfg, random_gauges(model.num_qubits, 3, seed=4))
     decoded = [decode_all(run, layout, cnf) for run in runs]
-    back = samples_from_jsonl(samples_to_jsonl(runs, decoded, gauged=True), model.num_qubits)
+    text = samples_to_jsonl(model, runs, decoded, gauged=True)
+    back = samples_from_jsonl(text, model.num_qubits)
     assert len(back) == 3
     for a, b in zip(back, runs):
         assert_same_batch(a, b)
 
 
-def reference_samples_jsonl(runs, decoded, gauged):
-    """The sample JSONL text written line by line from plain values."""
+def reference_samples_jsonl(model, runs, decoded, gauged):
+    """The sample JSONL text written line by line from plain values and slow_energy."""
     lines = []
     for gauge, (batch, solutions) in enumerate(zip(runs, decoded)):
         tag = f', "gauge": {gauge}' if gauged else ""
-        rows = zip(batch.spins.tolist(), batch.energies.tolist(), batch.core_time_us.tolist(),
+        rows = zip(batch.spins.tolist(), batch.core_time_us.tolist(),
                    batch.wall_time_us.tolist(), solutions)
-        for r, (spins, energy, core, wall, solution) in enumerate(rows):
+        for r, (spins, core, wall, solution) in enumerate(rows):
             bits = "null" if solution is None else '"' + "".join("01"[b] for b in solution) + '"'
-            lines.append(f'{{"read": {r}, "spins": {spins}, "energy": {json.dumps(energy)}, '
+            energy = json.dumps(slow_energy(model, tuple(spins)))
+            lines.append(f'{{"read": {r}, "spins": {spins}, "energy": {energy}, '
                          f'"core_time_us": {core}, "wall_time_us": {wall}, '
                          f'"solution": {bits}{tag}}}\n')
     return "".join(lines)
@@ -442,34 +443,48 @@ def reference_samples_jsonl(runs, decoded, gauged):
 
 @st.composite
 def sample_files(draw):
-    """Runs, their decoded solutions and a gauged flag, with rows drawn from a few states."""
+    """A model, runs, their decoded solutions and a gauged flag, with rows drawn from a few states.
+
+    Integral models keep sum|h| + sum|J| below 2**53.  Float coefficients are
+    odd multiples, below 2**20, of powers of two from 2**(e - 20) to 2**(e - 1)
+    for one drawn e <= 0: each is fractional, and every energy is a multiple of
+    2**(e - 20) below 2**(e + 24), exact in float64 in any order of summation,
+    so slow_energy gives the same value.
+    """
     n, num_vars = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     states = draw(st.lists(st.tuples(
         st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n),
         st.none() | st.lists(st.booleans(), min_size=num_vars, max_size=num_vars).map(tuple),
     ), min_size=1, max_size=4))
     integral, gauged = draw(st.booleans()), draw(st.booleans())
-    energy = st.integers(-2**62, 2**62) if integral else st.floats(allow_nan=False,
-                                                                    allow_infinity=False)
+    if integral:
+        coefficient = st.integers(-2**48, 2**48)
+    else:
+        e = draw(st.integers(-1000, 0))
+        coefficient = st.builds(lambda m, d: (2 * m + 1) * 2.0**(e - d),
+                                st.integers(-2**19, 2**19 - 1), st.integers(1, 20))
+    h = draw(st.dictionaries(st.sampled_from(range(n)), coefficient))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    J = draw(st.dictionaries(st.sampled_from(pairs), coefficient)) if pairs else {}
+    model = IsingModel.from_terms(n, h, J)
     runs, decoded = [], []
     for _ in range(draw(st.integers(1, 3)) if gauged else 1):
         rows = draw(st.lists(st.sampled_from(states), min_size=1, max_size=12))
         k = len(rows)
         times = [np.cumsum(draw(st.lists(st.integers(0, 10**9), min_size=k, max_size=k)))
                  for _ in range(2)]
-        energies = draw(st.lists(energy, min_size=k, max_size=k))
-        runs.append(batch_of([spins for spins, _ in rows], *times,
-                             np.array(energies, dtype=np.int64 if integral else np.float64)))
+        runs.append(batch_of([spins for spins, _ in rows], *times))
         decoded.append([solution for _, solution in rows])
-    return runs, decoded, gauged, n
+    return model, runs, decoded, gauged
 
 
 @settings(max_examples=150, deadline=None)
 @given(sample_files())
 def test_sample_text_roundtrip_matches_reference_writer(case):
-    runs, decoded, gauged, n = case
-    text = samples_to_jsonl(runs, decoded, gauged)
-    assert text == reference_samples_jsonl(runs, decoded, gauged)
+    model, runs, decoded, gauged = case
+    n = model.num_qubits
+    text = samples_to_jsonl(model, runs, decoded, gauged)
+    assert text == reference_samples_jsonl(model, runs, decoded, gauged)
     back = samples_from_jsonl(text, n)
     assert len(back) == len(runs)
     for a, b in zip(back, runs):
@@ -486,10 +501,13 @@ def test_sample_reader_keeps_no_line_dicts():
     # 3.11; one that keeps every line's dict peaks at 24.7 MB.
     rng = np.random.default_rng(0)
     k, n = 5000, 20
+    # energies within [-39, 39], small ints as in the measurements above
+    chain = IsingModel.from_terms(n, dict.fromkeys(range(n), 1),
+                                  {(q, q + 1): 1 for q in range(n - 1)})
     t = np.arange(1, k + 1, dtype=np.int64)
-    runs = [batch_of(2 * rng.integers(0, 2, size=(k, n)) - 1, 20 * t, 100 + 25 * t,
-                     rng.integers(-40, 40, size=k)) for _ in range(4)]
-    text = samples_to_jsonl(runs, [[None] * k] * 4, gauged=True)
+    runs = [batch_of(2 * rng.integers(0, 2, size=(k, n)) - 1, 20 * t, 100 + 25 * t)
+            for _ in range(4)]
+    text = samples_to_jsonl(chain, runs, [[None] * k] * 4, gauged=True)
     samples_from_jsonl(text[:text.index("\n") + 1], n)  # caches and lazy imports
     tracemalloc.start()
     try:
