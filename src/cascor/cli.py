@@ -24,7 +24,7 @@ from . import samplers as samplers_mod
 from .compiler import ConstructionPolicy, compile_cnf, compiled_from_json, compiled_to_json
 from .sat import (
     Cnf,
-    GenerationError,
+    LimitError,
     MixedSatSpec,
     emit_dimacs,
     generate_mixed_sat,
@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GenerationError as exc:
+    except LimitError as exc:
         print(f"cascor: limit error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (InputError, FileNotFoundError) as exc:

@@ -332,6 +332,9 @@ def compiled_from_json(doc: Mapping) -> tuple[IsingModel, PenaltyLayout, Constru
     """Inverse of compiled_to_json."""
     num_qubits = _qubit(doc["num_qubits"])
     h = {q: v for q, v in enumerate(map(_coefficient, doc["h"])) if v != 0}
+    # h is written dense, so its length bounds num_qubits by the file's own size
+    if len(doc["h"]) != num_qubits:
+        raise ValueError(f"model qubit count {num_qubits} differs from h's length {len(doc['h'])}")
     J = {(_qubit(i), _qubit(j)): _coefficient(v) for i, j, v in doc["J"]}
     model = IsingModel.from_terms(num_qubits, h, J)
     layout = PenaltyLayout(

@@ -11,8 +11,17 @@ single int8 array and the cumulative core and wall times.  Iterating a batch
 yields one SampleRecord per read, a row of plain Python values.  The sample
 JSONL file is written whole by samples_to_jsonl, the one place a read's
 energy is computed, which builds the text of each distinct spins row and
-solution once, and read back, every field checked, by samples_from_jsonl,
-which keeps a tuple of the five fields it reads from each line.
+solution once, and read back, every field checked, by samples_from_jsonl.
+Text in the writer's exact line layout is read column-wise: each line is
+matched by one compiled pattern, its integers go to a compact buffer, and
+each distinct spins row and energy is parsed once.  Any other text (other
+spacing, key order or line ends, blank lines) is decoded line by line as
+JSON, keeping a tuple of the five fields read from each line.  Both paths
+feed the same checks, so a file reads the same, or fails with the same
+message, either way.
+
+A run's spins and decoded bits may take at most _RUN_BYTES; sample and
+decode_all raise LimitError before allocating more.
 
 Determinism: read r consumes only its own RNG stream, the one numpy's
 Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
@@ -57,8 +66,10 @@ import hashlib
 import json
 import operator
 import os
+import re
 import subprocess
 import tempfile
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -67,7 +78,16 @@ import numpy as np
 
 from .compiler import PenaltyLayout
 from .ising import Gauge, IsingModel, SpinState, apply_gauge, energies_of_states
-from .sat import Assignment, Cnf, _bit_text, _column, _derived_rng, _derived_seed, _jsonl_objects
+from .sat import (
+    Assignment,
+    Cnf,
+    LimitError,
+    _bit_text,
+    _column,
+    _derived_rng,
+    _derived_seed,
+    _jsonl_objects,
+)
 
 __all__ = [
     "OverheadModel",
@@ -89,6 +109,10 @@ _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # Integral models whose acceptance table would exceed this many bytes run the float loop.
 _TABLE_BYTES = 1 << 20
+# A run's spins and decoded bits, one byte per read and qubit or variable, may
+# take at most this many bytes; files and lists built from them take several
+# times more.
+_RUN_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -207,6 +231,14 @@ def _kernel():
     return lib
 
 
+def _check_run_size(reads: int, width: int, what: str) -> None:
+    """LimitError unless reads rows of width bytes, plus 8 bytes per read, fit _RUN_BYTES."""
+    size = reads * (width + 8)
+    if size > _RUN_BYTES:
+        raise LimitError(f"{what} of {reads} reads x {width} would take {size} bytes, "
+                         f"past the {_RUN_BYTES}-byte limit")
+
+
 def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     """Final spins of every read, (reads, qubits) int8."""
     seed = operator.index(cfg.seed)
@@ -241,7 +273,11 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
 
 
 def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:
-    """Draw cfg.num_reads independent annealed samples with cumulative timing."""
+    """Draw cfg.num_reads independent annealed samples with cumulative timing.
+
+    Raises LimitError when the spins would pass the run size limit.
+    """
+    _check_run_size(cfg.num_reads, model.num_qubits, "spins")
     spins = _anneal(model, cfg)
     reads_done = np.arange(1, cfg.num_reads + 1, dtype=np.int64)
     per_read_wall = cfg.core_time_per_read_us + cfg.overhead.per_read_readout_us
@@ -257,8 +293,10 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
     """Variable-bit projection of every read, kept only where it satisfies the CNF.
 
     Ancilla consistency and sample energy are deliberately ignored; variables
-    absent from every clause have no qubit and default to false.
+    absent from every clause have no qubit and default to false.  Raises
+    LimitError when the bits would pass the run size limit.
     """
+    _check_run_size(len(batch), cnf.num_vars, "decoded bits")
     bits = np.zeros((len(batch), cnf.num_vars), dtype=bool)
     for var, q in layout.var_to_qubit.items():
         bits[:, var - 1] = batch.spins[:, q] > 0
@@ -334,6 +372,15 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
 
 _SAMPLE_FIELDS = ("read", "spins", "energy", "core_time_us", "wall_time_us")
 _sample_fields = operator.itemgetter(*_SAMPLE_FIELDS)
+# The line samples_to_jsonl writes, its spins loosened to the characters "-1, ",
+# which _SPIN_ROW then checks once per distinct row.  Groups: read, spins,
+# energy, core_time_us, wall_time_us, gauge (None when the line has no tag).
+_COUNT = r"(0|[1-9][0-9]*)"
+_WRITER_LINE = re.compile(
+    rf'\{{"read": {_COUNT}, "spins": \[([-1, ]*)\], "energy": ([^,\s]+), '
+    rf'"core_time_us": {_COUNT}, "wall_time_us": {_COUNT}, "solution": (?:"[01]*"|null)'
+    rf'(?:, "gauge": {_COUNT})?\}}\n')
+_SPIN_ROW = re.compile(r"(?:-?1(?:, -?1)*)?")
 
 
 def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
@@ -344,15 +391,78 @@ def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
     order, num_qubits spins of +1 or -1, a numeric energy, and integer times
     that are non-negative and never decrease.  The energies are checked and
     then discarded; the solution field is not read.
+
+    Text in the writer's own line layout is read column-wise by
+    _writer_columns; any other text goes through the per-line JSON decoder.
+    Both feed the same checks, so a text reads the same either way.
     """
-    runs: dict[int, list[tuple]] = {}
+    runs = _writer_columns(text)
+    if runs is None:
+        runs = _json_columns(text)
+    return [_batch_of_columns(runs[gauge], num_qubits, gauge) for gauge in sorted(runs)]
+
+
+def _json_columns(text: str) -> dict[int, dict[str, Sequence]]:
+    """Each gauge's field columns, read line by line as JSON objects."""
+    rows: dict[int, list[tuple]] = {}
     for doc in _jsonl_objects(text):
         gauge = doc.get("gauge", 0)
         if type(gauge) is not int:
             raise ValueError(f"gauge tag {gauge!r} is not an integer")
-        runs.setdefault(gauge, []).append(_sample_fields(doc))
-    return [_batch_of_columns(dict(zip(_SAMPLE_FIELDS, zip(*runs[gauge]))), num_qubits, gauge)
-            for gauge in sorted(runs)]
+        rows.setdefault(gauge, []).append(_sample_fields(doc))
+    return {gauge: dict(zip(_SAMPLE_FIELDS, zip(*rows[gauge]))) for gauge in rows}
+
+
+def _writer_columns(text: str) -> dict[int, dict[str, Sequence]] | None:
+    """Each gauge's field columns of a text in samples_to_jsonl's line layout, else None.
+
+    Lines are matched in order against _WRITER_LINE, so None comes back at the
+    first line in any other layout (blank lines, CR, other spacing or key
+    order, booleans, leading zeros, no final newline), and also when a spins
+    row is not "1"/"-1" tokens, the rows differ in width, an energy is not one
+    JSON value, or an integer does not fit int64.  Each distinct spins text
+    and energy token is parsed once; the spins texts are parsed together as
+    bytes, never split into Python tokens.
+    """
+    spin_rows: dict[str, int] = {}
+    energies: dict[str, int] = {}
+    # per gauge tag text, "0" for an untagged line as for a "gauge": 0 line: the
+    # read, core, wall, spins row index and energy index of each line
+    buffers: dict[str, array] = {}
+    match, pos = _WRITER_LINE.match, 0
+    try:
+        while pos < len(text):
+            line = match(text, pos)
+            if line is None:
+                return None
+            pos = line.end()
+            read, spins, energy, core, wall, gauge = line.groups()
+            ints = buffers.get(gauge or "0")
+            if ints is None:
+                ints = buffers[gauge or "0"] = array("q")
+            ints.extend((int(read), int(core), int(wall),
+                         spin_rows.setdefault(spins, len(spin_rows)),
+                         energies.setdefault(energy, len(energies))))
+    except OverflowError:  # an integer past int64
+        return None
+    widths = {row.count("1") for row in spin_rows}
+    if len(widths) > 1 or not all(map(_SPIN_ROW.fullmatch, spin_rows)):
+        return None
+    try:
+        values = [json.loads(token) for token in energies]
+    except ValueError:
+        return None
+    # every spin is "1" or "-1", so the byte before each "1" gives its sign
+    raw = np.frombuffer((" " + " ".join(spin_rows)).encode(), dtype=np.uint8)
+    negative = raw[:-1][raw[1:] == ord("1")] == ord("-")
+    table = (1 - 2 * negative.view(np.int8)).reshape(len(spin_rows), *widths)
+    columns = {}
+    for gauge, ints in buffers.items():
+        read, core, wall, rows, energy = np.frombuffer(ints, dtype=np.int64).reshape(-1, 5).T
+        columns[int(gauge)] = {"read": read, "spins": table[rows],
+                               "energy": [values[i] for i in energy.tolist()],
+                               "core_time_us": core, "wall_time_us": wall}
+    return columns
 
 
 def _batch_of_columns(columns: dict[str, Sequence], num_qubits: int, gauge: int) -> SampleBatch:

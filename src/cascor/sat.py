@@ -21,6 +21,7 @@ __all__ = [
     "MixedSatSpec",
     "DimacsError",
     "GenerationError",
+    "LimitError",
     "parse_dimacs",
     "emit_dimacs",
     "evaluate",
@@ -35,7 +36,11 @@ class DimacsError(ValueError):
     """Raised when DIMACS text is malformed or inconsistent with its header."""
 
 
-class GenerationError(RuntimeError):
+class LimitError(RuntimeError):
+    """Raised when a run would pass a fixed resource limit; the CLI exits 3."""
+
+
+class GenerationError(LimitError):
     """Raised when the retry budget runs out without an admissible instance."""
 
 
@@ -264,15 +269,17 @@ def _column(values: list, name: str, shape: tuple[int, ...], kinds: str = "i") -
     """values as one array of the given shape; ValueError unless its dtype kind is in kinds.
 
     Integers past int64 (object dtype), booleans, strings, nulls and ragged
-    rows fail.
+    rows fail.  An array passes through uncopied.
     """
     try:
-        array = np.array(values)
+        array = np.asarray(values)
     except ValueError:  # ragged rows
         array = None
     kind = "numbers" if "f" in kinds else "integers"
     if array is None or array.shape != shape or (array.size and array.dtype.kind not in kinds):
         raise ValueError(f"{name} must be {kind} of shape {shape}")
+    if array is values:  # an array of integer or float dtype holds no JSON boolean
+        return array
     # numpy reads a boolean among numbers as 0 or 1; rows are lists once the shape holds
     scalars = itertools.chain.from_iterable(values) if len(shape) == 2 else values
     if bool in set(map(type, scalars)):

@@ -85,6 +85,28 @@ def test_gen_retry_exhaustion_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, num_vars, reads", [
+    ("sample", 2, 10**11),  # 186 GiB of spins
+    ("bench", 2, 10**11),
+    ("sample", 10**11, 1000),  # 2 used variables; 931 GiB of decoded bits
+], ids=["sample-reads", "bench-reads", "sample-unused-variables"])
+def test_run_past_the_size_limit_is_limit_error(command, num_vars, reads, tmp_path, capsys,
+                                                monkeypatch):
+    # the size is checked before anything of it is allocated, so no ulimit is needed
+    monkeypatch.setenv(cli.THREADS_ENV, "1")
+    cnf_path = tmp_path / "or.cnf"
+    cnf_path.write_text(f"p cnf {num_vars} 1\n1 2 0\n")
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    inputs = {"sample": ["--model", str(model), "--cnf", str(cnf_path)],
+              "bench": ["--instances", str(tmp_path)]}[command]
+    capsys.readouterr()
+    assert run(command, *inputs, "--seed", "1", "--reads", str(reads),
+               "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "cascor: limit error:" in err and "Traceback" not in err
+
+
 def test_compile_writes_model_json(tmp_path):
     path = tmp_path / "tri.cnf"
     path.write_text("p cnf 3 1\n1 2 3 0\n")
@@ -601,8 +623,10 @@ def test_unusable_model_coefficient_is_input_error(field, text, tmp_path, capsys
     assert "cascor: input error: model coefficient" in err and "Traceback" not in err
 
 
-# One case per qubit index or count that int() would read as some other integer.
+# One case per qubit index or count that int() would read as some other integer,
+# and a count that the dense h does not hold.
 NON_INTEGER_QUBITS = {
+    "num-qubits-past-h": lambda doc: doc.update(num_qubits=10**12),
     "float-coupler-index": lambda doc: doc["J"][0].__setitem__(0, 0.9),
     "float-num-qubits": lambda doc: doc.update(num_qubits=3.7),
     "string-num-qubits": lambda doc: doc.update(num_qubits=str(doc["num_qubits"])),

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import tracemalloc
 
@@ -492,6 +493,89 @@ def test_sample_text_roundtrip_matches_reference_writer(case):
     # JSON whitespace around a line's object, CRLF line ends and blank lines read the same
     spaced = "".join(f" \t{line}\r\n \n" for line in text.splitlines())
     for a, b in zip(samples_from_jsonl(spaced, n), runs, strict=True):
+        assert_same_batch(a, b)
+
+
+def read_back(text, n):
+    """samples_from_jsonl's batches of text, or the message of its ValueError."""
+    try:
+        return samples_from_jsonl(text, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def read_back_as_json(text, n):
+    """read_back with the writer-layout tokenizer off: every line decoded as JSON."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(samplers, "_writer_columns", lambda text: None)
+        return read_back(text, n)
+
+
+def _toggle_gauge_tag(line):
+    # untagged lines and "gauge": 0 lines both belong to gauge 0
+    if '"gauge"' in line:
+        return re.sub(r', "gauge": [0-9]+', "", line)
+    return line[:-1] + ', "gauge": 0}'
+
+
+# One edit of one writer line each; the reader must treat the result as the JSON path does.
+LINE_MUTATIONS = {
+    "re-spaced": lambda line: line.replace(", ", " ,  ").replace(": ", ":"),
+    "keys-reordered": lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+    "boolean-spin": lambda line: re.sub(r'"spins": \[-?1', '"spins": [true', line),
+    "boolean-time": lambda line: re.sub(r'"core_time_us": [0-9]+', '"core_time_us": true', line),
+    "leading-zero-read": lambda line: line.replace('"read": ', '"read": 0'),
+    "leading-zero-time": lambda line: line.replace('"wall_time_us": ', '"wall_time_us": 0'),
+    "float-time": lambda line: re.sub(r'("core_time_us": [0-9]+)', r"\1.0", line),
+    "time-past-int64": lambda line: re.sub(r'"wall_time_us": [0-9]+',
+                                           f'"wall_time_us": {2**70}', line),
+    "energy-past-int64": lambda line: re.sub(r'"energy": [^,]+', f'"energy": {2**70}', line),
+    "negative-time": lambda line: line.replace('"core_time_us": ', '"core_time_us": -'),
+    "read-out-of-order": lambda line: re.sub(
+        r'"read": ([0-9]+)', lambda m: f'"read": {int(m[1]) + 1}', line),
+    "spin-dropped": lambda line: re.sub(r'"spins": \[-?1(, )?', '"spins": [', line),
+    "spin-added": lambda line: line.replace('"spins": [', '"spins": [1, '),
+    "spins-unseparated": lambda line: re.sub(r'("spins": \[-?1), ', r"\1", line),
+    "gauge-tag-toggled": _toggle_gauge_tag,
+    "blank-line-after": lambda line: line + "\n",
+    "crlf": lambda line: line + "\r",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_files(), st.sampled_from([*sorted(LINE_MUTATIONS), "no-final-newline"]),
+       st.integers(0, 2**16))
+def test_mutated_sample_text_reads_as_the_json_path_reads_it(case, mutation, where):
+    model, runs, decoded, gauged = case
+    n = model.num_qubits
+    lines = samples_to_jsonl(model, runs, decoded, gauged).splitlines()
+    if mutation == "no-final-newline":
+        text = "\n".join(lines)
+    else:
+        i = where % len(lines)
+        lines[i] = LINE_MUTATIONS[mutation](lines[i])
+        text = "".join(line + "\n" for line in lines)
+    got, want = read_back(text, n), read_back_as_json(text, n)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for a, b in zip(got, want, strict=True):
+            assert_same_batch(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_files())
+def test_writer_text_is_read_without_the_json_decoder(case):
+    # a width check that misjudged the writer's rows would send every file down the JSON path
+    model, runs, decoded, gauged = case
+    text = samples_to_jsonl(model, runs, decoded, gauged)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(samplers, "_jsonl_objects", lambda text: calls.append(text) or iter(()))
+        back = samples_from_jsonl(text, model.num_qubits)
+    assert calls == []
+    for a, b in zip(back, runs, strict=True):
         assert_same_batch(a, b)
 
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascor.sat import (
     Clause,
@@ -46,6 +48,28 @@ def test_parse_comments_and_multiline_clauses():
 def test_parse_errors(text):
     with pytest.raises(DimacsError):
         parse_dimacs(text)
+
+
+# DIMACS-like text: a header or none, then header and comment words, literals
+# (some past the header's count), stray tokens, and the separators the parser splits on
+_DIMACS_TOKENS = st.sampled_from(["p", "cnf", "c", "0", "0", "0", "-", "x", "1.5", "\n", "\r\n"])
+_DIMACS_LIKE = st.builds(
+    "{}{}".format,
+    st.just("") | st.tuples(st.integers(-1, 5), st.integers(-1, 4)).map(
+        lambda counts: "p cnf {} {}\n".format(*counts)),
+    st.lists(_DIMACS_TOKENS | st.integers(-5, 5).map(str) | st.integers().map(str)
+             | st.text(max_size=3), max_size=30).map(" ".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | _DIMACS_LIKE)
+def test_parse_dimacs_raises_only_dimacs_error(text):
+    try:
+        cnf = parse_dimacs(text)
+    except DimacsError:
+        return
+    assert parse_dimacs(emit_dimacs(cnf)) == cnf
 
 
 def test_emit_single_clause():
