@@ -15,9 +15,20 @@
  * one lookup in a table of probabilities.  Float models (cascor_anneal_float)
  * sum the neighbour row at every proposal, so their rounding stays that of a
  * row sum; integral models whose table would be too large run this loop too.
+ *
+ * On x86-64 hosts with AVX-512F, DQ and VL, cascor_anneal_int anneals eight
+ * reads at once, one per 64-bit lane of a 512-bit vector; elsewhere it runs
+ * the scalar integral loop, which stays exported as cascor_anneal_int_scalar.
+ * Each lane draws only its own read's stream and makes that read's proposals
+ * in the scalar order, so the lane loop's spins are the scalar loop's bit for
+ * bit.  The float loop is scalar everywhere.
  */
 #include <math.h>
 #include <stdint.h>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#include <string.h>
+#endif
 
 typedef __uint128_t u128;
 
@@ -167,11 +178,12 @@ void cascor_anneal_float(const uint32_t *seed_words, int64_t seed_len, int64_t r
  * ceil(exp(-two_betas[t] * k) * 2^53) for k < table_width, with table_width
  * above every |v| (entry 0 is 2^53).  That is u < p(v) exactly, since
  * u = m / 2^53.  fields is scratch space for n int64. */
-void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads,
-                       int64_t n, int64_t sweeps, const int64_t *restrict indptr,
-                       const int64_t *restrict indices, const int64_t *restrict values,
-                       const int64_t *restrict h, const uint64_t *restrict table,
-                       int64_t table_width, int64_t *restrict fields, int8_t *restrict out)
+void cascor_anneal_int_scalar(const uint32_t *restrict seed_words, int64_t seed_len,
+                              int64_t reads, int64_t n, int64_t sweeps,
+                              const int64_t *restrict indptr, const int64_t *restrict indices,
+                              const int64_t *restrict values, const int64_t *restrict h,
+                              const uint64_t *restrict table, int64_t table_width,
+                              int64_t *restrict fields, int8_t *restrict out)
 {
     for (int64_t r = 0; r < reads; r++) {
         pcg64 g;
@@ -196,4 +208,144 @@ void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, in
             }
         }
     }
+}
+
+#if defined(__x86_64__)
+#define LANES 8
+#define LANE_TARGET __attribute__((target("avx512f,avx512dq,avx512vl")))
+
+/* Eight PCG64 streams, one per 64-bit lane, states and increments split into words. */
+typedef struct {
+    __m512i state_hi, state_lo, inc_hi, inc_lo;
+} pcg64x8;
+
+/* The high word of each lane's 128-bit product a * b, from four 32 x 32-bit products. */
+LANE_TARGET static inline __m512i mulhi_u64(__m512i a, __m512i b)
+{
+    const __m512i low32 = _mm512_set1_epi64(0xffffffff);
+    const __m512i a_hi = _mm512_srli_epi64(a, 32), b_hi = _mm512_srli_epi64(b, 32);
+    const __m512i p00 = _mm512_mul_epu32(a, b), p01 = _mm512_mul_epu32(a, b_hi);
+    const __m512i p10 = _mm512_mul_epu32(a_hi, b), p11 = _mm512_mul_epu32(a_hi, b_hi);
+    const __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(p00, 32),
+                                         _mm512_add_epi64(_mm512_and_si512(p01, low32),
+                                                          _mm512_and_si512(p10, low32)));
+    return _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
+                            _mm512_add_epi64(_mm512_srli_epi64(p01, 32),
+                                             _mm512_srli_epi64(p10, 32)));
+}
+
+/* pcg_next in every lane: state * mult mod 2^128 keeps the low words' full
+ * product and only the low words of the two cross products. */
+LANE_TARGET static inline __m512i pcg_next_x8(pcg64x8 *g)
+{
+    const __m512i mult_hi = _mm512_set1_epi64((long long)(uint64_t)(PCG_MULT >> 64));
+    const __m512i mult_lo = _mm512_set1_epi64((long long)(uint64_t)PCG_MULT);
+    const __m512i lo = _mm512_add_epi64(_mm512_mullo_epi64(g->state_lo, mult_lo), g->inc_lo);
+    __m512i hi = _mm512_add_epi64(
+        _mm512_add_epi64(mulhi_u64(g->state_lo, mult_lo), g->inc_hi),
+        _mm512_add_epi64(_mm512_mullo_epi64(g->state_hi, mult_lo),
+                         _mm512_mullo_epi64(g->state_lo, mult_hi)));
+    /* the carry out of the low word */
+    hi = _mm512_mask_sub_epi64(hi, _mm512_cmplt_epu64_mask(lo, g->inc_lo), hi,
+                               _mm512_set1_epi64(-1));
+    g->state_hi = hi;
+    g->state_lo = lo;
+    return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+}
+
+/* cascor_anneal_int_scalar's anneal, reads r0 .. r0 + 7 side by side: read
+ * r0 + l in lane l.  Each lane draws its own read's stream and makes that
+ * read's proposals in the same order, so every read ends with the scalar
+ * loop's spins.  In the last group, lanes past the final read anneal from all
+ * -1 spins on an all-zero stream and are never written out; their fields
+ * still match their spins, so their table indices stay below table_width.
+ * scratch holds 8 n int64 fields and then n bytes of lane masks. */
+LANE_TARGET static void anneal_int_lanes(
+    const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads, int64_t n,
+    int64_t sweeps, const int64_t *restrict indptr, const int64_t *restrict indices,
+    const int64_t *restrict values, const int64_t *restrict h, const uint64_t *restrict table,
+    int64_t table_width, int64_t *restrict scratch, int8_t *restrict out)
+{
+    int64_t *fields = scratch;  /* spin i's field in lane l is fields[LANES * i + l] */
+    uint8_t *up = (uint8_t *)(scratch + LANES * n);  /* bit l of up[i]: spin i is +1 in lane l */
+    const __m512i zero = _mm512_setzero_si512();
+    for (int64_t r0 = 0; r0 < reads; r0 += LANES) {
+        const int lanes = reads - r0 < LANES ? (int)(reads - r0) : LANES;
+        uint64_t words[4][LANES] = {{0}};
+        memset(up, 0, (size_t)n);
+        for (int l = 0; l < lanes; l++) {
+            pcg64 g;
+            int8_t *s = out + (r0 + l) * n;
+            start_read(&g, seed_words, seed_len, r0 + l, n, s);
+            words[0][l] = (uint64_t)(g.state >> 64);
+            words[1][l] = (uint64_t)g.state;
+            words[2][l] = (uint64_t)(g.inc >> 64);
+            words[3][l] = (uint64_t)g.inc;
+            for (int64_t i = 0; i < n; i++)
+                up[i] |= (uint8_t)((s[i] > 0) << l);
+        }
+        pcg64x8 g = {_mm512_loadu_si512(words[0]), _mm512_loadu_si512(words[1]),
+                     _mm512_loadu_si512(words[2]), _mm512_loadu_si512(words[3])};
+        for (int64_t i = 0; i < n; i++) {
+            __m512i local = _mm512_set1_epi64(h[i]);
+            for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
+                const __m512i value = _mm512_set1_epi64(values[k]);
+                const __mmask8 plus = up[indices[k]];
+                local = _mm512_mask_add_epi64(local, plus, local, value);
+                local = _mm512_mask_sub_epi64(local, (__mmask8)~plus, local, value);
+            }
+            _mm512_storeu_si512(fields + LANES * i, local);
+        }
+        for (int64_t t = 0; t < sweeps; t++) {
+            const uint64_t *row = table + t * table_width;
+            for (int64_t i = 0; i < n; i++) {
+                const __m512i m = _mm512_srli_epi64(pcg_next_x8(&g), 11);
+                const __m512i local = _mm512_loadu_si512(fields + LANES * i);
+                /* -v = -s_i * local; the table index is max(-v, 0) */
+                const __m512i neg_v = _mm512_mask_sub_epi64(local, up[i], zero, local);
+                const __m512i limit =
+                    _mm512_i64gather_epi64(_mm512_max_epi64(neg_v, zero), row, 8);
+                const __mmask8 flip = _mm512_cmplt_epu64_mask(m, limit);
+                if (flip) {
+                    up[i] ^= flip;
+                    const __mmask8 rise = flip & up[i], fall = flip & (__mmask8)~up[i];
+                    for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
+                        const __m512i step = _mm512_set1_epi64(2 * values[k]);
+                        int64_t *f = fields + LANES * indices[k];
+                        __m512i field = _mm512_loadu_si512(f);
+                        field = _mm512_mask_add_epi64(field, rise, field, step);
+                        field = _mm512_mask_sub_epi64(field, fall, field, step);
+                        _mm512_storeu_si512(f, field);
+                    }
+                }
+            }
+        }
+        for (int l = 0; l < lanes; l++) {
+            int8_t *s = out + (r0 + l) * n;
+            for (int64_t i = 0; i < n; i++)
+                s[i] = (up[i] >> l & 1) ? 1 : -1;
+        }
+    }
+}
+#endif
+
+/* cascor_anneal_int_scalar's spins, from the eight-lane loop on hosts with
+ * AVX-512F, DQ and VL and from the scalar loop elsewhere.  fields is scratch
+ * for 9 n int64. */
+void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads,
+                       int64_t n, int64_t sweeps, const int64_t *restrict indptr,
+                       const int64_t *restrict indices, const int64_t *restrict values,
+                       const int64_t *restrict h, const uint64_t *restrict table,
+                       int64_t table_width, int64_t *restrict fields, int8_t *restrict out)
+{
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512vl")) {
+        anneal_int_lanes(seed_words, seed_len, reads, n, sweeps, indptr, indices, values, h,
+                         table, table_width, fields, out);
+        return;
+    }
+#endif
+    cascor_anneal_int_scalar(seed_words, seed_len, reads, n, sweeps, indptr, indices, values,
+                             h, table, table_width, fields, out);
 }

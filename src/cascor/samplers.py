@@ -20,8 +20,10 @@ JSON, keeping a tuple of the five fields read from each line.  Both paths
 feed the same checks, so a file reads the same, or fails with the same
 message, either way.
 
-A run's spins and decoded bits may take at most _RUN_BYTES; sample and
-decode_all raise LimitError before allocating more.
+A run's spins and decoded bits may take at most _RUN_BYTES, and so may the
+gauges of an SRT rotation and the spins of all its runs together; sample,
+decode_all, random_gauges and sample_with_srt_rotation raise LimitError
+before allocating more.
 
 Determinism: read r consumes only its own RNG stream, the one numpy's
 Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
@@ -47,7 +49,10 @@ u < exp(2 beta v).  The kernel has two loops:
   of the uniform u = m / 2**53 is below it.  For an integer m, m < p * 2**53
   holds exactly when m < ceil(p * 2**53), and scaling by 2**53 (ldexp) is
   exact for every double in [0, 1], subnormals included, so the integer
-  comparison is u < p bit for bit.
+  comparison is u < p bit for bit.  On x86-64 hosts with AVX-512F, DQ and
+  VL this loop anneals eight reads at once, one per vector lane, each lane
+  on its own read's stream; its spins are the one-read-at-a-time loop's bit
+  for bit, and other hosts run that loop.
 - Float models sum each local field over its neighbour row at every
   proposal, since fields updated incrementally would drift from a row sum.
 
@@ -226,16 +231,18 @@ def _kernel():
                                    for t in (np.uint32, np.uint64, np.int64, np.float64, np.int8))
     head = [u32s, i64, i64, i64, i64, i64s, i64s]  # stream, sizes and CSR structure
     lib.cascor_anneal_float.argtypes = [*head, f64s, f64s, f64s, i8s]
-    lib.cascor_anneal_int.argtypes = [*head, i64s, i64s, u64s, i64, i64s, i8s]
-    lib.cascor_anneal_float.restype = lib.cascor_anneal_int.restype = None
+    for anneal in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
+        anneal.argtypes = [*head, i64s, i64s, u64s, i64, i64s, i8s]
+        anneal.restype = None
+    lib.cascor_anneal_float.restype = None
     return lib
 
 
-def _check_run_size(reads: int, width: int, what: str) -> None:
-    """LimitError unless reads rows of width bytes, plus 8 bytes per read, fit _RUN_BYTES."""
-    size = reads * (width + 8)
+def _check_run_size(rows: int, width: int, what: str) -> None:
+    """LimitError unless rows of width bytes, plus 8 bytes per row, fit _RUN_BYTES."""
+    size = rows * (width + 8)
     if size > _RUN_BYTES:
-        raise LimitError(f"{what} of {reads} reads x {width} would take {size} bytes, "
+        raise LimitError(f"{what} of {rows} rows x {width} would take {size} bytes, "
                          f"past the {_RUN_BYTES}-byte limit")
 
 
@@ -262,8 +269,9 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
             # u < p exactly when u's 53-bit integer is below ceil(p * 2**53)
             p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
             table = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
+            # scratch: eight lanes' int64 fields, then a byte of lane spins per qubit
             _kernel().cascor_anneal_int(*head, a.data, a.h, table, vmax + 1,
-                                        np.empty(n, dtype=np.int64), spins)
+                                        np.empty(9 * n, dtype=np.int64), spins)
             return spins
     # Integer sums below 2**53 are exact in float64, so an integral model past
     # the table cap gets the same v, uniform and exp call in the float loop.
@@ -313,7 +321,12 @@ _GAUGE_STREAM_TAG = 0x67617567  # keeps gauge draws off the per-read streams
 
 
 def random_gauges(num_qubits: int, count: int, seed: int) -> list[Gauge]:
-    """Deterministic random +/-1 gauges for SRT rotation runs."""
+    """Deterministic random +/-1 gauges for SRT rotation runs.
+
+    Raises LimitError, before drawing any, when count gauges of num_qubits
+    would pass the run size limit.
+    """
+    _check_run_size(count, num_qubits, "gauges")
     rng = _derived_rng(seed, _GAUGE_STREAM_TAG)
     return [
         tuple(int(g) for g in (2 * rng.integers(0, 2, size=num_qubits) - 1))
@@ -324,7 +337,12 @@ def random_gauges(num_qubits: int, count: int, seed: int) -> list[Gauge]:
 def sample_with_srt_rotation(
     model: IsingModel, cfg: SamplerConfig, gauges: list[Gauge]
 ) -> list[SampleBatch]:
-    """Sample once per gauge on the gauge-transformed model, un-gauging the spins."""
+    """Sample once per gauge on the gauge-transformed model, un-gauging the spins.
+
+    Raises LimitError, before the first run, when the spins of every run
+    together would pass the run size limit.
+    """
+    _check_run_size(len(gauges) * cfg.num_reads, model.num_qubits, "spins of every gauge")
     runs: list[SampleBatch] = []
     for gi, gauge in enumerate(gauges):
         if len(gauge) != model.num_qubits:

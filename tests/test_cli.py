@@ -107,6 +107,23 @@ def test_run_past_the_size_limit_is_limit_error(command, num_vars, reads, tmp_pa
     assert "cascor: limit error:" in err and "Traceback" not in err
 
 
+def test_sample_gauges_past_the_size_limit_is_limit_error(tmp_path, capsys, monkeypatch):
+    # each run of 50 reads fits the patched limit, and so do the 50 gauges; their runs do not
+    cnf_path = tmp_path / "or.cnf"
+    cnf_path.write_text("p cnf 2 1\n1 2 0\n")
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    monkeypatch.setattr(samplers_mod, "_RUN_BYTES", 1000)
+    monkeypatch.setattr(samplers_mod, "sample", lambda *args: pytest.fail("sampled a run"))
+    capsys.readouterr()
+    out = tmp_path / "samples.jsonl"
+    assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
+               "--reads", "50", "--gauges", "50", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "cascor: limit error: spins of every gauge" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_compile_writes_model_json(tmp_path):
     path = tmp_path / "tri.cnf"
     path.write_text("p cnf 3 1\n1 2 3 0\n")

@@ -1,7 +1,12 @@
 import json
+import os
+import platform
 import re
 import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from cascor.samplers import (
     samples_from_jsonl,
     samples_to_jsonl,
 )
-from cascor.sat import Cnf, _derived_rng, evaluate
+from cascor.sat import Cnf, LimitError, _derived_rng, evaluate
 
 from conftest import (
     assert_file_energies,
@@ -101,16 +106,167 @@ def test_sample_matches_reference_anneal(seed, integral, reads, sweeps):
     assert spins.strides == expected.strides  # row-major, as consumers of reads expect
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 1])
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 13])
-def test_kernel_streams_match_reference(seed, n):
-    # seeds of one to seven entropy words, odd and even initial-spin draws
+# seeds of one to seven entropy words
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 1]
+
+
+def dense_integral_model(n: int) -> IsingModel:
     rng = np.random.default_rng(n)
-    model = IsingModel.from_terms(
+    return IsingModel.from_terms(
         n, {q: int(rng.integers(-2, 3)) for q in range(n)},
         {(i, j): int(rng.integers(-2, 3)) for i in range(n) for j in range(i + 1, n)})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 13])
+def test_kernel_streams_match_reference(seed, n):
+    # odd and even initial-spin draws
+    model = dense_integral_model(n)
     cfg = SamplerConfig(num_reads=6, sweeps=9, seed=seed, beta_end=2.0)
     assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        return set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        return set()
+
+
+# The kernel runs its eight-lane integral loop only on CPUs with these; elsewhere
+# its dispatched entry is the scalar loop, and comparing the two shows nothing.
+needs_lanes = pytest.mark.skipif(
+    platform.machine() != "x86_64" or not {"avx512f", "avx512dq", "avx512vl"} <= _cpu_flags(),
+    reason="the CPU lacks AVX-512F, DQ or VL, so the kernel runs no lane loop")
+INT_ENTRIES = [pytest.param("cascor_anneal_int", id="dispatched", marks=needs_lanes),
+               pytest.param("cascor_anneal_int_scalar", id="scalar")]
+
+
+def anneal_with(entry: str, model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
+    """samplers._anneal's spins, its integral loop called through the kernel symbol entry."""
+    lib = samplers._kernel()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lib, "cascor_anneal_int", getattr(lib, entry))
+        return samplers._anneal(model, cfg)
+
+
+@pytest.mark.parametrize("entry", INT_ENTRIES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 2, 13])
+def test_integral_loops_match_reference_for_any_read_count(entry, seed, n):
+    # the last group of eight lanes holds 1, 7, 8, 1 and 1 reads
+    model = dense_integral_model(n)
+    cfg = SamplerConfig(num_reads=17, sweeps=9, seed=seed, beta_end=2.0)
+    expected = slow_anneal(model, cfg)
+    for reads in (1, 7, 8, 9, 17):
+        spins = anneal_with(entry, model, replace(cfg, num_reads=reads))
+        assert np.array_equal(spins, expected[:reads]), reads
+
+
+def star_model() -> IsingModel:
+    # each flip of the hub moves 150 leaf fields, each leaf flip the hub's
+    rng = np.random.default_rng(17)
+    return IsingModel(151, {0: 3, 5: -2}, {(0, q): int(rng.choice([-2, -1, 1, 2]))
+                                           for q in range(1, 151)})
+
+
+def table_cap_model(vmax: int) -> IsingModel:
+    return IsingModel(4, {0: vmax - 1, 2: -3}, {(0, 1): 1, (1, 2): 2, (2, 3): -1})
+
+
+def cnf_model(seed: int) -> IsingModel:
+    rng = np.random.default_rng(seed)
+    return compile_cnf(random_small_cnf(rng, n=int(rng.integers(1, 9)),
+                                        m=int(rng.integers(1, 9))))[0]
+
+
+EDGE_RUNS = {
+    "star": (star_model, SamplerConfig(num_reads=20, sweeps=30, seed=8, beta_end=1.5)),
+    "all-zero": (lambda: IsingModel(5, {}, {}), SamplerConfig(num_reads=11, sweeps=4, seed=3)),
+    "table-cap": (lambda: table_cap_model(8191),
+                  SamplerConfig(num_reads=40, sweeps=16, seed=8191, beta_start=1e-4,
+                                beta_end=2e-3)),
+    "1003-reads": (lambda: compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
+                   SamplerConfig(num_reads=1003, sweeps=12, seed=31, beta_end=3.0)),
+}
+
+
+@pytest.mark.parametrize("entry", INT_ENTRIES)
+@pytest.mark.parametrize("case", sorted(EDGE_RUNS))
+def test_integral_loops_match_reference_on_edge_models(entry, case):
+    build, cfg = EDGE_RUNS[case]
+    model = build()
+    assert model.is_integral()
+    assert np.array_equal(anneal_with(entry, model, cfg), slow_anneal(model, cfg))
+
+
+@needs_lanes
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64), reads=st.integers(1, 40), sweeps=st.integers(1, 10))
+def test_lane_loop_matches_scalar_loop(seed, reads, sweeps):
+    model = cnf_model(seed)
+    cfg = SamplerConfig(num_reads=reads, sweeps=sweeps, seed=seed,
+                        beta_end=float(np.random.default_rng(seed).uniform(0.1, 8.0)))
+    assert np.array_equal(anneal_with("cascor_anneal_int", model, cfg),
+                          anneal_with("cascor_anneal_int_scalar", model, cfg))
+
+
+def boltzmann_chi_square(model: IsingModel, beta: float, spins: np.ndarray) -> tuple[float, int]:
+    """Pearson's chi-square of the spins' state counts against exp(-beta E), and its dof.
+
+    States expected fewer than five times are pooled into one bin.
+    """
+    n = model.num_qubits
+    codes = np.arange(1 << n)
+    states = 1 - 2 * (codes[:, None] >> np.arange(n) & 1)  # bit q of a code: qubit q is -1
+    energies = energies_of_states(model, states).astype(np.float64)
+    expected = np.exp(-beta * (energies - energies.min()))
+    expected *= len(spins) / expected.sum()
+    observed = np.bincount((spins < 0) @ (1 << np.arange(n)), minlength=1 << n)
+    pooled = expected < 5
+    if pooled.any():
+        observed = np.append(observed[~pooled], observed[pooled].sum())
+        expected = np.append(expected[~pooled], expected[pooled].sum())
+    return float(np.sum((observed - expected) ** 2 / expected)), len(expected) - 1
+
+
+def boltzmann_model(scale: int = 1, integral: bool = True) -> IsingModel:
+    rng = np.random.default_rng(6)
+    h = {q: int(rng.integers(-2, 3)) * scale for q in range(6)}
+    J = {(i, j): int(rng.integers(-2, 3)) * scale for i in range(6) for j in range(i + 1, 6)}
+    if not integral:
+        h = {q: v + 0.25 for q, v in h.items()}
+    return IsingModel.from_terms(6, h, J)
+
+
+# 40,000 reads of 30 sweeps at one temperature; the past-table model is the
+# integral one scaled by 2000 at beta / 2000, so all three share one law.
+BOLTZMANN_RUNS = {
+    "integral": (boltzmann_model(), 0.4),
+    "float": (boltzmann_model(integral=False), 0.4),
+    "past-table": (boltzmann_model(2000), 0.4 / 2000),
+}
+
+
+@pytest.mark.parametrize("case, entry", [
+    *(pytest.param("integral", e.values[0], id=f"integral-{e.id}", marks=e.marks)
+      for e in INT_ENTRIES),
+    pytest.param("float", None, id="float"),
+    pytest.param("past-table", None, id="past-table")])
+def test_fixed_temperature_anneal_draws_the_boltzmann_distribution(case, entry):
+    # At beta_start = beta_end, each Metropolis step keeps exp(-beta E) stationary;
+    # 30 sweeps of 6 qubits from uniform states mix to it well within sampling noise.
+    model, beta = BOLTZMANN_RUNS[case]
+    cfg = SamplerConfig(num_reads=40_000, sweeps=30, seed=2016,
+                        beta_start=beta, beta_end=beta)
+    spins = samplers._anneal(model, cfg) if entry is None else anneal_with(entry, model, cfg)
+    if case == "past-table":
+        vmax = max(abs(model.h.get(q, 0)) + sum(abs(v) for pair, v in model.J.items() if q in pair)
+                   for q in range(model.num_qubits))
+        assert model.is_integral() and cfg.sweeps * (vmax + 1) * 8 > samplers._TABLE_BYTES
+    chi2, dof = boltzmann_chi_square(model, beta, spins)
+    # five standard deviations of chi-square above its mean, p about 1e-5
+    assert chi2 < dof + 5 * np.sqrt(2 * dof), (chi2, dof)
 
 
 def test_integral_model_beyond_the_table_cap_matches_reference():
@@ -124,18 +280,14 @@ def test_integral_model_beyond_the_table_cap_matches_reference():
 @pytest.mark.parametrize("vmax", [8191, 8192])
 def test_integral_model_at_the_table_cap_matches_reference(vmax):
     # 16 sweeps x (8191 + 1) entries x 8 bytes is exactly the cap; one column more calls exp
-    model = IsingModel(4, {0: vmax - 1, 2: -3}, {(0, 1): 1, (1, 2): 2, (2, 3): -1})
+    model = table_cap_model(vmax)
     cfg = SamplerConfig(num_reads=40, sweeps=16, seed=vmax, beta_start=1e-4, beta_end=2e-3)
     assert (cfg.sweeps * (vmax + 1) * 8 <= samplers._TABLE_BYTES) == (vmax == 8191)
     assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
 
 
 def test_star_model_matches_reference():
-    # each flip of the hub moves 150 leaf fields, each leaf flip the hub's
-    rng = np.random.default_rng(17)
-    n = 151
-    model = IsingModel(n, {0: 3, 5: -2}, {(0, q): int(rng.choice([-2, -1, 1, 2]))
-                                          for q in range(1, n)})
+    model = star_model()
     cfg = SamplerConfig(num_reads=20, sweeps=30, seed=8, beta_end=1.5)
     assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
 
@@ -144,6 +296,55 @@ def test_kernel_source_compiles_without_warnings():
     done = subprocess.run([samplers._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                            str(samplers._SOURCE)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# Loads the kernel built at argv[1] through samplers._kernel and anneals an
+# integral model through both integral loops, and a float model and an
+# integral one past the table cap through the float loop.
+_UBSAN_CHILD = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from cascor import samplers
+from cascor.compiler import compile_cnf
+from cascor.ising import IsingModel
+from cascor.sat import Cnf
+
+samplers._build_kernel = lambda: Path(sys.argv[1])
+lib = samplers._kernel()
+models = [compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
+          IsingModel(4, {0: 0.5, 2: -1.25}, {(0, 1): 0.75, (1, 3): -0.5}),
+          IsingModel(3, {0: 10**6}, {(0, 1): 1, (1, 2): -2})]
+cfg = samplers.SamplerConfig(num_reads=19, sweeps=7, seed=5)
+runs = []
+for entry in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
+    lib.cascor_anneal_int = entry
+    runs.append([samplers._anneal(model, cfg) for model in models])
+assert all(np.array_equal(a, b) for a, b in zip(*runs))
+print("ok")
+"""
+
+
+def test_kernel_runs_clean_under_ubsan(tmp_path):
+    # UBSan aborts the child at a misaligned vector access or an overflowing shift,
+    # which a byte-equality test would show at best as a crash.
+    flags = [*samplers._CFLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(int x) { return x + 1; }\n")
+    if subprocess.run([samplers._CC, *flags, "-o", str(tmp_path / "probe.so"), str(probe)],
+                      capture_output=True).returncode != 0:
+        pytest.skip(f"{samplers._CC} cannot link UBSan")
+    lib = tmp_path / "_anneal-ubsan.so"
+    done = subprocess.run([samplers._CC, *flags, "-o", str(lib), str(samplers._SOURCE), "-lm"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    paths = [str(Path(samplers.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    child = subprocess.run([sys.executable, "-c", _UBSAN_CHILD, str(lib)], capture_output=True,
+                           text=True, env=env, timeout=120)
+    assert child.returncode == 0 and child.stdout == "ok\n", child.stderr
 
 
 def test_negative_seed_is_rejected():
@@ -379,6 +580,25 @@ def test_srt_gauge_dimension_check():
     cfg = SamplerConfig(num_reads=2, sweeps=2, seed=0)
     with pytest.raises(ValueError):
         sample_with_srt_rotation(H2, cfg, [(1, 1, 1)])
+
+
+def test_random_gauges_are_bounded_before_any_is_drawn(monkeypatch):
+    # count gauges of 2 qubits take count x (2 + 8) bytes against the patched limit
+    monkeypatch.setattr(samplers, "_RUN_BYTES", 1000)
+    assert len(random_gauges(2, 100, seed=0)) == 100
+    monkeypatch.setattr(samplers, "_derived_rng", lambda *args: pytest.fail("drew a gauge"))
+    with pytest.raises(LimitError, match="gauges of 101 rows"):
+        random_gauges(2, 101, seed=0)
+
+
+def test_srt_rotation_is_bounded_as_a_whole(monkeypatch):
+    # each run of 50 reads of 2 qubits fits the patched limit; two runs fit, three do not
+    monkeypatch.setattr(samplers, "_RUN_BYTES", 1000)
+    cfg = SamplerConfig(num_reads=50, sweeps=2, seed=0)
+    assert len(sample_with_srt_rotation(H2, cfg, [(1, 1), (-1, 1)])) == 2
+    monkeypatch.setattr(samplers, "sample", lambda *args: pytest.fail("sampled a run"))
+    with pytest.raises(LimitError, match="spins of every gauge of 150 rows"):
+        sample_with_srt_rotation(H2, cfg, [(1, 1), (-1, 1), (1, -1)])
 
 
 def test_record_json_roundtrip():
