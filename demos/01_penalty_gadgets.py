@@ -11,7 +11,6 @@ import itertools
 from cascor import (
     ConstructionPolicy,
     IsingModel,
-    QubitAllocator,
     build_clause_penalty,
     build_h2,
     build_h_or,
@@ -59,11 +58,11 @@ print("=" * 60)
 clause = Clause.of(1, 2, 3, 4)
 var_map = {v: v - 1 for v in range(1, 5)}
 for policy in (
-    ConstructionPolicy.chain(),
-    ConstructionPolicy.balanced(),
-    ConstructionPolicy.seeded_random(7),
+    ConstructionPolicy("chain"),
+    ConstructionPolicy("balanced"),
+    ConstructionPolicy("seeded_random", 7),
 ):
-    penalty = build_clause_penalty(clause, QubitAllocator(start=4), var_map, policy)
+    penalty = build_clause_penalty(clause, itertools.count(4), var_map, policy)
     print(f"policy {policy.kind:>14}: ancillas {penalty.ancilla_qubits}, "
           f"ground energy {penalty.ground_energy}")
     print(f"    linear: {dict(sorted(penalty.terms.linear.items()))}")

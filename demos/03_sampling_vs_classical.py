@@ -11,7 +11,7 @@ is built to reproduce.
 Run:  python3 demos/03_sampling_vs_classical.py
 """
 from cascor import compile_cnf, enumerate_all, generate_mixed_sat, summarize_instance
-from cascor.samplers import OverheadModel, SamplerConfig, sample
+from cascor.samplers import SamplerConfig, sample
 from cascor.sat import MixedSatSpec
 
 spec = MixedSatSpec(
@@ -37,7 +37,8 @@ cfg = SamplerConfig(
     beta_end=12.0,
     seed=904,
     core_time_per_read_us=20,
-    overhead=OverheadModel(programming_us=20_000, per_read_readout_us=1_980),
+    programming_us=20_000,
+    per_read_readout_us=1_980,
 )
 batch = sample(model, cfg)
 report = summarize_instance([batch], list(classical.events), layout, cnf,
@@ -65,4 +66,4 @@ if core.outcome == "cross_at":
 else:
     print()
 print(f"wall-axis outcome: {wall.outcome} "
-      f"(per-read wall cost is {(cfg.core_time_per_read_us + cfg.overhead.per_read_readout_us) // cfg.core_time_per_read_us}x core)")
+      f"(per-read wall cost is {(cfg.core_time_per_read_us + cfg.per_read_readout_us) // cfg.core_time_per_read_us}x core)")

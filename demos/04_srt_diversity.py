@@ -1,11 +1,14 @@
-"""Spin-reversal transformations as a diversity knob.
+"""Spin-reversal transformations, and why they change nothing in this stand-in.
 
 A gauge g flips h -> g*h and J -> g g^T * J, leaving the spectrum (and the
-identity of the ground-state solutions) intact while changing the sampler's
-dynamics.  Running the sampler once per gauge and un-gauging the results
-yields differently-distributed solution streams; the neighbor Hamming
-distances measure how far consecutive distinct solutions jump, compared
-with the classical enumerator's stream.
+identity of the ground-state solutions) intact.  On hardware a gauge moves
+the model's coefficients relative to fixed control errors, so each gauge
+samples a differently biased distribution.  The stand-in annealer has no
+control errors: a gauged run, un-gauged, is the plain anneal of the original
+model from the gauged initial state, on per-gauge seeds.  So k gauges here
+are k plain runs with other seeds, and their union grows only because there
+are more reads.  The neighbor Hamming distances measure how far consecutive
+distinct solutions jump, compared with the classical enumerator's stream.
 
 Run:  python3 demos/04_srt_diversity.py
 """
@@ -54,4 +57,5 @@ for run in runs:
 
 print("\ndistinct solutions per gauge:", [len(s) for s in per_gauge_sets])
 print(f"union across gauges: {len(union)} of {len(classical.events)} "
-      "(rotating gauges widens coverage, the conclusion's replay trick)")
+      "(more reads, not the gauges, widen coverage: without control errors "
+      "a gauged run is a plain run on other seeds)")

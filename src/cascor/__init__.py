@@ -6,7 +6,6 @@ from .compiler import (
     ClausePenalty,
     ConstructionPolicy,
     PenaltyLayout,
-    QubitAllocator,
     build_clause_penalty,
     build_h2,
     build_h_or,
@@ -23,7 +22,6 @@ from .metrics import (
     summarize_instance,
 )
 from .samplers import (
-    OverheadModel,
     SampleBatch,
     SampleRecord,
     SamplerConfig,
@@ -63,9 +61,7 @@ __all__ = [
     "LimitError",
     "Literal",
     "MixedSatSpec",
-    "OverheadModel",
     "PenaltyLayout",
-    "QubitAllocator",
     "SampleBatch",
     "SampleRecord",
     "SamplerConfig",

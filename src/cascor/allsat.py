@@ -127,11 +127,11 @@ class _Enumerator:
     Blocks (models found so far) are bit k of ``blocks_with[lit]`` for each
     literal model k makes true, so the blocks consistent with a state are an
     AND of its literals' bitsets.  That active set is materialized once at
-    most ``_ACTIVE_BOUNDARY`` variables are unassigned, or from the root when
-    there are no blocks or few variables; a subtree is abandoned when every
-    one of its completions is blocked, and a pure literal is eliminated only
-    when no active block holds it, never while the set is unmaterialized,
-    which is sound since the rule is optional.
+    most ``_ACTIVE_BOUNDARY`` variables are unassigned (at the root when there
+    are few variables), or from the root when there are no blocks; a subtree
+    is abandoned when every one of its completions is blocked, and a pure
+    literal is eliminated only when no active block holds it, never while the
+    set is unmaterialized, which is sound since the rule is optional.
     """
 
     _ACTIVE_BOUNDARY = 16
@@ -312,7 +312,7 @@ class _Enumerator:
     def solve(self) -> int | None:
         """Find one model consistent with no block, or None if exhausted."""
         self.solve_calls += 1
-        active = self.all_blocks if not self.num_blocks or self.n <= self._ACTIVE_BOUNDARY else None
+        active = self.all_blocks if not self.num_blocks else None
         return self._search(0, 0, self.root_info, active, None)
 
 

@@ -103,24 +103,20 @@ def _sampler_config(args) -> samplers_mod.SamplerConfig:
         beta_end=args.beta_end,
         seed=args.seed,
         core_time_per_read_us=args.core_time_us,
-        overhead=samplers_mod.OverheadModel(
-            programming_us=args.programming_us,
-            per_read_readout_us=args.readout_us,
-            post_us=args.post_us,
-        ),
+        programming_us=args.programming_us,
+        per_read_readout_us=args.readout_us,
     )
 
 
 def _add_sampler_flags(sub) -> None:
-    config, overhead = samplers_mod.SamplerConfig, samplers_mod.OverheadModel
+    config = samplers_mod.SamplerConfig
     sub.add_argument("--reads", type=int, default=config.num_reads)
     sub.add_argument("--sweeps", type=int, default=config.sweeps)
     sub.add_argument("--beta-start", type=float, default=config.beta_start)
     sub.add_argument("--beta-end", type=float, default=config.beta_end)
     sub.add_argument("--core-time-us", type=int, default=config.core_time_per_read_us)
-    sub.add_argument("--programming-us", type=int, default=overhead.programming_us)
-    sub.add_argument("--readout-us", type=int, default=overhead.per_read_readout_us)
-    sub.add_argument("--post-us", type=int, default=overhead.post_us)
+    sub.add_argument("--programming-us", type=int, default=config.programming_us)
+    sub.add_argument("--readout-us", type=int, default=config.per_read_readout_us)
     sub.add_argument("--gauges", type=int, default=0,
                      help="number of spin-reversal gauge streams (0 = plain run)")
 
@@ -180,6 +176,8 @@ def cmd_sample(args) -> int:
         model, layout = _read_compiled(args.model, cnf)
         cfg = _sampler_config(args)
     runs = _sample_runs(model, cfg, args.gauges)
+    # every run's decoded bits are held at once, so they share one run's limit
+    samplers_mod._check_run_size(sum(map(len, runs)), cnf.num_vars, "decoded bits of every run")
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
     Path(args.out).write_text(samplers_mod.samples_to_jsonl(
         model, runs, decoded, gauged=args.gauges > 0))

@@ -15,9 +15,10 @@ assignments.
 """
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "ClausePenalty",
     "ConstructionPolicy",
     "PenaltyLayout",
-    "QubitAllocator",
     "build_h2",
     "build_h_or",
     "build_clause_penalty",
@@ -57,18 +57,6 @@ class ConstructionPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if (self.kind == "seeded_random") != (self.seed is not None):
             raise ValueError("seed must be present iff kind is seeded_random")
-
-    @classmethod
-    def chain(cls) -> "ConstructionPolicy":
-        return cls("chain")
-
-    @classmethod
-    def balanced(cls) -> "ConstructionPolicy":
-        return cls("balanced")
-
-    @classmethod
-    def seeded_random(cls, seed: int) -> "ConstructionPolicy":
-        return cls("seeded_random", seed)
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -100,18 +88,6 @@ class PenaltyLayout:
     clause_ground_energies: tuple[float, ...]
     ground_bound: float
     num_qubits: int
-
-
-class QubitAllocator:
-    """Hands out fresh qubit indices, counting up from ``start``."""
-
-    def __init__(self, start: int = 0):
-        self._next = start
-
-    def allocate(self) -> int:
-        q = self._next
-        self._next += 1
-        return q
 
 
 def _sign(negated: bool) -> int:
@@ -199,11 +175,11 @@ def _clause_tree(k: int, policy: ConstructionPolicy) -> tuple:
 
 def build_clause_penalty(
     clause: Clause,
-    alloc: QubitAllocator,
+    ancillas: Iterator[int],
     var_map: Mapping[int, int],
     policy: ConstructionPolicy,
 ) -> ClausePenalty:
-    """Build the penalty for one clause, drawing ancillas from ``alloc``.
+    """Build the penalty for one clause, drawing fresh ancilla qubits from ``ancillas``.
 
     Length-1 clauses reduce to a single field.  Longer clauses cascade OR
     blocks, in the shape the policy sets, under one root pair penalty; a
@@ -224,7 +200,7 @@ def build_clause_penalty(
         terms.add_linear(var_map[lits[0].var], _sign(lits[0].negated) * -1)
         return ClausePenalty(terms, variable_qubits, (), clause_ground_energy(1))
 
-    ancillas: list[int] = []
+    drawn: list[int] = []
 
     def emit(node) -> tuple[int, bool]:
         if isinstance(node, int):
@@ -232,8 +208,8 @@ def build_clause_penalty(
             return var_map[lit.var], lit.negated
         lq, ln = emit(node[0])
         rq, rn = emit(node[1])
-        z = alloc.allocate()
-        ancillas.append(z)
+        z = next(ancillas)
+        drawn.append(z)
         terms.merge(build_h_or(lq, rq, z, ln, rn))
         return z, False
 
@@ -241,11 +217,11 @@ def build_clause_penalty(
     aq, an = emit(left)
     bq, bn = emit(right)
     terms.merge(build_h2(aq, bq, an, bn))
-    return ClausePenalty(terms, variable_qubits, tuple(ancillas), clause_ground_energy(k))
+    return ClausePenalty(terms, variable_qubits, tuple(drawn), clause_ground_energy(k))
 
 
 def compile_cnf(
-    cnf: Cnf, policy: ConstructionPolicy | None = None
+    cnf: Cnf, policy: ConstructionPolicy = ConstructionPolicy("chain")
 ) -> tuple[IsingModel, PenaltyLayout]:
     """Compile a CNF into one Ising model plus its layout bookkeeping.
 
@@ -254,15 +230,13 @@ def compile_cnf(
     coefficients are the sums of all clause term sets, and the layout's
     ground bound is attained exactly when the CNF is satisfiable.
     """
-    if policy is None:
-        policy = ConstructionPolicy.chain()
     if not cnf.clauses:
         raise ValueError("cannot compile a CNF with no clauses")
 
     variables = cnf.variables_used()
     var_to_qubit = {v: i for i, v in enumerate(variables)}
     num_qubits = len(variables) + sum(max(len(c) - 2, 0) for c in cnf.clauses)
-    alloc = QubitAllocator(start=len(variables))
+    ancillas = itertools.count(len(variables))
 
     total = TermSet()
     clause_ancillas: list[tuple[int, ...]] = []
@@ -271,7 +245,7 @@ def compile_cnf(
         clause_policy = policy
         if policy.kind == "seeded_random":
             clause_policy = replace(policy, seed=_derived_seed(policy.seed, idx))
-        penalty = build_clause_penalty(clause, alloc, var_to_qubit, clause_policy)
+        penalty = build_clause_penalty(clause, ancillas, var_to_qubit, clause_policy)
         total.merge(penalty.terms)
         clause_ancillas.append(penalty.ancilla_qubits)
         clause_grounds.append(penalty.ground_energy)

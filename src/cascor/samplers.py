@@ -3,8 +3,8 @@
 Each read runs an independent Metropolis anneal from a uniform random state,
 with the inverse temperature swept linearly between the configured endpoints.
 Timing is bookkeeping, not measurement: every read costs a fixed core
-duration (the hardware analog is 20 microseconds), and wallclock adds
-configured programming, per-read readout, and postprocessing overheads.
+duration (the hardware analog is 20 microseconds), and wallclock adds a
+one-off programming time and a per-read readout time, all set in SamplerConfig.
 
 A run comes back as one SampleBatch: the final spins of every read in a
 single int8 array and the cumulative core and wall times.  Iterating a batch
@@ -95,7 +95,6 @@ from .sat import (
 )
 
 __all__ = [
-    "OverheadModel",
     "SamplerConfig",
     "SampleRecord",
     "SampleBatch",
@@ -121,28 +120,22 @@ _RUN_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
-class OverheadModel:
-    """Wallclock components beyond the core anneal, in integer microseconds."""
-
-    programming_us: int = 0
-    per_read_readout_us: int = 0
-    post_us: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("programming_us", "per_read_readout_us", "post_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
-@dataclass(frozen=True)
 class SamplerConfig:
+    """One run's anneal schedule, seed and simulated clock, in integer microseconds.
+
+    A read costs core_time_per_read_us of core time, and that plus
+    per_read_readout_us of wallclock; programming_us is charged to the
+    wallclock once, before the first read.
+    """
+
     num_reads: int = 1000
     sweeps: int = 100
     beta_start: float = 0.1
     beta_end: float = 5.0
     seed: int = 0
     core_time_per_read_us: int = 20
-    overhead: OverheadModel = OverheadModel()
+    programming_us: int = 0
+    per_read_readout_us: int = 0
 
     def __post_init__(self) -> None:
         if self.num_reads < 1:
@@ -151,8 +144,9 @@ class SamplerConfig:
             raise ValueError("sweeps must be >= 1")
         if not (0 < self.beta_start <= self.beta_end):
             raise ValueError("need 0 < beta_start <= beta_end")
-        if self.core_time_per_read_us < 0:
-            raise ValueError("core_time_per_read_us must be >= 0")
+        for name in ("core_time_per_read_us", "programming_us", "per_read_readout_us"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -288,12 +282,11 @@ def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:
     _check_run_size(cfg.num_reads, model.num_qubits, "spins")
     spins = _anneal(model, cfg)
     reads_done = np.arange(1, cfg.num_reads + 1, dtype=np.int64)
-    per_read_wall = cfg.core_time_per_read_us + cfg.overhead.per_read_readout_us
-    base_wall = cfg.overhead.programming_us + cfg.overhead.post_us
+    per_read_wall = cfg.core_time_per_read_us + cfg.per_read_readout_us
     return SampleBatch(
         spins,
         reads_done * cfg.core_time_per_read_us,
-        base_wall + reads_done * per_read_wall,
+        cfg.programming_us + reads_done * per_read_wall,
     )
 
 
@@ -338,6 +331,11 @@ def sample_with_srt_rotation(
     model: IsingModel, cfg: SamplerConfig, gauges: list[Gauge]
 ) -> list[SampleBatch]:
     """Sample once per gauge on the gauge-transformed model, un-gauging the spins.
+
+    A gauge changes only the streams: v = s_i * local_i is gauge-invariant,
+    so run g, un-gauged, is the plain anneal of model from g times its
+    initial spins on the streams of _derived_seed(cfg.seed, g); only control
+    errors fixed in hardware units would give gauges something to act on.
 
     Raises LimitError, before the first run, when the spins of every run
     together would pass the run size limit.

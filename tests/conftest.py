@@ -129,8 +129,11 @@ def min_energy_over_ancillas(
     return total
 
 
-def slow_anneal(model: IsingModel, cfg, read_indices=None) -> np.ndarray:
-    """Final spins of the given reads (default: all), (C, N) int8."""
+def slow_anneal(model: IsingModel, cfg, read_indices=None, gauge=None) -> np.ndarray:
+    """Final spins of the given reads (default: all), (C, N) int8.
+
+    With a gauge, each read starts from its drawn spins times the gauge.
+    """
     from cascor.sat import _derived_rng
 
     if read_indices is None:
@@ -148,6 +151,8 @@ def slow_anneal(model: IsingModel, cfg, read_indices=None) -> np.ndarray:
     for row, r in enumerate(read_indices):
         rng = _derived_rng(cfg.seed, r)
         states[row] = 2.0 * rng.integers(0, 2, size=n) - 1.0
+        if gauge is not None:
+            states[row] *= gauge
         uniforms[row] = rng.random((cfg.sweeps, n))
 
     betas = np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)

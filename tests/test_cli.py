@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +164,25 @@ def test_compile_malformed_cnf_is_input_error(tmp_path):
     path = tmp_path / "bad.cnf"
     path.write_text("p cnf 2 1\n0\n")
     assert run("compile", "--cnf", str(path), "--out", str(tmp_path / "m.json")) == 2
+
+
+def test_sample_decoded_bits_of_every_gauge_past_the_size_limit_is_limit_error(
+        tmp_path, capsys, monkeypatch):
+    # 2 qubits and 100 variables: the spins of 8 runs of 5 reads fit the patched
+    # limit, and so do one run's decoded bits (5 x 108 bytes), but not all 40 reads'
+    cnf_path = tmp_path / "wide.cnf"
+    cnf_path.write_text("p cnf 100 1\n1 2 0\n")
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    monkeypatch.setattr(samplers_mod, "_RUN_BYTES", 1000)
+    monkeypatch.setattr(samplers_mod, "decode_all", lambda *args: pytest.fail("decoded a run"))
+    capsys.readouterr()
+    out = tmp_path / "samples.jsonl"
+    assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
+               "--reads", "5", "--gauges", "8", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "cascor: limit error: decoded bits of every run of 40 rows" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_sample_with_gauges_solutions_satisfy(tmp_path):
@@ -700,3 +722,19 @@ def test_model_layout_not_fitting_the_cnf_is_input_error(command, fault, tmp_pat
                "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert "cascor: input error: model" in err and "Traceback" not in err
+
+
+def _readme_commands() -> list[str]:
+    """Every ``cascor ...`` line of the README's sh blocks, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("cascor ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_commands()
+    assert {c.split()[1] for c in commands} == {
+        "gen", "compile", "sample", "allsat", "metrics", "bench"}
+    for command in commands:
+        cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])

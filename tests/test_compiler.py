@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cascor.allsat import enumerate_all
 from cascor.compiler import (
     ConstructionPolicy,
-    QubitAllocator,
     build_clause_penalty,
     build_h2,
     build_h_or,
@@ -109,7 +108,7 @@ def test_h_or_rejects_duplicate_qubits():
 def test_k3_chain_matches_collected_coefficients():
     clause = Clause.of(1, 2, 3)
     penalty = build_clause_penalty(
-        clause, QubitAllocator(start=3), {1: 0, 2: 1, 3: 2}, ConstructionPolicy.chain()
+        clause, itertools.count(3), {1: 0, 2: 1, 3: 2}, ConstructionPolicy("chain")
     )
     assert penalty.terms.linear == {0: 1, 1: 1, 3: -3, 2: -1}
     assert penalty.terms.quadratic == {(0, 1): 1, (0, 3): -2, (1, 3): -2, (2, 3): 1}
@@ -119,16 +118,16 @@ def test_k3_chain_matches_collected_coefficients():
 
 def test_k1_and_k2_penalties():
     pos = build_clause_penalty(
-        Clause.of(1), QubitAllocator(start=1), {1: 0}, ConstructionPolicy.chain()
+        Clause.of(1), itertools.count(1), {1: 0}, ConstructionPolicy("chain")
     )
     assert pos.terms.linear == {0: -1} and pos.ground_energy == -1
     neg = build_clause_penalty(
-        Clause.of(-1), QubitAllocator(start=1), {1: 0}, ConstructionPolicy.chain()
+        Clause.of(-1), itertools.count(1), {1: 0}, ConstructionPolicy("chain")
     )
     assert neg.terms.linear == {0: 1} and neg.ground_energy == -1
 
     pair = build_clause_penalty(
-        Clause.of(1, 2), QubitAllocator(start=2), {1: 0, 2: 1}, ConstructionPolicy.chain()
+        Clause.of(1, 2), itertools.count(2), {1: 0, 2: 1}, ConstructionPolicy("chain")
     )
     assert pair.ancilla_qubits == ()
     assert pair.ground_energy == -1
@@ -139,9 +138,9 @@ def test_k5_accounting():
     clause = Clause.of(1, 2, 3, 4, 5)
     penalty = build_clause_penalty(
         clause,
-        QubitAllocator(start=5),
+        itertools.count(5),
         {v: v - 1 for v in range(1, 6)},
-        ConstructionPolicy.chain(),
+        ConstructionPolicy("chain"),
     )
     assert len(penalty.ancilla_qubits) == 3
     assert penalty.ground_energy == -10
@@ -179,7 +178,7 @@ def test_ground_space_soundness_and_completeness(k):
     for polarity in itertools.product([False, True], repeat=k):
         clause = Clause(tuple(Literal(v + 1, neg) for v, neg in enumerate(polarity)))
         penalty = build_clause_penalty(
-            clause, QubitAllocator(start=k), var_map, ConstructionPolicy.chain()
+            clause, itertools.count(k), var_map, ConstructionPolicy("chain")
         )
         ground = clause_ground_energy(k)
         assert penalty.ground_energy == ground == -1 - 3 * (k - 2)
@@ -194,10 +193,10 @@ def test_ground_space_soundness_and_completeness(k):
 
 def policies_for(k):
     return [
-        ConstructionPolicy.chain(),
-        ConstructionPolicy.balanced(),
-        ConstructionPolicy.seeded_random(17),
-        ConstructionPolicy.seeded_random(99),
+        ConstructionPolicy("chain"),
+        ConstructionPolicy("balanced"),
+        ConstructionPolicy("seeded_random", 17),
+        ConstructionPolicy("seeded_random", 99),
     ]
 
 
@@ -207,7 +206,7 @@ def test_policy_equivalence(k):
     clause = Clause.of(*range(1, k + 1))
     projections = []
     for policy in policies_for(k):
-        penalty = build_clause_penalty(clause, QubitAllocator(start=k), var_map, policy)
+        penalty = build_clause_penalty(clause, itertools.count(k), var_map, policy)
         assert penalty.ground_energy == -1 - 3 * (k - 2)
         assert len(penalty.ancilla_qubits) == k - 2
         m = model_of(penalty.terms, 2 * (k - 1))
@@ -272,10 +271,10 @@ def test_compile_additivity():
     cnf = Cnf.of(4, [[1, 2, 3], [-2, 4], [1, -4]])
     model, layout = compile_cnf(cnf)
     total = TermSet()
-    alloc = QubitAllocator(start=len(layout.var_to_qubit))
+    ancillas = itertools.count(len(layout.var_to_qubit))
     for clause in cnf.clauses:
         penalty = build_clause_penalty(
-            clause, alloc, layout.var_to_qubit, ConstructionPolicy.chain()
+            clause, ancillas, layout.var_to_qubit, ConstructionPolicy("chain")
         )
         total.merge(penalty.terms)
     assert dict(model.h) == total.linear
@@ -290,13 +289,13 @@ def test_compile_rejects_empty():
 def test_missing_variable():
     with pytest.raises(KeyError):
         build_clause_penalty(
-            Clause.of(1, 2), QubitAllocator(start=2), {1: 0}, ConstructionPolicy.chain()
+            Clause.of(1, 2), itertools.count(2), {1: 0}, ConstructionPolicy("chain")
         )
 
 
 def test_json_roundtrip():
     cnf = Cnf.of(4, [[1, 2, 3], [-2, 4]])
-    policy = ConstructionPolicy.seeded_random(5)
+    policy = ConstructionPolicy("seeded_random", 5)
     model, layout = compile_cnf(cnf, policy)
     doc = json.loads(json.dumps(compiled_to_json(model, layout, policy)))
     model2, layout2, policy2 = compiled_from_json(doc)
@@ -339,5 +338,5 @@ def test_compiled_ground_space_is_the_solution_set(case):
 
 def test_seeded_random_deterministic():
     cnf = Cnf.of(6, [[1, 2, 3, 4, 5, 6]])
-    policy = ConstructionPolicy.seeded_random(42)
+    policy = ConstructionPolicy("seeded_random", 42)
     assert compile_cnf(cnf, policy) == compile_cnf(cnf, policy)

@@ -142,9 +142,9 @@ def test_cli_artifacts_match_pinned_digests(tmp_path, capsys, monkeypatch):
 # shape of every policy meets negated and plain literals.
 CONSTRUCTION_CNF = Cnf.of(9, [[v if v % 2 else -v for v in range(1, k + 1)] for k in range(1, 10)])
 CONSTRUCTION_POLICIES = [
-    ConstructionPolicy.chain(),
-    ConstructionPolicy.balanced(),
-    *(ConstructionPolicy.seeded_random(seed) for seed in range(20)),
+    ConstructionPolicy("chain"),
+    ConstructionPolicy("balanced"),
+    *(ConstructionPolicy("seeded_random", seed) for seed in range(20)),
 ]
 CONSTRUCTION_DIGEST = "39a9e3602cbfabc3b9779cf88284bd8ac434a09f3ede76b06f3597fbb66147c3"
 

@@ -17,7 +17,6 @@ import cascor.samplers as samplers
 from cascor.compiler import compile_cnf
 from cascor.ising import IsingModel, energies_of_states, enumerate_ground_states
 from cascor.samplers import (
-    OverheadModel,
     SampleBatch,
     SamplerConfig,
     decode_all,
@@ -27,7 +26,15 @@ from cascor.samplers import (
     samples_from_jsonl,
     samples_to_jsonl,
 )
-from cascor.sat import Cnf, LimitError, _derived_rng, evaluate
+from cascor.sat import (
+    Cnf,
+    LimitError,
+    MixedSatSpec,
+    _derived_rng,
+    _derived_seed,
+    evaluate,
+    generate_mixed_sat,
+)
 
 from conftest import (
     assert_file_energies,
@@ -52,8 +59,9 @@ def test_config_validation():
         SamplerConfig(beta_start=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(beta_start=2.0, beta_end=1.0)
-    with pytest.raises(ValueError):
-        OverheadModel(programming_us=-1)
+    for name in ("core_time_per_read_us", "programming_us", "per_read_readout_us"):
+        with pytest.raises(ValueError, match=name):
+            SamplerConfig(**{name: -1})
 
 
 def test_deterministic_for_seed():
@@ -441,16 +449,14 @@ def test_core_time_sequence():
 
 
 def test_wall_time_overhead_accounting():
-    overhead = OverheadModel(programming_us=1000, per_read_readout_us=180, post_us=50)
-    cfg = SamplerConfig(
-        num_reads=4, sweeps=5, seed=2, core_time_per_read_us=20, overhead=overhead
-    )
+    cfg = SamplerConfig(num_reads=4, sweeps=5, seed=2, core_time_per_read_us=20,
+                        programming_us=1050, per_read_readout_us=180)
     records = sample(H2, cfg)
     for r in records:
         reads_done = r.read_index + 1
         assert r.core_time_us == 20 * reads_done
-        assert r.wall_time_us == 1000 + reads_done * (20 + 180) + 50
-        assert r.wall_time_us - r.core_time_us == 1000 + reads_done * 180 + 50
+        assert r.wall_time_us == 1050 + reads_done * (20 + 180)
+        assert r.wall_time_us - r.core_time_us == 1050 + reads_done * 180
     walls = [r.wall_time_us for r in records]
     cores = [r.core_time_us for r in records]
     assert walls == sorted(walls) and len(set(walls)) == len(walls)
@@ -464,8 +470,8 @@ def test_energies_match_ising_energy():
 
 
 def test_batch_rows_are_plain_python_records():
-    overhead = OverheadModel(programming_us=1000, per_read_readout_us=180, post_us=50)
-    cfg = SamplerConfig(num_reads=6, sweeps=5, seed=6, overhead=overhead)
+    cfg = SamplerConfig(num_reads=6, sweeps=5, seed=6, programming_us=1050,
+                        per_read_readout_us=180)
     batch = sample(H2, cfg)
     records = list(batch)
     assert len(batch) == len(records) == 6
@@ -549,10 +555,21 @@ def test_decoded_solutions_satisfy(rng):
 def test_identity_gauge_matches_plain_sample_with_derived_seed():
     cfg = SamplerConfig(num_reads=30, sweeps=10, seed=77)
     [rotated] = sample_with_srt_rotation(H2, cfg, [(1, 1)])
-    from cascor.samplers import _derived_seed
-
     plain = sample(H2, SamplerConfig(num_reads=30, sweeps=10, seed=_derived_seed(77, 0)))
     assert_same_batch(rotated, plain)
+
+
+@pytest.mark.parametrize("spec_seed", range(4))
+def test_gauged_run_is_the_plain_anneal_from_gauged_initial_spins(spec_seed):
+    # v = s_i * local_i is gauge-invariant, so un-gauged, run g replays the
+    # original model from g times each read's initial spins on run g's streams
+    spec = MixedSatSpec(10, 12, {2: 1.0, 3: 1.0}, spec_seed, 100)  # the srt-files family
+    model, _ = compile_cnf(generate_mixed_sat(spec)[0])
+    cfg = SamplerConfig(num_reads=200, sweeps=30, seed=spec_seed)
+    gauges = random_gauges(model.num_qubits, 3, seed=spec_seed)
+    for g, (gauge, run) in enumerate(zip(gauges, sample_with_srt_rotation(model, cfg, gauges))):
+        plain = replace(cfg, seed=_derived_seed(cfg.seed, g))
+        assert np.array_equal(run.spins, slow_anneal(model, plain, gauge=gauge))
 
 
 def test_srt_energies_are_in_original_frame():
