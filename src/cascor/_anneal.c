@@ -1,4 +1,5 @@
-/* Sequential Metropolis anneal of every read of one sampling run.
+/* Sequential Metropolis anneal of every read of one sampling run, and the
+ * sample file codec.
  *
  * Built on first use by cascor.samplers and called through ctypes.  Read r
  * draws from the stream numpy's Generator(PCG64(SeedSequence((seed, r))))
@@ -22,12 +23,16 @@
  * Each lane draws only its own read's stream and makes that read's proposals
  * in the scalar order, so the lane loop's spins are the scalar loop's bit for
  * bit.  The float loop is scalar everywhere.
+ *
+ * The same library holds the sample file codec, cascor_sample_lines and
+ * cascor_sample_scan (at the end of this file), so there is one source file
+ * and one build.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 #if defined(__x86_64__)
 #include <immintrin.h>
-#include <string.h>
 #endif
 
 typedef __uint128_t u128;
@@ -348,4 +353,214 @@ void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, in
 #endif
     cascor_anneal_int_scalar(seed_words, seed_len, reads, n, sweeps, indptr, indices, values,
                              h, table, table_width, fields, out);
+}
+
+/* The sample file codec.  Both entry points hold the one line layout that
+ * samplers.samples_to_jsonl writes, a JSON object with these keys, in this
+ * order and with these separators, and a final newline:
+ *
+ *   {"read": R, "spins": [S, S, ...], "energy": E, "core_time_us": C,
+ *    "wall_time_us": W, "solution": X, "gauge": G}
+ *
+ * (shown on two lines here), where each S is 1 or -1, X is null or a string
+ * of 0 and 1 characters, and a line without a gauge tag ends at X. */
+
+static char *put_text(char *p, const char *text, int64_t size)
+{
+    memcpy(p, text, (size_t)size);
+    return p + size;
+}
+
+#define PUT_LITERAL(p, literal) put_text((p), (literal), (int64_t)sizeof(literal) - 1)
+
+/* The decimal digits of value, with a leading '-' when it is negative: 20 bytes at most. */
+static char *put_int(char *p, int64_t value)
+{
+    char digits[20];
+    int k = 0;
+    uint64_t magnitude = value < 0 ? 0 - (uint64_t)value : (uint64_t)value;
+    do {
+        digits[k++] = (char)('0' + magnitude % 10);
+        magnitude /= 10;
+    } while (magnitude);
+    if (value < 0)
+        *p++ = '-';
+    while (k)
+        *p++ = digits[--k];
+    return p;
+}
+
+static int64_t text_size(const int64_t *offsets, int64_t k)
+{
+    return offsets[k + 1] - offsets[k];
+}
+
+/* Every line of a sample file, written to out, whose capacity is in bytes;
+ * returns the number of bytes written, or -1 if they would not fit.  Line i
+ * holds read reads[i], times cores[i] and walls[i], and, when gauges[i] >= 0,
+ * that gauge tag.  Its spins and energy are the texts of distinct row
+ * rows[i] and its solution that of distinct solution solutions[i]: text k of
+ * texts is texts[offsets[k] .. offsets[k + 1]), and holds the spins of row k
+ * for k < num_rows, the energy of row k - num_rows below 2 num_rows, and the
+ * solutions after those. */
+int64_t cascor_sample_lines(int64_t lines, const int64_t *reads, const int64_t *cores,
+                            const int64_t *walls, const int64_t *gauges, const int64_t *rows,
+                            const int64_t *solutions, int64_t num_rows, const char *texts,
+                            const int64_t *offsets, char *out, int64_t capacity)
+{
+    char *p = out;
+    for (int64_t i = 0; i < lines; i++) {
+        const int64_t spins = rows[i], energy = num_rows + rows[i];
+        const int64_t solution = 2 * num_rows + solutions[i];
+        /* the keys and separators take 95 bytes, and four integers 80 at most */
+        if (capacity - (p - out) < text_size(offsets, spins) + text_size(offsets, energy) +
+                                       text_size(offsets, solution) + 200)
+            return -1;
+        p = PUT_LITERAL(p, "{\"read\": ");
+        p = put_int(p, reads[i]);
+        p = PUT_LITERAL(p, ", \"spins\": ");
+        p = put_text(p, texts + offsets[spins], text_size(offsets, spins));
+        p = PUT_LITERAL(p, ", \"energy\": ");
+        p = put_text(p, texts + offsets[energy], text_size(offsets, energy));
+        p = PUT_LITERAL(p, ", \"core_time_us\": ");
+        p = put_int(p, cores[i]);
+        p = PUT_LITERAL(p, ", \"wall_time_us\": ");
+        p = put_int(p, walls[i]);
+        p = PUT_LITERAL(p, ", \"solution\": ");
+        p = put_text(p, texts + offsets[solution], text_size(offsets, solution));
+        if (gauges[i] >= 0) {
+            p = PUT_LITERAL(p, ", \"gauge\": ");
+            p = put_int(p, gauges[i]);
+        }
+        p = PUT_LITERAL(p, "}\n");
+    }
+    return p - out;
+}
+
+/* The scanner's steps each take the position p of the text that ends at end
+ * and return the position after what they matched, or NULL on a mismatch,
+ * which they pass on. */
+
+static const char *scan_literal(const char *p, const char *end, const char *literal,
+                                int64_t size)
+{
+    if (!p || end - p < size || memcmp(p, literal, (size_t)size) != 0)
+        return NULL;
+    return p + size;
+}
+
+#define SCAN_LITERAL(p, end, literal) \
+    scan_literal((p), (end), (literal), (int64_t)sizeof(literal) - 1)
+
+static int is_digit(const char *p, const char *end)
+{
+    return p < end && *p >= '0' && *p <= '9';
+}
+
+/* A run of digits: at least min_digits of them, and at most max_digits. */
+static const char *scan_digits(const char *p, const char *end, int64_t min_digits,
+                               int64_t max_digits)
+{
+    if (!p)
+        return NULL;
+    const char *start = p;
+    while (is_digit(p, end) && p - start < max_digits)
+        p++;
+    return p - start < min_digits || is_digit(p, end) ? NULL : p;
+}
+
+/* A non-negative integer in canonical decimal (0, or no leading zero) that
+ * fits int64, into *value. */
+static const char *scan_count(const char *p, const char *end, int64_t *value)
+{
+    if (!is_digit(p, end) || (*p == '0' && is_digit(p + 1, end)))
+        return NULL;
+    uint64_t v = 0;
+    for (; is_digit(p, end); p++) {
+        const unsigned digit = (unsigned)(*p - '0');
+        if (v > ((uint64_t)INT64_MAX - digit) / 10)
+            return NULL;
+        v = 10 * v + digit;
+    }
+    *value = (int64_t)v;
+    return p;
+}
+
+/* A JSON number whose integer part has at most 18 digits and whose exponent,
+ * if any, at most 3, with (integer digits - 1) + exponent below 308: one that
+ * json.loads reads as an int within int64 or as a finite float. */
+static const char *scan_energy(const char *p, const char *end)
+{
+    if (p < end && *p == '-')
+        p++;
+    const char *digits = p;
+    p = p < end && *p == '0' ? p + 1 : scan_digits(p, end, 1, 18);
+    if (!p || is_digit(p, end))
+        return NULL;
+    const int64_t integer_digits = p - digits;
+    if (p < end && *p == '.')
+        p = scan_digits(p + 1, end, 1, INT64_MAX);
+    if (p && p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        const int negative = p < end && *p == '-';
+        if (p < end && (*p == '-' || *p == '+'))
+            p++;
+        const char *exponent_digits = p;
+        p = scan_digits(p, end, 1, 3);
+        if (!p)
+            return NULL;
+        int64_t exponent = 0;
+        for (const char *d = exponent_digits; d < p; d++)
+            exponent = 10 * exponent + (*d - '0');
+        if (!negative && integer_digits - 1 + exponent >= 308)
+            return NULL;
+    }
+    return p;
+}
+
+/* Checks that text holds exactly `lines` lines in the layout above, each with
+ * `width` spins, and returns 1, or returns 0 at the first byte that departs
+ * from it.  Line i's read, core_time_us, wall_time_us and gauge tag (0 when it
+ * has none) go to ints[i], ints[lines + i], ints[2 lines + i] and
+ * ints[3 lines + i], and its spins to spins[i * width ...]; the energy and the
+ * solution are checked and not kept. */
+int64_t cascor_sample_scan(const char *text, int64_t size, int64_t lines, int64_t width,
+                           int64_t *ints, int8_t *spins)
+{
+    const char *p = text, *end = text + size;
+    for (int64_t i = 0; i < lines; i++) {
+        p = SCAN_LITERAL(p, end, "{\"read\": ");
+        p = p ? scan_count(p, end, &ints[i]) : NULL;
+        p = SCAN_LITERAL(p, end, ", \"spins\": [");
+        for (int64_t k = 0; p && k < width; k++) {
+            if (k)
+                p = SCAN_LITERAL(p, end, ", ");
+            const int negative = p && p < end && *p == '-';
+            p = SCAN_LITERAL(negative ? p + 1 : p, end, "1");
+            spins[i * width + k] = negative ? -1 : 1;
+        }
+        p = SCAN_LITERAL(p, end, "], \"energy\": ");
+        p = p ? scan_energy(p, end) : NULL;
+        p = SCAN_LITERAL(p, end, ", \"core_time_us\": ");
+        p = p ? scan_count(p, end, &ints[lines + i]) : NULL;
+        p = SCAN_LITERAL(p, end, ", \"wall_time_us\": ");
+        p = p ? scan_count(p, end, &ints[2 * lines + i]) : NULL;
+        p = SCAN_LITERAL(p, end, ", \"solution\": ");
+        if (p && p < end && *p == '"') {
+            for (p++; p < end && (*p == '0' || *p == '1'); p++)
+                ;
+            p = SCAN_LITERAL(p, end, "\"");
+        } else {
+            p = SCAN_LITERAL(p, end, "null");
+        }
+        ints[3 * lines + i] = 0;
+        if (p && p < end && *p == ',') {
+            p = SCAN_LITERAL(p, end, ", \"gauge\": ");
+            p = p ? scan_count(p, end, &ints[3 * lines + i]) : NULL;
+        }
+        p = SCAN_LITERAL(p, end, "}\n");
+        if (!p)
+            return 0;
+    }
+    return p == end;
 }

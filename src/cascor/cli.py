@@ -175,9 +175,13 @@ def cmd_sample(args) -> int:
         cnf = _read_cnf(args.cnf)
         model, layout = _read_compiled(args.model, cnf)
         cfg = _sampler_config(args)
+    # every run's spins and decoded bits are held at once, so they share one run's
+    # limit; both are checked before the first anneal, the spins first, as sampling would
+    rows = cfg.num_reads * max(args.gauges, 1)
+    samplers_mod._check_run_size(rows, model.num_qubits,
+                                 "spins of every gauge" if args.gauges else "spins")
+    samplers_mod._check_run_size(rows, cnf.num_vars, "decoded bits of every run")
     runs = _sample_runs(model, cfg, args.gauges)
-    # every run's decoded bits are held at once, so they share one run's limit
-    samplers_mod._check_run_size(sum(map(len, runs)), cnf.num_vars, "decoded bits of every run")
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
     Path(args.out).write_text(samplers_mod.samples_to_jsonl(
         model, runs, decoded, gauged=args.gauges > 0))

@@ -192,12 +192,17 @@ def energies_of_states(
     """
     lo, hi = (0, model.num_qubits) if qubits is None else (qubits.start, qubits.stop)
     a = model.arrays
-    h, pi, pj, pv = a.h, a.pair_i, a.pair_j, a.pair_v
-    inside = (pi >= lo) & (pj < hi)
-    s = np.asarray(spins, dtype=h.dtype)
-    e = s @ h[lo:hi]
-    if inside.any():
-        e = e + (s[:, pi[inside] - lo] * s[:, pj[inside] - lo]) @ pv[inside]
+    inside = (a.pair_i >= lo) & (a.pair_j < hi)
+    columns = np.ascontiguousarray(np.asarray(spins).T, dtype=a.h.dtype)
+    # Terms are added one at a time, the fields by column and then the couplers in
+    # (i, j) order, so a state's float energy is summed in one order whatever the
+    # other rows (a matrix product's order depends on the row count).
+    e = np.zeros(columns.shape[1], dtype=a.h.dtype)
+    for column, v in zip(columns, a.h[lo:hi].tolist()):
+        e += v * column
+    for i, j, v in zip((a.pair_i[inside] - lo).tolist(), (a.pair_j[inside] - lo).tolist(),
+                       a.pair_v[inside].tolist()):
+        e += v * (columns[i] * columns[j])
     return e
 
 

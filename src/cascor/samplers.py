@@ -10,15 +10,18 @@ A run comes back as one SampleBatch: the final spins of every read in a
 single int8 array and the cumulative core and wall times.  Iterating a batch
 yields one SampleRecord per read, a row of plain Python values.  The sample
 JSONL file is written whole by samples_to_jsonl, the one place a read's
-energy is computed, which builds the text of each distinct spins row and
-solution once, and read back, every field checked, by samples_from_jsonl.
-Text in the writer's exact line layout is read column-wise: each line is
-matched by one compiled pattern, its integers go to a compact buffer, and
-each distinct spins row and energy is parsed once.  Any other text (other
-spacing, key order or line ends, blank lines) is decoded line by line as
-JSON, keeping a tuple of the five fields read from each line.  Both paths
-feed the same checks, so a file reads the same, or fails with the same
-message, either way.
+energy is computed, and read back, every field checked, by
+samples_from_jsonl.  The line layout lives in the C library that anneals
+(below).  The writer finds the distinct spins rows with np.unique over their
+bytes and builds the spins and energy text of each, and the text of each
+distinct solution, once; cascor_sample_lines joins those texts and each
+read's integers into its line.  The reader's cascor_sample_scan checks text
+in the writer's exact layout byte by byte and parses its integers and spins
+straight into arrays.  Any other text (other spacing, key order or line
+ends, blank lines, non-ASCII characters) is decoded line by line as JSON,
+keeping a tuple of the five fields read from each line.  Both paths feed the
+same checks, so a file reads the same, or fails with the same message,
+either way.
 
 A run's spins and decoded bits may take at most _RUN_BYTES, and so may the
 gauges of an SRT rotation and the spins of all its runs together; sample,
@@ -31,13 +34,13 @@ integers(0, 2) for its initial spins, then one uniform per proposal, spin by
 spin and sweep by sweep.  So read r depends only on (seed, r), and a k-read
 run is the first k reads of any longer run.
 
-The anneal runs in a C kernel (_anneal.c), compiled with the system C
-compiler (``cc``) on first use into the per-user cache directory
-($XDG_CACHE_HOME/cascor, else ~/.cache/cascor) and loaded through ctypes.
-It replays each read's stream itself and sweeps the spins in order over the
-model's CSR neighbour lists (IsingModel.arrays).  A flip with
-v = s_i * local >= 0 is always accepted; otherwise it is accepted when
-u < exp(2 beta v).  The kernel has two loops:
+The anneal runs in a C kernel (_anneal.c, which also holds the sample file
+codec), compiled with the system C compiler (``cc``) on first use into the
+per-user cache directory ($XDG_CACHE_HOME/cascor, else ~/.cache/cascor) and
+loaded through ctypes.  It replays each read's stream itself and sweeps the
+spins in order over the model's CSR neighbour lists (IsingModel.arrays).  A
+flip with v = s_i * local >= 0 is always accepted; otherwise it is accepted
+when u < exp(2 beta v).  The kernel has two loops:
 
 - Integral models keep int64 local fields, summed once per read and updated
   along a flipped spin's neighbour list on each accepted flip.  Integer sums
@@ -71,10 +74,8 @@ import hashlib
 import json
 import operator
 import os
-import re
 import subprocess
 import tempfile
-from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -144,6 +145,8 @@ class SamplerConfig:
             raise ValueError("sweeps must be >= 1")
         if not (0 < self.beta_start <= self.beta_end):
             raise ValueError("need 0 < beta_start <= beta_end")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         for name in ("core_time_per_read_us", "programming_us", "per_read_readout_us"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -213,7 +216,7 @@ def _build_kernel() -> Path:
 
 @functools.cache
 def _kernel():
-    """The anneal kernel's C library, built and loaded on first use."""
+    """The C library of the anneal kernel and the sample codec, built and loaded on first use."""
     try:
         lib = ctypes.CDLL(str(_build_kernel()))
     except OSError as exc:
@@ -229,6 +232,10 @@ def _kernel():
         anneal.argtypes = [*head, i64s, i64s, u64s, i64, i64s, i8s]
         anneal.restype = None
     lib.cascor_anneal_float.restype = None
+    lib.cascor_sample_lines.argtypes = [i64, *[i64s] * 6, i64, ctypes.c_char_p, i64s,
+                                        np.ctypeslib.ndpointer(np.uint8), i64]
+    lib.cascor_sample_scan.argtypes = [ctypes.c_char_p, i64, i64, i64, i64s, i8s]
+    lib.cascor_sample_lines.restype = lib.cascor_sample_scan.restype = i64
     return lib
 
 
@@ -243,8 +250,6 @@ def _check_run_size(rows: int, width: int, what: str) -> None:
 def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     """Final spins of every read, (reads, qubits) int8."""
     seed = operator.index(cfg.seed)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
     # SeedSequence's entropy words: the seed's 32-bit digits, least significant first
     shifts = range(0, max(seed.bit_length(), 1), 32)
     seed_words = np.array([seed >> shift & 0xFFFFFFFF for shift in shifts], dtype=np.uint32)
@@ -364,39 +369,48 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
     """
     if not gauged and len(runs) > 1:
         raise ValueError(f"{len(runs)} runs need gauge tags; an untagged file holds one run")
-    lines = []
-    for gauge, (batch, solutions) in enumerate(zip(runs, decoded)):
-        end = f', "gauge": {gauge}}}' if gauged else "}"
-        # json's text for each energy (ints as digits, floats as their repr)
-        energies = json.dumps(energies_of_states(model, batch.spins).tolist())[1:-1].split(", ")
-        # reads collapse onto few states, so each distinct row's text is built once
-        row_texts: dict[tuple, str] = {}
-        spin_texts = [row_texts.get(row) or row_texts.setdefault(row, str(list(row)))
-                      for row in map(tuple, batch.spins.tolist())]
-        bit_texts: dict[Assignment | None, str] = {}
-        texts = [bit_texts.get(s) or bit_texts.setdefault(s, f'"{_bit_text(s)}"' if s else "null")
-                 for s in solutions]
-        rows = zip(spin_texts, energies, batch.core_time_us.tolist(),
-                   batch.wall_time_us.tolist(), texts)
-        lines += [
-            f'{{"read": {r}, "spins": {spins}, "energy": {energy}, "core_time_us": {core}, '
-            f'"wall_time_us": {wall}, "solution": {solution}{end}'
-            for r, (spins, energy, core, wall, solution) in enumerate(rows)
-        ]
-    return "\n".join(lines) + "\n"
+    lengths = [len(batch) for batch in runs]
+    if lengths != [len(solutions) for solutions in decoded]:
+        raise ValueError("decoded must hold one solution per read of each run")
+    if not sum(lengths):
+        return "\n"
+    spins = np.concatenate([batch.spins for batch in runs])
+    # reads collapse onto few states, so each distinct row's energy and texts are built once
+    if spins.shape[1]:
+        keys = np.ascontiguousarray(spins).view(np.dtype((np.void, spins[0].nbytes)))[:, 0]
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+    else:  # every row is the empty row
+        first, rows = np.zeros(1, np.int64), np.zeros(len(spins), np.int64)
+    distinct = spins[first]
+    solution_ids: dict[Assignment | None, int] = {}
+    solutions = np.array([solution_ids.setdefault(s, len(solution_ids))
+                          for run in decoded for s in run], dtype=np.int64)
+    # cascor_sample_lines' texts: every distinct row's spins, their energies in json's
+    # text (ints as digits, floats as their repr), then every distinct solution
+    texts = [*map(str, distinct.tolist()),
+             *json.dumps(energies_of_states(model, distinct).tolist())[1:-1].split(", "),
+             *(f'"{_bit_text(s)}"' if s else "null" for s in solution_ids)]
+    offsets = np.cumsum([0, *map(len, texts)], dtype=np.int64)
+    sizes = np.diff(offsets)
+    reads = np.concatenate([np.arange(k) for k in lengths])
+    cores, walls = (np.concatenate([getattr(b, name) for b in runs]).astype(np.int64, copy=False)
+                    for name in ("core_time_us", "wall_time_us"))
+    gauges = np.repeat(np.arange(len(runs)), lengths) if gauged else np.full(len(reads), -1)
+    # a line's texts, and at most 200 bytes of keys and integers
+    capacity = int(sizes[rows].sum() + sizes[len(first) + rows].sum()
+                   + sizes[2 * len(first) + solutions].sum()) + 200 * len(reads)
+    out = np.empty(capacity, dtype=np.uint8)
+    size = _kernel().cascor_sample_lines(len(reads), reads, cores, walls, gauges,
+                                         rows.astype(np.int64, copy=False), solutions,
+                                         len(first), "".join(texts).encode(), offsets, out,
+                                         capacity)
+    if size < 0:
+        raise RuntimeError("sample lines overran their buffer")
+    return out[:size].tobytes().decode()
 
 
 _SAMPLE_FIELDS = ("read", "spins", "energy", "core_time_us", "wall_time_us")
 _sample_fields = operator.itemgetter(*_SAMPLE_FIELDS)
-# The line samples_to_jsonl writes, its spins loosened to the characters "-1, ",
-# which _SPIN_ROW then checks once per distinct row.  Groups: read, spins,
-# energy, core_time_us, wall_time_us, gauge (None when the line has no tag).
-_COUNT = r"(0|[1-9][0-9]*)"
-_WRITER_LINE = re.compile(
-    rf'\{{"read": {_COUNT}, "spins": \[([-1, ]*)\], "energy": ([^,\s]+), '
-    rf'"core_time_us": {_COUNT}, "wall_time_us": {_COUNT}, "solution": (?:"[01]*"|null)'
-    rf'(?:, "gauge": {_COUNT})?\}}\n')
-_SPIN_ROW = re.compile(r"(?:-?1(?:, -?1)*)?")
 
 
 def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
@@ -408,9 +422,9 @@ def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
     that are non-negative and never decrease.  The energies are checked and
     then discarded; the solution field is not read.
 
-    Text in the writer's own line layout is read column-wise by
-    _writer_columns; any other text goes through the per-line JSON decoder.
-    Both feed the same checks, so a text reads the same either way.
+    Text in the writer's own line layout is scanned by the C kernel
+    (_writer_columns); any other text goes through the per-line JSON
+    decoder.  Both feed the same checks, so a text reads the same either way.
     """
     runs = _writer_columns(text)
     if runs is None:
@@ -429,56 +443,36 @@ def _json_columns(text: str) -> dict[int, dict[str, Sequence]]:
     return {gauge: dict(zip(_SAMPLE_FIELDS, zip(*rows[gauge]))) for gauge in rows}
 
 
-def _writer_columns(text: str) -> dict[int, dict[str, Sequence]] | None:
-    """Each gauge's field columns of a text in samples_to_jsonl's line layout, else None.
+def _writer_columns(text: str) -> dict[int, dict[str, np.ndarray]] | None:
+    """Each gauge's columns, but energy, of a text in samples_to_jsonl's line layout, else None.
 
-    Lines are matched in order against _WRITER_LINE, so None comes back at the
-    first line in any other layout (blank lines, CR, other spacing or key
-    order, booleans, leading zeros, no final newline), and also when a spins
-    row is not "1"/"-1" tokens, the rows differ in width, an energy is not one
-    JSON value, or an integer does not fit int64.  Each distinct spins text
-    and energy token is parsed once; the spins texts are parsed together as
-    bytes, never split into Python tokens.
+    The kernel's cascor_sample_scan checks the text byte by byte, so None
+    comes back for text in any other layout (blank lines, CR, other spacing
+    or key order, booleans, leading zeros, no final newline, non-ASCII
+    characters), and also when a line's spins row is not as wide as the
+    first line's, an integer does not fit int64, or an energy is not a JSON
+    number that json reads as an int64 or a finite float (NaN, 1e999, and
+    integers of 19 digits or more all go to the JSON decoder).
     """
-    spin_rows: dict[str, int] = {}
-    energies: dict[str, int] = {}
-    # per gauge tag text, "0" for an untagged line as for a "gauge": 0 line: the
-    # read, core, wall, spins row index and energy index of each line
-    buffers: dict[str, array] = {}
-    match, pos = _WRITER_LINE.match, 0
     try:
-        while pos < len(text):
-            line = match(text, pos)
-            if line is None:
-                return None
-            pos = line.end()
-            read, spins, energy, core, wall, gauge = line.groups()
-            ints = buffers.get(gauge or "0")
-            if ints is None:
-                ints = buffers[gauge or "0"] = array("q")
-            ints.extend((int(read), int(core), int(wall),
-                         spin_rows.setdefault(spins, len(spin_rows)),
-                         energies.setdefault(energy, len(energies))))
-    except OverflowError:  # an integer past int64
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
         return None
-    widths = {row.count("1") for row in spin_rows}
-    if len(widths) > 1 or not all(map(_SPIN_ROW.fullmatch, spin_rows)):
+    lines = raw.count(b"\n")
+    # the first line's spins, from its "[" to its "]", are one "1" each
+    width = raw.count(b"1", raw.find(b"["), raw.find(b"]"))
+    if lines * width > len(raw):  # each spin takes a byte of text at least
         return None
-    try:
-        values = [json.loads(token) for token in energies]
-    except ValueError:
+    ints = np.empty((4, lines), dtype=np.int64)
+    spins = np.empty((lines, width), dtype=np.int8)
+    if not _kernel().cascor_sample_scan(raw, len(raw), lines, width, ints, spins):
         return None
-    # every spin is "1" or "-1", so the byte before each "1" gives its sign
-    raw = np.frombuffer((" " + " ".join(spin_rows)).encode(), dtype=np.uint8)
-    negative = raw[:-1][raw[1:] == ord("1")] == ord("-")
-    table = (1 - 2 * negative.view(np.int8)).reshape(len(spin_rows), *widths)
-    columns = {}
-    for gauge, ints in buffers.items():
-        read, core, wall, rows, energy = np.frombuffer(ints, dtype=np.int64).reshape(-1, 5).T
-        columns[int(gauge)] = {"read": read, "spins": table[rows],
-                               "energy": [values[i] for i in energy.tolist()],
-                               "core_time_us": core, "wall_time_us": wall}
-    return columns
+    read, core, wall, gauge = ints
+    order = np.argsort(gauge, kind="stable")
+    tags, starts = np.unique(gauge[order], return_index=True)
+    return {tag: {"read": read[at], "spins": spins[at], "core_time_us": core[at],
+                  "wall_time_us": wall[at]}
+            for tag, at in zip(tags.tolist(), np.split(order, starts[1:]))}
 
 
 def _batch_of_columns(columns: dict[str, Sequence], num_qubits: int, gauge: int) -> SampleBatch:
@@ -495,5 +489,6 @@ def _batch_of_columns(columns: dict[str, Sequence], num_qubits: int, gauge: int)
     times = [column("core_time_us").astype(np.int64), column("wall_time_us").astype(np.int64)]
     if any(np.any(np.diff(t, prepend=0) < 0) for t in times):
         raise ValueError(f"gauge {gauge} times must be non-negative and never decrease")
-    column("energy", kinds="if")
+    if "energy" in columns:  # _writer_columns has checked it already
+        column("energy", kinds="if")
     return SampleBatch(spins.astype(np.int8), *times)

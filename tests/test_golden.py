@@ -159,8 +159,8 @@ def test_construction_matches_pinned_digest():
 
 
 FLOAT_EXPECTED = {
-    "plain": "63e1ca1f19999476b1e9f6be244bb52688a3585fe0b69968c21bfb28e0631486",
-    "gauged": "38e9ef7ce632db039706a562f8251847b42aa8c4974700d07f87729116f93fd3",
+    "plain": "5a3a4f5abffc8e733bd8970f823a20b663d6e99b0482ddaac7f7e1d769075f87",
+    "gauged": "58c6591805a844295ca4172d9957e5e9d682189e5c0b70e9198b474fc15729a1",
 }
 
 

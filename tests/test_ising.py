@@ -4,10 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascor.ising as ising_mod
 from cascor.compiler import compile_cnf
-from cascor.ising import IsingModel, apply_gauge, energy, enumerate_ground_states
+from cascor.ising import (
+    IsingModel,
+    apply_gauge,
+    energies_of_states,
+    energy,
+    enumerate_ground_states,
+)
 from cascor.sat import Cnf, evaluate
 
 from conftest import (
@@ -155,6 +163,24 @@ def test_float_model_matches_reference_within_rounding(rng):
         e, states = enumerate_ground_states(m)
         slow_e, slow_states = slow_min_states(m)
         assert e == pytest.approx(slow_e, rel=1e-12) and states == slow_states
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), integral=st.booleans())
+def test_batch_energy_of_a_state_is_its_single_state_energy(data, n, integral):
+    # a float model's sums round, so they must not take their order from the batch size
+    coefficient = (st.integers(-10**6, 10**6) if integral else
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    pairs = list(itertools.combinations(range(n), 2))
+    h = data.draw(st.dictionaries(st.sampled_from(range(n)), coefficient))
+    J = data.draw(st.dictionaries(st.sampled_from(pairs), coefficient)) if pairs else {}
+    model = IsingModel.from_terms(n, h, J)
+    rows = data.draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n),
+                              min_size=1, max_size=40))
+    spins = np.array(rows, dtype=np.int8)
+    batch = energies_of_states(model, spins).tolist()
+    assert batch == [energies_of_states(model, spins[r:r + 1]).item() for r in range(len(rows))]
+    assert batch == [energy(model, tuple(row)) for row in rows]
 
 
 def test_model_arrays_are_read_only():

@@ -308,7 +308,8 @@ def test_kernel_source_compiles_without_warnings():
 
 # Loads the kernel built at argv[1] through samplers._kernel and anneals an
 # integral model through both integral loops, and a float model and an
-# integral one past the table cap through the float loop.
+# integral one past the table cap through the float loop; then writes and scans
+# sample text through the codec, whole, cut at every byte and past int64.
 _UBSAN_CHILD = """
 import sys
 from pathlib import Path
@@ -331,6 +332,15 @@ for entry in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
     lib.cascor_anneal_int = entry
     runs.append([samplers._anneal(model, cfg) for model in models])
 assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+batches = samplers.sample_with_srt_rotation(models[1], cfg, samplers.random_gauges(4, 2, 5))
+batches.append(samplers.SampleBatch(batches[0].spins[:2], np.array([-2**63, 2**63 - 1]),
+                                    np.array([0, 2**63 - 1])))
+text = samplers.samples_to_jsonl(models[1], batches, [[None] * len(b) for b in batches], True)
+assert len(samplers.samples_from_jsonl("".join(text.splitlines(True)[:38]), 4)) == 2
+for end in range(len(text) + 1):
+    samplers._writer_columns(text[:end])
+assert samplers._writer_columns(text.replace(str(2**63 - 1), str(2**63))) is None
 print("ok")
 """
 
@@ -643,6 +653,18 @@ def test_record_json_roundtrip():
     assert_same_batch(back, runs[0])
 
 
+def test_zero_qubit_runs_roundtrip_through_jsonl():
+    # no spins to compare: every read is the one empty row
+    runs = [batch_of(np.empty((3, 0)), [20, 40, 60], [20, 40, 60]),
+            batch_of(np.empty((1, 0)), [5], [5])]
+    text = samples_to_jsonl(IsingModel(0), runs, [[None] * 3, [()]], gauged=True)
+    assert text.splitlines()[3] == json.dumps({"read": 0, "spins": [], "energy": 0,
+                                               "core_time_us": 5, "wall_time_us": 5,
+                                               "solution": None, "gauge": 1})
+    for back, run in zip(samples_from_jsonl(text, 0), runs, strict=True):
+        assert_same_batch(back, run)
+
+
 def test_untagged_writer_refuses_several_runs():
     # untagged lines all read back as gauge 0, so two runs would not round-trip
     runs = [batch_of([(1, -1)], [20], [2020]), batch_of([(1, 1)], [20], [2020])]
@@ -734,18 +756,29 @@ def test_sample_text_roundtrip_matches_reference_writer(case):
 
 
 def read_back(text, n):
-    """samples_from_jsonl's batches of text, or the message of its ValueError."""
+    """samples_from_jsonl's batches of text, or the class and message of its input error."""
     try:
         return samples_from_jsonl(text, n)
-    except ValueError as exc:
-        return str(exc)
+    except (KeyError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def read_back_as_json(text, n):
-    """read_back with the writer-layout tokenizer off: every line decoded as JSON."""
+    """read_back with the writer-layout scanner off: every line decoded as JSON."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(samplers, "_writer_columns", lambda text: None)
         return read_back(text, n)
+
+
+def assert_reads_as_json(text, n):
+    """text reads as the JSON path reads it: the same batches, or the same ValueError."""
+    got, want = read_back(text, n), read_back_as_json(text, n)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for a, b in zip(got, want, strict=True):
+            assert_same_batch(a, b)
 
 
 def _toggle_gauge_tag(line):
@@ -792,13 +825,73 @@ def test_mutated_sample_text_reads_as_the_json_path_reads_it(case, mutation, whe
         i = where % len(lines)
         lines[i] = LINE_MUTATIONS[mutation](lines[i])
         text = "".join(line + "\n" for line in lines)
-    got, want = read_back(text, n), read_back_as_json(text, n)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert not isinstance(got, str), got
-        for a, b in zip(got, want, strict=True):
-            assert_same_batch(a, b)
+    assert_reads_as_json(text, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sample_files())
+def test_truncated_sample_text_reads_as_the_json_path_reads_it(case):
+    model, runs, decoded, gauged = case
+    text = samples_to_jsonl(model, runs, decoded, gauged)
+    for end in range(len(text) + 1):
+        assert_reads_as_json(text[:end], model.num_qubits)
+
+
+# the writer's characters, some it never writes, and a non-ASCII one
+EDIT_TEXT = st.text(alphabet='{}[]":, -+.0123456789eENaIlnu\n\r\t\u00e9', max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_files(), EDIT_TEXT, st.integers(0, 2**16), st.integers(0, 8))
+def test_edited_sample_text_reads_as_the_json_path_reads_it(case, piece, where, cut):
+    model, runs, decoded, gauged = case
+    text = samples_to_jsonl(model, runs, decoded, gauged)
+    start = where % (len(text) + 1)
+    assert_reads_as_json(text[:start] + piece + text[start + cut:], model.num_qubits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(), st.integers(0, 3))
+def test_arbitrary_text_reads_as_the_json_path_reads_it(text, n):
+    assert_reads_as_json(text, n)
+
+
+def writer_line(energy="-1", core="20", wall="20", gauge=None):
+    """One line of a two-qubit sample file, in samples_to_jsonl's layout, with these tokens."""
+    tag = "" if gauge is None else f', "gauge": {gauge}'
+    return (f'{{"read": 0, "spins": [1, -1], "energy": {energy}, "core_time_us": {core}, '
+            f'"wall_time_us": {wall}, "solution": null{tag}}}\n')
+
+
+def test_integers_up_to_int64_max_are_scanned():
+    top = 2**63 - 1
+    text = writer_line(core=str(top), wall=str(top), gauge=str(top))
+    columns = samplers._writer_columns(text)
+    assert list(columns) == [top]
+    assert columns[top]["core_time_us"].tolist() == columns[top]["wall_time_us"].tolist() == [top]
+    assert_reads_as_json(text, 2)
+
+
+@pytest.mark.parametrize("field", ["core", "wall", "gauge"])
+def test_integer_past_int64_goes_to_the_json_decoder(field):
+    text = writer_line(**{field: str(2**63)})
+    assert samplers._writer_columns(text) is None
+    assert_reads_as_json(text, 2)
+
+
+@pytest.mark.parametrize("token, scanned", [
+    ("999999999999999999", True), ("-0", True), ("-4.9", True), ("1.5E+300", True),
+    ("2.5e-999", True),
+    ("1000000000000000000", False), ("-1234567890123456789", False), ("NaN", False),
+    ("-Infinity", False), ("1e999", False), ("1e308", False), ("01", False), ("1.", False),
+    (".5", False), ("1e", False), ("+1", False), ("1e1000", False), ("true", False),
+    ('"1"', False),
+])
+def test_energy_token_grammar(token, scanned):
+    # 18 integer digits fit int64 whatever they are; below 10**308 a float is finite
+    text = writer_line(energy=token)
+    assert (samplers._writer_columns(text) is not None) == scanned
+    assert_reads_as_json(text, 2)
 
 
 @settings(max_examples=100, deadline=None)
