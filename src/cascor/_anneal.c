@@ -22,7 +22,22 @@
  * the scalar integral loop, which stays exported as cascor_anneal_int_scalar.
  * Each lane draws only its own read's stream and makes that read's proposals
  * in the scalar order, so the lane loop's spins are the scalar loop's bit for
- * bit.  The float loop is scalar everywhere.
+ * bit.  The float loop is scalar everywhere.  Beyond the proposals, the lane
+ * loop keeps its per-read work small:
+ *
+ * - Register rows.  Once per sweep it loads the sweep's acceptance row into
+ *   up to eight vector registers, when the row has at most 64 entries, and
+ *   looks each lane's entry up with permutes and blends; a wider row is
+ *   gathered from memory at every proposal.
+ * - Lane seeding.  It runs SeedSequence and the PCG64 seeding of all eight
+ *   reads of a group at once, in 32-bit lanes (the hash constants do not
+ *   depend on the data), and draws the initial spins straight into the lane
+ *   masks.  It takes each read index as one 32-bit entropy word, which
+ *   numpy does for indices below 2^32, so it needs reads + 7 < 2^32:
+ *   cascor.samplers bounds reads x (qubits + 8) by 2^28, so reads stay below
+ *   2^25.  There is no fallback past that bound.
+ * - Spins out.  It writes each read's final spins out of the lane masks
+ *   eight at a time, one 64-bit word of int8 spins per eight mask bytes.
  *
  * The same library holds the sample file codec, cascor_sample_lines and
  * cascor_sample_scan (at the end of this file), so there is one source file
@@ -258,13 +273,142 @@ LANE_TARGET static inline __m512i pcg_next_x8(pcg64x8 *g)
     return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
 }
 
+/* hashmix and mix in eight 32-bit lanes; the hash constant is the same in every lane. */
+LANE_TARGET static inline __m256i hashmix_x8(__m256i value, uint32_t *hash_const)
+{
+    value = _mm256_xor_si256(value, _mm256_set1_epi32((int)*hash_const));
+    *hash_const *= MULT_A;
+    value = _mm256_mullo_epi32(value, _mm256_set1_epi32((int)*hash_const));
+    return _mm256_xor_si256(value, _mm256_srli_epi32(value, XSHIFT));
+}
+
+LANE_TARGET static inline __m256i mix_x8(__m256i x, __m256i y)
+{
+    const __m256i result =
+        _mm256_sub_epi32(_mm256_mullo_epi32(_mm256_set1_epi32((int)MIX_MULT_L), x),
+                         _mm256_mullo_epi32(_mm256_set1_epi32((int)MIX_MULT_R), y));
+    return _mm256_xor_si256(result, _mm256_srli_epi32(result, XSHIFT));
+}
+
+/* seed_stream for reads r0 .. r0 + 7, read r0 + l in lane l, each index one
+ * 32-bit entropy word (r0 + 7 < 2^32). */
+LANE_TARGET static void seed_lanes(pcg64x8 *g, const uint32_t *seed_words, int64_t seed_len,
+                                   int64_t r0)
+{
+    const __m256i r = _mm256_add_epi32(_mm256_set1_epi32((int)(uint32_t)r0),
+                                       _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const int64_t len = seed_len + 1;
+#define WORD(k) ((k) < seed_len ? _mm256_set1_epi32((int)seed_words[k]) : r)
+    __m256i pool[POOL];
+    uint32_t hash_a = INIT_A;
+    for (int64_t i = 0; i < POOL; i++)
+        pool[i] = hashmix_x8(i < len ? WORD(i) : _mm256_setzero_si256(), &hash_a);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix_x8(pool[dst], hashmix_x8(pool[src], &hash_a));
+    for (int64_t src = POOL; src < len; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix_x8(pool[dst], hashmix_x8(WORD(src), &hash_a));
+#undef WORD
+
+    __m512i words[4];
+    uint32_t hash_b = INIT_B;
+    for (int i = 0; i < 4; i++) {
+        __m256i w[2];
+        for (int half = 0; half < 2; half++) {
+            __m256i v = _mm256_xor_si256(pool[(2 * i + half) % POOL],
+                                         _mm256_set1_epi32((int)hash_b));
+            hash_b *= MULT_B;
+            v = _mm256_mullo_epi32(v, _mm256_set1_epi32((int)hash_b));
+            w[half] = _mm256_xor_si256(v, _mm256_srli_epi32(v, XSHIFT));
+        }
+        words[i] = _mm512_or_si512(_mm512_cvtepu32_epi64(w[0]),
+                                   _mm512_slli_epi64(_mm512_cvtepu32_epi64(w[1]), 32));
+    }
+    /* inc = init_seq << 1 | 1; state = 0, a step, state += init_state, a step */
+    g->inc_hi = _mm512_or_si512(_mm512_slli_epi64(words[2], 1), _mm512_srli_epi64(words[3], 63));
+    g->inc_lo = _mm512_or_si512(_mm512_slli_epi64(words[3], 1), _mm512_set1_epi64(1));
+    g->state_hi = g->state_lo = _mm512_setzero_si512();
+    pcg_next_x8(g);
+    const __m512i lo = _mm512_add_epi64(g->state_lo, words[1]);
+    const __m512i hi = _mm512_add_epi64(g->state_hi, words[0]);
+    g->state_hi = _mm512_mask_sub_epi64(hi, _mm512_cmplt_epu64_mask(lo, words[1]), hi,
+                                        _mm512_set1_epi64(-1));
+    g->state_lo = lo;
+    pcg_next_x8(g);
+}
+
+/* Entry index[l] of a row of at most 8 blocks entries, held in blocks registers
+ * of eight: 1, 2, 4 or 8.  Every index is below the row's width. */
+LANE_TARGET static inline __m512i row_entry(const __m512i *row, int blocks, __m512i index)
+{
+    if (blocks == 1)
+        return _mm512_permutexvar_epi64(index, row[0]);
+    /* index bits 0-3 pick among 16 entries, bit 4 among 32 and bit 5 among 64 */
+    __m512i entry = _mm512_permutex2var_epi64(row[0], index, row[1]);
+    if (blocks == 2)
+        return entry;
+    const __mmask8 bit4 = _mm512_test_epi64_mask(index, _mm512_set1_epi64(16));
+    entry = _mm512_mask_blend_epi64(bit4, entry, _mm512_permutex2var_epi64(row[2], index, row[3]));
+    if (blocks == 4)
+        return entry;
+    const __m512i upper =
+        _mm512_mask_blend_epi64(bit4, _mm512_permutex2var_epi64(row[4], index, row[5]),
+                                _mm512_permutex2var_epi64(row[6], index, row[7]));
+    return _mm512_mask_blend_epi64(_mm512_test_epi64_mask(index, _mm512_set1_epi64(32)), entry,
+                                   upper);
+}
+
+/* Every sweep of one lane group, its rows in blocks registers (row_entry), or
+ * gathered from the table when blocks is 0.  Inlined once per value of blocks. */
+LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
+    int blocks, pcg64x8 *g, int64_t n, int64_t sweeps, const int64_t *restrict indptr,
+    const int64_t *restrict indices, const int64_t *restrict values,
+    const uint64_t *restrict table, int64_t table_width, int64_t *restrict fields,
+    uint8_t *restrict up)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    for (int64_t t = 0; t < sweeps; t++) {
+        const uint64_t *row = table + t * table_width;
+        __m512i entries[8];
+        for (int b = 0; b < blocks; b++) {
+            const int64_t left = table_width - 8 * b;  /* entries from block b on */
+            entries[b] = left <= 0 ? zero
+                         : _mm512_maskz_loadu_epi64(left >= 8 ? 0xff : (__mmask8)((1u << left) - 1),
+                                                    row + 8 * b);
+        }
+        for (int64_t i = 0; i < n; i++) {
+            const __m512i m = _mm512_srli_epi64(pcg_next_x8(g), 11);
+            const __m512i local = _mm512_loadu_si512(fields + LANES * i);
+            /* -v = -s_i * local; the table index is max(-v, 0) */
+            const __m512i neg_v = _mm512_mask_sub_epi64(local, up[i], zero, local);
+            const __m512i index = _mm512_max_epi64(neg_v, zero);
+            const __m512i limit = blocks ? row_entry(entries, blocks, index)
+                                         : _mm512_i64gather_epi64(index, row, 8);
+            const __mmask8 flip = _mm512_cmplt_epu64_mask(m, limit);
+            if (flip) {
+                up[i] ^= flip;
+                const __mmask8 rise = flip & up[i], fall = flip & (__mmask8)~up[i];
+                for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
+                    const __m512i step = _mm512_set1_epi64(2 * values[k]);
+                    int64_t *f = fields + LANES * indices[k];
+                    __m512i field = _mm512_loadu_si512(f);
+                    field = _mm512_mask_add_epi64(field, rise, field, step);
+                    field = _mm512_mask_sub_epi64(field, fall, field, step);
+                    _mm512_storeu_si512(f, field);
+                }
+            }
+        }
+    }
+}
+
 /* cascor_anneal_int_scalar's anneal, reads r0 .. r0 + 7 side by side: read
  * r0 + l in lane l.  Each lane draws its own read's stream and makes that
  * read's proposals in the same order, so every read ends with the scalar
- * loop's spins.  In the last group, lanes past the final read anneal from all
- * -1 spins on an all-zero stream and are never written out; their fields
- * still match their spins, so their table indices stay below table_width.
- * scratch holds 8 n int64 fields and then n bytes of lane masks. */
+ * loop's spins.  In the last group, lanes past the final read anneal the
+ * reads that would follow it and are never written out.  scratch holds 8 n
+ * int64 fields and then n bytes of lane masks. */
 LANE_TARGET static void anneal_int_lanes(
     const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads, int64_t n,
     int64_t sweeps, const int64_t *restrict indptr, const int64_t *restrict indices,
@@ -273,24 +417,22 @@ LANE_TARGET static void anneal_int_lanes(
 {
     int64_t *fields = scratch;  /* spin i's field in lane l is fields[LANES * i + l] */
     uint8_t *up = (uint8_t *)(scratch + LANES * n);  /* bit l of up[i]: spin i is +1 in lane l */
-    const __m512i zero = _mm512_setzero_si512();
+    const int blocks = table_width <= 8    ? 1
+                       : table_width <= 16 ? 2
+                       : table_width <= 32 ? 4
+                       : table_width <= 64 ? 8
+                                           : 0;
     for (int64_t r0 = 0; r0 < reads; r0 += LANES) {
         const int lanes = reads - r0 < LANES ? (int)(reads - r0) : LANES;
-        uint64_t words[4][LANES] = {{0}};
-        memset(up, 0, (size_t)n);
-        for (int l = 0; l < lanes; l++) {
-            pcg64 g;
-            int8_t *s = out + (r0 + l) * n;
-            start_read(&g, seed_words, seed_len, r0 + l, n, s);
-            words[0][l] = (uint64_t)(g.state >> 64);
-            words[1][l] = (uint64_t)g.state;
-            words[2][l] = (uint64_t)(g.inc >> 64);
-            words[3][l] = (uint64_t)g.inc;
-            for (int64_t i = 0; i < n; i++)
-                up[i] |= (uint8_t)((s[i] > 0) << l);
+        pcg64x8 g;
+        seed_lanes(&g, seed_words, seed_len, r0);
+        /* spin k from the top bit of 32-bit half k % 2 (low first) of word k / 2 */
+        for (int64_t k = 0; k < n; k += 2) {
+            const __m512i word = pcg_next_x8(&g);
+            up[k] = (uint8_t)_mm512_movepi64_mask(_mm512_slli_epi64(word, 32));
+            if (k + 1 < n)
+                up[k + 1] = (uint8_t)_mm512_movepi64_mask(word);
         }
-        pcg64x8 g = {_mm512_loadu_si512(words[0]), _mm512_loadu_si512(words[1]),
-                     _mm512_loadu_si512(words[2]), _mm512_loadu_si512(words[3])};
         for (int64_t i = 0; i < n; i++) {
             __m512i local = _mm512_set1_epi64(h[i]);
             for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
@@ -301,33 +443,28 @@ LANE_TARGET static void anneal_int_lanes(
             }
             _mm512_storeu_si512(fields + LANES * i, local);
         }
-        for (int64_t t = 0; t < sweeps; t++) {
-            const uint64_t *row = table + t * table_width;
-            for (int64_t i = 0; i < n; i++) {
-                const __m512i m = _mm512_srli_epi64(pcg_next_x8(&g), 11);
-                const __m512i local = _mm512_loadu_si512(fields + LANES * i);
-                /* -v = -s_i * local; the table index is max(-v, 0) */
-                const __m512i neg_v = _mm512_mask_sub_epi64(local, up[i], zero, local);
-                const __m512i limit =
-                    _mm512_i64gather_epi64(_mm512_max_epi64(neg_v, zero), row, 8);
-                const __mmask8 flip = _mm512_cmplt_epu64_mask(m, limit);
-                if (flip) {
-                    up[i] ^= flip;
-                    const __mmask8 rise = flip & up[i], fall = flip & (__mmask8)~up[i];
-                    for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
-                        const __m512i step = _mm512_set1_epi64(2 * values[k]);
-                        int64_t *f = fields + LANES * indices[k];
-                        __m512i field = _mm512_loadu_si512(f);
-                        field = _mm512_mask_add_epi64(field, rise, field, step);
-                        field = _mm512_mask_sub_epi64(field, fall, field, step);
-                        _mm512_storeu_si512(f, field);
-                    }
-                }
-            }
+#define SWEEP_LANES(blocks)                                                                 \
+    sweep_lanes((blocks), &g, n, sweeps, indptr, indices, values, table, table_width, fields, \
+                up)
+        switch (blocks) {
+        case 1: SWEEP_LANES(1); break;
+        case 2: SWEEP_LANES(2); break;
+        case 4: SWEEP_LANES(4); break;
+        case 8: SWEEP_LANES(8); break;
+        default: SWEEP_LANES(0);
         }
+#undef SWEEP_LANES
         for (int l = 0; l < lanes; l++) {
             int8_t *s = out + (r0 + l) * n;
-            for (int64_t i = 0; i < n; i++)
+            int64_t i = 0;
+            for (; i + 8 <= n; i += 8) {  /* eight spins per word: byte k is spin i + k */
+                uint64_t bits;
+                memcpy(&bits, up + i, 8);
+                bits = bits >> l & 0x0101010101010101ULL;  /* 1 where spin i + k is +1 */
+                const uint64_t spins = ~0ULL - bits * 0xfe;  /* bytes 0x01 or 0xff (-1) */
+                memcpy(s + i, &spins, 8);
+            }
+            for (; i < n; i++)
                 s[i] = (up[i] >> l & 1) ? 1 : -1;
         }
     }

@@ -47,12 +47,14 @@ class InputError(Exception):
 def _input_boundary():
     """Report KeyError/ValueError from parsing, reading or flag-to-config code as InputError.
 
-    Only that code runs inside; the same classes raised by the pipeline itself
+    OSError from reading an input file (a directory, say, or one without read
+    permission) is an InputError too.  Only that code runs inside, and output
+    files are written outside; the same classes raised by the pipeline itself
     are internal faults and propagate unchanged.
     """
     try:
         yield
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         raise InputError(exc) from exc
 
 
@@ -185,7 +187,7 @@ def cmd_sample(args) -> int:
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
     Path(args.out).write_text(samplers_mod.samples_to_jsonl(
         model, runs, decoded, gauged=args.gauges > 0))
-    solutions = sum(solution is not None for run in decoded for solution in run)
+    solutions = sum(len(run) - run.count(None) for run in decoded)
     print(f"wrote {args.out} ({sum(map(len, runs))} reads, {solutions} satisfying)")
     return EXIT_OK
 

@@ -7,12 +7,17 @@ v-1 holds variable v (the enumerator's value layout), masked to the
 variables the formula uses.
 
 A timeline holds the time at which each distinct solution first appears:
-times[k-1] is the time to k distinct solutions.  Each solver stream is
-scanned once for first occurrences; the quantum-analog stream's two axes
-(core annealing time and wallclock time) share that scan's indices, and the
-classical stream has wallclock only.  The crossover point is the smallest
-distinct-solution count at which the classical curve's time drops to or
-below the quantum curve's (ties favor the classical solver).  Each crossover
+times[k-1] is the time to k distinct solutions.  The quantum-analog stream
+has two axes (core annealing time and wallclock time), which share its
+first-occurrence reads; the classical stream has wallclock only.  Each
+gauge's decoded reads are grouped by the tuple objects decode_all shares
+among reads that decode alike (one numpy pass, sat._by_identity), so only
+distinct solutions are packed, and the stream's times are checked on the
+batches' arrays; the classical stream is scanned once, event by event.
+
+The crossover point is the smallest distinct-solution count at which the
+classical curve's time drops to or below the quantum curve's (ties favor
+the classical solver).  Each crossover
 also carries its first-solution ratio t_c[0] / t_q[0]: the factor by which
 the classical clock could be sped up before the outcome turns
 quantum_never_ahead.
@@ -25,8 +30,10 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .compiler import PenaltyLayout
-from .sat import Assignment, Cnf
+from .sat import Assignment, Cnf, _by_identity
 
 __all__ = [
     "DistinctTimeline",
@@ -167,10 +174,39 @@ def _first_occurrences(codes: Sequence[int]) -> dict[int, int]:
     return first
 
 
-def _timeline(times: Sequence[float], first: Iterable[int], source: str) -> DistinctTimeline:
-    """The stream's times at the first-occurrence indices, once all its times are checked."""
-    _check_nondecreasing(times, f"{source} event")
-    return DistinctTimeline(tuple(times[i] for i in first), source)
+def _first_reads(decoded: list[Assignment | None], mask: int) -> dict[int, int]:
+    """Each distinct code of the satisfying reads, in read order, mapped to its first read.
+
+    Only the first read of each distinct decoded object is packed
+    (sat._by_identity); equal tuples held as separate objects merge on their code.
+    """
+    first, _ = _by_identity(decoded)
+    found: dict[int, int] = {}
+    for r in np.sort(first).tolist():
+        if decoded[r] is not None:
+            found.setdefault(_pack(decoded[r]) & mask, r)
+    return found
+
+
+def _run_offsets(runs: Sequence, name: str, source: str) -> list[int]:
+    """Each run's offset on the merged time axis name: the last times of the runs before it, summed.
+
+    Raises ValueError where the merged stream of every read's time decreases.
+    """
+    offsets, offset, started = [], 0, False
+    for batch in runs:
+        times = getattr(batch, name)
+        offsets.append(offset)
+        if len(times):
+            # a run after the first starts at its offset, where the run before it ended
+            before = np.concatenate([[0 if started else times[0]], times[:-1]])
+            down = np.flatnonzero(times < before)
+            if down.size:
+                at = offset + int(times[down[0]])
+                raise ValueError(f"{source} event times decrease at t={at}")
+            offset += int(times[-1])
+            started = True
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -227,39 +263,39 @@ def summarize_instance(
     formula uses: each distinct decoded read and each classical assignment is
     packed once into a code, whose mask drops the unused variables (the
     decoder sets them to false, ALL-SAT yields both values).
+
+    Raises ValueError when a stream's times decrease: for the quantum
+    stream, the offset times of every read, satisfying or not, in run order.
     """
     from .samplers import decode_all  # local import keeps module deps one-way
 
     mask = sum(1 << (v - 1) for v in cnf.variables_used())
-    q_codes: list[int] = []
-    q_core: list[int] = []
-    q_wall: list[int] = []
-    hamming_per_gauge: list[tuple[int, ...]] = []
-    core_offset = wall_offset = 0
-    for batch in quantum_runs:
-        decoded = decode_all(batch, layout, cnf)
-        code_of = {s: _pack(s) & mask for s in set(decoded) if s is not None}
-        core, wall = batch.core_time_us.tolist(), batch.wall_time_us.tolist()
-        hits = [r for r, s in enumerate(decoded) if s is not None]
-        codes = [code_of[decoded[r]] for r in hits]
-        q_codes += codes
-        q_core += [core_offset + core[r] for r in hits]
-        q_wall += [wall_offset + wall[r] for r in hits]
-        hamming_per_gauge.append(tuple(hamming_neighbor_distances(list(dict.fromkeys(codes)))))
-        if core:
-            core_offset += core[-1]
-            wall_offset += wall[-1]
+    firsts = [_first_reads(decode_all(batch, layout, cnf), mask) for batch in quantum_runs]
+    core_offsets = _run_offsets(quantum_runs, "core_time_us", SOURCE_QUANTUM_CORE)
+    wall_offsets = _run_offsets(quantum_runs, "wall_time_us", SOURCE_QUANTUM_WALL)
+    # gauge runs follow one another, so a code first seen in an earlier run keeps that read
+    q_first: dict[int, tuple[int, int]] = {}
+    for batch, first, core_offset, wall_offset in zip(quantum_runs, firsts, core_offsets,
+                                                      wall_offsets):
+        for code, r in first.items():
+            if code not in q_first:
+                q_first[code] = (core_offset + int(batch.core_time_us[r]),
+                                 wall_offset + int(batch.wall_time_us[r]))
     c_codes = [_pack(e.assignment) & mask for e in classical_events]
     c_times = [e.wall_time_us for e in classical_events]
+    _check_nondecreasing(c_times, f"{SOURCE_CLASSICAL_WALL} event")
 
-    q_first = _first_occurrences(q_codes)
     c_first = _first_occurrences(c_codes)
     q_ordered, c_ordered = list(q_first), list(c_first)
     timelines = {
-        SOURCE_QUANTUM_CORE: _timeline(q_core, q_first.values(), SOURCE_QUANTUM_CORE),
-        SOURCE_QUANTUM_WALL: _timeline(q_wall, q_first.values(), SOURCE_QUANTUM_WALL),
-        SOURCE_CLASSICAL_WALL: _timeline(c_times, c_first.values(), SOURCE_CLASSICAL_WALL),
+        SOURCE_QUANTUM_CORE: DistinctTimeline(tuple(t for t, _ in q_first.values()),
+                                              SOURCE_QUANTUM_CORE),
+        SOURCE_QUANTUM_WALL: DistinctTimeline(tuple(t for _, t in q_first.values()),
+                                              SOURCE_QUANTUM_WALL),
+        SOURCE_CLASSICAL_WALL: DistinctTimeline(tuple(c_times[i] for i in c_first.values()),
+                                                SOURCE_CLASSICAL_WALL),
     }
+    hamming_per_gauge = [tuple(hamming_neighbor_distances(list(first))) for first in firsts]
 
     crossovers: dict[str, CrossoverReport | None] = dict.fromkeys(CROSSOVER_AXES)
     if q_ordered and c_ordered:

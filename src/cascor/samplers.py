@@ -55,7 +55,9 @@ when u < exp(2 beta v).  The kernel has two loops:
   comparison is u < p bit for bit.  On x86-64 hosts with AVX-512F, DQ and
   VL this loop anneals eight reads at once, one per vector lane, each lane
   on its own read's stream; its spins are the one-read-at-a-time loop's bit
-  for bit, and other hosts run that loop.
+  for bit, and other hosts run that loop.  The lane loop seeds its eight
+  streams together and, when a sweep's row of the table has at most 64
+  entries, looks acceptance up in registers (see _anneal.c).
 - Float models sum each local field over its neighbour row at every
   proposal, since fields updated incrementally would drift from a row sum.
 
@@ -71,7 +73,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import json
+import math
 import operator
 import os
 import subprocess
@@ -89,6 +93,7 @@ from .sat import (
     Cnf,
     LimitError,
     _bit_text,
+    _by_identity,
     _column,
     _derived_rng,
     _derived_seed,
@@ -145,6 +150,8 @@ class SamplerConfig:
             raise ValueError("sweeps must be >= 1")
         if not (0 < self.beta_start <= self.beta_end):
             raise ValueError("need 0 < beta_start <= beta_end")
+        if not math.isfinite(2 * float(self.beta_end)):  # the kernels take 2 beta
+            raise ValueError(f"2 * beta_end must be finite, not {2 * float(self.beta_end)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
         for name in ("core_time_per_read_us", "programming_us", "per_read_readout_us"):
@@ -301,18 +308,56 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
     Ancilla consistency and sample energy are deliberately ignored; variables
     absent from every clause have no qubit and default to false.  Raises
     LimitError when the bits would pass the run size limit.
+
+    Reads collapse onto few projections, so each read's laid-out variable
+    bits are packed into a row of little-endian uint64 words (bit j of the
+    row is the j-th variable of the layout), the distinct rows are found
+    with np.unique, and the clauses are evaluated on those rows as masks: a
+    clause is false exactly where the row, masked to its variables, equals
+    the mask of its negated ones.  One tuple is built per distinct
+    satisfying row and shared by every read that holds that row.
     """
     _check_run_size(len(batch), cnf.num_vars, "decoded bits")
-    bits = np.zeros((len(batch), cnf.num_vars), dtype=bool)
-    for var, q in layout.var_to_qubit.items():
-        bits[:, var - 1] = batch.spins[:, q] > 0
-    satisfied = np.ones(len(batch), dtype=bool)
-    for clause in cnf.clauses:
-        clause_sat = np.zeros(len(batch), dtype=bool)
+    variables = sorted(layout.var_to_qubit)
+    position = {var: j for j, var in enumerate(variables)}
+    words = max(1, -(-len(variables) // 64))  # a row of no variables is one zero word
+
+    def packed(bits: np.ndarray) -> np.ndarray:
+        """Rows of 64 * words bool columns as rows of words; column j is bit j."""
+        return np.packbits(bits.reshape(-1), bitorder="little").view("<u8").reshape(-1, words)
+
+    bits = np.zeros((len(batch), 64 * words), dtype=bool)
+    bits[:, :len(variables)] = batch.spins[:, [layout.var_to_qubit[v] for v in variables]] > 0
+    rows = packed(bits)
+    keys = rows[:, 0] if words == 1 else rows.view(np.dtype((np.void, 8 * words)))[:, 0]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct = distinct.view("<u8").reshape(-1, words)
+
+    # a variable without a qubit is false, so a clause holding its negation always holds
+    clauses = [clause for clause in cnf.clauses
+               if not any(lit.negated and lit.var not in position for lit in clause.literals)]
+    care = np.zeros((len(clauses), 64 * words), dtype=bool)  # the clause's variables
+    negated = np.zeros_like(care)  # its negated ones
+    for c, clause in enumerate(clauses):
         for lit in clause.literals:
-            clause_sat |= bits[:, lit.var - 1] != lit.negated
-        satisfied &= clause_sat
-    return [tuple(row) if ok else None for row, ok in zip(bits.tolist(), satisfied.tolist())]
+            if lit.var in position:
+                care[c, position[lit.var]] = True
+                negated[c, position[lit.var]] = lit.negated
+    care, negated = packed(care), packed(negated)
+    satisfied = np.empty(len(distinct), dtype=bool)
+    step = max(1, (1 << 20) // (words * len(clauses) + 1))  # rows x clauses x words per block
+    for start in range(0, len(distinct), step):
+        block = distinct[start:start + step, None]
+        satisfied[start:start + step] = ~((block & care) == negated).all(axis=2).any(axis=1)
+
+    hits = np.flatnonzero(satisfied)
+    assignments = np.zeros((len(hits), cnf.num_vars), dtype=bool)
+    hit_bits = np.unpackbits(distinct[hits].view(np.uint8), axis=1, count=len(variables),
+                             bitorder="little")
+    assignments[:, [v - 1 for v in variables]] = hit_bits
+    solutions = np.full(len(distinct), None, dtype=object)
+    solutions[hits] = np.fromiter(map(tuple, assignments.tolist()), dtype=object, count=len(hits))
+    return solutions[inverse].tolist()
 
 
 _GAUGE_STREAM_TAG = 0x67617567  # keeps gauge draws off the per-read streams
@@ -382,14 +427,15 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
     else:  # every row is the empty row
         first, rows = np.zeros(1, np.int64), np.zeros(len(spins), np.int64)
     distinct = spins[first]
-    solution_ids: dict[Assignment | None, int] = {}
-    solutions = np.array([solution_ids.setdefault(s, len(solution_ids))
-                          for run in decoded for s in run], dtype=np.int64)
+    # decode_all shares one tuple among a run's reads that decode alike
+    flat = list(itertools.chain.from_iterable(decoded))
+    solution_first, solutions = _by_identity(flat)
     # cascor_sample_lines' texts: every distinct row's spins, their energies in json's
     # text (ints as digits, floats as their repr), then every distinct solution
     texts = [*map(str, distinct.tolist()),
              *json.dumps(energies_of_states(model, distinct).tolist())[1:-1].split(", "),
-             *(f'"{_bit_text(s)}"' if s else "null" for s in solution_ids)]
+             *(f'"{_bit_text(s)}"' if s else "null"
+               for s in map(flat.__getitem__, solution_first.tolist()))]
     offsets = np.cumsum([0, *map(len, texts)], dtype=np.int64)
     sizes = np.diff(offsets)
     reads = np.concatenate([np.arange(k) for k in lengths])
@@ -401,7 +447,8 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
                    + sizes[2 * len(first) + solutions].sum()) + 200 * len(reads)
     out = np.empty(capacity, dtype=np.uint8)
     size = _kernel().cascor_sample_lines(len(reads), reads, cores, walls, gauges,
-                                         rows.astype(np.int64, copy=False), solutions,
+                                         rows.astype(np.int64, copy=False),
+                                         solutions.astype(np.int64, copy=False),
                                          len(first), "".join(texts).encode(), offsets, out,
                                          capacity)
     if size < 0:

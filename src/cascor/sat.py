@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -240,6 +240,19 @@ def evaluate(cnf: Cnf, assignment: Assignment) -> bool:
 def _bit_text(assignment: Assignment) -> str:
     """An assignment as 0/1 characters, variable 1 first: the JSONL files' form."""
     return "".join(["1" if b else "0" for b in assignment])
+
+
+def _by_identity(items: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first item of each distinct object in items, and each item's object.
+
+    Groups items by identity, so it hashes none of them: the samplers'
+    decode_all shares one tuple among the reads that decode alike, so its
+    list groups by solution at numpy speed.  Equal items held as separate
+    objects fall into separate groups.
+    """
+    ids = np.fromiter(map(id, items), dtype=np.uintp, count=len(items))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _jsonl_objects(text: str) -> Iterator[dict]:

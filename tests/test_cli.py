@@ -387,6 +387,10 @@ def test_stray_policy_seed_is_input_error_in_compile_and_bench(tmp_path):
     ("gen", "--attempts", "0"),
     ("sample", "--seed", "-1"),  # the last --seed wins
     ("bench", "--seed", "-1"),
+    ("sample", "--beta-end", "inf"),
+    ("bench", "--beta-end", "inf"),
+    ("sample", "--beta-end", "1e308"),  # 2 beta overflows
+    ("bench", "--beta-end", "1e308"),
 ])
 def test_flag_value_out_of_range_is_input_error(command, flag, value, tmp_path, capsys,
                                                 monkeypatch):
@@ -445,6 +449,38 @@ def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch, capsys)
 def test_missing_file_is_input_error(tmp_path):
     assert run("compile", "--cnf", str(tmp_path / "nope.cnf"),
                "--out", str(tmp_path / "m.json")) == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("compile", "--cnf"), ("sample", "--cnf"), ("sample", "--model"), ("allsat", "--cnf"),
+    ("metrics", "--cnf"), ("metrics", "--model"), ("metrics", "--samples"),
+    ("metrics", "--events"), ("bench", "--instances"),
+])
+def test_input_path_that_cannot_be_read_is_input_error(command, flag, stored_outputs,
+                                                      tmp_path, capsys, monkeypatch):
+    # a directory where a file should be; for bench, a directory named like an instance
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+    unreadable = tmp_path / "dir.cnf"
+    unreadable.mkdir()
+    paths = {f"--{name}": str(stored_outputs[name])
+             for name in ("cnf", "model", "samples", "events")}
+    paths["--instances"] = str(tmp_path)
+    if flag != "--instances":
+        paths[flag] = str(unreadable)
+    flags = {
+        "compile": ["--cnf"],
+        "sample": ["--model", "--cnf", "--seed", "1", "--reads", "2", "--sweeps", "2"],
+        "allsat": ["--cnf"],
+        "metrics": ["--cnf", "--model", "--samples", "--events"],
+        "bench": ["--instances", "--seed", "1", "--reads", "2", "--sweeps", "2"],
+    }[command]
+    argv = [part for arg in flags for part in ([arg, paths[arg]] if arg in paths else [arg])]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascor: input error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import platform
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cascor.samplers as samplers
-from cascor.compiler import compile_cnf
+from cascor.compiler import PenaltyLayout, compile_cnf
 from cascor.ising import IsingModel, energies_of_states, enumerate_ground_states
 from cascor.samplers import (
     SampleBatch,
@@ -59,6 +60,12 @@ def test_config_validation():
         SamplerConfig(beta_start=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(beta_start=2.0, beta_end=1.0)
+    # the kernels take 2 beta: linspace to inf starts with NaN, and 2 * 1e308 is inf
+    largest = np.finfo(float).max / 2
+    for beta_end in (float("inf"), 1e308, np.nextafter(largest, np.inf)):
+        with pytest.raises(ValueError, match="2 \\* beta_end must be finite"):
+            SamplerConfig(beta_end=beta_end)
+    assert SamplerConfig(beta_end=largest).beta_end == largest
     for name in ("core_time_per_read_us", "programming_us", "per_read_readout_us"):
         with pytest.raises(ValueError, match=name):
             SamplerConfig(**{name: -1})
@@ -196,6 +203,13 @@ EDGE_RUNS = {
                                 beta_end=2e-3)),
     "1003-reads": (lambda: compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
                    SamplerConfig(num_reads=1003, sweeps=12, seed=31, beta_end=3.0)),
+    # The lane loop holds rows of 8, 16, 32 and 64 entries (vmax 7, 15, 31, 63) in 1,
+    # 2, 4 and 8 registers; one entry more takes the next count, and 65 the gather.
+    # At these betas spin 0 flips against its field of vmax - 2 or vmax, the row's top.
+    **{f"row-{vmax + 1}": (functools.partial(table_cap_model, vmax),
+                           SamplerConfig(num_reads=43, sweeps=16, seed=vmax, beta_start=0.01,
+                                         beta_end=0.1))
+       for vmax in (7, 8, 15, 16, 31, 32, 63, 64)},
 }
 
 
@@ -306,10 +320,12 @@ def test_kernel_source_compiles_without_warnings():
     assert done.returncode == 0, done.stderr
 
 
-# Loads the kernel built at argv[1] through samplers._kernel and anneals an
-# integral model through both integral loops, and a float model and an
-# integral one past the table cap through the float loop; then writes and scans
-# sample text through the codec, whole, cut at every byte and past int64.
+# Loads the kernel built at argv[1] through samplers._kernel and anneals
+# integral models through both integral loops (one of them with a 64-entry
+# acceptance row, the lane loop's register limit, and one with 65), and a float
+# model and an integral one past the table cap through the float loop; then
+# writes and scans sample text through the codec, whole, cut at every byte and
+# past int64.
 _UBSAN_CHILD = """
 import sys
 from pathlib import Path
@@ -325,7 +341,9 @@ samplers._build_kernel = lambda: Path(sys.argv[1])
 lib = samplers._kernel()
 models = [compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
           IsingModel(4, {0: 0.5, 2: -1.25}, {(0, 1): 0.75, (1, 3): -0.5}),
-          IsingModel(3, {0: 10**6}, {(0, 1): 1, (1, 2): -2})]
+          IsingModel(3, {0: 10**6}, {(0, 1): 1, (1, 2): -2}),
+          IsingModel(3, {0: 62}, {(0, 1): 1, (1, 2): -2}),
+          IsingModel(3, {0: 63}, {(0, 1): 1, (1, 2): -2})]
 cfg = samplers.SamplerConfig(num_reads=19, sweeps=7, seed=5)
 runs = []
 for entry in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
@@ -551,6 +569,67 @@ def test_decode_and_range_energies_match_references(seed, n, m, reads):
     )
     got = energies_of_states(model, spins[:, lo:hi], range(lo, hi))
     assert got.tolist() == [slow_energy(inside, tuple(row)) for row in spins[:, lo:hi].tolist()]
+
+
+@st.composite
+def decode_batches(draw):
+    """A CNF, a layout of its used variables, and a batch of a few rows, each repeated.
+
+    The used variables, up to 150, are split into clauses of one to four.
+    The rows are a base row with up to three variables flipped each, so they
+    can differ in a single variable; half the base rows satisfy every clause
+    through its first literal.
+    """
+    num_vars = draw(st.one_of(st.integers(0, 10), st.integers(60, 150)))
+    used = draw(st.permutations(range(1, num_vars + 1)))[:draw(st.integers(0, num_vars))]
+    clauses = []
+    while len(used) > sum(map(len, clauses)):
+        start = sum(map(len, clauses))
+        clauses.append([v if draw(st.booleans()) else -v
+                        for v in used[start:start + draw(st.integers(1, 4))]])
+    num_qubits = len(used) + draw(st.integers(0, 3))
+    layout = PenaltyLayout(dict(zip(used, draw(st.permutations(range(num_qubits))))),
+                           (), (), 0.0, num_qubits)
+    base = [draw(st.sampled_from([-1, 1])) for _ in range(num_qubits)]
+    if draw(st.booleans()):
+        for clause in clauses:
+            base[layout.var_to_qubit[abs(clause[0])]] = 1 if clause[0] > 0 else -1
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = list(base)
+        for var in draw(st.lists(st.sampled_from(used), max_size=3)) if used else []:
+            row[layout.var_to_qubit[var]] *= -1
+        rows.append(row)
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=30))
+    spins = np.array([rows[p] for p in picks], dtype=np.int8).reshape(len(picks), num_qubits)
+    return Cnf.of(num_vars, clauses), layout, spins
+
+
+def _empty_layout(num_qubits):
+    return PenaltyLayout({}, (), (), 0.0, num_qubits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=decode_batches())
+@example(case=(Cnf(0), _empty_layout(0), np.zeros((0, 0), np.int8)))  # no variables, no reads
+@example(case=(Cnf(0), _empty_layout(2), np.ones((3, 2), np.int8)))  # no variables
+@example(case=(Cnf(4), _empty_layout(1), -np.ones((2, 1), np.int8)))  # no clauses
+@example(case=(Cnf.of(3, [[-2]]), PenaltyLayout({2: 0}, (), (), 0.0, 1),
+               np.zeros((0, 1), np.int8)))  # an empty batch
+@example(case=(Cnf.of(3, [[-1, 2], [1, 3]]), PenaltyLayout({3: 0}, (), (), 0.0, 1),
+               np.array([[1], [-1], [1]], np.int8)))  # clause variables without a qubit
+@example(case=(Cnf.of(70, [*([v] for v in range(1, 69)), [69, 70]]),
+               PenaltyLayout({v: v - 1 for v in range(1, 71)}, (), (), 0.0, 70),
+               np.array([[1] * 70, [1] * 69 + [-1]], np.int8)))  # rows apart past 64 bits
+def test_decode_all_matches_the_per_read_reference(case):
+    cnf, layout, spins = case
+    batch = SampleBatch(spins, np.zeros(len(spins), np.int64), np.zeros(len(spins), np.int64))
+    decoded = decode_all(batch, layout, cnf)
+    assert decoded == slow_decode(spins.tolist(), layout, cnf)
+    # reads that decode alike share one tuple, which summarize_instance and
+    # samples_to_jsonl group by identity
+    solutions = [s for s in decoded if s is not None]
+    assert len(set(map(id, solutions))) == len(set(solutions))
 
 
 def test_decoded_solutions_satisfy(rng):
