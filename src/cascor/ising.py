@@ -5,7 +5,9 @@ s_i in {+1, -1}, with +1 encoding boolean true.  Coefficients are kept as
 Python numbers; energies_of_states, the one evaluator, works on the model's
 cached array form, which is int64 for integral models (integer coefficients
 whose absolute sum is at most 2**53), so those models produce exact integer
-energies.
+energies.  The exhaustive oracle, enumerate_ground_states, builds every
+state's energy by a doubling scan of elementwise sums, exact for integral
+models, and calls no matrix product, so it runs on the calling thread alone.
 """
 from __future__ import annotations
 
@@ -224,6 +226,16 @@ def _spins_for_indices(indices: np.ndarray, num_qubits: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int8)
 
 
+def _double(table: np.ndarray, steps: np.ndarray) -> None:
+    """Fill rows 2^k .. 2^(k+1) of table with rows 0 .. 2^k plus steps[k], for each k.
+
+    Given row 0 as the value at index 0, row r ends up as row 0 plus steps[k]
+    summed over the set bits k of r: one elementwise add per output row.
+    """
+    for k, step in enumerate(steps):
+        np.add(table[:1 << k], step, out=table[1 << k:2 << k])
+
+
 def enumerate_ground_states(
     model: IsingModel, limit: int = ENUMERATION_QUBIT_LIMIT
 ) -> tuple[float, set[SpinState]]:
@@ -231,10 +243,20 @@ def enumerate_ground_states(
 
     Intended as a verification oracle, so it refuses models above ``limit``
     qubits rather than approximating.  The scan splits the qubits into a low
-    and a high half so the cross terms become one matrix product per block.
-    Every intermediate is bounded by sum|h| + sum|J|, so integral models below
-    2**24 are evaluated exactly in float32, and all others in float64, which
-    is exact for integral models up to their 2**53 bound.
+    half, whose states are the columns of a block, and a high half, whose
+    states are its rows; a block holds 2^b consecutive high states, so they
+    share every high bit from b up.  With f_j the field the low spins put on
+    high qubit j through the couplers spanning the split, row 0 is e_lo plus
+    f_j for each fixed high bit that is set and minus f_j for every other high
+    bit, rows 2^k .. 2^(k+1) are rows 0 .. 2^k plus 2 f_k (they differ only in
+    high bit k), and e_hi is added per row.  The fields are built the same way
+    over the low states, from -sum_i J_ij at index 0 and steps of 2 J_kj, so
+    the scan is elementwise sums with no matrix product.  Every operand is an
+    integer-valued part of a state's energy of magnitude at most
+    2 (sum|h| + sum|J|), and every sum one of at most sum|h| + sum|J|, so
+    integral models below 2**24 are evaluated exactly in float32, and all
+    others in float64, which is exact for integral models up to their 2**53
+    bound; float models agree with any other order of summation to rounding.
     """
     n = model.num_qubits
     if n > limit:
@@ -245,32 +267,41 @@ def enumerate_ground_states(
     lo_bits = min(n, _CHUNK_BITS // 2 + 3)  # low half; index bit q <-> qubit q
     hi_bits = n - lo_bits  # 0 when n is small: one block holding one high state
     lo_spins = _spins_for_indices(np.arange(1 << lo_bits, dtype=np.int64), lo_bits)
-    lo = lo_spins.astype(dtype)
     e_lo = energies_of_states(model, lo_spins, range(lo_bits)).astype(dtype)
     hi_spins = _spins_for_indices(np.arange(1 << hi_bits, dtype=np.int64), hi_bits)
-    hi = hi_spins.astype(dtype)
     e_hi = energies_of_states(model, hi_spins, range(lo_bits, n)).astype(dtype)
     # every cross pair has i < lo_bits <= j, since pairs are canonical
     pi, pj, pv = model.arrays.pair_i, model.arrays.pair_j, model.arrays.pair_v
     spans = (pi < lo_bits) & (pj >= lo_bits)
     cross = np.zeros((lo_bits, hi_bits), dtype=dtype)
     cross[pi[spans], pj[spans] - lo_bits] = pv[spans]
-    lo_cross = lo @ cross  # (2^lo_bits, hi_bits)
+    by_state = np.empty((1 << lo_bits, hi_bits), dtype=dtype)  # row l: each f_j at l
+    by_state[0] = -cross.sum(axis=0)
+    _double(by_state, 2 * cross)
+    fields = np.ascontiguousarray(by_state.T)  # row j: f_j over the low states
+    twice = 2 * fields
 
+    rows = min(max(1, (1 << _CHUNK_BITS) >> lo_bits), 1 << hi_bits)  # a power of two
+    varying = rows.bit_length() - 1  # high bits 0 .. varying-1 run through a block
+    base = e_lo - fields[:varying].sum(axis=0)  # row 0 with the varying bits at -1
+    grid = np.empty((rows, 1 << lo_bits), dtype=dtype)
     best = None
     attained_parts: list[np.ndarray] = []
-    block = max(1, (1 << _CHUNK_BITS) >> lo_bits)
-    for start in range(0, 1 << hi_bits, block):
-        stop = min(start + block, 1 << hi_bits)
-        grid = lo_cross @ hi[start:stop].T  # (2^lo_bits, stop-start)
-        grid += e_lo[:, None]
-        grid += e_hi[None, start:stop]
+    for start in range(0, 1 << hi_bits, rows):
+        grid[0] = base
+        for j in range(varying, hi_bits):
+            if start >> j & 1:
+                grid[0] += fields[j]
+            else:
+                grid[0] -= fields[j]
+        _double(grid, twice[:varying])
+        grid += e_hi[start:start + rows, None]
         block_min = grid.min()
         if best is None or block_min < best:
             best = block_min
             attained_parts = []
         if block_min == best:
-            lo_idx, hi_idx = np.nonzero(grid == best)
+            hi_idx, lo_idx = np.nonzero(grid == best)
             attained_parts.append(
                 lo_idx.astype(np.int64) | ((hi_idx + start).astype(np.int64) << lo_bits)
             )

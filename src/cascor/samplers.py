@@ -272,8 +272,10 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
         row_abs = np.diff(np.concatenate([[0], np.cumsum(np.abs(a.data))])[a.indptr])
         vmax = int(np.max(np.abs(a.h) + row_abs, initial=0))
         if cfg.sweeps * (vmax + 1) * 8 <= _TABLE_BYTES:
-            # u < p exactly when u's 53-bit integer is below ceil(p * 2**53)
-            p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
+            # u < p exactly when u's 53-bit integer is below ceil(p * 2**53).  A
+            # product past float64's range is -inf, whose exp is the reference's 0.
+            with np.errstate(over="ignore"):
+                p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
             table = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
             # scratch: eight lanes' int64 fields, then a byte of lane spins per qubit
             _kernel().cascor_anneal_int(*head, a.data, a.h, table, vmax + 1,

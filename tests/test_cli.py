@@ -238,6 +238,18 @@ def test_sample_of_fields_past_the_integral_bound(tmp_path):
     assert len(lines) == 5 and all(line["spins"] == [1, 1] for line in lines)
 
 
+def test_sample_at_a_beta_whose_table_products_overflow(tmp_path, capsys):
+    # 2 beta is finite, but 2 beta x 2 passes float64's range: those entries are 0
+    cnf_path = tmp_path / "two.cnf"
+    cnf_path.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    model = tmp_path / "model.json"
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
+    capsys.readouterr()
+    assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
+               "--reads", "4", "--beta-end", "8e307", "--out", str(tmp_path / "s.jsonl")) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_compiler_is_not_an_input_error(tmp_path, private_kernel_cache, monkeypatch):
     cnf_path = gen_instance(tmp_path)
     model = tmp_path / "model.json"

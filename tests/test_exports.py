@@ -1,6 +1,8 @@
-"""Every name a cascor module lists in ``__all__`` resolves in that module."""
+"""Package-wide checks: exported names resolve, and no module calls a BLAS product."""
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,38 @@ MODULES = ["cascor", *(f"cascor.{m.name}" for m in pkgutil.iter_modules(cascor._
 def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+# Products numpy hands to BLAS, whose worker threads CASCOR_THREADS does not bound.
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
+
+
+def blas_uses(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names
+                      if a.name in BLAS_NAMES or "linalg" in (node.module or "")]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "einsum"
+              and any(k.arg == "optimize" for k in node.keywords)):
+            found.append(f"line {node.lineno}: einsum(optimize=...)")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(cascor.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_calls_a_blas_product(path):
+    assert blas_uses(path.read_text()) == []
+
+
+def test_blas_scan_catches_each_form():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\nfrom numpy import inner\n"
+              "a @ b\na @= b\nnp.dot(a, b)\na.dot(b)\nnp.matmul(a, b)\nnp.tensordot(a, b)\n"
+              "np.linalg.norm(a)\nnp.einsum('ij,jk', a, b, optimize=True)\n"
+              "np.einsum('ij,jk', a, b)\nnp.outer(a, b)\n")
+    assert len(blas_uses(source)) == 10

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from collections import Counter
 
@@ -236,18 +237,44 @@ def test_enumerate_limit():
 
 
 def test_enumerate_chunked_consistency(rng, monkeypatch):
-    # With 2^4-state chunks each block holds one high-half state, so 8-10
-    # qubit models run the block loop 8-32 times: minima tie and improve
-    # across blocks.  Quarter-integer models take the float64 path exactly.
-    monkeypatch.setattr(ising_mod, "_CHUNK_BITS", 4)
-    for n in (8, 9, 10):
-        for _ in range(3):
-            m = random_model(rng, n)
-            quarters = IsingModel(n, {q: v / 4 for q, v in m.h.items()},
-                                  {k: v / 4 for k, v in m.J.items()})
-            assert not quarters.is_integral()
-            for model in (m, quarters):
-                assert enumerate_ground_states(model) == slow_min_states(model)
+    # With 2^4-state chunks each block holds one high-half state, so 8-10 qubit
+    # models run the block loop 8-32 times: minima tie and improve across blocks.
+    # With 2^8-state chunks the low half has 7 bits and a block two rows, so at
+    # 10-12 qubits the blocks' fixed high bits differ and the doubling fills row 1.
+    # Quarter-integer models take the float64 path exactly.
+    for chunk_bits, sizes in ((4, (8, 9, 10)), (8, (10, 11, 12))):
+        monkeypatch.setattr(ising_mod, "_CHUNK_BITS", chunk_bits)
+        for n in sizes:
+            for _ in range(3):
+                m = random_model(rng, n)
+                quarters = IsingModel(n, {q: v / 4 for q, v in m.h.items()},
+                                      {k: v / 4 for k, v in m.J.items()})
+                assert not quarters.is_integral()
+                for model in (m, quarters):
+                    assert enumerate_ground_states(model) == slow_min_states(model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 10), chunk_bits=st.integers(4, 12),
+       quarters=st.booleans())
+def test_enumerate_blocks_match_the_slow_oracle(seed, n, chunk_bits, quarters):
+    # every split of low half, block rows and fixed high bits the chunk size can make
+    m = random_model(np.random.default_rng(seed), n)
+    if quarters:
+        m = IsingModel(n, {q: v / 4 for q, v in m.h.items()}, {k: v / 4 for k, v in m.J.items()})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ising_mod, "_CHUNK_BITS", chunk_bits)
+        assert enumerate_ground_states(m) == slow_min_states(m)
+
+
+def test_enumerate_leaves_no_thread_spinning(rng):
+    # A BLAS product at this size ran on a worker thread that spun for about 0.1 s
+    # of process CPU after the call returned; elementwise sums start no thread.
+    m = random_model(rng, 17, density=0.3)
+    enumerate_ground_states(m)
+    before = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - before < 0.02
 
 
 def test_enumerate_splits_past_the_low_half(rng):

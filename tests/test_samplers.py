@@ -314,6 +314,16 @@ def test_star_model_matches_reference():
     assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
 
 
+def test_table_products_past_the_float_range_are_zero_entries():
+    # 2 beta_end is finite, but 2 beta_end x k overflows for k >= 2: exp(-inf) = 0,
+    # the reference's probability, with no overflow warning from the table
+    model, _ = compile_cnf(Cnf.of(3, [[1, 2], [-1, 3]]))
+    cfg = SamplerConfig(num_reads=30, sweeps=6, seed=2, beta_end=8e307)
+    with np.errstate(over="ignore"):  # the reference's own -beta * delta overflows
+        expected = slow_anneal(model, cfg)
+    assert np.array_equal(sample(model, cfg).spins, expected)
+
+
 def test_kernel_source_compiles_without_warnings():
     done = subprocess.run([samplers._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                            str(samplers._SOURCE)], capture_output=True, text=True)
