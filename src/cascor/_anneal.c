@@ -340,11 +340,10 @@ LANE_TARGET static void seed_lanes(pcg64x8 *g, const uint32_t *seed_words, int64
 }
 
 /* Entry index[l] of a row of at most 8 blocks entries, held in blocks registers
- * of eight: 1, 2, 4 or 8.  Every index is below the row's width. */
+ * of eight: 2, 4 or 8.  Every index is below the row's width, so a row of at
+ * most 8 entries, whose second register is zero, takes the two-register path. */
 LANE_TARGET static inline __m512i row_entry(const __m512i *row, int blocks, __m512i index)
 {
-    if (blocks == 1)
-        return _mm512_permutexvar_epi64(index, row[0]);
     /* index bits 0-3 pick among 16 entries, bit 4 among 32 and bit 5 among 64 */
     __m512i entry = _mm512_permutex2var_epi64(row[0], index, row[1]);
     if (blocks == 2)
@@ -417,8 +416,7 @@ LANE_TARGET static void anneal_int_lanes(
 {
     int64_t *fields = scratch;  /* spin i's field in lane l is fields[LANES * i + l] */
     uint8_t *up = (uint8_t *)(scratch + LANES * n);  /* bit l of up[i]: spin i is +1 in lane l */
-    const int blocks = table_width <= 8    ? 1
-                       : table_width <= 16 ? 2
+    const int blocks = table_width <= 16   ? 2
                        : table_width <= 32 ? 4
                        : table_width <= 64 ? 8
                                            : 0;
@@ -447,7 +445,6 @@ LANE_TARGET static void anneal_int_lanes(
     sweep_lanes((blocks), &g, n, sweeps, indptr, indices, values, table, table_width, fields, \
                 up)
         switch (blocks) {
-        case 1: SWEEP_LANES(1); break;
         case 2: SWEEP_LANES(2); break;
         case 4: SWEEP_LANES(4); break;
         case 8: SWEEP_LANES(8); break;
@@ -535,20 +532,19 @@ static int64_t text_size(const int64_t *offsets, int64_t k)
 /* Every line of a sample file, written to out, whose capacity is in bytes;
  * returns the number of bytes written, or -1 if they would not fit.  Line i
  * holds read reads[i], times cores[i] and walls[i], and, when gauges[i] >= 0,
- * that gauge tag.  Its spins and energy are the texts of distinct row
- * rows[i] and its solution that of distinct solution solutions[i]: text k of
- * texts is texts[offsets[k] .. offsets[k + 1]), and holds the spins of row k
- * for k < num_rows, the energy of row k - num_rows below 2 num_rows, and the
- * solutions after those. */
+ * that gauge tag.  Its spins, energy and solution are the texts of distinct
+ * row rows[i]: text k of texts is texts[offsets[k] .. offsets[k + 1]), and
+ * holds the spins of row k for k < num_rows, the energy of row k - num_rows
+ * below 2 num_rows, and the solution of row k - 2 num_rows after those. */
 int64_t cascor_sample_lines(int64_t lines, const int64_t *reads, const int64_t *cores,
                             const int64_t *walls, const int64_t *gauges, const int64_t *rows,
-                            const int64_t *solutions, int64_t num_rows, const char *texts,
-                            const int64_t *offsets, char *out, int64_t capacity)
+                            int64_t num_rows, const char *texts, const int64_t *offsets,
+                            char *out, int64_t capacity)
 {
     char *p = out;
     for (int64_t i = 0; i < lines; i++) {
         const int64_t spins = rows[i], energy = num_rows + rows[i];
-        const int64_t solution = 2 * num_rows + solutions[i];
+        const int64_t solution = 2 * num_rows + rows[i];
         /* the keys and separators take 95 bytes, and four integers 80 at most */
         if (capacity - (p - out) < text_size(offsets, spins) + text_size(offsets, energy) +
                                        text_size(offsets, solution) + 200)

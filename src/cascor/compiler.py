@@ -302,20 +302,29 @@ def _variable(key: str) -> int:
     return int(key)
 
 
+def _field(doc: Mapping, name: str, kind: type, items: type | None = None):
+    """doc[name]; ValueError naming it unless it is a kind whose items, if given, are items."""
+    value = doc[name]
+    if type(value) is not kind or (items and any(type(item) is not items for item in value)):
+        raise ValueError(f"model field {name!r} has the wrong JSON shape: {value!r:.60}")
+    return value
+
+
 def compiled_from_json(doc: Mapping) -> tuple[IsingModel, PenaltyLayout, ConstructionPolicy]:
-    """Inverse of compiled_to_json."""
+    """Inverse of compiled_to_json; KeyError or ValueError for a document of another shape."""
+    if type(doc) is not dict:
+        raise ValueError(f"a compiled model is a JSON object, not {doc!r:.60}")
     num_qubits = _qubit(doc["num_qubits"])
-    h = {q: v for q, v in enumerate(map(_coefficient, doc["h"])) if v != 0}
+    h_dense = _field(doc, "h", list)
+    h = {q: v for q, v in enumerate(map(_coefficient, h_dense)) if v != 0}
     # h is written dense, so its length bounds num_qubits by the file's own size
-    if len(doc["h"]) != num_qubits:
-        raise ValueError(f"model qubit count {num_qubits} differs from h's length {len(doc['h'])}")
-    J = {(_qubit(i), _qubit(j)): _coefficient(v) for i, j, v in doc["J"]}
+    if len(h_dense) != num_qubits:
+        raise ValueError(f"model qubit count {num_qubits} differs from h's length {len(h_dense)}")
+    J = {(_qubit(i), _qubit(j)): _coefficient(v) for i, j, v in _field(doc, "J", list, list)}
     model = IsingModel.from_terms(num_qubits, h, J)
-    layout = PenaltyLayout(
-        var_to_qubit={_variable(v): _qubit(q) for v, q in doc["var_to_qubit"].items()},
-        clause_ancillas=tuple(tuple(map(_qubit, a)) for a in doc["clause_ancillas"]),
-        clause_ground_energies=tuple(map(_coefficient, doc["clause_ground_energies"])),
-        ground_bound=_coefficient(doc["ground_bound"]),
-        num_qubits=num_qubits,
-    )
-    return model, layout, ConstructionPolicy.from_json(doc["policy"])
+    var_to_qubit = {_variable(v): _qubit(q) for v, q in _field(doc, "var_to_qubit", dict).items()}
+    ancillas = tuple(tuple(map(_qubit, a)) for a in _field(doc, "clause_ancillas", list, list))
+    grounds = tuple(map(_coefficient, _field(doc, "clause_ground_energies", list)))
+    layout = PenaltyLayout(var_to_qubit, ancillas, grounds, _coefficient(doc["ground_bound"]),
+                           num_qubits)
+    return model, layout, ConstructionPolicy.from_json(_field(doc, "policy", dict))

@@ -10,10 +10,10 @@ A timeline holds the time at which each distinct solution first appears:
 times[k-1] is the time to k distinct solutions.  The quantum-analog stream
 has two axes (core annealing time and wallclock time), which share its
 first-occurrence reads; the classical stream has wallclock only.  Each
-gauge's decoded reads are grouped by the tuple objects decode_all shares
-among reads that decode alike (one numpy pass, sat._by_identity), so only
-distinct solutions are packed, and the stream's times are checked on the
-batches' arrays; the classical stream is scanned once, event by event.
+gauge's reads are grouped by spins row (SampleBatch.distinct_rows), so only
+the first read of each distinct row is packed, and the stream's times are
+checked on the batches' arrays; the classical stream is scanned once, event
+by event.
 
 The crossover point is the smallest distinct-solution count at which the
 classical curve's time drops to or below the quantum curve's (ties favor
@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .compiler import PenaltyLayout
-from .sat import Assignment, Cnf, _by_identity
+from .sat import Assignment, Cnf
 
 __all__ = [
     "DistinctTimeline",
@@ -174,15 +174,16 @@ def _first_occurrences(codes: Sequence[int]) -> dict[int, int]:
     return first
 
 
-def _first_reads(decoded: list[Assignment | None], mask: int) -> dict[int, int]:
-    """Each distinct code of the satisfying reads, in read order, mapped to its first read.
+def _first_reads(batch, layout: PenaltyLayout, cnf: Cnf, mask: int) -> dict[int, int]:
+    """Each distinct code of batch's satisfying reads, in read order, mapped to its first read.
 
-    Only the first read of each distinct decoded object is packed
-    (sat._by_identity); equal tuples held as separate objects merge on their code.
+    Only the first read of each distinct spins row is decoded into a code.
     """
-    first, _ = _by_identity(decoded)
+    from .samplers import decode_all  # local import keeps module deps one-way
+
+    decoded = decode_all(batch, layout, cnf)
     found: dict[int, int] = {}
-    for r in np.sort(first).tolist():
+    for r in np.sort(batch.distinct_rows()[0]).tolist():
         if decoded[r] is not None:
             found.setdefault(_pack(decoded[r]) & mask, r)
     return found
@@ -260,17 +261,15 @@ def summarize_instance(
     ``classical_events`` are SolutionEvents from the enumerator.
 
     Both streams are compared over one solution space, the variables the
-    formula uses: each distinct decoded read and each classical assignment is
-    packed once into a code, whose mask drops the unused variables (the
-    decoder sets them to false, ALL-SAT yields both values).
+    formula uses: the first read of each distinct spins row and each classical
+    assignment is packed once into a code, whose mask drops the unused
+    variables (the decoder sets them to false, ALL-SAT yields both values).
 
     Raises ValueError when a stream's times decrease: for the quantum
     stream, the offset times of every read, satisfying or not, in run order.
     """
-    from .samplers import decode_all  # local import keeps module deps one-way
-
     mask = sum(1 << (v - 1) for v in cnf.variables_used())
-    firsts = [_first_reads(decode_all(batch, layout, cnf), mask) for batch in quantum_runs]
+    firsts = [_first_reads(batch, layout, cnf, mask) for batch in quantum_runs]
     core_offsets = _run_offsets(quantum_runs, "core_time_us", SOURCE_QUANTUM_CORE)
     wall_offsets = _run_offsets(quantum_runs, "wall_time_us", SOURCE_QUANTUM_WALL)
     # gauge runs follow one another, so a code first seen in an earlier run keeps that read

@@ -12,10 +12,10 @@ yields one SampleRecord per read, a row of plain Python values.  The sample
 JSONL file is written whole by samples_to_jsonl, the one place a read's
 energy is computed, and read back, every field checked, by
 samples_from_jsonl.  The line layout lives in the C library that anneals
-(below).  The writer finds the distinct spins rows with np.unique over their
-bytes and builds the spins and energy text of each, and the text of each
-distinct solution, once; cascor_sample_lines joins those texts and each
-read's integers into its line.  The reader's cascor_sample_scan checks text
+(below).  The writer finds each run's distinct spins rows
+(SampleBatch.distinct_rows) and builds the spins, energy and solution text of
+each once; cascor_sample_lines joins those texts and each read's integers
+into its line.  The reader's cascor_sample_scan checks text
 in the writer's exact layout byte by byte and parses its integers and spins
 straight into arrays.  Any other text (other spacing, key order or line
 ends, blank lines, non-ASCII characters) is decoded line by line as JSON,
@@ -73,7 +73,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import itertools
 import json
 import math
 import operator
@@ -93,7 +92,6 @@ from .sat import (
     Cnf,
     LimitError,
     _bit_text,
-    _by_identity,
     _column,
     _derived_rng,
     _derived_seed,
@@ -189,6 +187,29 @@ class SampleBatch:
         for r, (spins, core, wall) in enumerate(rows):
             yield SampleRecord(r, tuple(spins), core, wall)
 
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, inverse) of one np.unique over the reads' spins packed into uint64 words.
+
+        Row k holds the spins of read first[k], the first read to hold it, and
+        read r holds row inverse[r]; a batch of no qubits has one row, the empty one.
+        """
+        rows = _packed_rows(self.spins > 0)
+        words = rows.shape[1]
+        keys = rows[:, 0] if words == 1 else rows.view(np.dtype((np.void, 8 * words)))[:, 0]
+        # return_index would take a stable sort, several times slower than the default
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        first = np.full(len(distinct), len(keys))
+        np.minimum.at(first, inverse, np.arange(len(keys)))
+        return first, inverse
+
+
+def _packed_rows(bits: np.ndarray) -> np.ndarray:
+    """Bool rows as rows of little-endian uint64 words, bit j of a row holding its column j."""
+    words = max(1, -(-bits.shape[1] // 64))  # a row of no columns is one zero word
+    padded = np.zeros((len(bits), 64 * words), dtype=bool)
+    padded[:, :bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
 
 def _build_kernel() -> Path:
     """Path of the compiled kernel in the per-user cache, compiling it first if absent.
@@ -239,7 +260,7 @@ def _kernel():
         anneal.argtypes = [*head, i64s, i64s, u64s, i64, i64s, i8s]
         anneal.restype = None
     lib.cascor_anneal_float.restype = None
-    lib.cascor_sample_lines.argtypes = [i64, *[i64s] * 6, i64, ctypes.c_char_p, i64s,
+    lib.cascor_sample_lines.argtypes = [i64, *[i64s] * 5, i64, ctypes.c_char_p, i64s,
                                         np.ctypeslib.ndpointer(np.uint8), i64]
     lib.cascor_sample_scan.argtypes = [ctypes.c_char_p, i64, i64, i64, i64s, i8s]
     lib.cascor_sample_lines.restype = lib.cascor_sample_scan.restype = i64
@@ -311,53 +332,40 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
     absent from every clause have no qubit and default to false.  Raises
     LimitError when the bits would pass the run size limit.
 
-    Reads collapse onto few projections, so each read's laid-out variable
-    bits are packed into a row of little-endian uint64 words (bit j of the
-    row is the j-th variable of the layout), the distinct rows are found
-    with np.unique, and the clauses are evaluated on those rows as masks: a
-    clause is false exactly where the row, masked to its variables, equals
-    the mask of its negated ones.  One tuple is built per distinct
-    satisfying row and shared by every read that holds that row.
+    The clauses are evaluated once per distinct spins row
+    (SampleBatch.distinct_rows), as masks on the row's variable bits packed
+    into uint64 words (bit j is the j-th variable of the layout): a clause is
+    false exactly where the bits, masked to its variables, equal the mask of
+    its negated ones.  Every read of a row gets the row's one tuple.
     """
     _check_run_size(len(batch), cnf.num_vars, "decoded bits")
     variables = sorted(layout.var_to_qubit)
     position = {var: j for j, var in enumerate(variables)}
-    words = max(1, -(-len(variables) // 64))  # a row of no variables is one zero word
-
-    def packed(bits: np.ndarray) -> np.ndarray:
-        """Rows of 64 * words bool columns as rows of words; column j is bit j."""
-        return np.packbits(bits.reshape(-1), bitorder="little").view("<u8").reshape(-1, words)
-
-    bits = np.zeros((len(batch), 64 * words), dtype=bool)
-    bits[:, :len(variables)] = batch.spins[:, [layout.var_to_qubit[v] for v in variables]] > 0
-    rows = packed(bits)
-    keys = rows[:, 0] if words == 1 else rows.view(np.dtype((np.void, 8 * words)))[:, 0]
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    distinct = distinct.view("<u8").reshape(-1, words)
+    first, inverse = batch.distinct_rows()
+    bits = batch.spins[first][:, [layout.var_to_qubit[v] for v in variables]] > 0
+    rows = _packed_rows(bits)
 
     # a variable without a qubit is false, so a clause holding its negation always holds
     clauses = [clause for clause in cnf.clauses
                if not any(lit.negated and lit.var not in position for lit in clause.literals)]
-    care = np.zeros((len(clauses), 64 * words), dtype=bool)  # the clause's variables
+    care = np.zeros((len(clauses), len(variables)), dtype=bool)  # the clause's variables
     negated = np.zeros_like(care)  # its negated ones
     for c, clause in enumerate(clauses):
         for lit in clause.literals:
             if lit.var in position:
                 care[c, position[lit.var]] = True
                 negated[c, position[lit.var]] = lit.negated
-    care, negated = packed(care), packed(negated)
-    satisfied = np.empty(len(distinct), dtype=bool)
-    step = max(1, (1 << 20) // (words * len(clauses) + 1))  # rows x clauses x words per block
-    for start in range(0, len(distinct), step):
-        block = distinct[start:start + step, None]
+    care, negated = _packed_rows(care), _packed_rows(negated)
+    satisfied = np.empty(len(rows), dtype=bool)
+    step = max(1, (1 << 20) // (rows.shape[1] * len(clauses) + 1))  # rows x clauses x words
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step, None]
         satisfied[start:start + step] = ~((block & care) == negated).all(axis=2).any(axis=1)
 
     hits = np.flatnonzero(satisfied)
     assignments = np.zeros((len(hits), cnf.num_vars), dtype=bool)
-    hit_bits = np.unpackbits(distinct[hits].view(np.uint8), axis=1, count=len(variables),
-                             bitorder="little")
-    assignments[:, [v - 1 for v in variables]] = hit_bits
-    solutions = np.full(len(distinct), None, dtype=object)
+    assignments[:, [v - 1 for v in variables]] = bits[hits]
+    solutions = np.full(len(rows), None, dtype=object)
     solutions[hits] = np.fromiter(map(tuple, assignments.tolist()), dtype=object, count=len(hits))
     return solutions[inverse].tolist()
 
@@ -410,9 +418,11 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
     """The sample JSONL text of runs of model: one line per read, run after run.
 
     Each line's energy is model's energy of its spins.  decoded[g] is
-    decode_all of runs[g]; when gauged, each line carries its run's index as
-    its gauge tag.  Untagged lines all belong to gauge 0, so more than one
-    run without gauged raises ValueError.
+    decode_all of runs[g]: one solution for the reads of each distinct spins
+    row of the run (SampleBatch.distinct_rows), whose texts are built once,
+    or ValueError.  When gauged, each line carries its run's index as its
+    gauge tag.  Untagged lines all belong to gauge 0, so more than one run
+    without gauged raises ValueError.
     """
     if not gauged and len(runs) > 1:
         raise ValueError(f"{len(runs)} runs need gauge tags; an untagged file holds one run")
@@ -421,37 +431,33 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
         raise ValueError("decoded must hold one solution per read of each run")
     if not sum(lengths):
         return "\n"
-    spins = np.concatenate([batch.spins for batch in runs])
-    # reads collapse onto few states, so each distinct row's energy and texts are built once
-    if spins.shape[1]:
-        keys = np.ascontiguousarray(spins).view(np.dtype((np.void, spins[0].nbytes)))[:, 0]
-        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
-    else:  # every row is the empty row
-        first, rows = np.zeros(1, np.int64), np.zeros(len(spins), np.int64)
-    distinct = spins[first]
-    # decode_all shares one tuple among a run's reads that decode alike
-    flat = list(itertools.chain.from_iterable(decoded))
-    solution_first, solutions = _by_identity(flat)
-    # cascor_sample_lines' texts: every distinct row's spins, their energies in json's
-    # text (ints as digits, floats as their repr), then every distinct solution
+    distinct, solutions, rows = [], [], []
+    for batch, run_decoded in zip(runs, decoded):
+        first, inverse = batch.distinct_rows()
+        run_solutions = [run_decoded[r] for r in first.tolist()]
+        if [run_solutions[k] for k in inverse.tolist()] != run_decoded:
+            raise ValueError("decoded must hold one solution per distinct spins row of each run")
+        rows.append(inverse + len(solutions))
+        distinct.append(batch.spins[first])
+        solutions += run_solutions
+    distinct = np.concatenate(distinct)
+    rows = np.concatenate(rows).astype(np.int64, copy=False)
+    # cascor_sample_lines' texts: every distinct row's spins, then their energies in
+    # json's text (ints as digits, floats as their repr), then their solutions
     texts = [*map(str, distinct.tolist()),
              *json.dumps(energies_of_states(model, distinct).tolist())[1:-1].split(", "),
-             *(f'"{_bit_text(s)}"' if s else "null"
-               for s in map(flat.__getitem__, solution_first.tolist()))]
+             *(f'"{_bit_text(s)}"' if s else "null" for s in solutions)]
     offsets = np.cumsum([0, *map(len, texts)], dtype=np.int64)
-    sizes = np.diff(offsets)
+    sizes = np.diff(offsets).reshape(3, -1).sum(axis=0)  # each row's three texts together
     reads = np.concatenate([np.arange(k) for k in lengths])
     cores, walls = (np.concatenate([getattr(b, name) for b in runs]).astype(np.int64, copy=False)
                     for name in ("core_time_us", "wall_time_us"))
     gauges = np.repeat(np.arange(len(runs)), lengths) if gauged else np.full(len(reads), -1)
     # a line's texts, and at most 200 bytes of keys and integers
-    capacity = int(sizes[rows].sum() + sizes[len(first) + rows].sum()
-                   + sizes[2 * len(first) + solutions].sum()) + 200 * len(reads)
+    capacity = int(sizes[rows].sum()) + 200 * len(reads)
     out = np.empty(capacity, dtype=np.uint8)
-    size = _kernel().cascor_sample_lines(len(reads), reads, cores, walls, gauges,
-                                         rows.astype(np.int64, copy=False),
-                                         solutions.astype(np.int64, copy=False),
-                                         len(first), "".join(texts).encode(), offsets, out,
+    size = _kernel().cascor_sample_lines(len(reads), reads, cores, walls, gauges, rows,
+                                         len(distinct), "".join(texts).encode(), offsets, out,
                                          capacity)
     if size < 0:
         raise RuntimeError("sample lines overran their buffer")

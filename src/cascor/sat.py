@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -137,8 +137,8 @@ class MixedSatSpec:
         for k, w in self.length_weights.items():
             if not (1 <= k <= self.num_vars):
                 raise ValueError(f"clause length {k} outside [1, {self.num_vars}]")
-            if w < 0:
-                raise ValueError(f"negative weight for length {k}")
+            if not 0 <= w < np.inf:
+                raise ValueError(f"weight {w} for length {k} is not finite and >= 0")
             total += w
         if total <= 0:
             raise ValueError("length_weights must have positive total weight")
@@ -240,19 +240,6 @@ def evaluate(cnf: Cnf, assignment: Assignment) -> bool:
 def _bit_text(assignment: Assignment) -> str:
     """An assignment as 0/1 characters, variable 1 first: the JSONL files' form."""
     return "".join(["1" if b else "0" for b in assignment])
-
-
-def _by_identity(items: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the first item of each distinct object in items, and each item's object.
-
-    Groups items by identity, so it hashes none of them: the samplers'
-    decode_all shares one tuple among the reads that decode alike, so its
-    list groups by solution at numpy speed.  Equal items held as separate
-    objects fall into separate groups.
-    """
-    ids = np.fromiter(map(id, items), dtype=np.uintp, count=len(items))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    return first, inverse
 
 
 def _jsonl_objects(text: str) -> Iterator[dict]:

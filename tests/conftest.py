@@ -162,9 +162,10 @@ def slow_anneal(model: IsingModel, cfg, read_indices=None, gauge=None) -> np.nda
             # flipping spin i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
             local = states @ coupling[i] + h_f[i]
             delta = -2.0 * states[:, i] * local
-            accept = (delta <= 0) | (
-                uniforms[:, s, i] < np.exp(np.minimum(-beta * delta, 0.0))
-            )
+            # a product past float64's range is -inf, whose exp is the probability 0
+            with np.errstate(over="ignore"):
+                exponent = -beta * delta
+            accept = (delta <= 0) | (uniforms[:, s, i] < np.exp(np.minimum(exponent, 0.0)))
             states[accept, i] *= -1.0
     return states.astype(np.int8)
 

@@ -403,6 +403,9 @@ def test_stray_policy_seed_is_input_error_in_compile_and_bench(tmp_path):
     ("bench", "--beta-end", "inf"),
     ("sample", "--beta-end", "1e308"),  # 2 beta overflows
     ("bench", "--beta-end", "1e308"),
+    ("gen", "--lengths", "2:nan"),
+    ("gen", "--lengths", "2:inf"),
+    ("gen", "--lengths", "2:1,3:inf"),
 ])
 def test_flag_value_out_of_range_is_input_error(command, flag, value, tmp_path, capsys,
                                                 monkeypatch):
@@ -578,7 +581,7 @@ def run_metrics(paths, out):
 
 def test_only_the_sample_writer_computes_energies(stored_outputs, tmp_path, monkeypatch):
     # reports never read a read's energy: bench and metrics compute none, and sample
-    # one per distinct spins row of the file
+    # one per distinct spins row of each gauge's run
     calls = []
 
     def counted(model, spins, *rest):
@@ -601,8 +604,9 @@ def test_only_the_sample_writer_computes_energies(stored_outputs, tmp_path, monk
     assert run("sample", "--model", str(paths["model"]), "--cnf", str(paths["cnf"]),
                "--seed", "2", "--reads", "40", "--sweeps", "30", "--gauges", "3",
                "--out", str(out)) == 0
-    rows = {tuple(json.loads(line)["spins"]) for line in out.read_text().splitlines()}
-    assert calls == [len(rows)] and len(rows) < 120
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    rows = {(line["gauge"], tuple(line["spins"])) for line in lines}
+    assert calls == [len(rows)] and len(rows) < len(lines) == 120
 
 
 def _second_hit(docs):
@@ -634,6 +638,14 @@ MALFORMED = {
     "boolean-read-index": ("samples", lambda docs: docs[1].update(read=True)),
     "boolean-event-index": ("events", lambda docs: docs[0].update(index=True)),
     "boolean-event-time": ("events", lambda docs: docs[0].update(wall_time_us=False)),
+    # a model file of the wrong JSON shape
+    "model-empty-array": ("model", lambda docs: docs.__setitem__(0, [])),
+    "model-null": ("model", lambda docs: docs.__setitem__(0, None)),
+    "model-h-not-an-array": ("model", lambda docs: docs.__setitem__(0, {"num_qubits": 3, "h": 5})),
+    "model-qubit-map-an-array": ("model", lambda docs: docs[0].update(var_to_qubit=[])),
+    "model-policy-a-string": ("model", lambda docs: docs[0].update(policy="chain")),
+    "model-couplers-a-number": ("model", lambda docs: docs[0].update(J=5)),
+    "model-ancillas-of-numbers": ("model", lambda docs: docs[0].update(clause_ancillas=[5])),
 }
 
 
@@ -647,6 +659,19 @@ def test_malformed_stored_output_is_input_error(case, stored_outputs, tmp_path, 
     paths[which].write_text("".join(json.dumps(doc) + "\n" for doc in docs))
     capsys.readouterr()
     assert run_metrics(paths, tmp_path / "report.json") == 2
+    err = capsys.readouterr().err
+    assert "cascor: input error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(case for case in MALFORMED if case.startswith("model")))
+def test_malformed_model_is_input_error_in_sample(case, stored_outputs, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    docs = [json.loads(stored_outputs["model"].read_text())]
+    MALFORMED[case][1](docs)
+    model.write_text(json.dumps(docs[0]) + "\n")
+    capsys.readouterr()
+    assert run("sample", "--model", str(model), "--cnf", str(stored_outputs["cnf"]), "--seed", "1",
+               "--reads", "2", "--sweeps", "2", "--out", str(tmp_path / "s.jsonl")) == 2
     err = capsys.readouterr().err
     assert "cascor: input error:" in err and "Traceback" not in err
 

@@ -203,8 +203,9 @@ EDGE_RUNS = {
                                 beta_end=2e-3)),
     "1003-reads": (lambda: compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
                    SamplerConfig(num_reads=1003, sweeps=12, seed=31, beta_end=3.0)),
-    # The lane loop holds rows of 8, 16, 32 and 64 entries (vmax 7, 15, 31, 63) in 1,
-    # 2, 4 and 8 registers; one entry more takes the next count, and 65 the gather.
+    # The lane loop holds rows of at most 16, 32 and 64 entries (vmax 15, 31, 63) in 2,
+    # 4 and 8 registers, rows of 8 and 9 among them; one entry more takes the next
+    # count, and 65 the gather.
     # At these betas spin 0 flips against its field of vmax - 2 or vmax, the row's top.
     **{f"row-{vmax + 1}": (functools.partial(table_cap_model, vmax),
                            SamplerConfig(num_reads=43, sweeps=16, seed=vmax, beta_start=0.01,
@@ -319,9 +320,7 @@ def test_table_products_past_the_float_range_are_zero_entries():
     # the reference's probability, with no overflow warning from the table
     model, _ = compile_cnf(Cnf.of(3, [[1, 2], [-1, 3]]))
     cfg = SamplerConfig(num_reads=30, sweeps=6, seed=2, beta_end=8e307)
-    with np.errstate(over="ignore"):  # the reference's own -beta * delta overflows
-        expected = slow_anneal(model, cfg)
-    assert np.array_equal(sample(model, cfg).spins, expected)
+    assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
 
 
 def test_kernel_source_compiles_without_warnings():
@@ -636,10 +635,6 @@ def test_decode_all_matches_the_per_read_reference(case):
     batch = SampleBatch(spins, np.zeros(len(spins), np.int64), np.zeros(len(spins), np.int64))
     decoded = decode_all(batch, layout, cnf)
     assert decoded == slow_decode(spins.tolist(), layout, cnf)
-    # reads that decode alike share one tuple, which summarize_instance and
-    # samples_to_jsonl group by identity
-    solutions = [s for s in decoded if s is not None]
-    assert len(set(map(id, solutions))) == len(set(solutions))
 
 
 def test_decoded_solutions_satisfy(rng):
@@ -794,6 +789,8 @@ def reference_samples_jsonl(model, runs, decoded, gauged):
 def sample_files(draw):
     """A model, runs, their decoded solutions and a gauged flag, with rows drawn from a few states.
 
+    Each distinct spins row has one solution, as decode_all gives it.
+
     Integral models keep sum|h| + sum|J| below 2**53.  Float coefficients are
     odd multiples, below 2**20, of powers of two from 2**(e - 20) to 2**(e - 1)
     for one drawn e <= 0: each is fractional, and every energy is a multiple of
@@ -805,6 +802,9 @@ def sample_files(draw):
         st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n),
         st.none() | st.lists(st.booleans(), min_size=num_vars, max_size=num_vars).map(tuple),
     ), min_size=1, max_size=4))
+    solution_of = {}
+    for spins, solution in states:
+        solution_of.setdefault(tuple(spins), solution)
     integral, gauged = draw(st.booleans()), draw(st.booleans())
     if integral:
         coefficient = st.integers(-2**48, 2**48)
@@ -818,12 +818,12 @@ def sample_files(draw):
     model = IsingModel.from_terms(n, h, J)
     runs, decoded = [], []
     for _ in range(draw(st.integers(1, 3)) if gauged else 1):
-        rows = draw(st.lists(st.sampled_from(states), min_size=1, max_size=12))
+        rows = draw(st.lists(st.sampled_from(list(solution_of)), min_size=1, max_size=12))
         k = len(rows)
         times = [np.cumsum(draw(st.lists(st.integers(0, 10**9), min_size=k, max_size=k)))
                  for _ in range(2)]
-        runs.append(batch_of([spins for spins, _ in rows], *times))
-        decoded.append([solution for _, solution in rows])
+        runs.append(batch_of(rows, *times))
+        decoded.append([solution_of[spins] for spins in rows])
     return model, runs, decoded, gauged
 
 
@@ -842,6 +842,22 @@ def test_sample_text_roundtrip_matches_reference_writer(case):
     spaced = "".join(f" \t{line}\r\n \n" for line in text.splitlines())
     for a, b in zip(samples_from_jsonl(spaced, n), runs, strict=True):
         assert_same_batch(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_files(), st.data())
+def test_writer_refuses_a_solution_that_differs_from_its_rows(case, data):
+    # decode_all gives every read of a spins row one solution, and the writer one text per row
+    model, runs, decoded, gauged = case
+    g = data.draw(st.integers(0, len(runs) - 1))
+    r = data.draw(st.integers(0, len(runs[g]) - 1))
+    decoded[g][r] = (*(decoded[g][r] or ()), True)
+    if np.all(runs[g].spins == runs[g].spins[r], axis=1).sum() > 1:
+        with pytest.raises(ValueError, match="one solution per distinct spins row"):
+            samples_to_jsonl(model, runs, decoded, gauged)
+    else:  # read r is its row's only read
+        text = samples_to_jsonl(model, runs, decoded, gauged)
+        assert text == reference_samples_jsonl(model, runs, decoded, gauged)
 
 
 def read_back(text, n):
