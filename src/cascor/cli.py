@@ -26,6 +26,7 @@ from .sat import (
     Cnf,
     LimitError,
     MixedSatSpec,
+    _derived_seed,
     emit_dimacs,
     generate_mixed_sat,
     parse_dimacs,
@@ -260,10 +261,10 @@ def cmd_bench(args) -> int:
         # cap and budget before any worker starts; _bench_one checks each variable count
         allsat_mod.check_enumeration(0, args.cap, args.time_budget_us)
         workers = _worker_count(n)
-    # Per-instance seeds derive from the master seed and sorted position.
+    # Instance idx (in sorted order) samples on stream idx of the master seed.
     jobs = (
         instance_paths,
-        [replace(cfg, seed=args.seed + idx) for idx in range(n)],
+        [replace(cfg, seed=_derived_seed(args.seed, idx)) for idx in range(n)],
         [policy] * n,
         [args] * n,
     )

@@ -21,7 +21,7 @@ import pytest
 
 from cascor.cli import main
 from cascor.compiler import ConstructionPolicy, compile_cnf, compiled_to_json
-from cascor.sat import Cnf
+from cascor.sat import Cnf, _derived_seed
 
 INSTANCES = {
     "g1": "p cnf 12 16\n"
@@ -46,14 +46,14 @@ POLICIES = {
 SAMPLER = ("--reads", "300", "--sweeps", "30", "--programming-us", "1000", "--readout-us", "180")
 
 EXPECTED = {
-    "bench0.csv": "49a6f381c7994905743b8b7938239a430b1aab0af53cdf66a01d40e99a218522",
-    "bench0/g1.report.json": "e82b007e2af5a4573a6b815a59d04bff0334f6f303e8ac90d5b175be0e94990b",
-    "bench0/g2.report.json": "d812fb23f21c58a479285685b4748d056ce389691e8827a8586012c585782ce1",
-    "bench0/g3.report.json": "a5a3b79c06127d9df1336cc8c897c7d9cc7258c7cbbffd711f5a7cf8bc197454",
-    "bench2.csv": "867400f0260ffcb0e9e819964ee223029b76428a454747ccb204e1807a6a32de",
-    "bench2/g1.report.json": "125c531d8375efb5ba65e08bf29e7f8f3cdd99840a1e4b964aff03f3eea3d985",
-    "bench2/g2.report.json": "55f4ac27c2940d1c49e70568df936e1de7f3efaaa0ad7bc9e33ea4c8d43d75d0",
-    "bench2/g3.report.json": "3b38518aae3db53cfe9d969113f1d9ff65d57a797cb6d12439d6027a2e525516",
+    "bench0.csv": "5abb0238fbfc75807ab3a6733c2083390acdecd03cd2d3601c287068c1c58354",
+    "bench0/g1.report.json": "ba77bc524a5094c0dcd61d6a485a0671445f3c521d9bd9c043c056177c72bfa3",
+    "bench0/g2.report.json": "ab8de7e76494f1b4c3f3510df51dad1cb2fe47bb33bc6c6811867d967683fa5f",
+    "bench0/g3.report.json": "d46b6f8e4653a6f435bdd01504065981d2760038bfeff44cb7770c89cff4a171",
+    "bench2.csv": "ae12d74ec39c795020ddda44bfaaf66888ff11a3971e185e6583c5cf5a92d769",
+    "bench2/g1.report.json": "fc3454c0b1412deadffc68eafc6adfc6129b7c0b390168222e5ea80495c92b5c",
+    "bench2/g2.report.json": "6e37f24c1142cbe59df4301bad082c6650bbe42dd9328326ec377d7da78ddd9b",
+    "bench2/g3.report.json": "5164f299c2c552b657108b498c2505ee36145235f43e49bafbcbdcad97bbc1b8",
     "g1.balanced.model.json": "8106a230ee94ad6c1c82b68dd063f35bf0e723c5907f428c2074ddca36e6dfd3",
     "g1.events.jsonl": "2519632f393fa14e7bc0b5c02ace60f4615b4dc185d05802c16b924068d3ca80",
     "g1.gauged.jsonl": "384c7f2f9ab0742c5f5391087a4fd9f299d1974828ac1dbde494684cf91b98e5",
@@ -188,8 +188,8 @@ def test_float_model_samples_match_pinned_digests(tmp_path):
 
 @pytest.mark.parametrize("gauges", ["0", "2"])
 def test_file_pipeline_reproduces_bench_reports(tmp_path, monkeypatch, gauges):
-    """`metrics` over `sample --seed 11+idx` and `allsat --stable-output` events
-    gives the bytes of each `bench --seed 11 --stable-output` report."""
+    """`metrics` over `sample --seed _derived_seed(11, idx)` and `allsat --stable-output`
+    events gives the bytes of each `bench --seed 11 --stable-output` report."""
     monkeypatch.setenv("CASCOR_THREADS", "1")
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()
@@ -204,8 +204,9 @@ def test_file_pipeline_reproduces_bench_reports(tmp_path, monkeypatch, gauges):
         cnf, out = inst_dir / f"{name}.cnf", tmp_path / name
         for argv in (
             ("compile", "--cnf", cnf, "--out", f"{out}.model.json"),
-            ("sample", "--model", f"{out}.model.json", "--cnf", cnf, "--seed", 11 + idx,
-             *SAMPLER, "--gauges", gauges, "--out", f"{out}.jsonl"),
+            ("sample", "--model", f"{out}.model.json", "--cnf", cnf,
+             "--seed", _derived_seed(11, idx), *SAMPLER, "--gauges", gauges,
+             "--out", f"{out}.jsonl"),
             ("allsat", "--cnf", cnf, "--stable-output", "--out", f"{out}.events.jsonl"),
             ("metrics", "--cnf", cnf, "--model", f"{out}.model.json", "--samples",
              f"{out}.jsonl", "--events", f"{out}.events.jsonl", "--instance-id", name,
