@@ -29,13 +29,9 @@
  *   up to eight vector registers, when the row has at most 64 entries, and
  *   looks each lane's entry up with permutes and blends; a wider row is
  *   gathered from memory at every proposal.
- * - Lane seeding.  It runs SeedSequence and the PCG64 seeding of all eight
- *   reads of a group at once, in 32-bit lanes (the hash constants do not
- *   depend on the data), and draws the initial spins straight into the lane
- *   masks.  It takes each read index as one 32-bit entropy word, which
- *   numpy does for indices below 2^32, so it needs reads + 7 < 2^32:
- *   cascor.samplers bounds reads x (qubits + 8) by 2^28, so reads stay below
- *   2^25.  There is no fallback past that bound.
+ * - Spins in.  Each lane's stream is seeded by seed_stream, as in the scalar
+ *   loops, and the eight reads' initial spins are drawn straight into the
+ *   lane masks.
  * - Spins out.  It writes each read's final spins out of the lane masks
  *   eight at a time, one 64-bit word of int8 spins per eight mask bytes.
  *
@@ -273,72 +269,6 @@ LANE_TARGET static inline __m512i pcg_next_x8(pcg64x8 *g)
     return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
 }
 
-/* hashmix and mix in eight 32-bit lanes; the hash constant is the same in every lane. */
-LANE_TARGET static inline __m256i hashmix_x8(__m256i value, uint32_t *hash_const)
-{
-    value = _mm256_xor_si256(value, _mm256_set1_epi32((int)*hash_const));
-    *hash_const *= MULT_A;
-    value = _mm256_mullo_epi32(value, _mm256_set1_epi32((int)*hash_const));
-    return _mm256_xor_si256(value, _mm256_srli_epi32(value, XSHIFT));
-}
-
-LANE_TARGET static inline __m256i mix_x8(__m256i x, __m256i y)
-{
-    const __m256i result =
-        _mm256_sub_epi32(_mm256_mullo_epi32(_mm256_set1_epi32((int)MIX_MULT_L), x),
-                         _mm256_mullo_epi32(_mm256_set1_epi32((int)MIX_MULT_R), y));
-    return _mm256_xor_si256(result, _mm256_srli_epi32(result, XSHIFT));
-}
-
-/* seed_stream for reads r0 .. r0 + 7, read r0 + l in lane l, each index one
- * 32-bit entropy word (r0 + 7 < 2^32). */
-LANE_TARGET static void seed_lanes(pcg64x8 *g, const uint32_t *seed_words, int64_t seed_len,
-                                   int64_t r0)
-{
-    const __m256i r = _mm256_add_epi32(_mm256_set1_epi32((int)(uint32_t)r0),
-                                       _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    const int64_t len = seed_len + 1;
-#define WORD(k) ((k) < seed_len ? _mm256_set1_epi32((int)seed_words[k]) : r)
-    __m256i pool[POOL];
-    uint32_t hash_a = INIT_A;
-    for (int64_t i = 0; i < POOL; i++)
-        pool[i] = hashmix_x8(i < len ? WORD(i) : _mm256_setzero_si256(), &hash_a);
-    for (int src = 0; src < POOL; src++)
-        for (int dst = 0; dst < POOL; dst++)
-            if (src != dst)
-                pool[dst] = mix_x8(pool[dst], hashmix_x8(pool[src], &hash_a));
-    for (int64_t src = POOL; src < len; src++)
-        for (int dst = 0; dst < POOL; dst++)
-            pool[dst] = mix_x8(pool[dst], hashmix_x8(WORD(src), &hash_a));
-#undef WORD
-
-    __m512i words[4];
-    uint32_t hash_b = INIT_B;
-    for (int i = 0; i < 4; i++) {
-        __m256i w[2];
-        for (int half = 0; half < 2; half++) {
-            __m256i v = _mm256_xor_si256(pool[(2 * i + half) % POOL],
-                                         _mm256_set1_epi32((int)hash_b));
-            hash_b *= MULT_B;
-            v = _mm256_mullo_epi32(v, _mm256_set1_epi32((int)hash_b));
-            w[half] = _mm256_xor_si256(v, _mm256_srli_epi32(v, XSHIFT));
-        }
-        words[i] = _mm512_or_si512(_mm512_cvtepu32_epi64(w[0]),
-                                   _mm512_slli_epi64(_mm512_cvtepu32_epi64(w[1]), 32));
-    }
-    /* inc = init_seq << 1 | 1; state = 0, a step, state += init_state, a step */
-    g->inc_hi = _mm512_or_si512(_mm512_slli_epi64(words[2], 1), _mm512_srli_epi64(words[3], 63));
-    g->inc_lo = _mm512_or_si512(_mm512_slli_epi64(words[3], 1), _mm512_set1_epi64(1));
-    g->state_hi = g->state_lo = _mm512_setzero_si512();
-    pcg_next_x8(g);
-    const __m512i lo = _mm512_add_epi64(g->state_lo, words[1]);
-    const __m512i hi = _mm512_add_epi64(g->state_hi, words[0]);
-    g->state_hi = _mm512_mask_sub_epi64(hi, _mm512_cmplt_epu64_mask(lo, words[1]), hi,
-                                        _mm512_set1_epi64(-1));
-    g->state_lo = lo;
-    pcg_next_x8(g);
-}
-
 /* Entry index[l] of a row of at most 8 blocks entries, held in blocks registers
  * of eight: 2, 4 or 8.  Every index is below the row's width, so a row of at
  * most 8 entries, whose second register is zero, takes the two-register path. */
@@ -422,8 +352,17 @@ LANE_TARGET static void anneal_int_lanes(
                                            : 0;
     for (int64_t r0 = 0; r0 < reads; r0 += LANES) {
         const int lanes = reads - r0 < LANES ? (int)(reads - r0) : LANES;
-        pcg64x8 g;
-        seed_lanes(&g, seed_words, seed_len, r0);
+        uint64_t words[4][LANES];  /* state high, state low, inc high, inc low */
+        for (int l = 0; l < LANES; l++) {
+            pcg64 one;
+            seed_stream(&one, seed_words, seed_len, (uint64_t)(r0 + l));
+            words[0][l] = (uint64_t)(one.state >> 64);
+            words[1][l] = (uint64_t)one.state;
+            words[2][l] = (uint64_t)(one.inc >> 64);
+            words[3][l] = (uint64_t)one.inc;
+        }
+        pcg64x8 g = {_mm512_loadu_si512(words[0]), _mm512_loadu_si512(words[1]),
+                     _mm512_loadu_si512(words[2]), _mm512_loadu_si512(words[3])};
         /* spin k from the top bit of 32-bit half k % 2 (low first) of word k / 2 */
         for (int64_t k = 0; k < n; k += 2) {
             const __m512i word = pcg_next_x8(&g);

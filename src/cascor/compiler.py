@@ -57,6 +57,8 @@ class ConstructionPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if (self.kind == "seeded_random") != (self.seed is not None):
             raise ValueError("seed must be present iff kind is seeded_random")
+        if self.seed is not None and (type(self.seed) is not int or self.seed < 0):  # no bools
+            raise ValueError(f"a seeded_random seed must be an int >= 0, not {self.seed!r}")
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind}

@@ -183,7 +183,7 @@ def _first_reads(batch, layout: PenaltyLayout, cnf: Cnf, mask: int) -> dict[int,
 
     decoded = decode_all(batch, layout, cnf)
     found: dict[int, int] = {}
-    for r in np.sort(batch.distinct_rows()[0]).tolist():
+    for r in np.sort(batch.distinct_rows[0]).tolist():
         if decoded[r] is not None:
             found.setdefault(_pack(decoded[r]) & mask, r)
     return found

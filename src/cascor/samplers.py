@@ -55,9 +55,10 @@ when u < exp(2 beta v).  The kernel has two loops:
   comparison is u < p bit for bit.  On x86-64 hosts with AVX-512F, DQ and
   VL this loop anneals eight reads at once, one per vector lane, each lane
   on its own read's stream; its spins are the one-read-at-a-time loop's bit
-  for bit, and other hosts run that loop.  The lane loop seeds its eight
-  streams together and, when a sweep's row of the table has at most 64
-  entries, looks acceptance up in registers (see _anneal.c).
+  for bit, and other hosts run that loop.  Every loop seeds a read's stream
+  the same way, one read at a time; the lane loop, when a sweep's row of the
+  table has at most 64 entries, looks acceptance up in registers (see
+  _anneal.c).
 - Float models sum each local field over its neighbour row at every
   proposal, since fields updated incrementally would drift from a row sum.
 
@@ -171,13 +172,18 @@ class SampleRecord:
 class SampleBatch:
     """All reads of one sampling run; row r of every array belongs to read r.
 
-    ``spins`` is (reads, qubits) int8, and ``core_time_us``/``wall_time_us``
-    are the int64 cumulative times after each read.
+    ``spins`` is (reads, qubits) int8, made read-only so that distinct_rows,
+    computed once per batch, stays the grouping of its rows, and
+    ``core_time_us``/``wall_time_us`` are the int64 cumulative times after
+    each read.
     """
 
     spins: np.ndarray
     core_time_us: np.ndarray
     wall_time_us: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.spins.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.spins)
@@ -187,6 +193,7 @@ class SampleBatch:
         for r, (spins, core, wall) in enumerate(rows):
             yield SampleRecord(r, tuple(spins), core, wall)
 
+    @functools.cached_property
     def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, inverse) of one np.unique over the reads' spins packed into uint64 words.
 
@@ -341,7 +348,7 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
     _check_run_size(len(batch), cnf.num_vars, "decoded bits")
     variables = sorted(layout.var_to_qubit)
     position = {var: j for j, var in enumerate(variables)}
-    first, inverse = batch.distinct_rows()
+    first, inverse = batch.distinct_rows
     bits = batch.spins[first][:, [layout.var_to_qubit[v] for v in variables]] > 0
     rows = _packed_rows(bits)
 
@@ -433,7 +440,7 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
         return "\n"
     distinct, solutions, rows = [], [], []
     for batch, run_decoded in zip(runs, decoded):
-        first, inverse = batch.distinct_rows()
+        first, inverse = batch.distinct_rows
         run_solutions = [run_decoded[r] for r in first.tolist()]
         if [run_solutions[k] for k in inverse.tolist()] != run_decoded:
             raise ValueError("decoded must hold one solution per distinct spins row of each run")

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import shlex
@@ -406,6 +407,8 @@ def test_stray_policy_seed_is_input_error_in_compile_and_bench(tmp_path):
     ("gen", "--lengths", "2:nan"),
     ("gen", "--lengths", "2:inf"),
     ("gen", "--lengths", "2:1,3:inf"),
+    ("compile", "--policy-seed", "-1"),  # with --policy seeded_random
+    ("bench", "--policy-seed", "-1"),
 ])
 def test_flag_value_out_of_range_is_input_error(command, flag, value, tmp_path, capsys,
                                                 monkeypatch):
@@ -419,7 +422,10 @@ def test_flag_value_out_of_range_is_input_error(command, flag, value, tmp_path, 
         "bench": ["--instances", str(inst_dir), "--seed", "1", "--reads", "2"],
         "allsat": ["--cnf", cnf],
         "gen": ["--n", "6", "--m", "1", "--lengths", "2:1", "--cap", "8", "--seed", "3"],
+        "compile": ["--cnf", cnf],
     }[command]
+    if flag == "--policy-seed":
+        argv = [*argv, "--policy", "seeded_random"]
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(command, *argv, flag, value, "--out", str(out)) == 2
@@ -609,6 +615,28 @@ def test_only_the_sample_writer_computes_energies(stored_outputs, tmp_path, monk
     assert calls == [len(rows)] and len(rows) < len(lines) == 120
 
 
+def test_each_run_is_grouped_once(stored_outputs, tmp_path, monkeypatch):
+    # the decoder, the sample writer and the report share each batch's one grouping
+    calls = []
+    grouping = samplers_mod.SampleBatch.distinct_rows
+
+    def counted(batch):
+        calls.append(len(batch))
+        return grouping.func(batch)
+
+    counted_rows = functools.cached_property(counted)
+    counted_rows.__set_name__(samplers_mod.SampleBatch, "distinct_rows")
+    monkeypatch.setattr(samplers_mod.SampleBatch, "distinct_rows", counted_rows)
+    paths = stored_outputs
+    assert run("sample", "--model", str(paths["model"]), "--cnf", str(paths["cnf"]),
+               "--seed", "2", "--reads", "40", "--sweeps", "30", "--gauges", "3",
+               "--out", str(tmp_path / "s.jsonl")) == 0
+    assert calls == [40] * 3
+    calls.clear()
+    assert run_metrics(stored_outputs, tmp_path / "report.json") == 0
+    assert calls == [40] * 2  # the stored file's two gauges
+
+
 def _second_hit(docs):
     """The second line of gauge 0 with a solution: a timeline sees its times."""
     return [d for d in docs if d["gauge"] == 0 and d["solution"] is not None][1]
@@ -646,6 +674,10 @@ MALFORMED = {
     "model-policy-a-string": ("model", lambda docs: docs[0].update(policy="chain")),
     "model-couplers-a-number": ("model", lambda docs: docs[0].update(J=5)),
     "model-ancillas-of-numbers": ("model", lambda docs: docs[0].update(clause_ancillas=[5])),
+    **{f"model-policy-seed-{name}": (
+        "model", lambda docs, seed=seed: docs[0].update(policy={"kind": "seeded_random",
+                                                                "seed": seed}))
+       for name, seed in (("a-string", "x"), ("negative", -5), ("a-boolean", True))},
 }
 
 

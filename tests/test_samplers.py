@@ -323,16 +323,20 @@ def test_table_products_past_the_float_range_are_zero_entries():
     assert np.array_equal(sample(model, cfg).spins, slow_anneal(model, cfg))
 
 
-def test_kernel_source_compiles_without_warnings():
-    done = subprocess.run([samplers._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                           str(samplers._SOURCE)], capture_output=True, text=True)
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # a full optimised build, since some warnings (maybe-uninitialized, array-bounds)
+    # come only from the optimiser's passes
+    done = subprocess.run([samplers._CC, *samplers._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "_anneal.so"), str(samplers._SOURCE), "-lm"],
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
 # Loads the kernel built at argv[1] through samplers._kernel and anneals
-# integral models through both integral loops (one of them with a 64-entry
-# acceptance row, the lane loop's register limit, and one with 65), and a float
-# model and an integral one past the table cap through the float loop; then
+# integral models (one of them with a 64-entry acceptance row, the lane loop's
+# register limit, and one with 65) through both integral loops, at seeds of one
+# and of three entropy words, and a float model and an integral one past the
+# table cap through the float loop; then
 # writes and scans sample text through the codec, whole, cut at every byte and
 # past int64.
 _UBSAN_CHILD = """
@@ -353,11 +357,11 @@ models = [compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
           IsingModel(3, {0: 10**6}, {(0, 1): 1, (1, 2): -2}),
           IsingModel(3, {0: 62}, {(0, 1): 1, (1, 2): -2}),
           IsingModel(3, {0: 63}, {(0, 1): 1, (1, 2): -2})]
-cfg = samplers.SamplerConfig(num_reads=19, sweeps=7, seed=5)
+cfg, wide = (samplers.SamplerConfig(num_reads=19, sweeps=7, seed=seed) for seed in (5, 2**64 + 3))
 runs = []
 for entry in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
     lib.cascor_anneal_int = entry
-    runs.append([samplers._anneal(model, cfg) for model in models])
+    runs.append([samplers._anneal(model, c) for model in models for c in (cfg, wide)])
 assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 batches = samplers.sample_with_srt_rotation(models[1], cfg, samplers.random_gauges(4, 2, 5))
