@@ -17,14 +17,17 @@
  * sum the neighbour row at every proposal, so their rounding stays that of a
  * row sum; integral models whose table would be too large run this loop too.
  *
- * On x86-64 hosts with AVX-512F, DQ and VL, cascor_anneal_int anneals eight
- * reads at once, one per 64-bit lane of a 512-bit vector; elsewhere it runs
- * the scalar integral loop, which stays exported as cascor_anneal_int_scalar.
- * Each lane draws only its own read's stream and makes that read's proposals
- * in the scalar order, so the lane loop's spins are the scalar loop's bit for
- * bit.  The float loop is scalar everywhere.  Beyond the proposals, the lane
- * loop keeps its per-read work small:
+ * On x86-64 hosts with AVX-512F, DQ, VL and IFMA, cascor_anneal_int anneals
+ * eight reads at once, one per 64-bit lane of a 512-bit vector; elsewhere it
+ * runs the scalar integral loop, which stays exported as
+ * cascor_anneal_int_scalar.  Each lane draws only its own read's stream and
+ * makes that read's proposals in the scalar order, so the lane loop's spins
+ * are the scalar loop's bit for bit.  The float loop is scalar everywhere.
+ * The lane loop keeps its per-read work small:
  *
+ * - Streams.  Each lane's 128-bit PCG64 state and increment are held as limbs
+ *   of 52, 52 and 24 bits, and a step multiplies them with IFMA's 52-bit
+ *   multiply-adds (pcg_next_x8).
  * - Register rows.  Once per sweep it loads the sweep's acceptance row into
  *   up to eight vector registers, when the row has at most 64 entries, and
  *   looks each lane's entry up with permutes and blends; a wider row is
@@ -228,45 +231,45 @@ void cascor_anneal_int_scalar(const uint32_t *restrict seed_words, int64_t seed_
 
 #if defined(__x86_64__)
 #define LANES 8
-#define LANE_TARGET __attribute__((target("avx512f,avx512dq,avx512vl")))
+#define LANE_TARGET __attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma")))
+#define M52 ((1ULL << 52) - 1)
 
-/* Eight PCG64 streams, one per 64-bit lane, states and increments split into words. */
+/* Eight PCG64 streams, one per 64-bit lane, each lane's state and increment
+ * split into limbs of 52, 52 and 24 bits: s0 s1 s2 and c0 c1 c2. */
 typedef struct {
-    __m512i state_hi, state_lo, inc_hi, inc_lo;
+    __m512i s0, s1, s2, c0, c1, c2;
 } pcg64x8;
 
-/* The high word of each lane's 128-bit product a * b, from four 32 x 32-bit products. */
-LANE_TARGET static inline __m512i mulhi_u64(__m512i a, __m512i b)
-{
-    const __m512i low32 = _mm512_set1_epi64(0xffffffff);
-    const __m512i a_hi = _mm512_srli_epi64(a, 32), b_hi = _mm512_srli_epi64(b, 32);
-    const __m512i p00 = _mm512_mul_epu32(a, b), p01 = _mm512_mul_epu32(a, b_hi);
-    const __m512i p10 = _mm512_mul_epu32(a_hi, b), p11 = _mm512_mul_epu32(a_hi, b_hi);
-    const __m512i mid = _mm512_add_epi64(_mm512_srli_epi64(p00, 32),
-                                         _mm512_add_epi64(_mm512_and_si512(p01, low32),
-                                                          _mm512_and_si512(p10, low32)));
-    return _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(mid, 32)),
-                            _mm512_add_epi64(_mm512_srli_epi64(p01, 32),
-                                             _mm512_srli_epi64(p10, 32)));
-}
-
-/* pcg_next in every lane: state * mult mod 2^128 keeps the low words' full
- * product and only the low words of the two cross products. */
+/* pcg_next in every lane.  Nine 52-bit multiply-adds, one per partial product
+ * of state * mult below bit 128, accumulate onto the increment's limbs; two
+ * shift-adds then carry limb 0 into limb 1 and limb 1 into limb 2.  A limb
+ * keeps its carry bits: the multiply-adds read only its low 52 bits, and bits
+ * 24 and up of limb 2 weigh 2^128 or more. */
 LANE_TARGET static inline __m512i pcg_next_x8(pcg64x8 *g)
 {
-    const __m512i mult_hi = _mm512_set1_epi64((long long)(uint64_t)(PCG_MULT >> 64));
-    const __m512i mult_lo = _mm512_set1_epi64((long long)(uint64_t)PCG_MULT);
-    const __m512i lo = _mm512_add_epi64(_mm512_mullo_epi64(g->state_lo, mult_lo), g->inc_lo);
-    __m512i hi = _mm512_add_epi64(
-        _mm512_add_epi64(mulhi_u64(g->state_lo, mult_lo), g->inc_hi),
-        _mm512_add_epi64(_mm512_mullo_epi64(g->state_hi, mult_lo),
-                         _mm512_mullo_epi64(g->state_lo, mult_hi)));
-    /* the carry out of the low word */
-    hi = _mm512_mask_sub_epi64(hi, _mm512_cmplt_epu64_mask(lo, g->inc_lo), hi,
-                               _mm512_set1_epi64(-1));
-    g->state_hi = hi;
-    g->state_lo = lo;
-    return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+    const __m512i m0 = _mm512_set1_epi64((long long)((uint64_t)PCG_MULT & M52));
+    const __m512i m1 = _mm512_set1_epi64((long long)((uint64_t)(PCG_MULT >> 52) & M52));
+    const __m512i m2 = _mm512_set1_epi64((long long)(uint64_t)(PCG_MULT >> 104));
+    __m512i s0 = _mm512_madd52lo_epu64(g->c0, g->s0, m0);
+    __m512i s1 = _mm512_madd52hi_epu64(g->c1, g->s0, m0);
+    __m512i s2 = _mm512_madd52hi_epu64(g->c2, g->s0, m1);
+    s1 = _mm512_madd52lo_epu64(s1, g->s0, m1);
+    s2 = _mm512_madd52lo_epu64(s2, g->s0, m2);
+    s1 = _mm512_madd52lo_epu64(s1, g->s1, m0);
+    s2 = _mm512_madd52hi_epu64(s2, g->s1, m0);
+    s2 = _mm512_madd52lo_epu64(s2, g->s1, m1);
+    s2 = _mm512_madd52lo_epu64(s2, g->s2, m0);
+    s1 = _mm512_add_epi64(s1, _mm512_srli_epi64(s0, 52));
+    s2 = _mm512_add_epi64(s2, _mm512_srli_epi64(s1, 52));
+    g->s0 = s0, g->s1 = s1, g->s2 = s2;
+    /* ternary logic 0xea is a & b | c: lo = limb0 & M52 | limb1 << 52 and
+     * hi = limb1 >> 12 & M52 >> 12 | limb2 << 40 */
+    const __m512i top = _mm512_slli_epi64(s2, 40);
+    const __m512i lo = _mm512_ternarylogic_epi64(s0, _mm512_set1_epi64(M52),
+                                                 _mm512_slli_epi64(s1, 52), 0xea);
+    const __m512i hi = _mm512_ternarylogic_epi64(_mm512_srli_epi64(s1, 12),
+                                                 _mm512_set1_epi64(M52 >> 12), top, 0xea);
+    return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(top, 58));
 }
 
 /* Entry index[l] of a row of at most 8 blocks entries, held in blocks registers
@@ -352,17 +355,16 @@ LANE_TARGET static void anneal_int_lanes(
                                            : 0;
     for (int64_t r0 = 0; r0 < reads; r0 += LANES) {
         const int lanes = reads - r0 < LANES ? (int)(reads - r0) : LANES;
-        uint64_t words[4][LANES];  /* state high, state low, inc high, inc low */
+        uint64_t limbs[6][LANES];  /* state limbs s0 s1 s2, then increment limbs c0 c1 c2 */
         for (int l = 0; l < LANES; l++) {
             pcg64 one;
             seed_stream(&one, seed_words, seed_len, (uint64_t)(r0 + l));
-            words[0][l] = (uint64_t)(one.state >> 64);
-            words[1][l] = (uint64_t)one.state;
-            words[2][l] = (uint64_t)(one.inc >> 64);
-            words[3][l] = (uint64_t)one.inc;
+            for (int k = 0; k < 6; k++)
+                limbs[k][l] = (uint64_t)((k < 3 ? one.state : one.inc) >> 52 * (k % 3)) & M52;
         }
-        pcg64x8 g = {_mm512_loadu_si512(words[0]), _mm512_loadu_si512(words[1]),
-                     _mm512_loadu_si512(words[2]), _mm512_loadu_si512(words[3])};
+        pcg64x8 g = {_mm512_loadu_si512(limbs[0]), _mm512_loadu_si512(limbs[1]),
+                     _mm512_loadu_si512(limbs[2]), _mm512_loadu_si512(limbs[3]),
+                     _mm512_loadu_si512(limbs[4]), _mm512_loadu_si512(limbs[5])};
         /* spin k from the top bit of 32-bit half k % 2 (low first) of word k / 2 */
         for (int64_t k = 0; k < n; k += 2) {
             const __m512i word = pcg_next_x8(&g);
@@ -408,8 +410,8 @@ LANE_TARGET static void anneal_int_lanes(
 #endif
 
 /* cascor_anneal_int_scalar's spins, from the eight-lane loop on hosts with
- * AVX-512F, DQ and VL and from the scalar loop elsewhere.  fields is scratch
- * for 9 n int64. */
+ * AVX-512F, DQ, VL and IFMA and from the scalar loop elsewhere.  fields is
+ * scratch for 9 n int64. */
 void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads,
                        int64_t n, int64_t sweeps, const int64_t *restrict indptr,
                        const int64_t *restrict indices, const int64_t *restrict values,
@@ -418,7 +420,7 @@ void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, in
 {
 #if defined(__x86_64__)
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("avx512vl")) {
+        __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512ifma")) {
         anneal_int_lanes(seed_words, seed_len, reads, n, sweeps, indptr, indices, values, h,
                          table, table_width, fields, out);
         return;

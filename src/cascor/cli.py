@@ -179,11 +179,13 @@ def cmd_sample(args) -> int:
         model, layout = _read_compiled(args.model, cnf)
         cfg = _sampler_config(args)
     # every run's spins and decoded bits are held at once, so they share one run's
-    # limit; both are checked before the first anneal, the spins first, as sampling would
+    # limit; both are checked before the first anneal, the spins first, as sampling
+    # would, and then the schedule that sampling checks next
     rows = cfg.num_reads * max(args.gauges, 1)
     samplers_mod._check_run_size(rows, model.num_qubits,
                                  "spins of every gauge" if args.gauges else "spins")
     samplers_mod._check_run_size(rows, cnf.num_vars, "decoded bits of every run")
+    samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
     runs = _sample_runs(model, cfg, args.gauges)
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
     Path(args.out).write_text(samplers_mod.samples_to_jsonl(
@@ -261,6 +263,7 @@ def cmd_bench(args) -> int:
         # cap and budget before any worker starts; _bench_one checks each variable count
         allsat_mod.check_enumeration(0, args.cap, args.time_budget_us)
         workers = _worker_count(n)
+    samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
     # Instance idx (in sorted order) samples on stream idx of the master seed.
     jobs = (
         instance_paths,

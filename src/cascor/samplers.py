@@ -12,21 +12,21 @@ yields one SampleRecord per read, a row of plain Python values.  The sample
 JSONL file is written whole by samples_to_jsonl, the one place a read's
 energy is computed, and read back, every field checked, by
 samples_from_jsonl.  The line layout lives in the C library that anneals
-(below).  The writer finds each run's distinct spins rows
-(SampleBatch.distinct_rows) and builds the spins, energy and solution text of
-each once; cascor_sample_lines joins those texts and each read's integers
-into its line.  The reader's cascor_sample_scan checks text
-in the writer's exact layout byte by byte and parses its integers and spins
-straight into arrays.  Any other text (other spacing, key order or line
-ends, blank lines, non-ASCII characters) is decoded line by line as JSON,
-keeping a tuple of the five fields read from each line.  Both paths feed the
-same checks, so a file reads the same, or fails with the same message,
-either way.
+(below).  The writer groups each run's distinct spins rows
+(SampleBatch.distinct_rows) once more across the runs, and builds the spins,
+energy and solution text of each distinct row of the file once;
+cascor_sample_lines joins those texts and each read's integers into its
+line.  The reader's cascor_sample_scan checks text in the writer's exact
+layout byte by byte and parses its integers and spins straight into arrays.
+Any other text (other spacing, key order or line ends, blank lines,
+non-ASCII characters) is decoded line by line as JSON, keeping a tuple of the
+five fields read from each line.  Both paths feed the same checks, so a file
+reads the same, or fails with the same message, either way.
 
-A run's spins and decoded bits may take at most _RUN_BYTES, and so may the
-gauges of an SRT rotation and the spins of all its runs together; sample,
-decode_all, random_gauges and sample_with_srt_rotation raise LimitError
-before allocating more.
+A run's spins, decoded bits and anneal schedule may take at most _RUN_BYTES,
+and so may the gauges of an SRT rotation and the spins of all its runs
+together; sample, decode_all, random_gauges and sample_with_srt_rotation
+raise LimitError before allocating more.
 
 Determinism: read r consumes only its own RNG stream, the one numpy's
 Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
@@ -52,11 +52,12 @@ when u < exp(2 beta v).  The kernel has two loops:
   of the uniform u = m / 2**53 is below it.  For an integer m, m < p * 2**53
   holds exactly when m < ceil(p * 2**53), and scaling by 2**53 (ldexp) is
   exact for every double in [0, 1], subnormals included, so the integer
-  comparison is u < p bit for bit.  On x86-64 hosts with AVX-512F, DQ and
-  VL this loop anneals eight reads at once, one per vector lane, each lane
-  on its own read's stream; its spins are the one-read-at-a-time loop's bit
-  for bit, and other hosts run that loop.  Every loop seeds a read's stream
-  the same way, one read at a time; the lane loop, when a sweep's row of the
+  comparison is u < p bit for bit.  On x86-64 hosts with AVX-512F, DQ, VL
+  and IFMA this loop anneals eight reads at once, one per vector lane, each
+  lane on its own read's stream; its spins are the one-read-at-a-time loop's
+  bit for bit, and other hosts run that loop.  Every loop seeds a read's
+  stream the same way, one read at a time; the lane loop steps the eight
+  streams with IFMA's 52-bit multiply-adds and, when a sweep's row of the
   table has at most 64 entries, looks acceptance up in registers (see
   _anneal.c).
 - Float models sum each local field over its neighbour row at every
@@ -195,19 +196,24 @@ class SampleBatch:
 
     @functools.cached_property
     def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first, inverse) of one np.unique over the reads' spins packed into uint64 words.
+        """_distinct_rows of the reads' spins, computed once per batch."""
+        return _distinct_rows(self.spins)
 
-        Row k holds the spins of read first[k], the first read to hold it, and
-        read r holds row inverse[r]; a batch of no qubits has one row, the empty one.
-        """
-        rows = _packed_rows(self.spins > 0)
-        words = rows.shape[1]
-        keys = rows[:, 0] if words == 1 else rows.view(np.dtype((np.void, 8 * words)))[:, 0]
-        # return_index would take a stable sort, several times slower than the default
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        first = np.full(len(distinct), len(keys))
-        np.minimum.at(first, inverse, np.arange(len(keys)))
-        return first, inverse
+
+def _distinct_rows(spins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of one np.unique over spins rows packed into uint64 words.
+
+    Distinct row k is row first[k], the first row to hold it, and row r is
+    distinct row inverse[r]; rows of no spins are one distinct row, the empty one.
+    """
+    rows = _packed_rows(spins > 0)
+    words = rows.shape[1]
+    keys = rows[:, 0] if words == 1 else rows.view(np.dtype((np.void, 8 * words)))[:, 0]
+    # return_index would take a stable sort, several times slower than the default
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), len(keys))
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    return first, inverse
 
 
 def _packed_rows(bits: np.ndarray) -> np.ndarray:
@@ -319,9 +325,11 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
 def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:
     """Draw cfg.num_reads independent annealed samples with cumulative timing.
 
-    Raises LimitError when the spins would pass the run size limit.
+    Raises LimitError when the spins, or the schedule of two floats per
+    sweep, would pass the run size limit.
     """
     _check_run_size(cfg.num_reads, model.num_qubits, "spins")
+    _check_run_size(cfg.sweeps, 8, "anneal schedule")
     spins = _anneal(model, cfg)
     reads_done = np.arange(1, cfg.num_reads + 1, dtype=np.int64)
     per_read_wall = cfg.core_time_per_read_us + cfg.per_read_readout_us
@@ -426,10 +434,11 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
 
     Each line's energy is model's energy of its spins.  decoded[g] is
     decode_all of runs[g]: one solution for the reads of each distinct spins
-    row of the run (SampleBatch.distinct_rows), whose texts are built once,
-    or ValueError.  When gauged, each line carries its run's index as its
-    gauge tag.  Untagged lines all belong to gauge 0, so more than one run
-    without gauged raises ValueError.
+    row of the file, or ValueError.  The file's distinct rows come from each
+    run's (SampleBatch.distinct_rows) grouped once more across the runs, and
+    the texts of each are built once.  When gauged, each line carries its
+    run's index as its gauge tag.  Untagged lines all belong to gauge 0, so
+    more than one run without gauged raises ValueError.
     """
     if not gauged and len(runs) > 1:
         raise ValueError(f"{len(runs)} runs need gauge tags; an untagged file holds one run")
@@ -438,17 +447,21 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
         raise ValueError("decoded must hold one solution per read of each run")
     if not sum(lengths):
         return "\n"
-    distinct, solutions, rows = [], [], []
-    for batch, run_decoded in zip(runs, decoded):
+    run_rows, run_firsts, run_inverses, start, count = [], [], [], 0, 0
+    for batch in runs:
         first, inverse = batch.distinct_rows
-        run_solutions = [run_decoded[r] for r in first.tolist()]
-        if [run_solutions[k] for k in inverse.tolist()] != run_decoded:
-            raise ValueError("decoded must hold one solution per distinct spins row of each run")
-        rows.append(inverse + len(solutions))
-        distinct.append(batch.spins[first])
-        solutions += run_solutions
-    distinct = np.concatenate(distinct)
-    rows = np.concatenate(rows).astype(np.int64, copy=False)
+        run_rows.append(batch.spins[first])
+        run_firsts.append(first + start)  # each run row's first read in the file
+        run_inverses.append(inverse + count)
+        start, count = start + len(batch), count + len(first)
+    run_rows = np.concatenate(run_rows)
+    first, inverse = _distinct_rows(run_rows)
+    rows = inverse[np.concatenate(run_inverses)].astype(np.int64, copy=False)  # per read
+    all_decoded = [solution for run_decoded in decoded for solution in run_decoded]
+    solutions = [all_decoded[r] for r in np.concatenate(run_firsts)[first].tolist()]
+    if [solutions[k] for k in rows.tolist()] != all_decoded:
+        raise ValueError("decoded must hold one solution per distinct spins row of the file")
+    distinct = run_rows[first]
     # cascor_sample_lines' texts: every distinct row's spins, then their energies in
     # json's text (ints as digits, floats as their repr), then their solutions
     texts = [*map(str, distinct.tolist()),

@@ -89,12 +89,15 @@ def test_gen_retry_exhaustion_exit_code(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("command, num_vars, reads", [
-    ("sample", 2, 10**11),  # 186 GiB of spins
-    ("bench", 2, 10**11),
-    ("sample", 10**11, 1000),  # 2 used variables; 931 GiB of decoded bits
-], ids=["sample-reads", "bench-reads", "sample-unused-variables"])
-def test_run_past_the_size_limit_is_limit_error(command, num_vars, reads, tmp_path, capsys,
+@pytest.mark.parametrize("command, num_vars, flags", [
+    ("sample", 2, ("--reads", 10**11)),  # 186 GiB of spins
+    ("bench", 2, ("--reads", 10**11)),
+    ("sample", 10**11, ("--reads", 1000)),  # 2 used variables; 931 GiB of decoded bits
+    ("sample", 2, ("--sweeps", 10**12)),  # 14.6 TiB of schedule, two floats per sweep
+    ("bench", 2, ("--sweeps", 10**12)),
+], ids=["sample-reads", "bench-reads", "sample-unused-variables", "sample-sweeps",
+        "bench-sweeps"])
+def test_run_past_the_size_limit_is_limit_error(command, num_vars, flags, tmp_path, capsys,
                                                 monkeypatch):
     # the size is checked before anything of it is allocated, so no ulimit is needed
     monkeypatch.setenv(cli.THREADS_ENV, "1")
@@ -105,7 +108,7 @@ def test_run_past_the_size_limit_is_limit_error(command, num_vars, reads, tmp_pa
     inputs = {"sample": ["--model", str(model), "--cnf", str(cnf_path)],
               "bench": ["--instances", str(tmp_path)]}[command]
     capsys.readouterr()
-    assert run(command, *inputs, "--seed", "1", "--reads", str(reads),
+    assert run(command, *inputs, "--seed", "1", *map(str, flags),
                "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
     assert "cascor: limit error:" in err and "Traceback" not in err
@@ -587,7 +590,7 @@ def run_metrics(paths, out):
 
 def test_only_the_sample_writer_computes_energies(stored_outputs, tmp_path, monkeypatch):
     # reports never read a read's energy: bench and metrics compute none, and sample
-    # one per distinct spins row of each gauge's run
+    # one per distinct spins row of the file, whichever gauges' runs hold it
     calls = []
 
     def counted(model, spins, *rest):
@@ -611,7 +614,7 @@ def test_only_the_sample_writer_computes_energies(stored_outputs, tmp_path, monk
                "--seed", "2", "--reads", "40", "--sweeps", "30", "--gauges", "3",
                "--out", str(out)) == 0
     lines = [json.loads(line) for line in out.read_text().splitlines()]
-    rows = {(line["gauge"], tuple(line["spins"])) for line in lines}
+    rows = {tuple(line["spins"]) for line in lines}
     assert calls == [len(rows)] and len(rows) < len(lines) == 120
 
 

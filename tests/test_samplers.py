@@ -151,8 +151,9 @@ def _cpu_flags() -> set[str]:
 # The kernel runs its eight-lane integral loop only on CPUs with these; elsewhere
 # its dispatched entry is the scalar loop, and comparing the two shows nothing.
 needs_lanes = pytest.mark.skipif(
-    platform.machine() != "x86_64" or not {"avx512f", "avx512dq", "avx512vl"} <= _cpu_flags(),
-    reason="the CPU lacks AVX-512F, DQ or VL, so the kernel runs no lane loop")
+    platform.machine() != "x86_64"
+    or not {"avx512f", "avx512dq", "avx512vl", "avx512ifma"} <= _cpu_flags(),
+    reason="the CPU lacks AVX-512F, DQ, VL or IFMA, so the kernel runs no lane loop")
 INT_ENTRIES = [pytest.param("cascor_anneal_int", id="dispatched", marks=needs_lanes),
                pytest.param("cascor_anneal_int_scalar", id="scalar")]
 
@@ -230,6 +231,19 @@ def test_lane_loop_matches_scalar_loop(seed, reads, sweeps):
     model = cnf_model(seed)
     cfg = SamplerConfig(num_reads=reads, sweeps=sweeps, seed=seed,
                         beta_end=float(np.random.default_rng(seed).uniform(0.1, 8.0)))
+    assert np.array_equal(anneal_with("cascor_anneal_int", model, cfg),
+                          anneal_with("cascor_anneal_int_scalar", model, cfg))
+
+
+@needs_lanes
+def test_lane_loop_matches_scalar_loop_over_a_long_stream():
+    # 300,000 proposals per lane, so the lane loop's PCG64 limbs carry far from seeding;
+    # every |v| is at most 3, so the table stays under its cap and both integral loops run
+    rng = np.random.default_rng(100)
+    model = IsingModel.from_terms(100, {q: int(rng.integers(-1, 2)) for q in range(100)},
+                                  {(q, q + 1): int(rng.choice([-1, 1])) for q in range(99)})
+    cfg = SamplerConfig(num_reads=9, sweeps=3000, seed=2**64 + 3, beta_end=1.0)
+    assert model.is_integral() and cfg.sweeps * 4 * 8 <= samplers._TABLE_BYTES
     assert np.array_equal(anneal_with("cascor_anneal_int", model, cfg),
                           anneal_with("cascor_anneal_int_scalar", model, cfg))
 
@@ -336,7 +350,9 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # integral models (one of them with a 64-entry acceptance row, the lane loop's
 # register limit, and one with 65) through both integral loops, at seeds of one
 # and of three entropy words, and a float model and an integral one past the
-# table cap through the float loop; then
+# table cap through the float loop; anneals one long run of 9 reads x 2000
+# sweeps through both integral loops, so the lane loop's PCG64 limbs carry well
+# past seeding; then
 # writes and scans sample text through the codec, whole, cut at every byte and
 # past int64.
 _UBSAN_CHILD = """
@@ -358,10 +374,12 @@ models = [compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
           IsingModel(3, {0: 62}, {(0, 1): 1, (1, 2): -2}),
           IsingModel(3, {0: 63}, {(0, 1): 1, (1, 2): -2})]
 cfg, wide = (samplers.SamplerConfig(num_reads=19, sweeps=7, seed=seed) for seed in (5, 2**64 + 3))
+long = samplers.SamplerConfig(num_reads=9, sweeps=2000, seed=2**64 + 3, beta_end=1.0)
 runs = []
 for entry in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
     lib.cascor_anneal_int = entry
-    runs.append([samplers._anneal(model, c) for model in models for c in (cfg, wide)])
+    runs.append([samplers._anneal(model, c) for model in models for c in (cfg, wide)]
+                + [samplers._anneal(models[0], long)])
 assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 batches = samplers.sample_with_srt_rotation(models[1], cfg, samplers.random_gauges(4, 2, 5))
@@ -742,10 +760,13 @@ def test_record_json_roundtrip():
 
 
 def test_zero_qubit_runs_roundtrip_through_jsonl():
-    # no spins to compare: every read is the one empty row
+    # no spins to compare: every read of both runs is the one empty row, so it has
+    # one solution
     runs = [batch_of(np.empty((3, 0)), [20, 40, 60], [20, 40, 60]),
             batch_of(np.empty((1, 0)), [5], [5])]
-    text = samples_to_jsonl(IsingModel(0), runs, [[None] * 3, [()]], gauged=True)
+    with pytest.raises(ValueError, match="one solution per distinct spins row of the file"):
+        samples_to_jsonl(IsingModel(0), runs, [[None] * 3, [()]], gauged=True)
+    text = samples_to_jsonl(IsingModel(0), runs, [[None] * 3, [None]], gauged=True)
     assert text.splitlines()[3] == json.dumps({"read": 0, "spins": [], "energy": 0,
                                                "core_time_us": 5, "wall_time_us": 5,
                                                "solution": None, "gauge": 1})
@@ -851,15 +872,16 @@ def test_sample_text_roundtrip_matches_reference_writer(case):
 @settings(max_examples=100, deadline=None)
 @given(sample_files(), st.data())
 def test_writer_refuses_a_solution_that_differs_from_its_rows(case, data):
-    # decode_all gives every read of a spins row one solution, and the writer one text per row
+    # decode_all gives every read of a spins row one solution, and the writer one text
+    # per row of the file, whichever runs hold it
     model, runs, decoded, gauged = case
     g = data.draw(st.integers(0, len(runs) - 1))
     r = data.draw(st.integers(0, len(runs[g]) - 1))
     decoded[g][r] = (*(decoded[g][r] or ()), True)
-    if np.all(runs[g].spins == runs[g].spins[r], axis=1).sum() > 1:
+    if sum(np.all(run.spins == runs[g].spins[r], axis=1).sum() for run in runs) > 1:
         with pytest.raises(ValueError, match="one solution per distinct spins row"):
             samples_to_jsonl(model, runs, decoded, gauged)
-    else:  # read r is its row's only read
+    else:  # read r is its row's only read in the file
         text = samples_to_jsonl(model, runs, decoded, gauged)
         assert text == reference_samples_jsonl(model, runs, decoded, gauged)
 
