@@ -20,7 +20,9 @@ count_solutions_capped counts without enumerating, on a bit-sliced truth
 table; generate_mixed_sat screens its draws with it.
 
 This module owns the event JSONL file: events_to_jsonl writes a whole file
-and events_from_jsonl reads one back, checking every field.
+and events_from_jsonl reads one back, checking every field.  A solution is its
+code from the search to that file: the solved ``value`` mask, whose bit v-1
+holds variable v.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sat import Assignment, Cnf, _bit_text, _column, _jsonl_objects
+from .sat import Assignment, Cnf, _column, _jsonl_objects
 
 __all__ = [
     "SolutionEvent",
@@ -58,11 +60,11 @@ _MID_VAR_WORDS = tuple(
 
 @dataclass(frozen=True)
 class SolutionEvent:
-    """One satisfying assignment with its discovery time and 1-based ordinal."""
+    """A solution's code (bit v-1 holds variable v), discovery time and 1-based ordinal."""
 
     index: int
     wall_time_us: int
-    assignment: Assignment
+    code: int
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,7 @@ class EnumerationResult:
     events: tuple[SolutionEvent, ...]
     complete: bool
     cap_hit: bool
+    num_vars: int = 0  # the width of each event's code
     setup_time_us: int = 0
     nodes: int = 0
     solve_calls: int = 0
@@ -93,7 +96,8 @@ class EnumerationResult:
             raise ValueError("complete and cap_hit are mutually exclusive")
 
     def assignments(self) -> list[Assignment]:
-        return [e.assignment for e in self.events]
+        """Each event's assignment as num_vars bools, variable 1 first, built on each call."""
+        return [tuple(bool(e.code >> v & 1) for v in range(self.num_vars)) for e in self.events]
 
 
 class _Timeout(Exception):
@@ -106,6 +110,15 @@ def _literals(bits: int, value: int):
         low = bits & -bits
         bits ^= low
         yield 2 * (low.bit_length() - 1) + (not value & low)
+
+
+def _clause_masks(cnf: Cnf) -> list[tuple[int, int]]:
+    """Per clause, the masks of the variables it holds true and of those it holds false.
+
+    A code satisfies the clause when ``code & pos or ~code & neg``.
+    """
+    return [(sum(1 << lit.var - 1 for lit in c.literals if not lit.negated),
+             sum(1 << lit.var - 1 for lit in c.literals if lit.negated)) for c in cnf.clauses]
 
 
 class _Enumerator:
@@ -138,20 +151,13 @@ class _Enumerator:
 
     def __init__(self, cnf: Cnf):
         n = self.n = cnf.num_vars
-        self.pos: list[int] = []  # per clause: the variables it holds true, as a mask
-        self.neg: list[int] = []
+        masks = _clause_masks(cnf)
+        self.pos = [pos for pos, _ in masks]
+        self.neg = [neg for _, neg in masks]
         self.occ: list[list[int]] = [[] for _ in range(2 * n)]  # clauses holding each literal
         for ci, clause in enumerate(cnf.clauses):
-            pos = neg = 0
             for lit in clause.literals:
-                v = lit.var - 1
-                if lit.negated:
-                    neg |= 1 << v
-                else:
-                    pos |= 1 << v
-                self.occ[2 * v + lit.negated].append(ci)
-            self.pos.append(pos)
-            self.neg.append(neg)
+                self.occ[2 * (lit.var - 1) + lit.negated].append(ci)
         self.clause_vars = [p | q for p, q in zip(self.pos, self.neg)]
         self.occ_bits = [sum(1 << ci for ci in cs) for cs in self.occ]
         self.blocks_with = [0] * (2 * n)
@@ -316,10 +322,6 @@ class _Enumerator:
         return self._search(0, 0, self.root_info, active, None)
 
 
-def _mask_to_assignment(mask: int, n: int) -> Assignment:
-    return tuple(bool((mask >> v) & 1) for v in range(n))
-
-
 def check_enumeration(num_vars: int, cap: int, time_budget_us: int | None = None) -> None:
     """Raise ValueError unless enumerate_all accepts this variable count, cap and budget."""
     if cap < 1:
@@ -367,17 +369,11 @@ def enumerate_all(
             cap_hit = True
             break
         stamp = (time.monotonic_ns() - start) // 1000
-        events.append(
-            SolutionEvent(
-                index=len(events) + 1,
-                wall_time_us=int(stamp),
-                assignment=_mask_to_assignment(model, cnf.num_vars),
-            )
-        )
+        events.append(SolutionEvent(len(events) + 1, stamp, model))
         solver.block(model)
 
     return EnumerationResult(
-        tuple(events), complete, cap_hit, int(setup_time_us),
+        tuple(events), complete, cap_hit, cnf.num_vars, setup_time_us,
         nodes=solver.nodes, solve_calls=solver.solve_calls,
         dead_size=len(solver.dead), dead_hits=solver.dead_hits,
     )
@@ -428,11 +424,13 @@ def count_solutions_capped(cnf: Cnf, cap: int) -> int | None:
     return count if count <= cap else None
 
 
-def events_to_jsonl(events: Sequence[SolutionEvent]) -> str:
-    """The event JSONL text: one line per event, in order."""
+def events_to_jsonl(events: Sequence[SolutionEvent], num_vars: int) -> str:
+    """The event JSONL text: one line per event, in order, each code below 2**num_vars."""
+    # a sentinel bit above the code keeps its leading zeros; the text runs from bit 0 up
+    top = 1 << num_vars
     return "".join(
         f'{{"index": {e.index}, "wall_time_us": {e.wall_time_us}, '
-        f'"assignment": "{_bit_text(e.assignment)}"}}\n'
+        f'"assignment": "{format(e.code | top, "b")[:0:-1]}"}}\n'
         for e in events
     )
 
@@ -458,6 +456,6 @@ def events_from_jsonl(text: str, num_vars: int) -> list[SolutionEvent]:
     joined = "".join(t if type(t) is str and len(t) == num_vars else "?" for t in texts)
     if not set(joined) <= {"0", "1"}:
         raise ValueError(f"every assignment must be {num_vars} characters of 0 or 1")
-    bits = np.frombuffer(joined.encode(), dtype=np.uint8).reshape(k, num_vars) == ord("1")
-    rows = zip(times.tolist(), bits.tolist())
-    return [SolutionEvent(index, t, tuple(a)) for index, (t, a) in enumerate(rows, 1)]
+    codes = (int(a[::-1] or "0", 2) for a in texts)  # variable 1 leads: reversed, it is binary
+    rows = zip(times.tolist(), codes)
+    return [SolutionEvent(index, t, c) for index, (t, c) in enumerate(rows, 1)]

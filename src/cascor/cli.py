@@ -90,9 +90,22 @@ def _read_compiled(path: str, cnf: Cnf):
     variables = sorted(layout.var_to_qubit)
     if variables != list(cnf.variables_used()):
         raise ValueError(f"model lays out variables {variables}, not the CNF's used variables")
-    if not all(0 <= q < model.num_qubits for q in layout.var_to_qubit.values()):
+    qubits = list(layout.var_to_qubit.values())
+    if not all(0 <= q < model.num_qubits for q in qubits):
         raise ValueError(f"model maps a variable to a qubit outside 0..{model.num_qubits - 1}")
+    if len(set(qubits)) < len(qubits):
+        raise ValueError("model maps two variables to one qubit")
     return model, layout
+
+
+def _read_events(path: str, cnf: Cnf) -> list:
+    """The events at path; ValueError naming the first event that does not satisfy cnf."""
+    events = allsat_mod.events_from_jsonl(Path(path).read_text(), cnf.num_vars)
+    clauses = allsat_mod._clause_masks(cnf)
+    for e in events:
+        if not all(e.code & pos or ~e.code & neg for pos, neg in clauses):
+            raise ValueError(f"event {e.index} does not satisfy the CNF")
+    return events
 
 
 def _sampler_config(args) -> samplers_mod.SamplerConfig:
@@ -197,7 +210,7 @@ def cmd_sample(args) -> int:
 
 def _stabilized_events(events):
     # Ordinal pseudo-times (1 us per solution) stand in for the real clock.
-    return [replace(e, wall_time_us=e.index) for e in events]
+    return [allsat_mod.SolutionEvent(e.index, e.index, e.code) for e in events]
 
 
 def cmd_allsat(args) -> int:
@@ -206,7 +219,7 @@ def cmd_allsat(args) -> int:
         allsat_mod.check_enumeration(cnf.num_vars, args.cap, args.time_budget_us)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
     events = _stabilized_events(result.events) if args.stable_output else result.events
-    Path(args.out).write_text(allsat_mod.events_to_jsonl(events))
+    Path(args.out).write_text(allsat_mod.events_to_jsonl(events, cnf.num_vars))
     summary = {
         "count": len(result.events),
         "complete": result.complete,
@@ -222,7 +235,7 @@ def cmd_metrics(args) -> int:
         cnf = _read_cnf(args.cnf)
         model, layout = _read_compiled(args.model, cnf)
         runs = samplers_mod.samples_from_jsonl(Path(args.samples).read_text(), model.num_qubits)
-        events = allsat_mod.events_from_jsonl(Path(args.events).read_text(), cnf.num_vars)
+        events = _read_events(args.events, cnf)
     report = metrics_mod.summarize_instance(
         runs, events, layout, cnf, instance_id=args.instance_id
     )
@@ -263,6 +276,9 @@ def cmd_bench(args) -> int:
         # cap and budget before any worker starts; _bench_one checks each variable count
         allsat_mod.check_enumeration(0, args.cap, args.time_budget_us)
         workers = _worker_count(n)
+        if args.reports_dir:
+            reports_dir = Path(args.reports_dir)
+            reports_dir.mkdir(parents=True, exist_ok=True)
     samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
     # Instance idx (in sorted order) samples on stream idx of the master seed.
     jobs = (
@@ -279,8 +295,6 @@ def cmd_bench(args) -> int:
 
     Path(args.out).write_text(metrics_mod.reports_csv_text(reports), newline="")
     if args.reports_dir:
-        reports_dir = Path(args.reports_dir)
-        reports_dir.mkdir(parents=True, exist_ok=True)
         for report in reports:
             (reports_dir / f"{report.instance_id}.report.json").write_text(
                 report.to_json_text() + "\n"

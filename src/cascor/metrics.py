@@ -162,7 +162,7 @@ _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _pack(assignment: Assignment) -> int:
-    """The code of a bool tuple, before masking: bit v-1 holds variable v."""
+    """The code of one of decode_all's bool tuples, before masking: bit v-1 holds variable v."""
     return int(b"0" + bytes(assignment[::-1]).translate(_BIT_CHARS), 2)
 
 
@@ -261,9 +261,10 @@ def summarize_instance(
     ``classical_events`` are SolutionEvents from the enumerator.
 
     Both streams are compared over one solution space, the variables the
-    formula uses: the first read of each distinct spins row and each classical
-    assignment is packed once into a code, whose mask drops the unused
+    formula uses: the first read of each distinct spins row is packed once
+    into a code, and it and each event's code are masked to drop the unused
     variables (the decoder sets them to false, ALL-SAT yields both values).
+    The events are taken as solutions: this does not check them.
 
     Raises ValueError when a stream's times decrease: for the quantum
     stream, the offset times of every read, satisfying or not, in run order.
@@ -280,7 +281,7 @@ def summarize_instance(
             if code not in q_first:
                 q_first[code] = (core_offset + int(batch.core_time_us[r]),
                                  wall_offset + int(batch.wall_time_us[r]))
-    c_codes = [_pack(e.assignment) & mask for e in classical_events]
+    c_codes = [e.code & mask for e in classical_events]
     c_times = [e.wall_time_us for e in classical_events]
     _check_nondecreasing(c_times, f"{SOURCE_CLASSICAL_WALL} event")
 

@@ -492,10 +492,10 @@ def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
     """One SampleBatch per gauge tag of a sample JSONL text, in tag order.
 
     A line without a gauge tag belongs to gauge 0.  Raises ValueError unless
-    every tag is an integer and each gauge's lines hold reads 0, 1, ... in
-    order, num_qubits spins of +1 or -1, a numeric energy, and integer times
-    that are non-negative and never decrease.  The energies are checked and
-    then discarded; the solution field is not read.
+    the k tags present are the integers 0..k-1, and each gauge's lines hold
+    reads 0, 1, ... in order, num_qubits spins of +1 or -1, a numeric energy,
+    and integer times that are non-negative and never decrease.  The energies
+    are checked and then discarded; the solution field is not read.
 
     Text in the writer's own line layout is scanned by the C kernel
     (_writer_columns); any other text goes through the per-line JSON
@@ -504,7 +504,11 @@ def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
     runs = _writer_columns(text)
     if runs is None:
         runs = _json_columns(text)
-    return [_batch_of_columns(runs[gauge], num_qubits, gauge) for gauge in sorted(runs)]
+    tags = sorted(runs)
+    if tags != list(range(len(tags))):
+        raise ValueError(f"{len(tags)} gauge tags run {tags[0]}..{tags[-1]}, "
+                         f"not 0..{len(tags) - 1}")
+    return [_batch_of_columns(runs[gauge], num_qubits, gauge) for gauge in tags]
 
 
 def _json_columns(text: str) -> dict[int, dict[str, Sequence]]:

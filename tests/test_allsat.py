@@ -56,8 +56,8 @@ def test_matches_brute_force_larger(rng):
 def test_soundness(rng):
     cnf = random_small_cnf(rng, n=10, m=8)
     result = enumerate_all(cnf, cap=2000)
-    for event in result.events:
-        assert evaluate(cnf, event.assignment)
+    for assignment in result.assignments():
+        assert evaluate(cnf, assignment)
 
 
 def test_timestamps_and_indices_monotone(rng):
@@ -113,11 +113,24 @@ def test_result_invariant():
 
 
 def test_event_json_roundtrip():
-    events = [SolutionEvent(1, 0, (True, False, True)), SolutionEvent(2, 152, (False, False, True))]
-    text = events_to_jsonl(events)
+    # codes: bit v-1 holds variable v, and the text puts variable 1 first
+    events = [SolutionEvent(1, 0, 0b101), SolutionEvent(2, 152, 0b100)]
+    text = events_to_jsonl(events, 3)
     assert text.splitlines()[1] == json.dumps({"index": 2, "wall_time_us": 152, "assignment": "001"})
     assert text.endswith("\n") and events_from_jsonl(text, 3) == events
-    assert events_to_jsonl([]) == "" and events_from_jsonl("", 3) == []
+    assert events_to_jsonl([], 3) == "" and events_from_jsonl("", 3) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=5))))
+def test_event_codes_round_trip_through_the_text(case):
+    # n = 0 writes empty assignment text; past allsat's 62 variables, metrics still reads files
+    n, codes = case
+    events = [SolutionEvent(i, 3 * i, c) for i, c in enumerate(codes, 1)]
+    text = events_to_jsonl(events, n)
+    assert all(len(json.loads(line)["assignment"]) == n for line in text.splitlines())
+    assert [e.code for e in events_from_jsonl(text, n)] == codes
 
 
 @st.composite
@@ -134,6 +147,17 @@ def cnf_and_cap(draw, num_vars):
 def _capped_truth(cnf, cap):
     count = len(brute_force_solutions(cnf))
     return count if count <= cap else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(cnf_and_cap(st.integers(0, 8)))
+def test_assignments_are_the_truth_table(case):
+    cnf, _ = case
+    result = enumerate_all(cnf, cap=1 << cnf.num_vars)
+    assignments = result.assignments()
+    assert all(len(a) == cnf.num_vars for a in assignments)
+    assert len(set(assignments)) == len(assignments)
+    assert set(assignments) == brute_force_solutions(cnf)
 
 
 @settings(max_examples=150, deadline=None)

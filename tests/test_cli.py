@@ -455,6 +455,22 @@ def test_bench_flags_are_checked_before_workers_start(flag, value, tmp_path, cap
     assert not out.exists()
 
 
+def test_bench_reports_dir_naming_a_file_is_input_error_before_any_instance(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+    inst_dir = make_bench_dir(tmp_path)
+    monkeypatch.setattr(cli, "_bench_one", lambda *args: pytest.fail("bench ran an instance"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert run("bench", "--instances", str(inst_dir), "--seed", "1", "--reports-dir", str(taken),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascor: input error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch, capsys):
     # The KeyError/ValueError catch covers parsing and flags only, not the pipeline.
     inst_dir = make_bench_dir(tmp_path)
@@ -645,6 +661,20 @@ def _second_hit(docs):
     return [d for d in docs if d["gauge"] == 0 and d["solution"] is not None][1]
 
 
+def _non_solution(docs):
+    """An assignment that no event holds: the file lists every solution, so it is none."""
+    found = {doc["assignment"] for doc in docs}
+    n = len(docs[0]["assignment"])
+    return next(text for text in (format(c, f"0{n}b") for c in range(1 << n)) if text not in found)
+
+
+def _share_a_qubit(docs):
+    """Map the model's second laid-out variable to the first one's qubit."""
+    var_to_qubit = docs[0]["var_to_qubit"]
+    first, second = list(var_to_qubit)[:2]
+    var_to_qubit[second] = var_to_qubit[first]
+
+
 # One case per fault: the file it is made in, and an edit of that file's parsed lines.
 MALFORMED = {
     "mixed-gauge-tag-types": ("samples", lambda docs: docs[0].update(gauge="0")),
@@ -664,6 +694,11 @@ MALFORMED = {
     "assignment-not-bits": (
         "events", lambda docs: docs[0].update(assignment="x" + docs[0]["assignment"][1:])),
     "decreasing-event-time": ("events", lambda docs: docs[-1].update(wall_time_us=0)),
+    "event-not-a-solution": ("events", lambda docs: docs[0].update(assignment=_non_solution(docs))),
+    "negative-gauge-tag": (
+        "samples", lambda docs: [doc.update(gauge=-1) for doc in docs if doc["gauge"] == 1]),
+    "gap-in-gauge-tags": (
+        "samples", lambda docs: [doc.update(gauge=2) for doc in docs if doc["gauge"] == 1]),
     "boolean-spin": ("samples", lambda docs: docs[0]["spins"].__setitem__(0, True)),
     "boolean-time": ("samples", lambda docs: docs[0].update(core_time_us=False)),
     "boolean-read-index": ("samples", lambda docs: docs[1].update(read=True)),
@@ -677,6 +712,7 @@ MALFORMED = {
     "model-policy-a-string": ("model", lambda docs: docs[0].update(policy="chain")),
     "model-couplers-a-number": ("model", lambda docs: docs[0].update(J=5)),
     "model-ancillas-of-numbers": ("model", lambda docs: docs[0].update(clause_ancillas=[5])),
+    "model-two-variables-on-one-qubit": ("model", _share_a_qubit),
     **{f"model-policy-seed-{name}": (
         "model", lambda docs, seed=seed: docs[0].update(policy={"kind": "seeded_random",
                                                                 "seed": seed}))
@@ -709,6 +745,42 @@ def test_malformed_model_is_input_error_in_sample(case, stored_outputs, tmp_path
                "--reads", "2", "--sweeps", "2", "--out", str(tmp_path / "s.jsonl")) == 2
     err = capsys.readouterr().err
     assert "cascor: input error:" in err and "Traceback" not in err
+
+
+def test_event_that_breaks_the_cnf_is_named(tmp_path, capsys):
+    cnf_path = tmp_path / "or.cnf"
+    cnf_path.write_text("p cnf 2 1\n1 2 0\n")
+    paths = {"cnf": cnf_path, "model": tmp_path / "model.json",
+             "samples": tmp_path / "s.jsonl", "events": tmp_path / "e.jsonl"}
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(paths["model"])) == 0
+    assert run("sample", "--model", str(paths["model"]), "--cnf", str(cnf_path), "--seed", "1",
+               "--reads", "4", "--sweeps", "4", "--out", str(paths["samples"])) == 0
+    assert run("allsat", "--cnf", str(cnf_path), "--out", str(paths["events"])) == 0
+    docs = [json.loads(line) for line in paths["events"].read_text().splitlines()]
+    assert len(docs) == 3
+    docs[1]["assignment"] = "00"
+    paths["events"].write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    capsys.readouterr()
+    assert run_metrics(paths, tmp_path / "report.json") == 2
+    err = capsys.readouterr().err
+    assert err == "cascor: input error: event 2 does not satisfy the CNF\n"
+
+
+@pytest.mark.parametrize("tags", [(-3, 7), (0, 2), (1, None)])
+def test_gauge_tags_must_run_from_zero_without_gaps(tags, stored_outputs, tmp_path, capsys):
+    # the stored file's gauges 0 and 1 take these tags; None drops the gauge's lines
+    paths = dict(stored_outputs)
+    docs = [json.loads(line) for line in paths["samples"].read_text().splitlines()]
+    docs = [doc for doc in docs if tags[doc["gauge"]] is not None]
+    for doc in docs:
+        doc["gauge"] = tags[doc["gauge"]]
+    paths["samples"] = tmp_path / "samples.jsonl"
+    paths["samples"].write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    capsys.readouterr()
+    assert run_metrics(paths, tmp_path / "report.json") == 2
+    kept = [tag for tag in tags if tag is not None]
+    assert capsys.readouterr().err == (f"cascor: input error: {len(kept)} gauge tags run "
+                                       f"{min(kept)}..{max(kept)}, not 0..{len(kept) - 1}\n")
 
 
 # One case per fault json.loads refuses in a line, made in the file's text.

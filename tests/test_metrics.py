@@ -141,9 +141,9 @@ def test_summarize_qualitative_fixture():
     tt, tf, ft = (1, 1), (1, -1), (-1, 1)
     batch = batch_of([tt, tt, tf, ft], [20, 40, 60, 80], [2020, 4040, 6060, 8080])
     events = [
-        SolutionEvent(1, 50, (True, True)),
-        SolutionEvent(2, 55, (False, True)),
-        SolutionEvent(3, 60, (True, False)),
+        SolutionEvent(1, 50, 0b11),
+        SolutionEvent(2, 55, 0b10),
+        SolutionEvent(3, 60, 0b01),
     ]
     report = summarize_instance([batch], events, layout, cnf, instance_id="fx")
     assert report.timelines["quantum-core"].times == (20, 60, 80)
@@ -162,8 +162,8 @@ def test_summarize_deduplicates_repeats():
     cnf, model, layout = _fixture_instance()
     tt, tf = (1, 1), (1, -1)
     batch = batch_of([tt, tt, tf, tt, tf], [10, 20, 30, 40, 50], [110, 120, 130, 140, 150])
-    events = [SolutionEvent(1, 10, (True, True)), SolutionEvent(2, 20, (True, True)),
-              SolutionEvent(3, 30, (False, True))]
+    events = [SolutionEvent(1, 10, 0b11), SolutionEvent(2, 20, 0b11),
+              SolutionEvent(3, 30, 0b10)]
     report = summarize_instance([batch], events, layout, cnf)
     assert report.timelines["quantum-core"].times == (10, 30)
     assert report.timelines["quantum-wall"].times == (110, 130)
@@ -199,8 +199,8 @@ def _streams_with_a_decrease(stream):
     elif stream == "gauge-offset":  # the second gauge starts before the first one ends
         runs.append(batch_of([tf], [-5], [0]))
     runs.insert(0, batch_of([tt, tf, tf], core, wall))
-    events = [SolutionEvent(1, 10, (True, True)), SolutionEvent(2, 30, (False, True)),
-              SolutionEvent(3, last_event, (False, True))]
+    events = [SolutionEvent(1, 10, 0b11), SolutionEvent(2, 30, 0b10),
+              SolutionEvent(3, last_event, 0b10)]
     return runs, events
 
 
@@ -228,7 +228,7 @@ def test_summarize_gauge_streams_offset_and_split():
     tt, tf = (1, 1), (1, -1)
     run0 = batch_of([tt, tt], [20, 40], [2020, 4040])
     run1 = batch_of([tf, tt], [20, 40], [2020, 4040])
-    events = [SolutionEvent(1, 30, (True, True))]
+    events = [SolutionEvent(1, 30, 0b11)]
     report = summarize_instance([run0, run1], events, layout, cnf)
     # second gauge's reads land after the first run on the merged axis
     assert report.timelines["quantum-core"].times == (20, 60)
@@ -242,8 +242,8 @@ def test_report_roundtrip_and_csv():
     cnf, model, layout = _fixture_instance()
     batch = batch_of([(1, 1), (1, -1)], [20, 40], [2020, 4040])
     events = [
-        SolutionEvent(1, 15, (True, True)),
-        SolutionEvent(2, 25, (False, True)),
+        SolutionEvent(1, 15, 0b11),
+        SolutionEvent(2, 25, 0b10),
     ]
     report = summarize_instance([batch], events, layout, cnf, instance_id="rt")
     assert json.loads(report.to_json_text()) == report.to_json()
@@ -289,7 +289,8 @@ def test_summary_solution_space_is_the_used_variable_projection(seed, n, m, pad,
     core = np.arange(1, reads + 1, dtype=np.int64)
     wall = 100 + 3 * core
     batch = SampleBatch(spins, core, wall)
-    events = list(enumerate_all(cnf, cap=1 << cnf.num_vars).events)
+    result = enumerate_all(cnf, cap=1 << cnf.num_vars)
+    events = list(result.events)
     used = cnf.variables_used()
 
     # the tuple reference: project every read and event, then dedupe
@@ -310,7 +311,8 @@ def test_summary_solution_space_is_the_used_variable_projection(seed, n, m, pad,
     hits = [(r, project(a)) for r, a in enumerate(decoded) if a is not None]
     q_core = first_times((core[r].item(), a) for r, a in hits)
     q_wall = first_times((wall[r].item(), a) for r, a in hits)
-    c_first = first_times((e.wall_time_us, project(e.assignment)) for e in events)
+    c_first = first_times((e.wall_time_us, project(a))
+                          for e, a in zip(events, result.assignments()))
     report = summarize_instance([batch], events, layout, cnf)
     assert report.metadata["classical_distinct"] == len(truth) == len(c_first)
     assert report.metadata["quantum_distinct"] == len(q_core)
@@ -324,7 +326,7 @@ def test_summary_solution_space_is_the_used_variable_projection(seed, n, m, pad,
     # the report counts both streams in one space.
     last = events[-1].wall_time_us if events else 0
     found = [a for a in decoded if a is not None]
-    extra = [SolutionEvent(len(events) + i + 1, last, a) for i, a in enumerate(found)]
+    extra = [SolutionEvent(len(events) + i + 1, last, code(a)) for i, a in enumerate(found)]
     widened = summarize_instance([batch], events + extra, layout, cnf)
     assert widened.metadata["classical_distinct"] == len(truth)
 
@@ -348,8 +350,9 @@ def test_summary_codes_have_no_width_limit():
     batch = batch_of([read(ones), read(odd), read(ones), read(even)],
                      [20, 40, 60, 80], [20, 40, 60, 80])
     # ALL-SAT yields both values of the unused variable n + 1
-    events = [SolutionEvent(1, 10, odd + (False,)), SolutionEvent(2, 30, odd + (True,)),
-              SolutionEvent(3, 50, ones + (True,))]
+    events = [SolutionEvent(1, 10, code(odd + (False,))),
+              SolutionEvent(2, 30, code(odd + (True,))),
+              SolutionEvent(3, 50, code(ones + (True,)))]
     report = summarize_instance([batch], events, layout, cnf)
     assert report.timelines["quantum-core"].times == (20, 40, 80)
     assert report.timelines["classical-wall"].times == (10, 50)

@@ -994,6 +994,13 @@ def writer_line(energy="-1", core="20", wall="20", gauge=None):
             f'"wall_time_us": {wall}, "solution": null{tag}}}\n')
 
 
+@pytest.mark.parametrize("tags", [("1",), ("0", "2"), ("-1", "0")])
+def test_gauge_tags_not_zero_to_k_are_refused_alike_on_both_paths(tags):
+    text = "".join(writer_line(gauge=tag) for tag in tags)
+    assert "gauge tags run" in read_back(text, 2)
+    assert_reads_as_json(text, 2)
+
+
 def test_integers_up_to_int64_max_are_scanned():
     top = 2**63 - 1
     text = writer_line(core=str(top), wall=str(top), gauge=str(top))
