@@ -1,5 +1,5 @@
-/* Sequential Metropolis anneal of every read of one sampling run, and the
- * sample file codec.
+/* Sequential Metropolis anneal of every read of one sampling run, the
+ * mixed-SAT instance draw and solution count, and the sample file codec.
  *
  * Built on first use by cascor.samplers and called through ctypes.  Read r
  * draws from the stream numpy's Generator(PCG64(SeedSequence((seed, r))))
@@ -38,9 +38,11 @@
  * - Spins out.  It writes each read's final spins out of the lane masks
  *   eight at a time, one 64-bit word of int8 spins per eight mask bytes.
  *
- * The same library holds the sample file codec, cascor_sample_lines and
- * cascor_sample_scan (at the end of this file), so there is one source file
- * and one build.
+ * The same library holds the mixed-SAT draw and solution count that
+ * sat.generate_mixed_sat screens instances with, cascor_draw_instance (on
+ * the stream seed_stream gives the attempt) and cascor_count_solutions, and
+ * the sample file codec, cascor_sample_lines and cascor_sample_scan (at the
+ * end of this file), so there is one source file and one build.
  */
 #include <math.h>
 #include <stdint.h>
@@ -428,6 +430,153 @@ void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, in
 #endif
     cascor_anneal_int_scalar(seed_words, seed_len, reads, n, sweeps, indptr, indices, values,
                              h, table, table_width, fields, out);
+}
+
+/* Random mixed-SAT instances: the draw and the screening count that
+ * sat.generate_mixed_sat makes for each attempt. */
+
+/* A PCG64 stream that also hands out 32-bit halves, as numpy's PCG64 does: a
+ * fresh word gives its low half and keeps its high half for the next 32-bit
+ * draw.  next_double takes whole words and neither reads nor clears the kept
+ * half. */
+typedef struct {
+    pcg64 g;
+    int has_half;
+    uint32_t half;
+} pcg64_halves;
+
+static uint32_t next_half(pcg64_halves *s)
+{
+    if (s->has_half) {
+        s->has_half = 0;
+        return s->half;
+    }
+    const uint64_t word = pcg_next(&s->g);
+    s->has_half = 1;
+    s->half = (uint32_t)(word >> 32);
+    return (uint32_t)word;
+}
+
+/* A uniform integer in [0, r] for r < 2^32 - 1, as numpy's
+ * random_bounded_uint64(0, r) draws it: nothing drawn when r is 0, else
+ * Lemire's multiply-shift of a 32-bit half by r + 1, drawn again while the
+ * product's low half is below (2^32 - 1 - r) % (r + 1). */
+static uint32_t bounded(pcg64_halves *s, uint32_t r)
+{
+    if (r == 0)
+        return 0;
+    const uint32_t span = r + 1;
+    uint64_t m = (uint64_t)next_half(s) * span;
+    if ((uint32_t)m < span) {
+        const uint32_t threshold = (UINT32_MAX - r) % span;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next_half(s) * span;
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* Draw `attempt` of a mixed-SAT spec over num_vars variables: the clauses
+ * that numpy's Generator(PCG64(SeedSequence((seed, attempt)))) gives through
+ * choice and random, one clause after another.
+ *
+ * - Length: one next_double u, and lengths[i] for the first i with
+ *   cdf[i] > u (choice's searchsorted on its own cumulative weights).
+ * - Variables: choice(num_vars, k, replace=False), which for num_vars up to
+ *   10000 is Floyd's algorithm, each j = num_vars - k .. num_vars - 1 taking
+ *   bounded(j), or j itself when that value is taken already; then its
+ *   shuffle, i = k - 1 .. 1 swapping places i and bounded(i).
+ * - Signs: k more next_doubles, one per variable; below 0.5 negates it.
+ *
+ * Writes each clause's length to sizes and its signed DIMACS literals
+ * (variables are drawn indices + 1) to literals, clause after clause, and
+ * returns the number of literals written.  literals must hold num_clauses
+ * times the largest length, and every length must be at most num_vars. */
+int64_t cascor_draw_instance(const uint32_t *restrict seed_words, int64_t seed_len,
+                             uint64_t attempt, int64_t num_vars, int64_t num_clauses,
+                             const int64_t *restrict lengths, const double *restrict cdf,
+                             int64_t num_lengths, int64_t *restrict sizes,
+                             int64_t *restrict literals)
+{
+    pcg64_halves s = {.has_half = 0};
+    seed_stream(&s.g, seed_words, seed_len, attempt);
+    int64_t *clause = literals;
+    for (int64_t c = 0; c < num_clauses; c++) {
+        const double u = next_double(&s.g);
+        int64_t i = 0;
+        while (i < num_lengths - 1 && !(cdf[i] > u))
+            i++;
+        const int64_t k = sizes[c] = lengths[i];
+        for (int64_t t = 0; t < k; t++) {
+            const int64_t j = num_vars - k + t;
+            int64_t value = bounded(&s, (uint32_t)j);
+            for (int64_t p = 0; p < t; p++) {
+                if (clause[p] == value) {
+                    value = j;
+                    break;
+                }
+            }
+            clause[t] = value;
+        }
+        for (int64_t t = k - 1; t > 0; t--) {
+            const int64_t o = bounded(&s, (uint32_t)t), held = clause[t];
+            clause[t] = clause[o];
+            clause[o] = held;
+        }
+        for (int64_t t = 0; t < k; t++)
+            clause[t] = next_double(&s.g) < 0.5 ? -(clause[t] + 1) : clause[t] + 1;
+        clause += k;
+    }
+    return clause - literals;
+}
+
+/* Bit b of word j holds variable j + 1 in the assignment whose variables
+ * 1..6 spell b. */
+static const uint64_t LOW_VAR_WORDS[6] = {
+    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
+};
+
+/* The solutions of a CNF over n <= 26 variables, counted up to cap: their
+ * number, or -1 as soon as it passes cap.  Clause c holds variable v true
+ * when bit v - 1 of masks[2 c] is set and false when that bit of
+ * masks[2 c + 1] is.  scratch holds 3 num_clauses words.
+ *
+ * Assignments go 64 to a word: bit b of word w is the assignment whose
+ * variables 1..6 spell b and whose variables 7..n spell w.  Each word starts
+ * with the bits of real assignments set and is ANDed with one clause's word
+ * after another until it is zero: a clause's word is all ones when one of its
+ * literals on variables 7..n holds in w, and else the OR of its literals'
+ * words on variables 1..6. */
+int64_t cascor_count_solutions(int64_t n, int64_t num_clauses, const uint64_t *restrict masks,
+                               int64_t cap, uint64_t *restrict scratch)
+{
+    for (int64_t c = 0; c < num_clauses; c++) {
+        const uint64_t pos = masks[2 * c], neg = masks[2 * c + 1];
+        uint64_t low = 0;
+        for (int j = 0; j < 6; j++) {
+            if (pos >> j & 1)
+                low |= LOW_VAR_WORDS[j];
+            if (neg >> j & 1)
+                low |= ~LOW_VAR_WORDS[j];
+        }
+        scratch[3 * c] = pos >> 6;  /* bit v - 7 of w holds variable v */
+        scratch[3 * c + 1] = neg >> 6;
+        scratch[3 * c + 2] = low;
+    }
+    const uint64_t real = n >= 6 ? ~0ULL : (1ULL << (1 << n)) - 1;
+    const uint64_t words = 1ULL << (n > 6 ? n - 6 : 0);
+    const uint64_t *end = scratch + 3 * num_clauses;
+    int64_t count = 0;
+    for (uint64_t w = 0; w < words; w++) {
+        uint64_t alive = real;
+        for (const uint64_t *c = scratch; alive && c < end; c += 3)
+            if (!(w & c[0]) && !(~w & c[1]))
+                alive &= c[2];
+        count += __builtin_popcountll(alive);
+        if (count > cap)
+            return -1;
+    }
+    return count;
 }
 
 /* The sample file codec.  Both entry points hold the one line layout that

@@ -16,8 +16,9 @@ its completions is blocked, and a pure literal is only eliminated when no
 consistent block holds it.  This is the same pruning the clauses would
 provide, computed in bulk.
 
-count_solutions_capped counts without enumerating, on a bit-sliced truth
-table; generate_mixed_sat screens its draws with it.
+count_solutions_capped counts without enumerating, in one call of the C
+library that anneals (samplers._kernel): it walks a bit-sliced truth table
+word by word without storing it; generate_mixed_sat screens its draws with it.
 
 This module owns the event JSONL file: events_to_jsonl writes a whole file
 and events_from_jsonl reads one back, checking every field.  A solution is its
@@ -32,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import samplers
 from .sat import Assignment, Cnf, _column, _jsonl_objects
 
 __all__ = [
@@ -48,14 +50,7 @@ _MASK_VAR_LIMIT = 62  # the most variables enumerate_all accepts, part of the CL
 _TIMEOUT_CHECK_NODES = 2048
 _DEAD_SET_LIMIT = 2_000_000  # memoization is an optimization; stop growing past this
 _MEMO_LIMIT = 100_000  # entries in each of the closure and branch-info memos, ~190 B each
-_COUNT_MAX_BYTES = 8 << 20  # count_solutions_capped's truth table: n <= 26 variables
-_ALL_ONES = (1 << 64) - 1
-# Bit b of truth-table word w is the assignment whose variables 1..6 spell b
-# and whose variables 7..n spell w: the words where each of them holds.
-_LOW_VAR_WORDS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> j & 1)) for j in range(6))
-_MID_VAR_WORDS = tuple(
-    np.array([_ALL_ONES if w >> j & 1 else 0 for w in range(64)], dtype=np.uint64) for j in range(6)
-)
+_COUNT_MAX_BYTES = 8 << 20  # the truth-table words count_solutions_capped walks: n <= 26
 
 
 @dataclass(frozen=True)
@@ -379,49 +374,23 @@ def enumerate_all(
     )
 
 
-def _literal_words(lit: int, n: int) -> np.ndarray:
-    """The truth-table words in which a literal holds, shaped to broadcast over the table.
-
-    Variables 1..6 pick a bit inside each word, so their words are one
-    constant.  Variables 7..12 pick a word along the table's last axis, which
-    keeps the AND's inner loop 64 words long; each higher variable v has a
-    length-2 axis of its own, at ``n - v``.
-    """
-    v = abs(lit)
-    if v <= 6:
-        words = _LOW_VAR_WORDS[v - 1]
-    elif v <= 12:
-        words = _MID_VAR_WORDS[v - 7][: 1 << min(n - 6, 6)]
-    else:
-        shape = [1] * (n - 11)
-        shape[n - v] = 2
-        words = np.array([0, _ALL_ONES], dtype=np.uint64).reshape(shape)
-    return words if lit > 0 else ~words
-
-
 def count_solutions_capped(cnf: Cnf, cap: int) -> int | None:
     """Exact solution count over all num_vars variables when it is at most ``cap``, else None.
 
-    Counts on a bit-sliced truth table: one bit per assignment, 2**(n - 6)
-    uint64 words, the clauses' ORed literal words ANDed in place and the set
-    bits counted.  Past ``_COUNT_MAX_BYTES`` of table, the capped enumerator
-    counts instead.
+    The kernel's cascor_count_solutions streams over the truth table's
+    2**(n - 6) uint64 words, one bit per assignment, without storing them, and
+    stops as soon as the count passes the cap.  Past ``_COUNT_MAX_BYTES`` of
+    words, the capped enumerator counts instead.
     """
     check_enumeration(cnf.num_vars, cap)
     n = cnf.num_vars
     if 8 << max(n - 6, 0) > _COUNT_MAX_BYTES:
         result = enumerate_all(cnf, cap)
         return None if result.cap_hit else len(result.events)
-    full = _ALL_ONES if n >= 6 else (1 << (1 << n)) - 1  # bits of no assignment stay clear
-    row = 1 << min(max(n - 6, 0), 6)
-    table = np.full((2,) * max(n - 12, 0) + (row,), full, dtype=np.uint64)
-    for clause in cnf.clauses:
-        words = np.zeros((), dtype=np.uint64)
-        for lit in clause.literals:
-            words = words | _literal_words(lit.to_dimacs(), n)
-        table &= words
-    count = int(np.bitwise_count(table).sum())
-    return count if count <= cap else None
+    masks = np.array(_clause_masks(cnf), dtype=np.uint64).reshape(-1)
+    count = samplers._kernel().cascor_count_solutions(
+        n, len(cnf.clauses), masks, min(cap, 1 << n), np.empty(3 * len(cnf.clauses), np.uint64))
+    return None if count < 0 else count
 
 
 def events_to_jsonl(events: Sequence[SolutionEvent], num_vars: int) -> str:

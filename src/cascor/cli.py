@@ -49,9 +49,11 @@ def _input_boundary():
     """Report KeyError/ValueError from parsing, reading or flag-to-config code as InputError.
 
     OSError from reading an input file (a directory, say, or one without read
-    permission) is an InputError too.  Only that code runs inside, and output
-    files are written outside; the same classes raised by the pipeline itself
-    are internal faults and propagate unchanged.
+    permission) is an InputError too, and so is an --out path in a directory
+    that does not exist (_check_out_dir), checked here before any work.  Only
+    that code runs inside, and output files are written outside; the same
+    classes raised by the pipeline itself are internal faults and propagate
+    unchanged.
     """
     try:
         yield
@@ -71,6 +73,13 @@ def _parse_lengths(text: str) -> dict[int, float]:
         k, _, w = part.partition(":")
         weights[int(k)] = float(w) if w else 1.0
     return weights
+
+
+def _check_out_dir(path: str) -> None:
+    """FileNotFoundError unless the directory an output path names exists."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise FileNotFoundError(f"no directory {str(directory)!r} to write {path!r} in")
 
 
 def _read_cnf(path: str | Path) -> Cnf:
@@ -95,6 +104,11 @@ def _read_compiled(path: str, cnf: Cnf):
         raise ValueError(f"model maps a variable to a qubit outside 0..{model.num_qubits - 1}")
     if len(set(qubits)) < len(qubits):
         raise ValueError("model maps two variables to one qubit")
+    ancillas = [q for block in layout.clause_ancillas for q in block]
+    if not all(0 <= q < model.num_qubits for q in ancillas):
+        raise ValueError(f"model places an ancilla outside qubits 0..{model.num_qubits - 1}")
+    if len(set(ancillas)) < len(ancillas) or not set(ancillas).isdisjoint(qubits):
+        raise ValueError("model places an ancilla on a variable's qubit or another ancilla's")
     return model, layout
 
 
@@ -154,6 +168,7 @@ def cmd_gen(args) -> int:
         allsat_mod.check_enumeration(spec.num_vars, spec.solution_cap)
         if args.attempts < 1:
             raise ValueError(f"--attempts must be >= 1, not {args.attempts}")
+        _check_out_dir(args.out)
     cnf, count = generate_mixed_sat(spec, max_attempts=args.attempts)
     out = Path(args.out)
     out.write_text(emit_dimacs(cnf))
@@ -169,6 +184,7 @@ def cmd_compile(args) -> int:
     with _input_boundary():
         cnf = _read_compilable_cnf(args.cnf)
         policy = ConstructionPolicy(args.policy, args.policy_seed)
+        _check_out_dir(args.out)
     model, layout = compile_cnf(cnf, policy)
     doc = compiled_to_json(model, layout, policy)
     Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -191,6 +207,7 @@ def cmd_sample(args) -> int:
         cnf = _read_cnf(args.cnf)
         model, layout = _read_compiled(args.model, cnf)
         cfg = _sampler_config(args)
+        _check_out_dir(args.out)
     # every run's spins and decoded bits are held at once, so they share one run's
     # limit; both are checked before the first anneal, the spins first, as sampling
     # would, and then the schedule that sampling checks next
@@ -217,6 +234,7 @@ def cmd_allsat(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
         allsat_mod.check_enumeration(cnf.num_vars, args.cap, args.time_budget_us)
+        _check_out_dir(args.out)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
     events = _stabilized_events(result.events) if args.stable_output else result.events
     Path(args.out).write_text(allsat_mod.events_to_jsonl(events, cnf.num_vars))
@@ -236,6 +254,7 @@ def cmd_metrics(args) -> int:
         model, layout = _read_compiled(args.model, cnf)
         runs = samplers_mod.samples_from_jsonl(Path(args.samples).read_text(), model.num_qubits)
         events = _read_events(args.events, cnf)
+        _check_out_dir(args.out)
     report = metrics_mod.summarize_instance(
         runs, events, layout, cnf, instance_id=args.instance_id
     )
@@ -276,6 +295,7 @@ def cmd_bench(args) -> int:
         # cap and budget before any worker starts; _bench_one checks each variable count
         allsat_mod.check_enumeration(0, args.cap, args.time_budget_us)
         workers = _worker_count(n)
+        _check_out_dir(args.out)
         if args.reports_dir:
             reports_dir = Path(args.reports_dir)
             reports_dir.mkdir(parents=True, exist_ok=True)

@@ -35,9 +35,10 @@ spin and sweep by sweep.  So read r depends only on (seed, r), and a k-read
 run is the first k reads of any longer run.
 
 The anneal runs in a C kernel (_anneal.c, which also holds the sample file
-codec), compiled with the system C compiler (``cc``) on first use into the
-per-user cache directory ($XDG_CACHE_HOME/cascor, else ~/.cache/cascor) and
-loaded through ctypes.  It replays each read's stream itself and sweeps the
+codec and the mixed-SAT draw and count that sat and allsat call), compiled
+with the system C compiler (``cc``) on first use into the per-user cache
+directory ($XDG_CACHE_HOME/cascor, else ~/.cache/cascor) and loaded through
+ctypes.  It replays each read's stream itself and sweeps the
 spins in order over the model's CSR neighbour lists (IsingModel.arrays).  A
 flip with v = s_i * local >= 0 is always accepted; otherwise it is accepted
 when u < exp(2 beta v).  The kernel has two loops:
@@ -98,6 +99,7 @@ from .sat import (
     _derived_rng,
     _derived_seed,
     _jsonl_objects,
+    _seed_words,
 )
 
 __all__ = [
@@ -257,7 +259,8 @@ def _build_kernel() -> Path:
 
 @functools.cache
 def _kernel():
-    """The C library of the anneal kernel and the sample codec, built and loaded on first use."""
+    """The C library of the anneal kernel, the sample codec and the mixed-SAT draw and count,
+    built and loaded on first use."""
     try:
         lib = ctypes.CDLL(str(_build_kernel()))
     except OSError as exc:
@@ -277,6 +280,10 @@ def _kernel():
                                         np.ctypeslib.ndpointer(np.uint8), i64]
     lib.cascor_sample_scan.argtypes = [ctypes.c_char_p, i64, i64, i64, i64s, i8s]
     lib.cascor_sample_lines.restype = lib.cascor_sample_scan.restype = i64
+    lib.cascor_draw_instance.argtypes = [u32s, i64, ctypes.c_uint64, i64, i64, i64s, f64s, i64,
+                                         i64s, i64s]
+    lib.cascor_count_solutions.argtypes = [i64, i64, u64s, i64, u64s]
+    lib.cascor_draw_instance.restype = lib.cascor_count_solutions.restype = i64
     return lib
 
 
@@ -290,10 +297,7 @@ def _check_run_size(rows: int, width: int, what: str) -> None:
 
 def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     """Final spins of every read, (reads, qubits) int8."""
-    seed = operator.index(cfg.seed)
-    # SeedSequence's entropy words: the seed's 32-bit digits, least significant first
-    shifts = range(0, max(seed.bit_length(), 1), 32)
-    seed_words = np.array([seed >> shift & 0xFFFFFFFF for shift in shifts], dtype=np.uint32)
+    seed_words = _seed_words(cfg.seed)
     n = model.num_qubits
     a = model.arrays
     two_betas = 2.0 * np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)

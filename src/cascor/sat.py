@@ -3,11 +3,20 @@
 Clauses may have heterogeneous lengths (mixed SAT).  Variables are 1-based,
 following DIMACS convention; assignments are tuples of booleans indexed by
 ``var - 1``.
+
+generate_mixed_sat draws each attempt in one call of the C library that
+anneals (samplers._kernel, imported at call time since samplers imports this
+module).  The draw replays the PCG64 stream of
+``Generator(PCG64(SeedSequence((seed, attempt))))`` and makes on it the draws
+that numpy's choice and random made when the generator was numpy code
+(tests/conftest.py::slow_draw_instance), so its instances depend on PCG64 and
+SeedSequence, not on choice's algorithm, which numpy does not freeze.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -131,6 +140,8 @@ class MixedSatSpec:
             raise ValueError("num_clauses must be >= 0")
         if self.solution_cap < 1:
             raise ValueError("solution_cap must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if not self.length_weights:
             raise ValueError("length_weights must be nonempty")
         total = 0.0
@@ -140,8 +151,8 @@ class MixedSatSpec:
             if not 0 <= w < np.inf:
                 raise ValueError(f"weight {w} for length {k} is not finite and >= 0")
             total += w
-        if total <= 0:
-            raise ValueError("length_weights must have positive total weight")
+        if not 0 < total < np.inf:
+            raise ValueError("length_weights must have a positive, finite total weight")
 
     def to_json(self) -> dict:
         return {
@@ -300,18 +311,41 @@ def _derived_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)[0])
 
 
-def _draw_instance(spec: MixedSatSpec, rng: np.random.Generator) -> Cnf:
+def _seed_words(seed: int) -> np.ndarray:
+    """SeedSequence's entropy words for a seed >= 0: its 32-bit digits, least significant first."""
+    seed = operator.index(seed)
+    shifts = range(0, max(seed.bit_length(), 1), 32)
+    return np.array([seed >> shift & 0xFFFFFFFF for shift in shifts], dtype=np.uint32)
+
+
+def _draw_instance(spec: MixedSatSpec, attempt: int) -> Cnf:
+    """Draw number attempt of spec, by the kernel's cascor_draw_instance.
+
+    The clauses are those that numpy's choice and random draw on
+    ``_derived_rng(spec.seed, attempt)`` (tests/conftest.py::slow_draw_instance)
+    for num_vars up to 10000.  Raises LimitError, before allocating them, when
+    the draw's arrays would pass the sampler's run size limit.
+    """
+    from . import samplers  # deferred: samplers imports this module
+
     lengths = sorted(k for k, w in spec.length_weights.items() if w > 0)
     weights = np.array([spec.length_weights[k] for k in lengths], dtype=float)
     weights /= weights.sum()
-    clauses = []
-    for _ in range(spec.num_clauses):
-        k = int(rng.choice(lengths, p=weights))
-        variables = rng.choice(spec.num_vars, size=k, replace=False) + 1
-        negations = rng.random(k) < 0.5
-        clauses.append(
-            Clause(tuple(Literal(int(v), bool(neg)) for v, neg in zip(variables, negations)))
-        )
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]  # as choice normalizes its cumulative weights
+    # one row of the longest length's literals per clause, and its length
+    samplers._check_run_size(spec.num_clauses, 8 * lengths[-1], "drawn clauses")
+    sizes = np.empty(spec.num_clauses, dtype=np.int64)
+    literals = np.empty(spec.num_clauses * lengths[-1], dtype=np.int64)
+    seed_words = _seed_words(spec.seed)
+    total = samplers._kernel().cascor_draw_instance(
+        seed_words, len(seed_words), attempt, spec.num_vars, spec.num_clauses,
+        np.array(lengths, dtype=np.int64), cdf, len(lengths), sizes, literals)
+    flat = literals[:total].tolist()
+    clauses, start = [], 0
+    for k in sizes.tolist():
+        clauses.append(Clause(tuple([Literal(abs(x), x < 0) for x in flat[start:start + k]])))
+        start += k
     return Cnf(spec.num_vars, tuple(clauses))
 
 
@@ -323,12 +357,14 @@ def generate_mixed_sat(spec: MixedSatSpec, max_attempts: int = 1000) -> tuple[Cn
     by ``allsat.count_solutions_capped`` at ``spec.solution_cap``, whose count
     is the one returned; unsatisfiable or over-cap draws are discarded and the
     seed is re-derived per attempt, so a fixed spec always yields the same
-    instance and count.
+    instance and count.  Raises ValueError, before the first draw, when the
+    counter cannot take the spec's variables or cap.
     """
     from . import allsat  # deferred: allsat imports this module's types
 
+    allsat.check_enumeration(spec.num_vars, spec.solution_cap)
     for attempt in range(max_attempts):
-        cnf = _draw_instance(spec, _derived_rng(spec.seed, attempt))
+        cnf = _draw_instance(spec, attempt)
         count = allsat.count_solutions_capped(cnf, spec.solution_cap)
         if count:
             return cnf, count

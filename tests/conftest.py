@@ -6,7 +6,8 @@ Python, and assert_file_energies checks a sample file's energies with
 slow_energy; slow_decode projects one read at a time and checks it with
 sat.evaluate; ungauge_sample maps a gauged sample back spin by spin;
 min_energy_over_ancillas brute-forces each clause's ancilla block with the
-variable qubits clamped; slow_anneal is the read-major Metropolis loop that
+variable qubits clamped; slow_draw_instance draws a mixed-SAT instance
+through numpy's Generator; slow_anneal is the read-major Metropolis loop that
 draws every uniform of a read up front; slow_enumerate is the blocking-clause
 ALL-SAT search on mutable counters with undo and a numpy block array.  These
 are the reference implementations the package is tested against.
@@ -127,6 +128,25 @@ def min_energy_over_ancillas(
                 best = e
         total += best
     return total
+
+
+def slow_draw_instance(spec, attempt: int) -> Cnf:
+    """Draw number attempt of a MixedSatSpec through numpy's Generator.choice and random."""
+    from cascor.sat import Clause, Literal, _derived_rng
+
+    rng = _derived_rng(spec.seed, attempt)
+    lengths = sorted(k for k, w in spec.length_weights.items() if w > 0)
+    weights = np.array([spec.length_weights[k] for k in lengths], dtype=float)
+    weights /= weights.sum()
+    clauses = []
+    for _ in range(spec.num_clauses):
+        k = int(rng.choice(lengths, p=weights))
+        variables = rng.choice(spec.num_vars, size=k, replace=False) + 1
+        negations = rng.random(k) < 0.5
+        clauses.append(
+            Clause(tuple(Literal(int(v), bool(neg)) for v, neg in zip(variables, negations)))
+        )
+    return Cnf(spec.num_vars, tuple(clauses))
 
 
 def slow_anneal(model: IsingModel, cfg, read_indices=None, gauge=None) -> np.ndarray:

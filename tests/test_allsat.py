@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cascor.allsat as allsat_mod
@@ -145,8 +145,29 @@ def cnf_and_cap(draw, num_vars):
 
 
 def _capped_truth(cnf, cap):
-    count = len(brute_force_solutions(cnf))
+    # brute force over the variables the clauses use; each unused one doubles the count
+    number = {v: i for i, v in enumerate(cnf.variables_used(), 1)}
+    used = Cnf.of(len(number), [[-number[lit.var] if lit.negated else number[lit.var]
+                                 for lit in clause.literals] for clause in cnf.clauses])
+    count = len(brute_force_solutions(used)) << cnf.num_vars - len(number)
     return count if count <= cap else None
+
+
+@st.composite
+def sparse_cnf_and_cap(draw):
+    """A CNF over 17-26 variables whose clauses use at most 12 of them, and a cap."""
+    n = draw(st.integers(17, 26))
+    used = draw(st.lists(st.integers(1, n), min_size=1, max_size=12, unique=True))
+    clauses = []
+    for _ in range(draw(st.integers(0, 12))):
+        variables = draw(st.permutations(used))[: draw(st.integers(1, len(used)))]
+        clauses.append([v if draw(st.booleans()) else -v for v in variables])
+    return Cnf.of(n, clauses), draw(st.integers(1, 64) | st.integers(1, (1 << n) + 1))
+
+
+# 19,398,656 solutions over 26 variables, 8 of them used: variables 1 and 6 pick a
+# bit of a truth-table word, and 7 up to 26 pick the word
+_WIDE = Cnf.of(26, [[1, -7, 26], [-13, 20], [6, 7, -12, 13, 25], [-26, -1], [12, -20]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,6 +194,20 @@ def test_counter_matches_the_truth_table(case):
 @given(cnf_and_cap(st.integers(11, 16)))
 def test_counter_matches_the_truth_table_past_twelve_variables(case):
     # variables 13..n each have a table axis of their own
+    cnf, cap = case
+    assert count_solutions_capped(cnf, cap) == _capped_truth(cnf, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_cnf_and_cap())
+@example((_WIDE, 19_398_655))
+@example((_WIDE, 19_398_656))
+@example((_WIDE, 1))
+@example((_WIDE, 1 << 26))
+@example((Cnf.of(26, [[26], [-26]]), 1 << 26))
+@example((Cnf(26), (1 << 26) - 1))
+@example((Cnf(26), 1 << 26))
+def test_counter_matches_the_truth_table_up_to_26_variables(case):
     cnf, cap = case
     assert count_solutions_capped(cnf, cap) == _capped_truth(cnf, cap)
 

@@ -255,14 +255,19 @@ def test_sample_at_a_beta_whose_table_products_overflow(tmp_path, capsys):
 
 
 def test_missing_compiler_is_not_an_input_error(tmp_path, private_kernel_cache, monkeypatch):
-    cnf_path = gen_instance(tmp_path)
+    cnf_path = tmp_path / "inst.cnf"
+    cnf_path.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     model = tmp_path / "model.json"
     assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
     monkeypatch.setattr(samplers_mod, "_CC", "cascor-no-such-cc")
     # subprocess raises FileNotFoundError, which main() would report as exit 2
-    with pytest.raises(RuntimeError, match="cascor-no-such-cc"):
-        run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1", "--reads", "2",
-            "--sweeps", "2", "--out", str(tmp_path / "s.jsonl"))
+    for command, argv in [
+        ("gen", ["--n", "6", "--m", "5", "--lengths", "2:1", "--cap", "64"]),
+        ("sample", ["--model", str(model), "--cnf", str(cnf_path), "--reads", "2",
+                    "--sweeps", "2"]),
+    ]:
+        with pytest.raises(RuntimeError, match="cascor-no-such-cc"):
+            run(command, *argv, "--seed", "1", "--out", str(tmp_path / "out"))
 
 
 def test_allsat_cap_hit_flagged(tmp_path, capsys):
@@ -523,6 +528,42 @@ def test_input_path_that_cannot_be_read_is_input_error(command, flag, stored_out
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "compile", "sample", "allsat", "metrics", "bench"])
+def test_out_in_a_missing_directory_fails_before_any_work(command, stored_outputs, tmp_path,
+                                                          capsys, monkeypatch):
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+    for module, name in [(sat_mod, "_draw_instance"), (cli, "compile_cnf"),
+                         (samplers_mod, "sample"), (samplers_mod, "sample_with_srt_rotation"),
+                         (allsat_mod, "enumerate_all"), (metrics_mod, "summarize_instance")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: pytest.fail(name))
+    paths = {name: str(stored_outputs[name]) for name in ("cnf", "model", "samples", "events")}
+    argv = {
+        "gen": ["--n", "6", "--m", "5", "--lengths", "2:1", "--cap", "64", "--seed", "1"],
+        "compile": ["--cnf", paths["cnf"]],
+        "sample": ["--model", paths["model"], "--cnf", paths["cnf"], "--seed", "1",
+                   "--reads", "3", "--sweeps", "3"],
+        "allsat": ["--cnf", paths["cnf"]],
+        "metrics": ["--cnf", paths["cnf"], "--model", paths["model"],
+                    "--samples", paths["samples"], "--events", paths["events"]],
+        "bench": ["--instances", str(stored_outputs["cnf"].parent), "--seed", "1",
+                  "--reads", "3", "--sweeps", "3"],
+    }[command]
+    out = tmp_path / "nodir" / "out"
+    capsys.readouterr()
+    assert run(command, *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascor: input error: no directory") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def test_gen_draw_past_the_size_limit_is_limit_error(tmp_path, capsys):
+    # 10**8 clauses: refused before their arrays are allocated or any is drawn
+    assert run("gen", "--n", "20", "--m", str(10**8), "--lengths", "2:1,3:1", "--cap", "5",
+               "--seed", "1", "--out", str(tmp_path / "x.cnf")) == 3
+    assert "cascor: limit error: drawn clauses" in capsys.readouterr().err
+    assert not (tmp_path / "x.cnf").exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         run("frobnicate")
@@ -675,6 +716,12 @@ def _share_a_qubit(docs):
     var_to_qubit[second] = var_to_qubit[first]
 
 
+def _repeat_an_ancilla(docs):
+    """Give the model's first clause an ancilla some clause already has."""
+    blocks = docs[0]["clause_ancillas"]
+    blocks[0].append(next(q for block in blocks for q in block))
+
+
 # One case per fault: the file it is made in, and an edit of that file's parsed lines.
 MALFORMED = {
     "mixed-gauge-tag-types": ("samples", lambda docs: docs[0].update(gauge="0")),
@@ -713,6 +760,12 @@ MALFORMED = {
     "model-couplers-a-number": ("model", lambda docs: docs[0].update(J=5)),
     "model-ancillas-of-numbers": ("model", lambda docs: docs[0].update(clause_ancillas=[5])),
     "model-two-variables-on-one-qubit": ("model", _share_a_qubit),
+    "model-ancilla-past-the-qubits": (
+        "model", lambda docs: docs[0]["clause_ancillas"][0].append(docs[0]["num_qubits"])),
+    "model-ancilla-on-a-variable-qubit": (
+        "model", lambda docs: docs[0]["clause_ancillas"][0].append(
+            next(iter(docs[0]["var_to_qubit"].values())))),
+    "model-ancilla-twice": ("model", _repeat_an_ancilla),
     **{f"model-policy-seed-{name}": (
         "model", lambda docs, seed=seed: docs[0].update(policy={"kind": "seeded_random",
                                                                 "seed": seed}))

@@ -352,9 +352,10 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # and of three entropy words, and a float model and an integral one past the
 # table cap through the float loop; anneals one long run of 9 reads x 2000
 # sweeps through both integral loops, so the lane loop's PCG64 limbs carry well
-# past seeding; then
-# writes and scans sample text through the codec, whole, cut at every byte and
-# past int64.
+# past seeding; writes and scans sample text through the codec, whole, cut at
+# every byte and past int64; then draws mixed-SAT instances, with clauses as
+# long as their variable count, and counts their solutions below and at 2**n,
+# at variable counts on either side of the counter's 6-bit word and 12.
 _UBSAN_CHILD = """
 import sys
 from pathlib import Path
@@ -390,6 +391,15 @@ assert len(samplers.samples_from_jsonl("".join(text.splitlines(True)[:38]), 4)) 
 for end in range(len(text) + 1):
     samplers._writer_columns(text[:end])
 assert samplers._writer_columns(text.replace(str(2**63 - 1), str(2**63))) is None
+
+from cascor import allsat, sat
+for n in (1, 6, 7, 12, 13, 20, 26):
+    spec = sat.MixedSatSpec(n, 40, {1: 1.0, (n + 1) // 2: 2.0, n: 1.0}, 2**64 + 3, 1)
+    cnf = sat._draw_instance(spec, 2**32 + 5)
+    count = allsat.count_solutions_capped(cnf, 2**n)
+    assert allsat.count_solutions_capped(cnf, 1) == (count if count <= 1 else None)
+    assert allsat.count_solutions_capped(sat.Cnf(n), 2**n) == 2**n
+    assert allsat.count_solutions_capped(sat.Cnf(n), 2**n - 1) is None
 print("ok")
 """
 

@@ -1,23 +1,26 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cascor import sat as sat_mod
 from cascor.sat import (
     Clause,
     Cnf,
     DimacsError,
     GenerationError,
+    LimitError,
     Literal,
     MixedSatSpec,
+    _draw_instance,
     emit_dimacs,
     evaluate,
     generate_mixed_sat,
     parse_dimacs,
 )
 
-from conftest import brute_force_solutions, random_small_cnf
+from conftest import brute_force_solutions, random_small_cnf, slow_draw_instance
 
 
 def test_parse_basic():
@@ -128,6 +131,10 @@ def test_spec_validation():
         MixedSatSpec(4, 2, {2: 0.0}, seed=1, solution_cap=4)  # zero total weight
     with pytest.raises(ValueError):
         MixedSatSpec(4, 2, {2: 1.0}, seed=1, solution_cap=0)
+    with pytest.raises(ValueError, match="seed"):
+        MixedSatSpec(4, 2, {2: 1.0}, seed=-1, solution_cap=4)
+    with pytest.raises(ValueError, match="finite total"):
+        MixedSatSpec(4, 2, {2: 1e308, 3: 1e308}, seed=1, solution_cap=4)  # the total overflows
 
 
 def test_spec_json_roundtrip():
@@ -168,3 +175,38 @@ def test_generation_retry_exhaustion():
     spec = MixedSatSpec(6, 1, {2: 1.0}, seed=3, solution_cap=1)
     with pytest.raises(GenerationError):
         generate_mixed_sat(spec, max_attempts=20)
+
+
+@st.composite
+def mixed_sat_specs(draw):
+    """Specs over 1-62 variables with 0-60 clauses and one to six lengths, num_vars among
+    them often, weighted 0, 1e-300 or anything up to 1e6, with seeds past 2**64."""
+    n = draw(st.integers(1, 62))
+    lengths = draw(st.lists(st.just(n) | st.integers(1, n), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 1e6),
+                            min_size=len(lengths), max_size=len(lengths)))
+    if not sum(weights):
+        weights[-1] = 1.0
+    return MixedSatSpec(n, draw(st.integers(0, 60)), dict(zip(lengths, weights)),
+                        draw(st.integers(0, 2**64 + 3)), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=mixed_sat_specs(), attempt=st.integers(0, 2**33))
+@example(spec=MixedSatSpec(62, 60, {62: 1.0, 1: 1e-300, 5: 0.0}, 2**64 + 3, 1), attempt=2**32 + 5)
+@example(spec=MixedSatSpec(1, 60, {1: 1.0}, 0, 1), attempt=0)
+@example(spec=MixedSatSpec(20, 60, {2: 3.0, 3: 3.0, 4: 1.0}, 2**32, 1), attempt=2**32 - 1)
+def test_kernel_draw_is_numpys_draw(spec, attempt):
+    assert _draw_instance(spec, attempt) == slow_draw_instance(spec, attempt)
+
+
+def test_generation_checks_the_counter_before_the_first_draw(monkeypatch):
+    monkeypatch.setattr(sat_mod, "_draw_instance", lambda *args: pytest.fail("drew an instance"))
+    with pytest.raises(ValueError, match="up to 62 variables"):
+        generate_mixed_sat(MixedSatSpec(100, 10, {2: 1}, 0, 5))
+
+
+def test_draw_past_the_run_size_limit_is_limit_error():
+    # 10**8 clauses of up to 3 literals: 3.2 GB of arrays, refused before any is allocated
+    with pytest.raises(LimitError, match="drawn clauses"):
+        generate_mixed_sat(MixedSatSpec(20, 10**8, {2: 1.0, 3: 1.0}, 0, 5))
