@@ -9,8 +9,8 @@
  * the numpy reference loop bit for bit wherever the acceptance probabilities
  * do (see the samplers module docstring).
  *
- * There are two loops.  Integral models (cascor_anneal_int) keep int64 local
- * fields: summed once per read, then updated along the flipped spin's
+ * There are two loops.  Integral models (cascor_anneal_int) keep integer
+ * local fields: summed once per read, then updated along the flipped spin's
  * neighbour list on each accepted flip.  Integer sums are exact in any order,
  * so every proposal sees the field a row sum would give, and acceptance is
  * one lookup in a table of probabilities.  Float models (cascor_anneal_float)
@@ -18,25 +18,30 @@
  * row sum; integral models whose table would be too large run this loop too.
  *
  * On x86-64 hosts with AVX-512F, DQ, VL and IFMA, cascor_anneal_int anneals
- * eight reads at once, one per 64-bit lane of a 512-bit vector; elsewhere it
- * runs the scalar integral loop, which stays exported as
+ * sixteen reads at once, one per 32-bit lane of a 512-bit vector of local
+ * fields; elsewhere it runs the scalar integral loop, which stays exported as
  * cascor_anneal_int_scalar.  Each lane draws only its own read's stream and
  * makes that read's proposals in the scalar order, so the lane loop's spins
  * are the scalar loop's bit for bit.  The float loop is scalar everywhere.
  * The lane loop keeps its per-read work small:
  *
+ * - Fields.  A table row has an entry for every |v| up to the largest |local|,
+ *   and samplers caps the table at 2^17 entries, so every field, h, J and 2 J
+ *   fits int32 and one register holds a spin's field in all sixteen reads.
+ *   An accepted flip moves each neighbour's field with one masked add and one
+ *   masked subtract for the sixteen reads.
  * - Streams.  Each lane's 128-bit PCG64 state and increment are held as limbs
  *   of 52, 52 and 24 bits, and a step multiplies them with IFMA's 52-bit
- *   multiply-adds (pcg_next_x8).
+ *   multiply-adds (pcg_next_x8), for lanes 0-7 and 8-15 in turn.
  * - Register rows.  Once per sweep it loads the sweep's acceptance row into
  *   up to eight vector registers, when the row has at most 64 entries, and
  *   looks each lane's entry up with permutes and blends; a wider row is
  *   gathered from memory at every proposal.
  * - Spins in.  Each lane's stream is seeded by seed_stream, as in the scalar
- *   loops, and the eight reads' initial spins are drawn straight into the
+ *   loops, and the sixteen reads' initial spins are drawn straight into the
  *   lane masks.
  * - Spins out.  It writes each read's final spins out of the lane masks
- *   eight at a time, one 64-bit word of int8 spins per eight mask bytes.
+ *   eight at a time, one 64-bit word of int8 spins per eight masks.
  *
  * The same library holds the mixed-SAT draw and solution count that
  * sat.generate_mixed_sat screens instances with, cascor_draw_instance (on
@@ -232,7 +237,7 @@ void cascor_anneal_int_scalar(const uint32_t *restrict seed_words, int64_t seed_
 }
 
 #if defined(__x86_64__)
-#define LANES 8
+#define LANES 16
 #define LANE_TARGET __attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma")))
 #define M52 ((1ULL << 52) - 1)
 
@@ -274,6 +279,12 @@ LANE_TARGET static inline __m512i pcg_next_x8(pcg64x8 *g)
     return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(top, 58));
 }
 
+/* One mask over sixteen lanes from masks over lanes 0-7 and lanes 8-15. */
+static inline __mmask16 join_lanes(__mmask8 low, __mmask8 high)
+{
+    return (__mmask16)(low | high << 8);
+}
+
 /* Entry index[l] of a row of at most 8 blocks entries, held in blocks registers
  * of eight: 2, 4 or 8.  Every index is below the row's width, so a row of at
  * most 8 entries, whose second register is zero, takes the two-register path. */
@@ -294,13 +305,24 @@ LANE_TARGET static inline __m512i row_entry(const __m512i *row, int blocks, __m5
                                    upper);
 }
 
+/* Lanes whose 53-bit integers m fall below their row entries index[l]: the
+ * entries from blocks registers (row_entry), or gathered from row when blocks
+ * is 0. */
+LANE_TARGET static inline __mmask8 accepted(int blocks, const __m512i *entries,
+                                            const uint64_t *row, __m256i index, __m512i m)
+{
+    const __m512i limit = blocks ? row_entry(entries, blocks, _mm512_cvtepi32_epi64(index))
+                                 : _mm512_i32gather_epi64(index, row, 8);
+    return _mm512_cmplt_epu64_mask(m, limit);
+}
+
 /* Every sweep of one lane group, its rows in blocks registers (row_entry), or
  * gathered from the table when blocks is 0.  Inlined once per value of blocks. */
 LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
     int blocks, pcg64x8 *g, int64_t n, int64_t sweeps, const int64_t *restrict indptr,
     const int64_t *restrict indices, const int64_t *restrict values,
-    const uint64_t *restrict table, int64_t table_width, int64_t *restrict fields,
-    uint8_t *restrict up)
+    const uint64_t *restrict table, int64_t table_width, int32_t *restrict fields,
+    uint16_t *restrict up)
 {
     const __m512i zero = _mm512_setzero_si512();
     for (int64_t t = 0; t < sweeps; t++) {
@@ -313,23 +335,24 @@ LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
                                                     row + 8 * b);
         }
         for (int64_t i = 0; i < n; i++) {
-            const __m512i m = _mm512_srli_epi64(pcg_next_x8(g), 11);
+            const __m512i m_low = _mm512_srli_epi64(pcg_next_x8(&g[0]), 11);
+            const __m512i m_high = _mm512_srli_epi64(pcg_next_x8(&g[1]), 11);
             const __m512i local = _mm512_loadu_si512(fields + LANES * i);
             /* -v = -s_i * local; the table index is max(-v, 0) */
-            const __m512i neg_v = _mm512_mask_sub_epi64(local, up[i], zero, local);
-            const __m512i index = _mm512_max_epi64(neg_v, zero);
-            const __m512i limit = blocks ? row_entry(entries, blocks, index)
-                                         : _mm512_i64gather_epi64(index, row, 8);
-            const __mmask8 flip = _mm512_cmplt_epu64_mask(m, limit);
+            const __m512i neg_v = _mm512_mask_sub_epi32(local, up[i], zero, local);
+            const __m512i index = _mm512_max_epi32(neg_v, zero);
+            const __mmask16 flip = join_lanes(
+                accepted(blocks, entries, row, _mm512_castsi512_si256(index), m_low),
+                accepted(blocks, entries, row, _mm512_extracti64x4_epi64(index, 1), m_high));
             if (flip) {
                 up[i] ^= flip;
-                const __mmask8 rise = flip & up[i], fall = flip & (__mmask8)~up[i];
+                const __mmask16 rise = flip & up[i], fall = flip & (__mmask16)~up[i];
                 for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
-                    const __m512i step = _mm512_set1_epi64(2 * values[k]);
-                    int64_t *f = fields + LANES * indices[k];
+                    const __m512i step = _mm512_set1_epi32((int32_t)(2 * values[k]));
+                    int32_t *f = fields + LANES * indices[k];
                     __m512i field = _mm512_loadu_si512(f);
-                    field = _mm512_mask_add_epi64(field, rise, field, step);
-                    field = _mm512_mask_sub_epi64(field, fall, field, step);
+                    field = _mm512_mask_add_epi32(field, rise, field, step);
+                    field = _mm512_mask_sub_epi32(field, fall, field, step);
                     _mm512_storeu_si512(f, field);
                 }
             }
@@ -337,55 +360,59 @@ LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
     }
 }
 
-/* cascor_anneal_int_scalar's anneal, reads r0 .. r0 + 7 side by side: read
- * r0 + l in lane l.  Each lane draws its own read's stream and makes that
- * read's proposals in the same order, so every read ends with the scalar
- * loop's spins.  In the last group, lanes past the final read anneal the
- * reads that would follow it and are never written out.  scratch holds 8 n
- * int64 fields and then n bytes of lane masks. */
+/* cascor_anneal_int_scalar's anneal, reads r0 .. r0 + 15 side by side: read
+ * r0 + l in lane l, whose stream is lane l % 8 of stream group l / 8.  Each
+ * lane draws its own read's stream and makes that read's proposals in the
+ * same order, so every read ends with the scalar loop's spins.  In the last
+ * group, lanes past the final read anneal the reads that would follow it and
+ * are never written out.  scratch holds 16 n int32 fields and then n 16-bit
+ * lane masks. */
 LANE_TARGET static void anneal_int_lanes(
     const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads, int64_t n,
     int64_t sweeps, const int64_t *restrict indptr, const int64_t *restrict indices,
     const int64_t *restrict values, const int64_t *restrict h, const uint64_t *restrict table,
     int64_t table_width, int64_t *restrict scratch, int8_t *restrict out)
 {
-    int64_t *fields = scratch;  /* spin i's field in lane l is fields[LANES * i + l] */
-    uint8_t *up = (uint8_t *)(scratch + LANES * n);  /* bit l of up[i]: spin i is +1 in lane l */
+    int32_t *fields = (int32_t *)scratch;  /* spin i's field in lane l is fields[LANES * i + l] */
+    uint16_t *up = (uint16_t *)(fields + LANES * n);  /* bit l of up[i]: spin i is +1 in lane l */
     const int blocks = table_width <= 16   ? 2
                        : table_width <= 32 ? 4
                        : table_width <= 64 ? 8
                                            : 0;
     for (int64_t r0 = 0; r0 < reads; r0 += LANES) {
         const int lanes = reads - r0 < LANES ? (int)(reads - r0) : LANES;
-        uint64_t limbs[6][LANES];  /* state limbs s0 s1 s2, then increment limbs c0 c1 c2 */
+        /* per stream group, as a pcg64x8 lays them out: state limbs s0 s1 s2, then
+         * increment limbs c0 c1 c2, each of eight lanes */
+        uint64_t limbs[2][6][8];
         for (int l = 0; l < LANES; l++) {
             pcg64 one;
             seed_stream(&one, seed_words, seed_len, (uint64_t)(r0 + l));
             for (int k = 0; k < 6; k++)
-                limbs[k][l] = (uint64_t)((k < 3 ? one.state : one.inc) >> 52 * (k % 3)) & M52;
+                limbs[l / 8][k][l % 8] =
+                    (uint64_t)((k < 3 ? one.state : one.inc) >> 52 * (k % 3)) & M52;
         }
-        pcg64x8 g = {_mm512_loadu_si512(limbs[0]), _mm512_loadu_si512(limbs[1]),
-                     _mm512_loadu_si512(limbs[2]), _mm512_loadu_si512(limbs[3]),
-                     _mm512_loadu_si512(limbs[4]), _mm512_loadu_si512(limbs[5])};
+        pcg64x8 g[2];
+        memcpy(g, limbs, sizeof g);
         /* spin k from the top bit of 32-bit half k % 2 (low first) of word k / 2 */
         for (int64_t k = 0; k < n; k += 2) {
-            const __m512i word = pcg_next_x8(&g);
-            up[k] = (uint8_t)_mm512_movepi64_mask(_mm512_slli_epi64(word, 32));
+            const __m512i low = pcg_next_x8(&g[0]), high = pcg_next_x8(&g[1]);
+            up[k] = join_lanes(_mm512_movepi64_mask(_mm512_slli_epi64(low, 32)),
+                               _mm512_movepi64_mask(_mm512_slli_epi64(high, 32)));
             if (k + 1 < n)
-                up[k + 1] = (uint8_t)_mm512_movepi64_mask(word);
+                up[k + 1] = join_lanes(_mm512_movepi64_mask(low), _mm512_movepi64_mask(high));
         }
         for (int64_t i = 0; i < n; i++) {
-            __m512i local = _mm512_set1_epi64(h[i]);
+            __m512i local = _mm512_set1_epi32((int32_t)h[i]);
             for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
-                const __m512i value = _mm512_set1_epi64(values[k]);
-                const __mmask8 plus = up[indices[k]];
-                local = _mm512_mask_add_epi64(local, plus, local, value);
-                local = _mm512_mask_sub_epi64(local, (__mmask8)~plus, local, value);
+                const __m512i value = _mm512_set1_epi32((int32_t)values[k]);
+                const __mmask16 plus = up[indices[k]];
+                local = _mm512_mask_add_epi32(local, plus, local, value);
+                local = _mm512_mask_sub_epi32(local, (__mmask16)~plus, local, value);
             }
             _mm512_storeu_si512(fields + LANES * i, local);
         }
-#define SWEEP_LANES(blocks)                                                                 \
-    sweep_lanes((blocks), &g, n, sweeps, indptr, indices, values, table, table_width, fields, \
+#define SWEEP_LANES(blocks)                                                                \
+    sweep_lanes((blocks), g, n, sweeps, indptr, indices, values, table, table_width, fields, \
                 up)
         switch (blocks) {
         case 2: SWEEP_LANES(2); break;
@@ -394,26 +421,33 @@ LANE_TARGET static void anneal_int_lanes(
         default: SWEEP_LANES(0);
         }
 #undef SWEEP_LANES
-        for (int l = 0; l < lanes; l++) {
-            int8_t *s = out + (r0 + l) * n;
-            int64_t i = 0;
-            for (; i + 8 <= n; i += 8) {  /* eight spins per word: byte k is spin i + k */
-                uint64_t bits;
-                memcpy(&bits, up + i, 8);
-                bits = bits >> l & 0x0101010101010101ULL;  /* 1 where spin i + k is +1 */
-                const uint64_t spins = ~0ULL - bits * 0xfe;  /* bytes 0x01 or 0xff (-1) */
-                memcpy(s + i, &spins, 8);
+        int64_t i = 0;
+        for (; i + 8 <= n; i += 8) {  /* eight spins per word: byte k is spin i + k */
+            /* the low and the high bytes of masks i .. i + 7: lanes 0-7, then lanes 8-15 */
+            const __m128i masks = _mm_loadu_si128((const __m128i *)(up + i));
+            const uint64_t bytes[2] = {
+                (uint64_t)_mm_cvtsi128_si64(
+                    _mm_packus_epi16(_mm_and_si128(masks, _mm_set1_epi16(0xff)), masks)),
+                (uint64_t)_mm_cvtsi128_si64(_mm_packus_epi16(_mm_srli_epi16(masks, 8), masks))};
+            for (int l = 0; l < lanes; l++) {
+                /* 1 where spin i + k is +1, then bytes 0x01 or 0xff (-1) */
+                const uint64_t bits = bytes[l / 8] >> l % 8 & 0x0101010101010101ULL;
+                const uint64_t spins = ~0ULL - bits * 0xfe;
+                memcpy(out + (r0 + l) * n + i, &spins, 8);
             }
-            for (; i < n; i++)
-                s[i] = (up[i] >> l & 1) ? 1 : -1;
         }
+        for (; i < n; i++)
+            for (int l = 0; l < lanes; l++)
+                out[(r0 + l) * n + i] = (up[i] >> l & 1) ? 1 : -1;
     }
 }
 #endif
 
-/* cascor_anneal_int_scalar's spins, from the eight-lane loop on hosts with
+/* cascor_anneal_int_scalar's spins, from the sixteen-lane loop on hosts with
  * AVX-512F, DQ, VL and IFMA and from the scalar loop elsewhere.  fields is
- * scratch for 9 n int64. */
+ * scratch for 9 n int64.  The lane loop's int32 fields, h, values and steps
+ * 2 values[k] are all within table_width - 1 or twice that in magnitude, so a
+ * table wider than 2^30 entries runs the scalar loop. */
 void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads,
                        int64_t n, int64_t sweeps, const int64_t *restrict indptr,
                        const int64_t *restrict indices, const int64_t *restrict values,
@@ -421,8 +455,9 @@ void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, in
                        int64_t table_width, int64_t *restrict fields, int8_t *restrict out)
 {
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512ifma")) {
+    if (table_width <= (1 << 30) && __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512ifma")) {
         anneal_int_lanes(seed_words, seed_len, reads, n, sweeps, indptr, indices, values, h,
                          table, table_width, fields, out);
         return;

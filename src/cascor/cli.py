@@ -218,7 +218,7 @@ def cmd_sample(args) -> int:
     samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
     runs = _sample_runs(model, cfg, args.gauges)
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
-    Path(args.out).write_text(samplers_mod.samples_to_jsonl(
+    Path(args.out).write_bytes(samplers_mod.samples_to_jsonl(
         model, runs, decoded, gauged=args.gauges > 0))
     solutions = sum(len(run) - run.count(None) for run in decoded)
     print(f"wrote {args.out} ({sum(map(len, runs))} reads, {solutions} satisfying)")
@@ -252,7 +252,7 @@ def cmd_metrics(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
         model, layout = _read_compiled(args.model, cnf)
-        runs = samplers_mod.samples_from_jsonl(Path(args.samples).read_text(), model.num_qubits)
+        runs = samplers_mod.samples_from_jsonl(Path(args.samples).read_bytes(), model.num_qubits)
         events = _read_events(args.events, cnf)
         _check_out_dir(args.out)
     report = metrics_mod.summarize_instance(

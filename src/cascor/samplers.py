@@ -11,17 +11,19 @@ single int8 array and the cumulative core and wall times.  Iterating a batch
 yields one SampleRecord per read, a row of plain Python values.  The sample
 JSONL file is written whole by samples_to_jsonl, the one place a read's
 energy is computed, and read back, every field checked, by
-samples_from_jsonl.  The line layout lives in the C library that anneals
-(below).  The writer groups each run's distinct spins rows
-(SampleBatch.distinct_rows) once more across the runs, and builds the spins,
-energy and solution text of each distinct row of the file once;
+samples_from_jsonl; both hold the file as bytes, the kernel's buffer on the
+way out and the file's own bytes on the way in.  The line layout lives in
+the C library that anneals (below).  The writer groups each run's distinct
+spins rows (SampleBatch.distinct_rows) once more across the runs, and builds
+the spins, energy and solution text of each distinct row of the file once;
 cascor_sample_lines joins those texts and each read's integers into its
-line.  The reader's cascor_sample_scan checks text in the writer's exact
-layout byte by byte and parses its integers and spins straight into arrays.
-Any other text (other spacing, key order or line ends, blank lines,
-non-ASCII characters) is decoded line by line as JSON, keeping a tuple of the
-five fields read from each line.  Both paths feed the same checks, so a file
-reads the same, or fails with the same message, either way.
+line.  The reader's cascor_sample_scan checks bytes in the writer's exact
+layout one by one and parses their integers and spins straight into arrays.
+Any other file (other spacing, key order or line ends, blank lines,
+non-ASCII characters) is decoded as UTF-8 and then line by line as JSON,
+keeping a tuple of the five fields read from each line.  Both paths feed the
+same checks, so a file reads the same, or fails with the same message,
+either way.
 
 A run's spins, decoded bits and anneal schedule may take at most _RUN_BYTES,
 and so may the gauges of an SRT rotation and the spins of all its runs
@@ -43,7 +45,7 @@ spins in order over the model's CSR neighbour lists (IsingModel.arrays).  A
 flip with v = s_i * local >= 0 is always accepted; otherwise it is accepted
 when u < exp(2 beta v).  The kernel has two loops:
 
-- Integral models keep int64 local fields, summed once per read and updated
+- Integral models keep integer local fields, summed once per read and updated
   along a flipped spin's neighbour list on each accepted flip.  Integer sums
   are exact in any order, so v is the reference's v, and the probabilities
   come from a table numpy computes as exp(-2 beta k) for each sweep and each
@@ -54,13 +56,14 @@ when u < exp(2 beta v).  The kernel has two loops:
   holds exactly when m < ceil(p * 2**53), and scaling by 2**53 (ldexp) is
   exact for every double in [0, 1], subnormals included, so the integer
   comparison is u < p bit for bit.  On x86-64 hosts with AVX-512F, DQ, VL
-  and IFMA this loop anneals eight reads at once, one per vector lane, each
-  lane on its own read's stream; its spins are the one-read-at-a-time loop's
-  bit for bit, and other hosts run that loop.  Every loop seeds a read's
-  stream the same way, one read at a time; the lane loop steps the eight
-  streams with IFMA's 52-bit multiply-adds and, when a sweep's row of the
-  table has at most 64 entries, looks acceptance up in registers (see
-  _anneal.c).
+  and IFMA this loop anneals sixteen reads at once, one per 32-bit vector
+  lane of int32 local fields (the table cap keeps every field below 2**17),
+  each lane on its own read's stream; its spins are the one-read-at-a-time
+  loop's bit for bit, and other hosts run that loop.  Every loop seeds a
+  read's stream the same way, one read at a time; the lane loop steps the
+  sixteen streams with IFMA's 52-bit multiply-adds, eight at a time, and,
+  when a sweep's row of the table has at most 64 entries, looks acceptance up
+  in registers (see _anneal.c).
 - Float models sum each local field over its neighbour row at every
   proposal, since fields updated incrementally would drift from a row sum.
 
@@ -315,7 +318,8 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
             with np.errstate(over="ignore"):
                 p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
             table = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
-            # scratch: eight lanes' int64 fields, then a byte of lane spins per qubit
+            # scratch of 72 bytes per qubit: the lane loop takes 66 of them, sixteen
+            # lanes' int32 fields and then 16 bits of lane spins
             _kernel().cascor_anneal_int(*head, a.data, a.h, table, vmax + 1,
                                         np.empty(9 * n, dtype=np.int64), spins)
             return spins
@@ -433,8 +437,8 @@ def sample_with_srt_rotation(
 
 
 def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
-                     decoded: Sequence[list[Assignment | None]], gauged: bool) -> str:
-    """The sample JSONL text of runs of model: one line per read, run after run.
+                     decoded: Sequence[list[Assignment | None]], gauged: bool) -> bytes:
+    """The sample JSONL file of runs of model, as ASCII bytes: one line per read, run after run.
 
     Each line's energy is model's energy of its spins.  decoded[g] is
     decode_all of runs[g]: one solution for the reads of each distinct spins
@@ -450,7 +454,7 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
     if lengths != [len(solutions) for solutions in decoded]:
         raise ValueError("decoded must hold one solution per read of each run")
     if not sum(lengths):
-        return "\n"
+        return b"\n"
     run_rows, run_firsts, run_inverses, start, count = [], [], [], 0, 0
     for batch in runs:
         first, inverse = batch.distinct_rows
@@ -485,29 +489,31 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
                                          capacity)
     if size < 0:
         raise RuntimeError("sample lines overran their buffer")
-    return out[:size].tobytes().decode()
+    return out[:size].tobytes()
 
 
 _SAMPLE_FIELDS = ("read", "spins", "energy", "core_time_us", "wall_time_us")
 _sample_fields = operator.itemgetter(*_SAMPLE_FIELDS)
 
 
-def samples_from_jsonl(text: str, num_qubits: int) -> list[SampleBatch]:
-    """One SampleBatch per gauge tag of a sample JSONL text, in tag order.
+def samples_from_jsonl(data: bytes, num_qubits: int) -> list[SampleBatch]:
+    """One SampleBatch per gauge tag of a sample JSONL file's bytes, in tag order.
 
     A line without a gauge tag belongs to gauge 0.  Raises ValueError unless
     the k tags present are the integers 0..k-1, and each gauge's lines hold
-    reads 0, 1, ... in order, num_qubits spins of +1 or -1, a numeric energy,
-    and integer times that are non-negative and never decrease.  The energies
-    are checked and then discarded; the solution field is not read.
+    reads 0, 1, ... in order, num_qubits spins of +1 or -1, a finite numeric
+    energy, and integer times that are non-negative and never decrease.  The
+    energies are checked and then discarded; the solution field is not read.
 
-    Text in the writer's own line layout is scanned by the C kernel
-    (_writer_columns); any other text goes through the per-line JSON
-    decoder.  Both feed the same checks, so a text reads the same either way.
+    Bytes in the writer's own line layout are scanned by the C kernel
+    (_writer_columns).  Any other bytes are decoded as strict UTF-8, with
+    CRLF and lone CR line ends read as LF (as Path.read_text reads them), and
+    go through the per-line JSON decoder.  Both feed the same checks, so a
+    file reads the same either way.
     """
-    runs = _writer_columns(text)
+    runs = _writer_columns(data)
     if runs is None:
-        runs = _json_columns(text)
+        runs = _json_columns(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     tags = sorted(runs)
     if tags != list(range(len(tags))):
         raise ValueError(f"{len(tags)} gauge tags run {tags[0]}..{tags[-1]}, "
@@ -526,21 +532,17 @@ def _json_columns(text: str) -> dict[int, dict[str, Sequence]]:
     return {gauge: dict(zip(_SAMPLE_FIELDS, zip(*rows[gauge]))) for gauge in rows}
 
 
-def _writer_columns(text: str) -> dict[int, dict[str, np.ndarray]] | None:
-    """Each gauge's columns, but energy, of a text in samples_to_jsonl's line layout, else None.
+def _writer_columns(raw: bytes) -> dict[int, dict[str, np.ndarray]] | None:
+    """Each gauge's columns, but energy, of bytes in samples_to_jsonl's line layout, else None.
 
-    The kernel's cascor_sample_scan checks the text byte by byte, so None
-    comes back for text in any other layout (blank lines, CR, other spacing
+    The kernel's cascor_sample_scan checks the bytes one by one, so None
+    comes back for bytes in any other layout (blank lines, CR, other spacing
     or key order, booleans, leading zeros, no final newline, non-ASCII
-    characters), and also when a line's spins row is not as wide as the
+    bytes), and also when a line's spins row is not as wide as the
     first line's, an integer does not fit int64, or an energy is not a JSON
     number that json reads as an int64 or a finite float (NaN, 1e999, and
     integers of 19 digits or more all go to the JSON decoder).
     """
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
     lines = raw.count(b"\n")
     # the first line's spins, from its "[" to its "]", are one "1" each
     width = raw.count(b"1", raw.find(b"["), raw.find(b"]"))
@@ -573,5 +575,6 @@ def _batch_of_columns(columns: dict[str, Sequence], num_qubits: int, gauge: int)
     if any(np.any(np.diff(t, prepend=0) < 0) for t in times):
         raise ValueError(f"gauge {gauge} times must be non-negative and never decrease")
     if "energy" in columns:  # _writer_columns has checked it already
-        column("energy", kinds="if")
+        if not np.isfinite(column("energy", kinds="if")).all():
+            raise ValueError(f"gauge {gauge} energies must be finite numbers")
     return SampleBatch(spins.astype(np.int8), *times)

@@ -444,9 +444,9 @@ def assert_same_batch(a, b) -> None:
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
-def assert_file_energies(model: IsingModel, text: str) -> None:
-    """Each line of a sample JSONL text holds slow_energy of its spins, int or float alike."""
-    for line in text.splitlines():
+def assert_file_energies(model: IsingModel, data: bytes) -> None:
+    """Each line of a sample JSONL file holds slow_energy of its spins, int or float alike."""
+    for line in data.splitlines():
         doc = json.loads(line)
         expected = slow_energy(model, tuple(doc["spins"]))
         assert type(doc["energy"]) is type(expected) and doc["energy"] == expected, line

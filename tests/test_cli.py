@@ -751,6 +751,10 @@ MALFORMED = {
     "boolean-read-index": ("samples", lambda docs: docs[1].update(read=True)),
     "boolean-event-index": ("events", lambda docs: docs[0].update(index=True)),
     "boolean-event-time": ("events", lambda docs: docs[0].update(wall_time_us=False)),
+    # json.dumps writes these as NaN, Infinity and -Infinity, which json.loads reads back
+    "energy-nan": ("samples", lambda docs: docs[0].update(energy=float("nan"))),
+    "energy-infinity": ("samples", lambda docs: docs[1].update(energy=float("inf"))),
+    "energy-minus-infinity": ("samples", lambda docs: docs[-1].update(energy=float("-inf"))),
     # a model file of the wrong JSON shape
     "model-empty-array": ("model", lambda docs: docs.__setitem__(0, [])),
     "model-null": ("model", lambda docs: docs.__setitem__(0, None)),
@@ -834,6 +838,26 @@ def test_gauge_tags_must_run_from_zero_without_gaps(tags, stored_outputs, tmp_pa
     kept = [tag for tag in tags if tag is not None]
     assert capsys.readouterr().err == (f"cascor: input error: {len(kept)} gauge tags run "
                                        f"{min(kept)}..{max(kept)}, not 0..{len(kept) - 1}\n")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_sample_energy_is_input_error(token, tmp_path, capsys):
+    # the writer never writes one; json.loads reads each as a float nan or inf
+    cnf_path = tmp_path / "f.cnf"
+    cnf_path.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    paths = {"cnf": cnf_path, "model": tmp_path / "model.json",
+             "samples": tmp_path / "s.jsonl", "events": tmp_path / "e.jsonl"}
+    assert run("compile", "--cnf", str(cnf_path), "--out", str(paths["model"])) == 0
+    assert run("sample", "--model", str(paths["model"]), "--cnf", str(cnf_path), "--seed", "1",
+               "--reads", "4", "--sweeps", "4", "--out", str(paths["samples"])) == 0
+    assert run("allsat", "--cnf", str(cnf_path), "--out", str(paths["events"])) == 0
+    assert run_metrics(paths, tmp_path / "report.json") == 0
+    lines = paths["samples"].read_text().splitlines(True)
+    lines[2] = re.sub(r'"energy": [^,]+', f'"energy": {token}', lines[2])
+    paths["samples"].write_text("".join(lines))
+    capsys.readouterr()
+    assert run_metrics(paths, tmp_path / "report.json") == 2
+    assert capsys.readouterr().err == "cascor: input error: gauge 0 energies must be finite numbers\n"
 
 
 # One case per fault json.loads refuses in a line, made in the file's text.

@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import os
 import platform
@@ -148,7 +149,7 @@ def _cpu_flags() -> set[str]:
         return set()
 
 
-# The kernel runs its eight-lane integral loop only on CPUs with these; elsewhere
+# The kernel runs its sixteen-lane integral loop only on CPUs with these; elsewhere
 # its dispatched entry is the scalar loop, and comparing the two shows nothing.
 needs_lanes = pytest.mark.skipif(
     platform.machine() != "x86_64"
@@ -170,11 +171,11 @@ def anneal_with(entry: str, model: IsingModel, cfg: SamplerConfig) -> np.ndarray
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [1, 2, 13])
 def test_integral_loops_match_reference_for_any_read_count(entry, seed, n):
-    # the last group of eight lanes holds 1, 7, 8, 1 and 1 reads
+    # the last group of sixteen lanes holds 1, 15, 16, 1, 15 and 1 reads
     model = dense_integral_model(n)
-    cfg = SamplerConfig(num_reads=17, sweeps=9, seed=seed, beta_end=2.0)
+    cfg = SamplerConfig(num_reads=33, sweeps=9, seed=seed, beta_end=2.0)
     expected = slow_anneal(model, cfg)
-    for reads in (1, 7, 8, 9, 17):
+    for reads in (1, 15, 16, 17, 31, 33):
         spins = anneal_with(entry, model, replace(cfg, num_reads=reads))
         assert np.array_equal(spins, expected[:reads]), reads
 
@@ -212,6 +213,14 @@ EDGE_RUNS = {
                            SamplerConfig(num_reads=43, sweeps=16, seed=vmax, beta_start=0.01,
                                          beta_end=0.1))
        for vmax in (7, 8, 15, 16, 31, 32, 63, 64)},
+    # The widest rows the table cap allows at one and at two sweeps, gathered from
+    # memory: spin 0's int32 field of about 2**17 still flips at these betas.
+    "cap-1-sweep": (lambda: table_cap_model(131071),
+                    SamplerConfig(num_reads=40, sweeps=1, seed=3, beta_start=1e-6,
+                                  beta_end=1e-6)),
+    "cap-2-sweeps": (lambda: table_cap_model(65535),
+                     SamplerConfig(num_reads=40, sweeps=2, seed=4, beta_start=1e-6,
+                                   beta_end=1e-5)),
 }
 
 
@@ -222,6 +231,15 @@ def test_integral_loops_match_reference_on_edge_models(entry, case):
     model = build()
     assert model.is_integral()
     assert np.array_equal(anneal_with(entry, model, cfg), slow_anneal(model, cfg))
+
+
+def test_table_cap_keeps_lane_fields_within_int32():
+    # The lane loop's int32 fields and steps 2 J reach twice the widest row, so the
+    # kernel runs it for rows of at most 2**30 entries; the cap keeps rows far below.
+    assert samplers._TABLE_BYTES // 8 <= 2**30
+    # the "cap-" edge runs fill the table exactly
+    for vmax, sweeps in ((131071, 1), (65535, 2)):
+        assert sweeps * (vmax + 1) * 8 == samplers._TABLE_BYTES
 
 
 @needs_lanes
@@ -350,12 +368,13 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 # integral models (one of them with a 64-entry acceptance row, the lane loop's
 # register limit, and one with 65) through both integral loops, at seeds of one
 # and of three entropy words, and a float model and an integral one past the
-# table cap through the float loop; anneals one long run of 9 reads x 2000
-# sweeps through both integral loops, so the lane loop's PCG64 limbs carry well
-# past seeding; writes and scans sample text through the codec, whole, cut at
-# every byte and past int64; then draws mixed-SAT instances, with clauses as
-# long as their variable count, and counts their solutions below and at 2**n,
-# at variable counts on either side of the counter's 6-bit word and 12.
+# table cap through the float loop; anneals one long run of 17 reads x 2000
+# sweeps through both integral loops, a full group of sixteen lanes and a
+# partial one, so the lane loop's PCG64 limbs carry well past seeding; writes
+# and scans sample text through the codec, whole, cut at every byte and past
+# int64; then draws mixed-SAT instances, with clauses as long as their variable
+# count, and counts their solutions below and at 2**n, at variable counts on
+# either side of the counter's 6-bit word and 12.
 _UBSAN_CHILD = """
 import sys
 from pathlib import Path
@@ -375,7 +394,7 @@ models = [compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
           IsingModel(3, {0: 62}, {(0, 1): 1, (1, 2): -2}),
           IsingModel(3, {0: 63}, {(0, 1): 1, (1, 2): -2})]
 cfg, wide = (samplers.SamplerConfig(num_reads=19, sweeps=7, seed=seed) for seed in (5, 2**64 + 3))
-long = samplers.SamplerConfig(num_reads=9, sweeps=2000, seed=2**64 + 3, beta_end=1.0)
+long = samplers.SamplerConfig(num_reads=17, sweeps=2000, seed=2**64 + 3, beta_end=1.0)
 runs = []
 for entry in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
     lib.cascor_anneal_int = entry
@@ -387,10 +406,10 @@ batches = samplers.sample_with_srt_rotation(models[1], cfg, samplers.random_gaug
 batches.append(samplers.SampleBatch(batches[0].spins[:2], np.array([-2**63, 2**63 - 1]),
                                     np.array([0, 2**63 - 1])))
 text = samplers.samples_to_jsonl(models[1], batches, [[None] * len(b) for b in batches], True)
-assert len(samplers.samples_from_jsonl("".join(text.splitlines(True)[:38]), 4)) == 2
+assert len(samplers.samples_from_jsonl(b"".join(text.splitlines(True)[:38]), 4)) == 2
 for end in range(len(text) + 1):
     samplers._writer_columns(text[:end])
-assert samplers._writer_columns(text.replace(str(2**63 - 1), str(2**63))) is None
+assert samplers._writer_columns(text.replace(b"%d" % (2**63 - 1), b"%d" % 2**63)) is None
 
 from cascor import allsat, sat
 for n in (1, 6, 7, 12, 13, 20, 26):
@@ -759,12 +778,13 @@ def test_record_json_roundtrip():
         {"read": 0, "spins": [1, 1, 1], "energy": -1.5, "core_time_us": 20,
          "wall_time_us": 2020, "solution": "011", "gauge": 1},
     ]
-    assert text == "".join(json.dumps(line) + "\n" for line in lines)
+    assert text == "".join(json.dumps(line) + "\n" for line in lines).encode()
     assert_file_energies(model, text)
     for back, run in zip(samples_from_jsonl(text, 3), runs, strict=True):
         assert_same_batch(back, run)
     plain = samples_to_jsonl(model, runs[:1], decoded[:1], gauged=False)
-    assert plain.splitlines()[1] == json.dumps({k: v for k, v in lines[1].items() if k != "gauge"})
+    assert plain.splitlines()[1].decode() == json.dumps(
+        {k: v for k, v in lines[1].items() if k != "gauge"})
     (back,) = samples_from_jsonl(plain, 3)
     assert_same_batch(back, runs[0])
 
@@ -777,9 +797,9 @@ def test_zero_qubit_runs_roundtrip_through_jsonl():
     with pytest.raises(ValueError, match="one solution per distinct spins row of the file"):
         samples_to_jsonl(IsingModel(0), runs, [[None] * 3, [()]], gauged=True)
     text = samples_to_jsonl(IsingModel(0), runs, [[None] * 3, [None]], gauged=True)
-    assert text.splitlines()[3] == json.dumps({"read": 0, "spins": [], "energy": 0,
-                                               "core_time_us": 5, "wall_time_us": 5,
-                                               "solution": None, "gauge": 1})
+    assert text.splitlines()[3].decode() == json.dumps({"read": 0, "spins": [], "energy": 0,
+                                                        "core_time_us": 5, "wall_time_us": 5,
+                                                        "solution": None, "gauge": 1})
     for back, run in zip(samples_from_jsonl(text, 0), runs, strict=True):
         assert_same_batch(back, run)
 
@@ -868,13 +888,13 @@ def test_sample_text_roundtrip_matches_reference_writer(case):
     model, runs, decoded, gauged = case
     n = model.num_qubits
     text = samples_to_jsonl(model, runs, decoded, gauged)
-    assert text == reference_samples_jsonl(model, runs, decoded, gauged)
+    assert text == reference_samples_jsonl(model, runs, decoded, gauged).encode()
     back = samples_from_jsonl(text, n)
     assert len(back) == len(runs)
     for a, b in zip(back, runs):
         assert_same_batch(a, b)
     # JSON whitespace around a line's object, CRLF line ends and blank lines read the same
-    spaced = "".join(f" \t{line}\r\n \n" for line in text.splitlines())
+    spaced = b"".join(b" \t%s\r\n \n" % line for line in text.splitlines())
     for a, b in zip(samples_from_jsonl(spaced, n), runs, strict=True):
         assert_same_batch(a, b)
 
@@ -893,27 +913,27 @@ def test_writer_refuses_a_solution_that_differs_from_its_rows(case, data):
             samples_to_jsonl(model, runs, decoded, gauged)
     else:  # read r is its row's only read in the file
         text = samples_to_jsonl(model, runs, decoded, gauged)
-        assert text == reference_samples_jsonl(model, runs, decoded, gauged)
+        assert text == reference_samples_jsonl(model, runs, decoded, gauged).encode()
 
 
-def read_back(text, n):
-    """samples_from_jsonl's batches of text, or the class and message of its input error."""
+def read_back(data, n):
+    """samples_from_jsonl's batches of data, or the class and message of its input error."""
     try:
-        return samples_from_jsonl(text, n)
+        return samples_from_jsonl(data, n)
     except (KeyError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def read_back_as_json(text, n):
+def read_back_as_json(data, n):
     """read_back with the writer-layout scanner off: every line decoded as JSON."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(samplers, "_writer_columns", lambda text: None)
-        return read_back(text, n)
+        patch.setattr(samplers, "_writer_columns", lambda data: None)
+        return read_back(data, n)
 
 
-def assert_reads_as_json(text, n):
-    """text reads as the JSON path reads it: the same batches, or the same ValueError."""
-    got, want = read_back(text, n), read_back_as_json(text, n)
+def assert_reads_as_json(data, n):
+    """data reads as the JSON path reads it: the same batches, or the same ValueError."""
+    got, want = read_back(data, n), read_back_as_json(data, n)
     if isinstance(want, str):
         assert got == want
     else:
@@ -959,14 +979,14 @@ LINE_MUTATIONS = {
 def test_mutated_sample_text_reads_as_the_json_path_reads_it(case, mutation, where):
     model, runs, decoded, gauged = case
     n = model.num_qubits
-    lines = samples_to_jsonl(model, runs, decoded, gauged).splitlines()
+    lines = samples_to_jsonl(model, runs, decoded, gauged).decode().splitlines()
     if mutation == "no-final-newline":
         text = "\n".join(lines)
     else:
         i = where % len(lines)
         lines[i] = LINE_MUTATIONS[mutation](lines[i])
         text = "".join(line + "\n" for line in lines)
-    assert_reads_as_json(text, n)
+    assert_reads_as_json(text.encode(), n)
 
 
 @settings(max_examples=15, deadline=None)
@@ -988,25 +1008,54 @@ def test_edited_sample_text_reads_as_the_json_path_reads_it(case, piece, where, 
     model, runs, decoded, gauged = case
     text = samples_to_jsonl(model, runs, decoded, gauged)
     start = where % (len(text) + 1)
-    assert_reads_as_json(text[:start] + piece + text[start + cut:], model.num_qubits)
+    assert_reads_as_json(text[:start] + piece.encode() + text[start + cut:], model.num_qubits)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.text(), st.integers(0, 3))
-def test_arbitrary_text_reads_as_the_json_path_reads_it(text, n):
-    assert_reads_as_json(text, n)
+@given(st.text().map(str.encode) | st.binary(), st.integers(0, 3))
+def test_arbitrary_text_reads_as_the_json_path_reads_it(data, n):
+    assert_reads_as_json(data, n)
+
+
+# Line ends and bytes that Path.read_text would have changed or refused
+READ_TEXT_PIECES = st.sampled_from([b"\r", b"\r\n", b"\n\r", b"\xff", b"\xc3", b"\xc3\xa9",
+                                    b"\xef\xbb\xbf", b"\xed\xa0\x80"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_files(), st.lists(st.tuples(READ_TEXT_PIECES, st.integers(0, 2**16)), max_size=3))
+def test_file_bytes_read_as_their_read_text_reads(case, edits):
+    # The reader takes a file's bytes; it reads them as the str that Path.read_text
+    # (strict UTF-8, universal newlines) makes of them, or fails as read_text does.
+    model, runs, decoded, gauged = case
+    data = samples_to_jsonl(model, runs, decoded, gauged)
+    for piece, where in edits:
+        start = where % (len(data) + 1)
+        data = data[:start] + piece + data[start:]
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError:
+        with pytest.raises(UnicodeDecodeError):
+            samples_from_jsonl(data, model.num_qubits)
+        return
+    got, want = read_back(data, model.num_qubits), read_back(text.encode(), model.num_qubits)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for a, b in zip(got, want, strict=True):
+            assert_same_batch(a, b)
 
 
 def writer_line(energy="-1", core="20", wall="20", gauge=None):
     """One line of a two-qubit sample file, in samples_to_jsonl's layout, with these tokens."""
     tag = "" if gauge is None else f', "gauge": {gauge}'
     return (f'{{"read": 0, "spins": [1, -1], "energy": {energy}, "core_time_us": {core}, '
-            f'"wall_time_us": {wall}, "solution": null{tag}}}\n')
+            f'"wall_time_us": {wall}, "solution": null{tag}}}\n').encode()
 
 
 @pytest.mark.parametrize("tags", [("1",), ("0", "2"), ("-1", "0")])
 def test_gauge_tags_not_zero_to_k_are_refused_alike_on_both_paths(tags):
-    text = "".join(writer_line(gauge=tag) for tag in tags)
+    text = b"".join(writer_line(gauge=tag) for tag in tags)
     assert "gauge tags run" in read_back(text, 2)
     assert_reads_as_json(text, 2)
 
@@ -1070,7 +1119,7 @@ def test_sample_reader_keeps_no_line_dicts():
     runs = [batch_of(2 * rng.integers(0, 2, size=(k, n)) - 1, 20 * t, 100 + 25 * t)
             for _ in range(4)]
     text = samples_to_jsonl(chain, runs, [[None] * k] * 4, gauged=True)
-    samples_from_jsonl(text[:text.index("\n") + 1], n)  # caches and lazy imports
+    samples_from_jsonl(text[:text.index(b"\n") + 1], n)  # caches and lazy imports
     tracemalloc.start()
     try:
         back = samples_from_jsonl(text, n)
