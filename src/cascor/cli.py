@@ -22,6 +22,7 @@ from . import allsat as allsat_mod
 from . import metrics as metrics_mod
 from . import samplers as samplers_mod
 from .compiler import ConstructionPolicy, compile_cnf, compiled_from_json, compiled_to_json
+from .compiler import _coefficient, _field
 from .sat import (
     Cnf,
     LimitError,
@@ -93,22 +94,30 @@ def _read_compilable_cnf(path: str | Path) -> Cnf:
     return cnf
 
 
+def _layout_and_values(doc: dict) -> tuple[str, list]:
+    """A model document's qubit layout as JSON text, and its values a device may rescale."""
+    layout = [doc["num_qubits"], doc["var_to_qubit"], doc["clause_ancillas"],
+              [entry[:2] for entry in doc["J"]]]
+    values = [*doc["h"], *(entry[2] for entry in doc["J"]),
+              *_field(doc, "clause_ground_energies", list), doc["ground_bound"]]
+    return json.dumps(layout, sort_keys=True), list(map(_coefficient, values))
+
+
 def _read_compiled(path: str, cnf: Cnf):
-    """The model and layout at path; ValueError unless the layout fits cnf and the model."""
-    model, layout, _ = compiled_from_json(json.loads(Path(path).read_text()))
-    variables = sorted(layout.var_to_qubit)
-    if variables != list(cnf.variables_used()):
-        raise ValueError(f"model lays out variables {variables}, not the CNF's used variables")
-    qubits = list(layout.var_to_qubit.values())
-    if not all(0 <= q < model.num_qubits for q in qubits):
-        raise ValueError(f"model maps a variable to a qubit outside 0..{model.num_qubits - 1}")
-    if len(set(qubits)) < len(qubits):
-        raise ValueError("model maps two variables to one qubit")
-    ancillas = [q for block in layout.clause_ancillas for q in block]
-    if not all(0 <= q < model.num_qubits for q in ancillas):
-        raise ValueError(f"model places an ancilla outside qubits 0..{model.num_qubits - 1}")
-    if len(set(ancillas)) < len(ancillas) or not set(ancillas).isdisjoint(qubits):
-        raise ValueError("model places an ancilla on a variable's qubit or another ancilla's")
+    """The model at path and the layout compile_cnf gives cnf under the file's policy;
+    ValueError unless the file holds that layout and each value f is s times the compiled
+    value c, |f - s c| <= 4 eps |f|, where s > 0 is the ratio of the ground_bounds."""
+    doc = json.loads(Path(path).read_text())
+    model, policy = compiled_from_json(doc)
+    _, layout = compiled = compile_cnf(cnf, policy)
+    own_text, own = _layout_and_values(compiled_to_json(*compiled, policy))
+    text, values = _layout_and_values(doc)
+    if text != own_text:
+        raise ValueError(f"model qubit layout is not the {policy.kind} policy's for the CNF")
+    scale = values[-1] / own[-1]
+    if len(values) != len(own) or not scale > 0 or not all(
+            abs(f - scale * c) <= 4 * sys.float_info.epsilon * abs(f) for f, c in zip(values, own)):
+        raise ValueError("model values are not one positive factor times the CNF's compiled ones")
     return model, layout
 
 
@@ -205,9 +214,9 @@ def _sample_runs(model, cfg, num_gauges):
 def cmd_sample(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
-        model, layout = _read_compiled(args.model, cnf)
         cfg = _sampler_config(args)
         _check_out_dir(args.out)
+        model, layout = _read_compiled(args.model, cnf)
     # every run's spins and decoded bits are held at once, so they share one run's
     # limit; both are checked before the first anneal, the spins first, as sampling
     # would, and then the schedule that sampling checks next
@@ -251,10 +260,10 @@ def cmd_allsat(args) -> int:
 def cmd_metrics(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
+        _check_out_dir(args.out)
         model, layout = _read_compiled(args.model, cnf)
         runs = samplers_mod.samples_from_jsonl(Path(args.samples).read_bytes(), model.num_qubits)
         events = _read_events(args.events, cnf)
-        _check_out_dir(args.out)
     report = metrics_mod.summarize_instance(
         runs, events, layout, cnf, instance_id=args.instance_id
     )

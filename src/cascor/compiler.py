@@ -297,13 +297,6 @@ def _qubit(value) -> int:
     return value
 
 
-def _variable(key: str) -> int:
-    """A var_to_qubit key read from JSON: a variable number in canonical decimal."""
-    if not (key.isascii() and key.isdecimal() and key[0] != "0"):
-        raise ValueError(f"model qubit map key {key!r} is not a canonical variable number")
-    return int(key)
-
-
 def _field(doc: Mapping, name: str, kind: type, items: type | None = None):
     """doc[name]; ValueError naming it unless it is a kind whose items, if given, are items."""
     value = doc[name]
@@ -312,8 +305,9 @@ def _field(doc: Mapping, name: str, kind: type, items: type | None = None):
     return value
 
 
-def compiled_from_json(doc: Mapping) -> tuple[IsingModel, PenaltyLayout, ConstructionPolicy]:
-    """Inverse of compiled_to_json; KeyError or ValueError for a document of another shape."""
+def compiled_from_json(doc: Mapping) -> tuple[IsingModel, ConstructionPolicy]:
+    """The model and policy of a compiled_to_json document; KeyError or ValueError
+    for a document of another shape.  The layout is compile_cnf's under the policy."""
     if type(doc) is not dict:
         raise ValueError(f"a compiled model is a JSON object, not {doc!r:.60}")
     num_qubits = _qubit(doc["num_qubits"])
@@ -324,9 +318,4 @@ def compiled_from_json(doc: Mapping) -> tuple[IsingModel, PenaltyLayout, Constru
         raise ValueError(f"model qubit count {num_qubits} differs from h's length {len(h_dense)}")
     J = {(_qubit(i), _qubit(j)): _coefficient(v) for i, j, v in _field(doc, "J", list, list)}
     model = IsingModel.from_terms(num_qubits, h, J)
-    var_to_qubit = {_variable(v): _qubit(q) for v, q in _field(doc, "var_to_qubit", dict).items()}
-    ancillas = tuple(tuple(map(_qubit, a)) for a in _field(doc, "clause_ancillas", list, list))
-    grounds = tuple(map(_coefficient, _field(doc, "clause_ground_energies", list)))
-    layout = PenaltyLayout(var_to_qubit, ancillas, grounds, _coefficient(doc["ground_bound"]),
-                           num_qubits)
-    return model, layout, ConstructionPolicy.from_json(_field(doc, "policy", dict))
+    return model, ConstructionPolicy.from_json(_field(doc, "policy", dict))

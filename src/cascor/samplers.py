@@ -353,7 +353,7 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
 
     Ancilla consistency and sample energy are deliberately ignored; variables
     absent from every clause have no qubit and default to false.  Raises
-    LimitError when the bits would pass the run size limit.
+    LimitError when the bits or clause masks would pass the run size limit.
 
     The clauses are evaluated once per distinct spins row
     (SampleBatch.distinct_rows), as masks on the row's variable bits packed
@@ -371,14 +371,15 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
     # a variable without a qubit is false, so a clause holding its negation always holds
     clauses = [clause for clause in cnf.clauses
                if not any(lit.negated and lit.var not in position for lit in clause.literals)]
-    care = np.zeros((len(clauses), len(variables)), dtype=bool)  # the clause's variables
-    negated = np.zeros_like(care)  # its negated ones
-    for c, clause in enumerate(clauses):
-        for lit in clause.literals:
-            if lit.var in position:
-                care[c, position[lit.var]] = True
-                negated[c, position[lit.var]] = lit.negated
-    care, negated = _packed_rows(care), _packed_rows(negated)
+    _check_run_size(len(clauses), 2 * 8 * rows.shape[1], "clause masks")
+    literals = [(c, position[lit.var], lit.negated) for c, clause in enumerate(clauses)
+                for lit in clause.literals if lit.var in position]
+    c, j, neg = np.array(literals, dtype=np.int64).reshape(-1, 3).T
+    bit = np.uint64(1) << (j % 64).astype(np.uint64)
+    # each clause's variables, and its negated ones, as bits of the rows' words
+    care, negated = np.zeros((2, len(clauses), rows.shape[1]), dtype=np.uint64)
+    np.bitwise_or.at(care, (c, j // 64), bit)
+    np.bitwise_or.at(negated, (c, j // 64), bit * neg.astype(np.uint64))
     satisfied = np.empty(len(rows), dtype=bool)
     step = max(1, (1 << 20) // (rows.shape[1] * len(clauses) + 1))  # rows x clauses x words
     for start in range(0, len(rows), step):

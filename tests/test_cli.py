@@ -5,6 +5,8 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascor.allsat as allsat_mod
 import cascor.cli as cli
@@ -13,9 +15,10 @@ import cascor.metrics as metrics_mod
 import cascor.samplers as samplers_mod
 import cascor.sat as sat_mod
 from cascor.cli import _worker_count, main
+from cascor.compiler import ConstructionPolicy, compile_cnf, compiled_to_json
 from cascor.ising import energies_of_states
 from cascor.metrics import CSV_COLUMNS
-from cascor.sat import evaluate, parse_dimacs
+from cascor.sat import emit_dimacs, evaluate, parse_dimacs
 
 from conftest import brute_force_solutions
 
@@ -227,13 +230,15 @@ def test_sample_deterministic_bytes(tmp_path):
 
 
 def test_sample_of_fields_past_the_integral_bound(tmp_path):
-    # -1e20 is a whole number, but sum|h| exceeds 2**53: the model samples as float64
-    cnf_path = tmp_path / "or.cnf"
-    cnf_path.write_text("p cnf 2 1\n1 2 0\n")
+    # -1e20 is a whole number, but sum|h| exceeds 2**53: the model samples as float64.
+    # The file is compile's, every field and ground energy scaled by 1e20.
+    cnf_path = tmp_path / "units.cnf"
+    cnf_path.write_text("p cnf 2 2\n1 0\n2 0\n")
     model = tmp_path / "model.json"
     assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
     doc = json.loads(model.read_text())
-    doc["h"] = [-1e20, -1e20]
+    assert doc["h"] == [-1, -1] and doc["J"] == []
+    doc.update(h=[-1e20, -1e20], clause_ground_energies=[-1e20, -1e20], ground_bound=-2e20)
     model.write_text(json.dumps(doc))
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "3",
@@ -770,6 +775,16 @@ MALFORMED = {
         "model", lambda docs: docs[0]["clause_ancillas"][0].append(
             next(iter(docs[0]["var_to_qubit"].values())))),
     "model-ancilla-twice": ("model", _repeat_an_ancilla),
+    # a layout or values that compile_cnf does not give the CNF under the file's policy
+    "model-ancillas-of-four-clauses": (
+        "model", lambda docs: docs[0].update(clause_ancillas=docs[0]["clause_ancillas"][:4])),
+    "model-clause-ground-energy-changed": (
+        "model", lambda docs: docs[0]["clause_ground_energies"].__setitem__(1, 1)),
+    "model-ground-bound-changed": ("model", lambda docs: docs[0].update(ground_bound=100)),
+    "model-field-changed": ("model", lambda docs: docs[0]["h"].__setitem__(0, 5)),
+    "model-coupler-twice": ("model", lambda docs: docs[0]["J"].append(docs[0]["J"][-1])),
+    "model-coupler-twice-reversed": ("model", lambda docs: docs[0]["J"].append(
+        [docs[0]["J"][0][1], docs[0]["J"][0][0], docs[0]["J"][0][2]])),
     **{f"model-policy-seed-{name}": (
         "model", lambda docs, seed=seed: docs[0].update(policy={"kind": "seeded_random",
                                                                 "seed": seed}))
@@ -985,6 +1000,107 @@ def test_model_layout_not_fitting_the_cnf_is_input_error(command, fault, tmp_pat
                "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert "cascor: input error: model" in err and "Traceback" not in err
+
+
+# Clauses of four and five literals, so that the three policies couple qubits apart.
+SCALED_CNF = parse_dimacs("p cnf 6 4\n1 2 3 -4 5 0\n-1 4 0\n2 -5 6 0\n-3 -4 6 1 0\n")
+POLICIES = [ConstructionPolicy("chain"), ConstructionPolicy("balanced"),
+            ConstructionPolicy("seeded_random", 9)]
+SCALES = [1, 0.1, 1 / 3, 3]
+
+
+def _scaled_model_doc(policy, scale):
+    """compile's document for SCALED_CNF with every coefficient and ground energy times scale."""
+    doc = compiled_to_json(*compile_cnf(SCALED_CNF, policy), policy)
+    doc["h"] = [scale * v for v in doc["h"]]
+    doc["J"] = [[i, j, scale * v] for i, j, v in doc["J"]]
+    doc["clause_ground_energies"] = [scale * e for e in doc["clause_ground_energies"]]
+    doc["ground_bound"] *= scale
+    return doc
+
+
+def _sample_model_doc(doc, directory) -> int:
+    (directory / "model.json").write_text(json.dumps(doc))
+    (directory / "f.cnf").write_text(emit_dimacs(SCALED_CNF))
+    return run("sample", "--model", str(directory / "model.json"), "--cnf",
+               str(directory / "f.cnf"), "--seed", "1", "--reads", "2", "--sweeps", "2",
+               "--out", str(directory / "s.jsonl"))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.kind)
+def test_read_compiled_gives_the_compiled_layout_and_the_files_model(policy, scale, tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(_scaled_model_doc(policy, scale)))
+    model, layout = cli._read_compiled(str(model_path), SCALED_CNF)
+    compiled_model, compiled_layout = compile_cnf(SCALED_CNF, policy)
+    assert layout == compiled_layout
+    assert model.h == {q: scale * v for q, v in compiled_model.h.items()}
+    assert model.J == {pair: scale * v for pair, v in compiled_model.J.items()}
+    # the other policies couple other qubits, so only the file's policy gives this model
+    assert all(compile_cnf(SCALED_CNF, other)[0].J.keys() != model.J.keys()
+               for other in POLICIES if other != policy)
+    assert _sample_model_doc(_scaled_model_doc(policy, scale), tmp_path) == 0
+
+
+def _paths(value, path=()):
+    """The path to value and to each value inside it: object keys and array indices."""
+    yield path
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _at(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_model_docs(draw):
+    """(a scaled compile document with one mutation, whether the mutation left it unchanged)."""
+    doc = _scaled_model_doc(draw(st.sampled_from(POLICIES)), draw(st.sampled_from(SCALES)))
+    kind = draw(st.sampled_from(["retype", "drop", "duplicate", "scale"]))
+    if kind == "retype":  # any value, the document included, as a value of another JSON type
+        path = draw(st.sampled_from(list(_paths(doc))))
+        old = _at(doc, path)[path[-1]] if path else doc
+        json_type = lambda v: float if type(v) is int else type(v)  # JSON has one number type
+        new = draw(st.sampled_from([v for v in ("x", True, None, [], {}, 1.5)
+                                    if json_type(v) is not json_type(old)]))
+        if not path:
+            return new, False
+        _at(doc, path)[path[-1]] = new
+    elif kind == "drop":
+        path = draw(st.sampled_from([p for p in _paths(doc) if p and type(_at(doc, p)) is dict]))
+        del _at(doc, path)[path[-1]]
+    elif kind == "duplicate":
+        entry = draw(st.sampled_from(doc["J"]))
+        doc["J"].insert(draw(st.integers(0, len(doc["J"]))), list(entry))
+    else:
+        path = draw(st.sampled_from(
+            [("h", q) for q in range(len(doc["h"]))] + [("J", k, 2) for k in range(len(doc["J"]))]
+            + [("clause_ground_energies", c) for c in range(len(doc["clause_ground_energies"]))]
+            + [("ground_bound",)]))
+        factor = draw(st.sampled_from([1, 0, -1, 0.5, 2, 1 + 2**-40]))
+        old = _at(doc, path)[path[-1]]
+        _at(doc, path)[path[-1]] = factor * old
+        return doc, factor == 1 or old == 0
+    return doc, False
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mutated_model_docs())
+def test_sample_takes_only_a_scaled_compiled_model(case, mutation_dir):
+    """A model file one mutation away from compile's output scaled by one factor:
+    sample runs it only when the mutation changed nothing, and else exits 2."""
+    doc, unchanged = case
+    assert _sample_model_doc(doc, mutation_dir) == (0 if unchanged else 2)
 
 
 def _readme_commands() -> list[str]:

@@ -298,10 +298,7 @@ def test_json_roundtrip():
     policy = ConstructionPolicy("seeded_random", 5)
     model, layout = compile_cnf(cnf, policy)
     doc = json.loads(json.dumps(compiled_to_json(model, layout, policy)))
-    model2, layout2, policy2 = compiled_from_json(doc)
-    assert model2 == model
-    assert layout2 == layout
-    assert policy2 == policy
+    assert compiled_from_json(doc) == (model, policy)
 
 
 @st.composite

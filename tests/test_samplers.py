@@ -598,6 +598,39 @@ def test_decode_defaults_unmapped_vars_false():
     assert decode_all(rec, layout, cnf) == [(True, False, True)]
 
 
+def _ring(n: int) -> tuple[Cnf, PenaltyLayout]:
+    """Implications x_v -> x_{v+1} around n variables, each on qubit v - 1."""
+    cnf = Cnf.of(n, [[-v, v % n + 1] for v in range(1, n + 1)])
+    return cnf, PenaltyLayout({v: v - 1 for v in range(1, n + 1)}, ((),) * n, (-1,) * n, -n, n)
+
+
+def test_decode_all_packs_its_clause_masks_into_words():
+    # the masks of 4000 clauses over 4000 variables take 2 x 4000 x 63 words, 4 MB;
+    # as bools before packing they took 32 MB, and their padded copies as much again
+    cnf, layout = _ring(4000)
+    tracemalloc.start()
+    try:
+        assert decode_all(batch_of([(1,) * 4000], [20], [20]), layout, cnf) == [(True,) * 4000]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_clause_masks_past_the_run_size_limit_are_refused_before_allocating():
+    # 40,000 clauses over 40,000 variables: 400 MB of masks for one read
+    cnf, layout = _ring(40_000)
+    batch = batch_of([(1,) * 40_000], [20], [20])
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match="clause masks"):
+            decode_all(batch, layout, cnf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_decode_all_matches_projection_reference():
     cnf = Cnf.of(4, [[1, 2], [-2, 3], [3, 4]])
     model, layout = compile_cnf(cnf)
