@@ -22,7 +22,7 @@ from . import allsat as allsat_mod
 from . import metrics as metrics_mod
 from . import samplers as samplers_mod
 from .compiler import ConstructionPolicy, compile_cnf, compiled_from_json, compiled_to_json
-from .compiler import _coefficient, _field
+from .compiler import _layout_and_values
 from .sat import (
     Cnf,
     LimitError,
@@ -94,15 +94,6 @@ def _read_compilable_cnf(path: str | Path) -> Cnf:
     return cnf
 
 
-def _layout_and_values(doc: dict) -> tuple[str, list]:
-    """A model document's qubit layout as JSON text, and its values a device may rescale."""
-    layout = [doc["num_qubits"], doc["var_to_qubit"], doc["clause_ancillas"],
-              [entry[:2] for entry in doc["J"]]]
-    values = [*doc["h"], *(entry[2] for entry in doc["J"]),
-              *_field(doc, "clause_ground_energies", list), doc["ground_bound"]]
-    return json.dumps(layout, sort_keys=True), list(map(_coefficient, values))
-
-
 def _read_compiled(path: str, cnf: Cnf):
     """The model at path and the layout compile_cnf gives cnf under the file's policy;
     ValueError unless the file holds that layout and each value f is s times the compiled
@@ -114,9 +105,9 @@ def _read_compiled(path: str, cnf: Cnf):
     text, values = _layout_and_values(doc)
     if text != own_text:
         raise ValueError(f"model qubit layout is not the {policy.kind} policy's for the CNF")
-    scale = values[-1] / own[-1]
+    scale, eps = values[-1] / own[-1], sys.float_info.epsilon
     if len(values) != len(own) or not scale > 0 or not all(
-            abs(f - scale * c) <= 4 * sys.float_info.epsilon * abs(f) for f, c in zip(values, own)):
+            abs(f - scale * c) <= 4 * eps * abs(f) for f, c in zip(values, own)):
         raise ValueError("model values are not one positive factor times the CNF's compiled ones")
     return model, layout
 

@@ -16,6 +16,7 @@ assignments.
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
@@ -305,9 +306,17 @@ def _field(doc: Mapping, name: str, kind: type, items: type | None = None):
     return value
 
 
+def _layout_and_values(doc: dict) -> tuple[str, list]:
+    """A model document's layout as JSON text, and its rescalable values, ground_bound last."""
+    layout = [doc["num_qubits"], doc["var_to_qubit"], doc["clause_ancillas"],
+              [entry[:2] for entry in doc["J"]]]
+    values = [*doc["h"], *(entry[2] for entry in doc["J"]),
+              *_field(doc, "clause_ground_energies", list), doc["ground_bound"]]
+    return json.dumps(layout, sort_keys=True), list(map(_coefficient, values))
+
+
 def compiled_from_json(doc: Mapping) -> tuple[IsingModel, ConstructionPolicy]:
-    """The model and policy of a compiled_to_json document; KeyError or ValueError
-    for a document of another shape.  The layout is compile_cnf's under the policy."""
+    """Model and policy of a compiled_to_json document; KeyError/ValueError if misshapen."""
     if type(doc) is not dict:
         raise ValueError(f"a compiled model is a JSON object, not {doc!r:.60}")
     num_qubits = _qubit(doc["num_qubits"])

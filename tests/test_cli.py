@@ -1046,9 +1046,9 @@ def test_read_compiled_gives_the_compiled_layout_and_the_files_model(policy, sca
 def _paths(value, path=()):
     """The path to value and to each value inside it: object keys and array indices."""
     yield path
-    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
-    for key, item in items:
-        yield from _paths(item, path + (key,))
+    if type(value) in (dict, list):
+        for key, item in value.items() if type(value) is dict else enumerate(value):
+            yield from _paths(item, path + (key,))
 
 
 def _at(doc, path):
