@@ -19,6 +19,7 @@ provide, computed in bulk.
 count_solutions_capped counts without enumerating, in one call of the C
 library that anneals (samplers._kernel): it walks a bit-sliced truth table
 word by word without storing it; generate_mixed_sat screens its draws with it.
+Both take each clause's masks from the one word of Cnf.masks.
 
 This module owns the event JSONL file: events_to_jsonl writes a whole file
 and events_from_jsonl reads one back, checking every field.  A solution is its
@@ -107,15 +108,6 @@ def _literals(bits: int, value: int):
         yield 2 * (low.bit_length() - 1) + (not value & low)
 
 
-def _clause_masks(cnf: Cnf) -> list[tuple[int, int]]:
-    """Per clause, the masks of the variables it holds true and of those it holds false.
-
-    A code satisfies the clause when ``code & pos or ~code & neg``.
-    """
-    return [(sum(1 << lit.var - 1 for lit in c.literals if not lit.negated),
-             sum(1 << lit.var - 1 for lit in c.literals if lit.negated)) for c in cnf.clauses]
-
-
 class _Enumerator:
     """DPLL search whose states are immutable int-mask pairs, memoized across solves.
 
@@ -146,14 +138,12 @@ class _Enumerator:
 
     def __init__(self, cnf: Cnf):
         n = self.n = cnf.num_vars
-        masks = _clause_masks(cnf)
-        self.pos = [pos for pos, _ in masks]
-        self.neg = [neg for _, neg in masks]
-        self.occ: list[list[int]] = [[] for _ in range(2 * n)]  # clauses holding each literal
-        for ci, clause in enumerate(cnf.clauses):
-            for lit in clause.literals:
-                self.occ[2 * (lit.var - 1) + lit.negated].append(ci)
+        self.pos, self.neg = cnf.masks[:, :, 0].tolist()  # one word: n <= 62
         self.clause_vars = [p | q for p, q in zip(self.pos, self.neg)]
+        self.occ: list[list[int]] = [[] for _ in range(2 * n)]  # clauses holding each literal
+        for ci, (bits, pos) in enumerate(zip(self.clause_vars, self.pos)):
+            for lit in _literals(bits, pos):
+                self.occ[lit].append(ci)
         self.occ_bits = [sum(1 << ci for ci in cs) for cs in self.occ]
         self.blocks_with = [0] * (2 * n)
         self.all_blocks = 0
@@ -387,7 +377,7 @@ def count_solutions_capped(cnf: Cnf, cap: int) -> int | None:
     if 8 << max(n - 6, 0) > _COUNT_MAX_BYTES:
         result = enumerate_all(cnf, cap)
         return None if result.cap_hit else len(result.events)
-    masks = np.array(_clause_masks(cnf), dtype=np.uint64).reshape(-1)
+    masks = np.ascontiguousarray(cnf.masks[:, :, 0].T)  # (pos, neg) per clause: n <= 26
     count = samplers._kernel().cascor_count_solutions(
         n, len(cnf.clauses), masks, min(cap, 1 << n), np.empty(3 * len(cnf.clauses), np.uint64))
     return None if count < 0 else count

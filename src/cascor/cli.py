@@ -23,6 +23,7 @@ from . import metrics as metrics_mod
 from . import samplers as samplers_mod
 from .compiler import ConstructionPolicy, compile_cnf, compiled_from_json, compiled_to_json
 from .compiler import _layout_and_values
+from .sat import _code_words, _falsified
 from .sat import (
     Cnf,
     LimitError,
@@ -98,7 +99,10 @@ def _read_compiled(path: str, cnf: Cnf):
     """The model at path and the layout compile_cnf gives cnf under the file's policy;
     ValueError unless the file holds that layout and each value f is s times the compiled
     value c, |f - s c| <= 4 eps |f|, where s > 0 is the ratio of the ground_bounds."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:  # nesting deeper than the interpreter's recursion limit
+        raise ValueError(f"model file {path} nests too deeply") from None
     model, policy = compiled_from_json(doc)
     _, layout = compiled = compile_cnf(cnf, policy)
     own_text, own = _layout_and_values(compiled_to_json(*compiled, policy))
@@ -115,10 +119,10 @@ def _read_compiled(path: str, cnf: Cnf):
 def _read_events(path: str, cnf: Cnf) -> list:
     """The events at path; ValueError naming the first event that does not satisfy cnf."""
     events = allsat_mod.events_from_jsonl(Path(path).read_text(), cnf.num_vars)
-    clauses = allsat_mod._clause_masks(cnf)
-    for e in events:
-        if not all(e.code & pos or ~e.code & neg for pos, neg in clauses):
-            raise ValueError(f"event {e.index} does not satisfy the CNF")
+    codes = _code_words([e.code for e in events], len(events), cnf.num_vars, "event codes")
+    falsified = _falsified(codes, cnf.masks)
+    if falsified.any():
+        raise ValueError(f"event {events[falsified.argmax()].index} does not satisfy the CNF")
     return events
 
 
@@ -216,6 +220,7 @@ def cmd_sample(args) -> int:
                                  "spins of every gauge" if args.gauges else "spins")
     samplers_mod._check_run_size(rows, cnf.num_vars, "decoded bits of every run")
     samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
+    cnf.masks  # decode_all's clause masks, built (or refused) before the first anneal
     runs = _sample_runs(model, cfg, args.gauges)
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
     Path(args.out).write_bytes(samplers_mod.samples_to_jsonl(

@@ -167,13 +167,12 @@ def _clause_tree(k: int, policy: ConstructionPolicy) -> tuple:
         splits[leaves[pick]].append(pos)
         leaves.insert(pick + 1, pos)
 
-    def grow(pos: int):
-        node = pos  # the latest split sits innermost
-        for other in reversed(splits[pos]):
-            node = (node, grow(other))
-        return node
-
-    return grow(0), grow(1)
+    # a split-off position is larger than its leaf, so each subtree grows before its use
+    tree = list(range(k))
+    for pos in reversed(range(k)):
+        for other in reversed(splits[pos]):  # the latest split sits innermost
+            tree[pos] = (tree[pos], tree[other])
+    return tree[0], tree[1]
 
 
 def build_clause_penalty(
@@ -204,21 +203,21 @@ def build_clause_penalty(
         return ClausePenalty(terms, variable_qubits, (), clause_ground_energy(1))
 
     drawn: list[int] = []
-
-    def emit(node) -> tuple[int, bool]:
-        if isinstance(node, int):
-            lit = lits[node]
-            return var_map[lit.var], lit.negated
-        lq, ln = emit(node[0])
-        rq, rn = emit(node[1])
-        z = next(ancillas)
-        drawn.append(z)
-        terms.merge(build_h_or(lq, rq, z, ln, rn))
-        return z, False
-
-    left, right = _clause_tree(k, policy)
-    aq, an = emit(left)
-    bq, bn = emit(right)
+    done: list[tuple[int, bool]] = []  # (qubit, negated) of each finished subtree
+    stack: list = list(reversed(_clause_tree(k, policy)))  # the left subtree first
+    while stack:  # post-order without recursion, since a chain is k deep
+        node = stack.pop()
+        if node is None:  # both inputs of an OR block are done: draw its ancilla
+            (lq, ln), (rq, rn) = done.pop(-2), done.pop()
+            z = next(ancillas)
+            drawn.append(z)
+            terms.merge(build_h_or(lq, rq, z, ln, rn))
+            done.append((z, False))
+        elif isinstance(node, int):
+            done.append((var_map[lits[node].var], lits[node].negated))
+        else:
+            stack += [None, node[1], node[0]]
+    (aq, an), (bq, bn) = done
     terms.merge(build_h2(aq, bq, an, bn))
     return ClausePenalty(terms, variable_qubits, tuple(drawn), clause_ground_energy(k))
 

@@ -26,9 +26,10 @@ same checks, so a file reads the same, or fails with the same message,
 either way.
 
 A run's spins, decoded bits and anneal schedule may take at most _RUN_BYTES,
-and so may the gauges of an SRT rotation and the spins of all its runs
-together; sample, decode_all, random_gauges and sample_with_srt_rotation
-raise LimitError before allocating more.
+and so may the gauges of an SRT rotation, the spins of all its runs together
+and a CNF's clause masks (Cnf.masks, which decode_all evaluates the reads'
+variable bits against); sample, decode_all, random_gauges and
+sample_with_srt_rotation raise LimitError before allocating more.
 
 Determinism: read r consumes only its own RNG stream, the one numpy's
 Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
@@ -101,6 +102,7 @@ from .sat import (
     _column,
     _derived_rng,
     _derived_seed,
+    _falsified,
     _jsonl_objects,
     _seed_words,
 )
@@ -354,43 +356,17 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
     Ancilla consistency and sample energy are deliberately ignored; variables
     absent from every clause have no qubit and default to false.  Raises
     LimitError when the bits or clause masks would pass the run size limit.
-
-    The clauses are evaluated once per distinct spins row
-    (SampleBatch.distinct_rows), as masks on the row's variable bits packed
-    into uint64 words (bit j is the j-th variable of the layout): a clause is
-    false exactly where the bits, masked to its variables, equal the mask of
-    its negated ones.  Every read of a row gets the row's one tuple.
+    Each distinct spins row (SampleBatch.distinct_rows) is projected and checked
+    (sat._falsified on Cnf.masks) once, and every read of a row gets its tuple.
     """
     _check_run_size(len(batch), cnf.num_vars, "decoded bits")
-    variables = sorted(layout.var_to_qubit)
-    position = {var: j for j, var in enumerate(variables)}
     first, inverse = batch.distinct_rows
-    bits = batch.spins[first][:, [layout.var_to_qubit[v] for v in variables]] > 0
-    rows = _packed_rows(bits)
-
-    # a variable without a qubit is false, so a clause holding its negation always holds
-    clauses = [clause for clause in cnf.clauses
-               if not any(lit.negated and lit.var not in position for lit in clause.literals)]
-    _check_run_size(len(clauses), 2 * 8 * rows.shape[1], "clause masks")
-    literals = [(c, position[lit.var], lit.negated) for c, clause in enumerate(clauses)
-                for lit in clause.literals if lit.var in position]
-    c, j, neg = np.array(literals, dtype=np.int64).reshape(-1, 3).T
-    bit = np.uint64(1) << (j % 64).astype(np.uint64)
-    # each clause's variables, and its negated ones, as bits of the rows' words
-    care, negated = np.zeros((2, len(clauses), rows.shape[1]), dtype=np.uint64)
-    np.bitwise_or.at(care, (c, j // 64), bit)
-    np.bitwise_or.at(negated, (c, j // 64), bit * neg.astype(np.uint64))
-    satisfied = np.empty(len(rows), dtype=bool)
-    step = max(1, (1 << 20) // (rows.shape[1] * len(clauses) + 1))  # rows x clauses x words
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step, None]
-        satisfied[start:start + step] = ~((block & care) == negated).all(axis=2).any(axis=1)
-
-    hits = np.flatnonzero(satisfied)
-    assignments = np.zeros((len(hits), cnf.num_vars), dtype=bool)
-    assignments[:, [v - 1 for v in variables]] = bits[hits]
-    solutions = np.full(len(rows), None, dtype=object)
-    solutions[hits] = np.fromiter(map(tuple, assignments.tolist()), dtype=object, count=len(hits))
+    bits = np.zeros((len(first), cnf.num_vars), dtype=bool)
+    var_to_qubit = layout.var_to_qubit
+    bits[:, [v - 1 for v in var_to_qubit]] = batch.spins[first][:, list(var_to_qubit.values())] > 0
+    hits = np.flatnonzero(~_falsified(_packed_rows(bits), cnf.masks))
+    solutions = np.full(len(first), None, dtype=object)
+    solutions[hits] = np.fromiter(map(tuple, bits[hits].tolist()), dtype=object, count=len(hits))
     return solutions[inverse].tolist()
 
 

@@ -2,7 +2,9 @@
 
 Clauses may have heterogeneous lengths (mixed SAT).  Variables are 1-based,
 following DIMACS convention; assignments are tuples of booleans indexed by
-``var - 1``.
+``var - 1``.  Outside the reference evaluate, clauses are evaluated in one
+form: Cnf.masks, checked by _falsified against assignments packed into
+uint64 words.
 
 generate_mixed_sat draws each attempt in one call of the C library that
 anneals (samplers._kernel, imported at call time since samplers imports this
@@ -14,6 +16,7 @@ SeedSequence, not on choice's algorithm, which numpy does not freeze.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -121,6 +124,19 @@ class Cnf:
     def variables_used(self) -> tuple[int, ...]:
         """Distinct variables that occur in at least one clause, ascending."""
         return tuple(sorted({lit.var for c in self.clauses for lit in c.literals}))
+
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """Each clause's (pos, neg) masks, a read-only (2, clauses, words) _code_words view."""
+        def sides():  # taken by _code_words after its size check
+            for clause in self.clauses:
+                held = neg = 0
+                for lit in clause.literals:
+                    held |= 1 << lit.var - 1
+                    neg |= lit.negated << lit.var - 1
+                yield from (held ^ neg, neg)
+        words = _code_words(sides(), 2 * len(self.clauses), self.num_vars, "clause masks")
+        return words.reshape(-1, 2, words.shape[1]).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -248,6 +264,27 @@ def evaluate(cnf: Cnf, assignment: Assignment) -> bool:
     )
 
 
+def _code_words(codes: Iterable[int], count: int, num_vars: int, what: str) -> np.ndarray:
+    """count codes below 2**num_vars as read-only rows of uint64 words, bit (v-1) % 64 of
+    word (v-1) // 64 holding variable v; LimitError, before taking one, past the run limit."""
+    from . import samplers  # deferred: samplers imports this module
+    width = 8 * max(1, -(-num_vars // 64))
+    samplers._check_run_size(count, width, what)
+    packed = b"".join([code.to_bytes(width, "little") for code in codes])
+    return np.frombuffer(packed, dtype="<u8").reshape(count, width // 8)
+
+
+def _falsified(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether each _code_words row falsifies a clause, all its pos bits 0 and neg bits 1."""
+    care = masks[0] | masks[1]
+    falsified = np.empty(len(words), dtype=bool)
+    step = max(1, (1 << 20) // (care.size + 1))  # rows x clauses x words in a block
+    for start in range(0, len(words), step):
+        block = words[start:start + step, None]
+        falsified[start:start + step] = ((block & care) == masks[1]).all(axis=2).any(axis=1)
+    return falsified
+
+
 def _bit_text(assignment: Assignment) -> str:
     """An assignment as 0/1 characters, variable 1 first: the JSONL files' form."""
     return "".join(["1" if b else "0" for b in assignment])
@@ -270,7 +307,10 @@ def _jsonl_objects(text: str) -> Iterator[dict]:
         line, start = text[start:stop], stop + 1
         if line.strip():
             body = line.strip(" \t\r\n")
-            doc, end = decode(body)
+            try:
+                doc, end = decode(body)
+            except RecursionError:  # nesting deeper than the interpreter's recursion limit
+                raise ValueError(f"line {line[:40]!r} nests too deeply") from None
             if end != len(body) or type(doc) is not dict:
                 raise ValueError(f"line {line[:40]!r} is not one JSON object")
             yield doc
@@ -318,13 +358,18 @@ def _seed_words(seed: int) -> np.ndarray:
     return np.array([seed >> shift & 0xFFFFFFFF for shift in shifts], dtype=np.uint32)
 
 
+# A drawn clause's Python objects, by tracemalloc on CPython 3.11: 128 bytes for the
+# Clause and its tuple, and 104 a literal for its Literal and its int in a list
+_CLAUSE_BYTES, _LITERAL_BYTES = 128, 104
+
+
 def _draw_instance(spec: MixedSatSpec, attempt: int) -> Cnf:
     """Draw number attempt of spec, by the kernel's cascor_draw_instance.
 
     The clauses are those that numpy's choice and random draw on
     ``_derived_rng(spec.seed, attempt)`` (tests/conftest.py::slow_draw_instance)
     for num_vars up to 10000.  Raises LimitError, before allocating them, when
-    the draw's arrays would pass the sampler's run size limit.
+    the draw's arrays and objects would pass the sampler's run size limit.
     """
     from . import samplers  # deferred: samplers imports this module
 
@@ -333,8 +378,9 @@ def _draw_instance(spec: MixedSatSpec, attempt: int) -> Cnf:
     weights /= weights.sum()
     cdf = weights.cumsum()
     cdf /= cdf[-1]  # as choice normalizes its cumulative weights
-    # one row of the longest length's literals per clause, and its length
-    samplers._check_run_size(spec.num_clauses, 8 * lengths[-1], "drawn clauses")
+    # per clause: its length, a row of the longest length's literals, and its objects
+    row = (8 + _LITERAL_BYTES) * lengths[-1] + _CLAUSE_BYTES
+    samplers._check_run_size(spec.num_clauses, row, "drawn clauses")
     sizes = np.empty(spec.num_clauses, dtype=np.int64)
     literals = np.empty(spec.num_clauses * lengths[-1], dtype=np.int64)
     seed_words = _seed_words(spec.seed)

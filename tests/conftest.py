@@ -4,13 +4,15 @@ brute_force_solutions evaluates clause semantics directly over all 2^n
 assignments with numpy; slow_energy and slow_min_states walk states in pure
 Python, and assert_file_energies checks a sample file's energies with
 slow_energy; slow_decode projects one read at a time and checks it with
-sat.evaluate; ungauge_sample maps a gauged sample back spin by spin;
-min_energy_over_ancillas brute-forces each clause's ancilla block with the
-variable qubits clamped; slow_draw_instance draws a mixed-SAT instance
-through numpy's Generator; slow_anneal is the read-major Metropolis loop that
-draws every uniform of a read up front; slow_enumerate is the blocking-clause
-ALL-SAT search on mutable counters with undo and a numpy block array.  These
-are the reference implementations the package is tested against.
+sat.evaluate; wide_cnfs and near_solutions draw CNFs whose packed rows cross
+word boundaries and assignments that often satisfy them; ungauge_sample maps
+a gauged sample back spin by spin; min_energy_over_ancillas brute-forces
+each clause's ancilla block with the variable qubits clamped;
+slow_draw_instance draws a mixed-SAT instance through numpy's Generator;
+slow_anneal is the read-major Metropolis loop that draws every uniform of a
+read up front; slow_enumerate is the blocking-clause ALL-SAT search on
+mutable counters with undo and a numpy block array.  These are the reference
+implementations the package is tested against.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cascor.compiler import PenaltyLayout
 from cascor.ising import IsingModel
@@ -489,6 +492,30 @@ def random_small_cnf(rng: np.random.Generator, n: int, m: int, max_k: int = 4) -
             )
         )
     return Cnf(n, tuple(clauses))
+
+
+@st.composite
+def wide_cnfs(draw) -> Cnf:
+    """A CNF over 1..130 variables, so packed rows span one to three words, whose 1..12
+    clauses of 1..5 literals leave most variables unused."""
+    n = draw(st.integers(1, 130))
+    clauses = []
+    for _ in range(draw(st.integers(1, 12))):
+        variables = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 5), unique=True))
+        clauses.append([v if draw(st.booleans()) else -v for v in variables])
+    return Cnf.of(n, clauses)
+
+
+def near_solutions(cnf: Cnf, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random assignments as (count, num_vars) bools; the first half then sets one
+    literal of each clause it falsifies, in clause order, so many of them satisfy cnf."""
+    bits = rng.integers(0, 2, (count, cnf.num_vars)).astype(bool)
+    for row in bits[:count // 2]:
+        for clause in cnf.clauses:
+            if not any(row[lit.var - 1] != lit.negated for lit in clause.literals):
+                lit = clause.literals[rng.integers(len(clause))]
+                row[lit.var - 1] = not lit.negated
+    return bits
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import functools
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,9 @@ from cascor.cli import _worker_count, main
 from cascor.compiler import ConstructionPolicy, compile_cnf, compiled_to_json
 from cascor.ising import energies_of_states
 from cascor.metrics import CSV_COLUMNS
-from cascor.sat import emit_dimacs, evaluate, parse_dimacs
+from cascor.sat import Cnf, emit_dimacs, evaluate, parse_dimacs
 
-from conftest import brute_force_solutions
+from conftest import batch_of, brute_force_solutions
 
 
 def run(*argv):
@@ -881,6 +882,8 @@ MALFORMED_TEXT = {
     "object-split-across-two-lines": lambda text: text.replace(", ", ",\n", 1),
     "line-led-by-form-feed": lambda text: "\x0c" + text,
     "utf8-bom": lambda text: "\ufeff" + text,
+    # json.loads raises RecursionError on this; json.dumps cannot write it for MALFORMED
+    "nested-100000-deep": lambda text: "[" * 100_000 + "]" * 100_000 + "\n",
 }
 
 
@@ -895,6 +898,68 @@ def test_malformed_stored_text_is_input_error(case, which, stored_outputs, tmp_p
     assert run_metrics(paths, tmp_path / "report.json") == 2
     err = capsys.readouterr().err
     assert "cascor: input error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sample", "metrics"])
+def test_deeply_nested_model_is_input_error(command, stored_outputs, tmp_path, capsys):
+    paths = dict(stored_outputs, model=tmp_path / "model.json")
+    paths["model"].write_text(MALFORMED_TEXT["nested-100000-deep"](""))
+    capsys.readouterr()
+    if command == "sample":
+        assert run("sample", "--model", str(paths["model"]), "--cnf", str(paths["cnf"]),
+                   "--seed", "1", "--out", str(tmp_path / "s.jsonl")) == 2
+    else:
+        assert run_metrics(paths, tmp_path / "report.json") == 2
+    err = capsys.readouterr().err
+    assert err == f"cascor: input error: model file {paths['model']} nests too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "metrics"])
+def test_clause_masks_past_the_limit_are_refused_before_any_work(
+        command, tmp_path, monkeypatch, capsys):
+    # a ring of 33,000 implications x_v -> x_{v+1}: its masks would take 273 MB, and
+    # the two ints per clause that the event check once built took 136 MB
+    n = 33_000
+    cnf = Cnf.of(n, [[-v, v % n + 1] for v in range(1, n + 1)])
+    model, layout = compile_cnf(cnf)
+    paths = {"cnf": tmp_path / "ring.cnf", "model": tmp_path / "model.json",
+             "samples": tmp_path / "s.jsonl", "events": tmp_path / "e.jsonl"}
+    paths["cnf"].write_text(emit_dimacs(cnf))
+    paths["model"].write_text("{}\n")
+    batch = batch_of([(1,) * model.num_qubits], [20], [20])
+    paths["samples"].write_bytes(samplers_mod.samples_to_jsonl(model, [batch], [[None]], False))
+    paths["events"].write_text("")
+    # the model check compiles the ring again; what each command does after it is measured
+    monkeypatch.setattr(cli, "_read_compiled", lambda path, cnf: (model, layout))
+    monkeypatch.setattr(cli, "_sample_runs", lambda *args: pytest.fail("annealed"))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        if command == "sample":
+            assert run("sample", "--model", str(paths["model"]), "--cnf", str(paths["cnf"]),
+                       "--seed", "1", "--out", str(tmp_path / "out.jsonl")) == 3
+        else:
+            assert run_metrics(paths, tmp_path / "report.json") == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "cascor: limit error: clause masks" in capsys.readouterr().err
+    assert peak < 32 << 20
+
+
+def test_gen_refuses_clause_objects_past_the_size_limit_at_once(tmp_path, monkeypatch, capsys):
+    # 10**7 clauses of 2 literals: their arrays (240 MB) fit the limit, their Clause and
+    # Literal objects (3.4 GB) do not, so no draw starts
+    monkeypatch.setattr(samplers_mod, "_kernel", lambda: pytest.fail("drew an instance"))
+    tracemalloc.start()
+    try:
+        assert run("gen", "--n", "20", "--m", str(10**7), "--lengths", "2:1", "--cap", "5",
+                   "--seed", "1", "--out", str(tmp_path / "x.cnf")) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "cascor: limit error: drawn clauses" in capsys.readouterr().err
 
 
 def test_stored_text_with_json_whitespace_and_blank_lines_is_read(stored_outputs, tmp_path):

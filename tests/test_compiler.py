@@ -337,3 +337,14 @@ def test_seeded_random_deterministic():
     cnf = Cnf.of(6, [[1, 2, 3, 4, 5, 6]])
     policy = ConstructionPolicy("seeded_random", 42)
     assert compile_cnf(cnf, policy) == compile_cnf(cnf, policy)
+
+
+@pytest.mark.parametrize("policy", [ConstructionPolicy("chain"), ConstructionPolicy("balanced"),
+                                    ConstructionPolicy("seeded_random", 3)], ids=lambda p: p.kind)
+def test_a_clause_of_3000_literals_compiles(policy):
+    # a chain is 3000 blocks deep, past the interpreter's recursion limit
+    k = 3000
+    model, layout = compile_cnf(Cnf.of(k, [range(1, k + 1)]), policy)
+    assert model.num_qubits == layout.num_qubits == 2 * (k - 1)
+    assert layout.ground_bound == -1 - 3 * (k - 2)
+    assert sorted(q for block in layout.clause_ancillas for q in block) == list(range(k, 2 * k - 2))

@@ -1,4 +1,5 @@
-"""Package-wide checks: exported names resolve, and no module calls a BLAS product."""
+"""Package-wide checks: exported names resolve, no module calls a BLAS product, and only
+sat and compiler walk a clause's literals."""
 import ast
 import importlib
 import pkgutil
@@ -50,3 +51,24 @@ def test_blas_scan_catches_each_form():
               "np.linalg.norm(a)\nnp.einsum('ij,jk', a, b, optimize=True)\n"
               "np.einsum('ij,jk', a, b)\nnp.outer(a, b)\n")
     assert len(blas_uses(source)) == 10
+
+
+# Clauses are walked literal by literal in sat, which builds Cnf.masks, the form every
+# other module evaluates them in, and in compiler, which builds a penalty per literal.
+CLAUSE_WALKERS = {"sat.py", "compiler.py"}
+
+
+def literal_reads(source: str) -> list[str]:
+    return [f"line {node.lineno}: .literals" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "literals"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(Path(cascor.__file__).parent.glob("*.py"))
+                                  if p.name not in CLAUSE_WALKERS], ids=lambda p: p.name)
+def test_only_sat_and_compiler_read_clause_literals(path):
+    assert literal_reads(path.read_text()) == []
+
+
+def test_literal_scan_catches_each_read():
+    source = "for lit in clause.literals:\n    pass\nn = len(cnf.clauses[0].literals)\n"
+    assert literal_reads(source) == ["line 1: .literals", "line 3: .literals"]

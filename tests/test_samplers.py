@@ -45,8 +45,10 @@ from conftest import (
     brute_force_solutions,
     random_small_cnf,
     slow_anneal,
+    near_solutions,
     slow_decode,
     slow_energy,
+    wide_cnfs,
 )
 
 H2 = IsingModel.from_terms(2, {0: -1, 1: -1}, {(0, 1): 1})
@@ -629,6 +631,21 @@ def test_clause_masks_past_the_run_size_limit_are_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+@given(cnf=wide_cnfs(), seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None)
+def test_decode_all_matches_projection_reference_across_words(cnf, seed):
+    # each assignment on two reads whose ancillas may differ: distinct rows, one tuple
+    model, layout = compile_cnf(cnf)
+    rng = np.random.default_rng(seed)
+    bits = np.tile(near_solutions(cnf, rng, 12), (2, 1))
+    spins = rng.choice(np.array([-1, 1], dtype=np.int8), (len(bits), model.num_qubits))
+    variables = list(layout.var_to_qubit)
+    spins[:, [layout.var_to_qubit[v] for v in variables]] = np.where(
+        bits[:, [v - 1 for v in variables]], 1, -1)
+    batch = batch_of(spins, range(1, 25), range(1, 25))
+    assert decode_all(batch, layout, cnf) == slow_decode(spins.tolist(), layout, cnf)
 
 
 def test_decode_all_matches_projection_reference():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,14 +14,22 @@ from cascor.sat import (
     LimitError,
     Literal,
     MixedSatSpec,
+    _code_words,
     _draw_instance,
+    _falsified,
     emit_dimacs,
     evaluate,
     generate_mixed_sat,
     parse_dimacs,
 )
 
-from conftest import brute_force_solutions, random_small_cnf, slow_draw_instance
+from conftest import (
+    brute_force_solutions,
+    near_solutions,
+    random_small_cnf,
+    slow_draw_instance,
+    wide_cnfs,
+)
 
 
 def test_parse_basic():
@@ -210,3 +219,20 @@ def test_draw_past_the_run_size_limit_is_limit_error():
     # 10**8 clauses of up to 3 literals: 3.2 GB of arrays, refused before any is allocated
     with pytest.raises(LimitError, match="drawn clauses"):
         generate_mixed_sat(MixedSatSpec(20, 10**8, {2: 1.0, 3: 1.0}, 0, 5))
+
+
+def test_clause_masks_hold_variable_v_at_bit_v_minus_one():
+    cnf = Cnf.of(130, [[130, -65, 1], [-64]])
+    masks = cnf.masks
+    assert masks.shape == (2, 2, 3) and masks.dtype == np.uint64
+    assert masks.tolist() == [[[1, 0, 2], [0, 0, 0]], [[0, 1, 0], [1 << 63, 0, 0]]]
+    assert not masks.flags.writeable
+    assert cnf.masks is masks  # built once per CNF
+
+
+@given(cnf=wide_cnfs(), seed=st.integers(0, 2**32 - 1))
+def test_falsified_is_the_negation_of_evaluate(cnf, seed):
+    bits = near_solutions(cnf, np.random.default_rng(seed), 16).tolist()
+    codes = [sum(1 << v for v, b in enumerate(row) if b) for row in bits]
+    words = _code_words(codes, len(codes), cnf.num_vars, "assignments")
+    assert _falsified(words, cnf.masks).tolist() == [not evaluate(cnf, tuple(r)) for r in bits]
