@@ -632,18 +632,16 @@ static char *put_text(char *p, const char *text, int64_t size)
 
 #define PUT_LITERAL(p, literal) put_text((p), (literal), (int64_t)sizeof(literal) - 1)
 
-/* The decimal digits of value, with a leading '-' when it is negative: 20 bytes at most. */
+/* The decimal digits of value >= 0, 19 bytes at most: reads, gauge tags and a
+ * SampleBatch's times are never negative. */
 static char *put_int(char *p, int64_t value)
 {
-    char digits[20];
+    char digits[19];
     int k = 0;
-    uint64_t magnitude = value < 0 ? 0 - (uint64_t)value : (uint64_t)value;
     do {
-        digits[k++] = (char)('0' + magnitude % 10);
-        magnitude /= 10;
-    } while (magnitude);
-    if (value < 0)
-        *p++ = '-';
+        digits[k++] = (char)('0' + value % 10);
+        value /= 10;
+    } while (value);
     while (k)
         *p++ = digits[--k];
     return p;
@@ -656,11 +654,12 @@ static int64_t text_size(const int64_t *offsets, int64_t k)
 
 /* Every line of a sample file, written to out, whose capacity is in bytes;
  * returns the number of bytes written, or -1 if they would not fit.  Line i
- * holds read reads[i], times cores[i] and walls[i], and, when gauges[i] >= 0,
- * that gauge tag.  Its spins, energy and solution are the texts of distinct
- * row rows[i]: text k of texts is texts[offsets[k] .. offsets[k + 1]), and
- * holds the spins of row k for k < num_rows, the energy of row k - num_rows
- * below 2 num_rows, and the solution of row k - 2 num_rows after those. */
+ * holds read reads[i], times cores[i] and walls[i], all >= 0, and, when
+ * gauges[i] >= 0, that gauge tag.  Its spins, energy and solution are the
+ * texts of distinct row rows[i]: text k of texts is texts[offsets[k] ..
+ * offsets[k + 1]), and holds the spins of row k for k < num_rows, the energy
+ * of row k - num_rows below 2 num_rows, and the solution of row k - 2 num_rows
+ * after those. */
 int64_t cascor_sample_lines(int64_t lines, const int64_t *reads, const int64_t *cores,
                             const int64_t *walls, const int64_t *gauges, const int64_t *rows,
                             int64_t num_rows, const char *texts, const int64_t *offsets,
@@ -670,7 +669,7 @@ int64_t cascor_sample_lines(int64_t lines, const int64_t *reads, const int64_t *
     for (int64_t i = 0; i < lines; i++) {
         const int64_t spins = rows[i], energy = num_rows + rows[i];
         const int64_t solution = 2 * num_rows + rows[i];
-        /* the keys and separators take 95 bytes, and four integers 80 at most */
+        /* the keys and separators take 95 bytes, and four integers 76 at most */
         if (capacity - (p - out) < text_size(offsets, spins) + text_size(offsets, energy) +
                                        text_size(offsets, solution) + 200)
             return -1;

@@ -410,7 +410,7 @@ def events_from_jsonl(text: str, num_vars: int) -> list[SolutionEvent]:
     if not np.array_equal(_column(indices, "index", (k,)), np.arange(1, k + 1)):
         raise ValueError(f"event indices are not 1..{k} in order")
     times = _column(times, "wall_time_us", (k,)).astype(np.int64)
-    if np.any(np.diff(times, prepend=0) < 0):
+    if np.any(times < np.concatenate([[0], times[:-1]])):  # compared, not subtracted: no wrap
         raise ValueError("event times must be non-negative and never decrease")
     joined = "".join(t if type(t) is str and len(t) == num_vars else "?" for t in texts)
     if not set(joined) <= {"0", "1"}:

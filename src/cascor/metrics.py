@@ -12,8 +12,8 @@ has two axes (core annealing time and wallclock time), which share its
 first-occurrence reads; the classical stream has wallclock only.  Each
 gauge's reads are grouped by spins row (SampleBatch.distinct_rows), so only
 the first read of each distinct row is packed, and the stream's times are
-checked on the batches' arrays; the classical stream is scanned once, event
-by event.
+the batches' own, which each SampleBatch checks as it is built; the
+classical stream is scanned once, event by event.
 
 The crossover point is the smallest distinct-solution count at which the
 classical curve's time drops to or below the quantum curve's (ties favor
@@ -166,14 +166,6 @@ def _pack(assignment: Assignment) -> int:
     return int(b"0" + bytes(assignment[::-1]).translate(_BIT_CHARS), 2)
 
 
-def _first_occurrences(codes: Sequence[int]) -> dict[int, int]:
-    """Each distinct code, in first-occurrence order, mapped to its first index."""
-    first: dict[int, int] = {}
-    for i, c in enumerate(codes):
-        first.setdefault(c, i)
-    return first
-
-
 def _first_reads(batch, layout: PenaltyLayout, cnf: Cnf, mask: int) -> dict[int, int]:
     """Each distinct code of batch's satisfying reads, in read order, mapped to its first read.
 
@@ -187,27 +179,6 @@ def _first_reads(batch, layout: PenaltyLayout, cnf: Cnf, mask: int) -> dict[int,
         if decoded[r] is not None:
             found.setdefault(_pack(decoded[r]) & mask, r)
     return found
-
-
-def _run_offsets(runs: Sequence, name: str, source: str) -> list[int]:
-    """Each run's offset on the merged time axis name: the last times of the runs before it, summed.
-
-    Raises ValueError where the merged stream of every read's time decreases.
-    """
-    offsets, offset, started = [], 0, False
-    for batch in runs:
-        times = getattr(batch, name)
-        offsets.append(offset)
-        if len(times):
-            # a run after the first starts at its offset, where the run before it ended
-            before = np.concatenate([[0 if started else times[0]], times[:-1]])
-            down = np.flatnonzero(times < before)
-            if down.size:
-                at = offset + int(times[down[0]])
-                raise ValueError(f"{source} event times decrease at t={at}")
-            offset += int(times[-1])
-            started = True
-    return offsets
 
 
 @dataclass(frozen=True)
@@ -256,8 +227,9 @@ def summarize_instance(
     """Aggregate one instance's quantum and classical streams into a report.
 
     ``quantum_runs`` holds one SampleBatch per gauge (a single batch for plain
-    sampling); gauge runs are treated as executed back to back, so their
-    time axes are offset cumulatively before merging into one quantum stream.
+    sampling); gauge runs are treated as executed back to back, so each run's
+    times are offset by the earlier runs' last times, summed, and the runs merge
+    in one pass into one quantum stream, ordered since each batch's times are.
     ``classical_events`` are SolutionEvents from the enumerator.
 
     Both streams are compared over one solution space, the variables the
@@ -266,36 +238,36 @@ def summarize_instance(
     variables (the decoder sets them to false, ALL-SAT yields both values).
     The events are taken as solutions: this does not check them.
 
-    Raises ValueError when a stream's times decrease: for the quantum
-    stream, the offset times of every read, satisfying or not, in run order.
+    Raises ValueError when the events' times decrease.
     """
     mask = sum(1 << (v - 1) for v in cnf.variables_used())
-    firsts = [_first_reads(batch, layout, cnf, mask) for batch in quantum_runs]
-    core_offsets = _run_offsets(quantum_runs, "core_time_us", SOURCE_QUANTUM_CORE)
-    wall_offsets = _run_offsets(quantum_runs, "wall_time_us", SOURCE_QUANTUM_WALL)
     # gauge runs follow one another, so a code first seen in an earlier run keeps that read
     q_first: dict[int, tuple[int, int]] = {}
-    for batch, first, core_offset, wall_offset in zip(quantum_runs, firsts, core_offsets,
-                                                      wall_offsets):
+    hamming_per_gauge = []
+    core_offset = wall_offset = 0
+    for batch in quantum_runs:
+        first = _first_reads(batch, layout, cnf, mask)
+        hamming_per_gauge.append(tuple(hamming_neighbor_distances(list(first))))
+        cores, walls = batch.core_time_us, batch.wall_time_us
         for code, r in first.items():
             if code not in q_first:
-                q_first[code] = (core_offset + int(batch.core_time_us[r]),
-                                 wall_offset + int(batch.wall_time_us[r]))
-    c_codes = [e.code & mask for e in classical_events]
-    c_times = [e.wall_time_us for e in classical_events]
-    _check_nondecreasing(c_times, f"{SOURCE_CLASSICAL_WALL} event")
-
-    c_first = _first_occurrences(c_codes)
+                q_first[code] = (core_offset + int(cores[r]), wall_offset + int(walls[r]))
+        if len(batch):
+            core_offset += int(cores[-1])
+            wall_offset += int(walls[-1])
+    _check_nondecreasing([e.wall_time_us for e in classical_events],
+                         f"{SOURCE_CLASSICAL_WALL} event")
+    c_first: dict[int, int] = {}  # each distinct code, in first-occurrence order: its time
+    for e in classical_events:
+        c_first.setdefault(e.code & mask, e.wall_time_us)
     q_ordered, c_ordered = list(q_first), list(c_first)
     timelines = {
         SOURCE_QUANTUM_CORE: DistinctTimeline(tuple(t for t, _ in q_first.values()),
                                               SOURCE_QUANTUM_CORE),
         SOURCE_QUANTUM_WALL: DistinctTimeline(tuple(t for _, t in q_first.values()),
                                               SOURCE_QUANTUM_WALL),
-        SOURCE_CLASSICAL_WALL: DistinctTimeline(tuple(c_times[i] for i in c_first.values()),
-                                                SOURCE_CLASSICAL_WALL),
+        SOURCE_CLASSICAL_WALL: DistinctTimeline(tuple(c_first.values()), SOURCE_CLASSICAL_WALL),
     }
-    hamming_per_gauge = [tuple(hamming_neighbor_distances(list(first))) for first in firsts]
 
     crossovers: dict[str, CrossoverReport | None] = dict.fromkeys(CROSSOVER_AXES)
     if q_ordered and c_ordered:

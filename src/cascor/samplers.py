@@ -7,10 +7,11 @@ duration (the hardware analog is 20 microseconds), and wallclock adds a
 one-off programming time and a per-read readout time, all set in SamplerConfig.
 
 A run comes back as one SampleBatch: the final spins of every read in a
-single int8 array and the cumulative core and wall times.  Iterating a batch
-yields one SampleRecord per read, a row of plain Python values.  The sample
-JSONL file is written whole by samples_to_jsonl, the one place a read's
-energy is computed, and read back, every field checked, by
+single int8 array and the cumulative core and wall times, which the batch
+checks as it is built (SamplerConfig keeps a run's clock below 2**63).
+Iterating a batch yields one SampleRecord per read, a row of plain Python
+values.  The sample JSONL file is written whole by samples_to_jsonl, the
+one place a read's energy is computed, and read back, every field checked, by
 samples_from_jsonl; both hold the file as bytes, the kernel's buffer on the
 way out and the file's own bytes on the way in.  The line layout lives in
 the C library that anneals (below).  The writer groups each run's distinct
@@ -138,7 +139,9 @@ class SamplerConfig:
 
     A read costs core_time_per_read_us of core time, and that plus
     per_read_readout_us of wallclock; programming_us is charged to the
-    wallclock once, before the first read.
+    wallclock once, before the first read.  The run's last wall time,
+    programming_us + num_reads * (core_time_per_read_us + per_read_readout_us),
+    must be below 2**63, so that every time of the run fits int64.
     """
 
     num_reads: int = 1000
@@ -164,6 +167,10 @@ class SamplerConfig:
         for name in ("core_time_per_read_us", "programming_us", "per_read_readout_us"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        clock = self.programming_us + self.num_reads * (self.core_time_per_read_us
+                                                        + self.per_read_readout_us)
+        if clock >= 2**63:
+            raise ValueError(f"the run's clock would reach {clock} us, past int64's range")
 
 
 @dataclass(frozen=True)
@@ -180,10 +187,10 @@ class SampleRecord:
 class SampleBatch:
     """All reads of one sampling run; row r of every array belongs to read r.
 
-    ``spins`` is (reads, qubits) int8, made read-only so that distinct_rows,
-    computed once per batch, stays the grouping of its rows, and
-    ``core_time_us``/``wall_time_us`` are the int64 cumulative times after
-    each read.
+    ``spins`` is (reads, qubits) int8 and ``core_time_us``/``wall_time_us``
+    the int64 cumulative times after each read, non-negative and never
+    decreasing (else ValueError).  All three are made read-only, so that
+    distinct_rows, computed once per batch, stays the grouping of its rows.
     """
 
     spins: np.ndarray
@@ -191,7 +198,16 @@ class SampleBatch:
     wall_time_us: np.ndarray
 
     def __post_init__(self) -> None:
-        self.spins.flags.writeable = False
+        for name in ("core_time_us", "wall_time_us"):
+            times = getattr(self, name)
+            if times.dtype != np.int64 or times.shape != (len(self.spins),):
+                raise ValueError(f"{name} must be int64 of shape ({len(self.spins)},)")
+            before = np.concatenate([[0], times[:-1]])  # compared, never subtracted: no wrap
+            down = np.flatnonzero(times < before)
+            if down.size:
+                raise ValueError(f"{name} times decrease at read {down[0]}, to {times[down[0]]}")
+        for array in (self.spins, self.core_time_us, self.wall_time_us):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.spins)
@@ -455,7 +471,7 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
     offsets = np.cumsum([0, *map(len, texts)], dtype=np.int64)
     sizes = np.diff(offsets).reshape(3, -1).sum(axis=0)  # each row's three texts together
     reads = np.concatenate([np.arange(k) for k in lengths])
-    cores, walls = (np.concatenate([getattr(b, name) for b in runs]).astype(np.int64, copy=False)
+    cores, walls = (np.concatenate([getattr(b, name) for b in runs])
                     for name in ("core_time_us", "wall_time_us"))
     gauges = np.repeat(np.arange(len(runs)), lengths) if gauged else np.full(len(reads), -1)
     # a line's texts, and at most 200 bytes of keys and integers
@@ -548,10 +564,12 @@ def _batch_of_columns(columns: dict[str, Sequence], num_qubits: int, gauge: int)
     spins = column("spins", (k, num_qubits))
     if np.any(np.abs(spins) != 1):
         raise ValueError(f"gauge {gauge} spins must be +1 or -1")
-    times = [column("core_time_us").astype(np.int64), column("wall_time_us").astype(np.int64)]
-    if any(np.any(np.diff(t, prepend=0) < 0) for t in times):
-        raise ValueError(f"gauge {gauge} times must be non-negative and never decrease")
+    times = [column(name).astype(np.int64) for name in ("core_time_us", "wall_time_us")]
+    try:
+        batch = SampleBatch(spins.astype(np.int8), *times)
+    except ValueError as exc:  # the batch checks its own times
+        raise ValueError(f"gauge {gauge} {exc}") from None
     if "energy" in columns:  # _writer_columns has checked it already
         if not np.isfinite(column("energy", kinds="if")).all():
             raise ValueError(f"gauge {gauge} energies must be finite numbers")
-    return SampleBatch(spins.astype(np.int8), *times)
+    return batch

@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cascor.allsat as allsat_mod
@@ -761,6 +761,11 @@ MALFORMED = {
     "energy-nan": ("samples", lambda docs: docs[0].update(energy=float("nan"))),
     "energy-infinity": ("samples", lambda docs: docs[1].update(energy=float("inf"))),
     "energy-minus-infinity": ("samples", lambda docs: docs[-1].update(energy=float("-inf"))),
+    # times that decrease, though np.diff of them wraps past int64 to an increase
+    "core-times-wrapping-int64": ("samples", lambda docs: [
+        doc.update(core_time_us=k * 10**18) for doc, k in zip(docs, (9, -9, -8))]),
+    "event-times-wrapping-int64": ("events", lambda docs: [
+        doc.update(wall_time_us=k * 10**18) for doc, k in zip(docs, (9, -9))]),
     # a model file of the wrong JSON shape
     "model-empty-array": ("model", lambda docs: docs.__setitem__(0, [])),
     "model-null": ("model", lambda docs: docs.__setitem__(0, None)),
@@ -818,6 +823,22 @@ def test_malformed_model_is_input_error_in_sample(case, stored_outputs, tmp_path
                "--reads", "2", "--sweeps", "2", "--out", str(tmp_path / "s.jsonl")) == 2
     err = capsys.readouterr().err
     assert "cascor: input error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sample", ("--reads", "3", "--core-time-us", str(2**63 - 1))),
+    ("sample", ("--core-time-us", "99999999999999999999")),
+    ("bench", ("--core-time-us", str(2**62))),
+])
+def test_clock_past_int64_is_input_error(command, flags, stored_outputs, tmp_path, capsys):
+    # every time of a run, up to its last wall time, must fit int64
+    inputs = (("--model", str(stored_outputs["model"]), "--cnf", str(stored_outputs["cnf"]))
+              if command == "sample" else ("--instances", str(stored_outputs["cnf"].parent)))
+    capsys.readouterr()
+    assert run(command, *inputs, "--seed", "1", *flags, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascor: input error: the run's clock would reach ")
+    assert "past int64" in err
 
 
 def test_event_that_breaks_the_cnf_is_named(tmp_path, capsys):
@@ -1122,6 +1143,12 @@ def _at(doc, path):
     return doc
 
 
+def _other_json_types(value) -> list:
+    """One value of each JSON type but value's (JSON has one number type)."""
+    json_type = lambda v: float if type(v) is int else type(v)
+    return [v for v in ("x", True, None, [], {}, 1.5) if json_type(v) is not json_type(value)]
+
+
 @st.composite
 def mutated_model_docs(draw):
     """(a scaled compile document with one mutation, whether the mutation left it unchanged)."""
@@ -1130,9 +1157,7 @@ def mutated_model_docs(draw):
     if kind == "retype":  # any value, the document included, as a value of another JSON type
         path = draw(st.sampled_from(list(_paths(doc))))
         old = _at(doc, path)[path[-1]] if path else doc
-        json_type = lambda v: float if type(v) is int else type(v)  # JSON has one number type
-        new = draw(st.sampled_from([v for v in ("x", True, None, [], {}, 1.5)
-                                    if json_type(v) is not json_type(old)]))
+        new = draw(st.sampled_from(_other_json_types(old)))
         if not path:
             return new, False
         _at(doc, path)[path[-1]] = new
@@ -1166,6 +1191,49 @@ def test_sample_takes_only_a_scaled_compiled_model(case, mutation_dir):
     sample runs it only when the mutation changed nothing, and else exits 2."""
     doc, unchanged = case
     assert _sample_model_doc(doc, mutation_dir) == (0 if unchanged else 2)
+
+
+# Times past either end of int64 once subtracted from a neighbour, and ones that are not.
+FUZZ_TIMES = [0, -1, 2**63 - 1, -2**63, 9 * 10**18]
+MUTATIONS = ["retype", "time", "drop-key", "drop-line", "duplicate-line", "truncate-line"]
+
+
+def _mutated_lines(lines: list[str], kind: str, line: int, picks: tuple[int, int]) -> list[str]:
+    """lines, each one JSON object, with one mutation of the kind at index line (modulo
+    their count); picks choose among its options, each modulo their count."""
+    i = line % len(lines)
+    pick = lambda options, k: options[picks[k] % len(options)]
+    if kind.endswith("line"):
+        new = {"drop-line": [], "duplicate-line": [lines[i]] * 2,
+               "truncate-line": [lines[i][:picks[0] % len(lines[i])]]}[kind]
+        return lines[:i] + new + lines[i + 1:]
+    docs = [json.loads(text) for text in lines]
+    if kind == "retype":  # any value, the line's object included
+        path = pick(list(_paths(docs[i])), 0)
+        parent, key = (_at(docs[i], path), path[-1]) if path else (docs, i)
+        parent[key] = pick(_other_json_types(parent[key]), 1)
+    elif kind == "time":
+        docs[i][pick([key for key in docs[i] if key.endswith("time_us")], 0)] = pick(FUZZ_TIMES, 1)
+    else:
+        del docs[i][pick(list(docs[i]), 0)]
+    return [json.dumps(doc) for doc in docs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(["samples", "events"]), kind=st.sampled_from(MUTATIONS),
+       line=st.integers(), picks=st.tuples(st.integers(0, 255), st.integers(0, 255)))
+# -2**63 as a stream's last time: np.diff of it wraps to an increase
+@example(which="samples", kind="time", line=-1, picks=(0, 3))
+@example(which="events", kind="time", line=-1, picks=(0, 3))
+def test_metrics_takes_a_mutated_sample_or_event_file(which, kind, line, picks, stored_outputs,
+                                                      mutation_dir):
+    """A sample or event file one mutation away from what cascor wrote: metrics
+    exits 0 or 2, and raises nothing (the CLI would print its traceback)."""
+    paths = dict(stored_outputs)
+    lines = _mutated_lines(paths[which].read_text().splitlines(), kind, line, picks)
+    paths[which] = mutation_dir / paths[which].name
+    paths[which].write_text("".join(text + "\n" for text in lines))
+    assert run_metrics(paths, mutation_dir / "report.json") in (0, 2)
 
 
 def _readme_commands() -> list[str]:

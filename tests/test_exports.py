@@ -1,5 +1,5 @@
-"""Package-wide checks: exported names resolve, no module calls a BLAS product, and only
-sat and compiler walk a clause's literals."""
+"""Package-wide checks: exported names resolve, no module calls a BLAS product, only
+sat and compiler walk a clause's literals, and no module checks time order by np.diff."""
 import ast
 import importlib
 import pkgutil
@@ -72,3 +72,23 @@ def test_only_sat_and_compiler_read_clause_literals(path):
 def test_literal_scan_catches_each_read():
     source = "for lit in clause.literals:\n    pass\nn = len(cnf.clauses[0].literals)\n"
     assert literal_reads(source) == ["line 1: .literals", "line 3: .literals"]
+
+
+# A time-order check by np.diff(times, prepend=0) < 0 wraps past int64 and passes
+# times that decrease; SampleBatch and events_from_jsonl compare neighbours instead.
+def diff_prepends(source: str) -> list[str]:
+    return [f"line {node.lineno}: diff(prepend=...)" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "diff"
+            and any(k.arg == "prepend" for k in node.keywords)]
+
+
+@pytest.mark.parametrize("path", sorted(Path(cascor.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_takes_np_diff_with_prepend(path):
+    assert diff_prepends(path.read_text()) == []
+
+
+def test_diff_scan_catches_a_prepend():
+    source = ("np.diff(t, prepend=0)\nnumpy.diff(t, n=1, prepend=[0])\nnp.diff(t)\n"
+              "np.diff(np.concatenate([[0], t]))\n")
+    assert diff_prepends(source) == ["line 1: diff(prepend=...)", "line 2: diff(prepend=...)"]

@@ -405,7 +405,7 @@ for entry in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
 assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 batches = samplers.sample_with_srt_rotation(models[1], cfg, samplers.random_gauges(4, 2, 5))
-batches.append(samplers.SampleBatch(batches[0].spins[:2], np.array([-2**63, 2**63 - 1]),
+batches.append(samplers.SampleBatch(batches[0].spins[:2], np.array([0, 2**63 - 1]),
                                     np.array([0, 2**63 - 1])))
 text = samplers.samples_to_jsonl(models[1], batches, [[None] * len(b) for b in batches], True)
 assert len(samplers.samples_from_jsonl(b"".join(text.splitlines(True)[:38]), 4)) == 2
@@ -551,6 +551,39 @@ def test_wall_time_overhead_accounting():
     cores = [r.core_time_us for r in records]
     assert walls == sorted(walls) and len(set(walls)) == len(walls)
     assert cores == sorted(cores) and len(set(cores)) == len(cores)
+
+
+def test_run_clock_must_fit_int64():
+    # the run's last wall time, programming + reads * (core + readout), bounds every time
+    fits = dict(num_reads=3, sweeps=1, core_time_per_read_us=2**61, per_read_readout_us=2**59,
+                programming_us=2**59 - 1)
+    batch = sample(H2, SamplerConfig(**fits))
+    assert batch.core_time_us.tolist() == [2**61, 2**62, 3 * 2**61]
+    assert batch.wall_time_us[-1] == 2**63 - 1
+    for past in (dict(fits, programming_us=2**59), dict(fits, core_time_per_read_us=10**20)):
+        with pytest.raises(ValueError, match="past int64"):
+            SamplerConfig(**past)
+
+
+@pytest.mark.parametrize("name", ["core_time_us", "wall_time_us"])
+@pytest.mark.parametrize("times, read", [([20, 10], 1), ([-1, 5], 0), ([-2**63, 0], 0),
+                                         ([2**63 - 1, -2**63], 1)])
+def test_batch_checks_its_own_times(name, times, read):
+    # each time is compared with the one before it (0 before the first), never
+    # subtracted: np.diff of [2**63 - 1, -2**63] wraps to 1
+    arrays = {"core_time_us": np.zeros(2, np.int64), "wall_time_us": np.zeros(2, np.int64),
+              name: np.array(times, np.int64)}
+    with pytest.raises(ValueError, match=f"^{name} times decrease at read {read},"):
+        SampleBatch(np.ones((2, 1), np.int8), **arrays)
+
+
+def test_batch_times_are_int64_one_per_read_and_read_only():
+    spins, times = np.ones((2, 1), np.int8), np.array([1, 2], np.int64)
+    for bad in (times.astype(np.int32), np.arange(3, dtype=np.int64), times[None]):
+        with pytest.raises(ValueError, match=r"wall_time_us must be int64 of shape \(2,\)"):
+            SampleBatch(spins, times, bad)
+    batch = SampleBatch(spins, times, times + 1)
+    assert not any(a.flags.writeable for a in (batch.spins, batch.core_time_us, batch.wall_time_us))
 
 
 def test_energies_match_ising_energy():
