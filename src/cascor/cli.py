@@ -1,6 +1,9 @@
 """Command-line pipeline: gen, compile, sample, allsat, metrics, bench.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 resource/limit error.
+Every command refuses an --out whose directory does not exist or that names a
+directory (exit 2) before any work.  A fault inside the pipeline propagates with
+its traceback; it is never reported as an input error.
 All emitted durations are integer microseconds.  Outputs are byte-stable for
 fixed inputs, flags, and seeds, except classical-enumeration timestamps;
 ``--stable-output`` substitutes ordinal pseudo-times for those (1 us per
@@ -51,11 +54,12 @@ def _input_boundary():
     """Report KeyError/ValueError from parsing, reading or flag-to-config code as InputError.
 
     OSError from reading an input file (a directory, say, or one without read
-    permission) is an InputError too, and so is an --out path in a directory
-    that does not exist (_check_out_dir), checked here before any work.  Only
-    that code runs inside, and output files are written outside; the same
+    permission) is an InputError too, and so is an output path that
+    _check_out_dir refuses: main checks --out in one before the command runs,
+    and gen and bench check their other output files in theirs before any work.
+    Only that code runs inside, and output files are written outside; the same
     classes raised by the pipeline itself are internal faults and propagate
-    unchanged.
+    unchanged.  main catches InputError and LimitError and nothing else.
     """
     try:
         yield
@@ -77,11 +81,14 @@ def _parse_lengths(text: str) -> dict[int, float]:
     return weights
 
 
-def _check_out_dir(path: str) -> None:
-    """FileNotFoundError unless the directory an output path names exists."""
+def _check_out_dir(path: str | Path) -> None:
+    """FileNotFoundError unless the directory an output path names exists, and
+    IsADirectoryError if the path names a directory itself."""
     directory = Path(path).parent
     if not directory.is_dir():
-        raise FileNotFoundError(f"no directory {str(directory)!r} to write {path!r} in")
+        raise FileNotFoundError(f"no directory {str(directory)!r} to write {str(path)!r} in")
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"output path {str(path)!r} is a directory")
 
 
 def _read_cnf(path: str | Path) -> Cnf:
@@ -98,14 +105,18 @@ def _read_compilable_cnf(path: str | Path) -> Cnf:
 def _read_compiled(path: str, cnf: Cnf):
     """The model at path and the layout compile_cnf gives cnf under the file's policy;
     ValueError unless the file holds that layout and each value f is s times the compiled
-    value c, |f - s c| <= 4 eps |f|, where s > 0 is the ratio of the ground_bounds."""
+    value c, |f - s c| <= 4 eps |f|, where s > 0 is the ratio of the ground_bounds.  A
+    KeyError or ValueError from compiling cnf is cascor's own fault, raised as RuntimeError."""
     try:
         doc = json.loads(Path(path).read_text())
     except RecursionError:  # nesting deeper than the interpreter's recursion limit
         raise ValueError(f"model file {path} nests too deeply") from None
     model, policy = compiled_from_json(doc)
-    _, layout = compiled = compile_cnf(cnf, policy)
-    own_text, own = _layout_and_values(compiled_to_json(*compiled, policy))
+    try:  # cnf parsed and has clauses, so no input can make this compile fail
+        _, layout = compiled = compile_cnf(cnf, policy)
+        own_text, own = _layout_and_values(compiled_to_json(*compiled, policy))
+    except (KeyError, ValueError) as exc:
+        raise RuntimeError(f"compiling the CNF under the model file's policy: {exc!r}") from exc
     text, values = _layout_and_values(doc)
     if text != own_text:
         raise ValueError(f"model qubit layout is not the {policy.kind} policy's for the CNF")
@@ -172,11 +183,11 @@ def cmd_gen(args) -> int:
         allsat_mod.check_enumeration(spec.num_vars, spec.solution_cap)
         if args.attempts < 1:
             raise ValueError(f"--attempts must be >= 1, not {args.attempts}")
-        _check_out_dir(args.out)
+        out = Path(args.out)
+        sidecar = out.with_suffix(out.suffix + ".json")
+        _check_out_dir(sidecar)
     cnf, count = generate_mixed_sat(spec, max_attempts=args.attempts)
-    out = Path(args.out)
     out.write_text(emit_dimacs(cnf))
-    sidecar = out.with_suffix(out.suffix + ".json")
     sidecar.write_text(
         json.dumps({"spec": spec.to_json(), "solution_count": count}, sort_keys=True) + "\n"
     )
@@ -188,7 +199,6 @@ def cmd_compile(args) -> int:
     with _input_boundary():
         cnf = _read_compilable_cnf(args.cnf)
         policy = ConstructionPolicy(args.policy, args.policy_seed)
-        _check_out_dir(args.out)
     model, layout = compile_cnf(cnf, policy)
     doc = compiled_to_json(model, layout, policy)
     Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -208,9 +218,8 @@ def _sample_runs(model, cfg, num_gauges):
 
 def cmd_sample(args) -> int:
     with _input_boundary():
-        cnf = _read_cnf(args.cnf)
+        cnf = _read_compilable_cnf(args.cnf)
         cfg = _sampler_config(args)
-        _check_out_dir(args.out)
         model, layout = _read_compiled(args.model, cnf)
     # every run's spins and decoded bits are held at once, so they share one run's
     # limit; both are checked before the first anneal, the spins first, as sampling
@@ -239,7 +248,6 @@ def cmd_allsat(args) -> int:
     with _input_boundary():
         cnf = _read_cnf(args.cnf)
         allsat_mod.check_enumeration(cnf.num_vars, args.cap, args.time_budget_us)
-        _check_out_dir(args.out)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
     events = _stabilized_events(result.events) if args.stable_output else result.events
     Path(args.out).write_text(allsat_mod.events_to_jsonl(events, cnf.num_vars))
@@ -255,8 +263,7 @@ def cmd_allsat(args) -> int:
 
 def cmd_metrics(args) -> int:
     with _input_boundary():
-        cnf = _read_cnf(args.cnf)
-        _check_out_dir(args.out)
+        cnf = _read_compilable_cnf(args.cnf)
         model, layout = _read_compiled(args.model, cnf)
         runs = samplers_mod.samples_from_jsonl(Path(args.samples).read_bytes(), model.num_qubits)
         events = _read_events(args.events, cnf)
@@ -290,20 +297,21 @@ def _worker_count(num_tasks: int) -> int:
 
 
 def cmd_bench(args) -> int:
-    instance_paths = sorted(Path(args.instances).glob("*.cnf"))
-    if not instance_paths:
-        raise FileNotFoundError(f"no .cnf instances under {args.instances}")
-    n = len(instance_paths)
     with _input_boundary():
+        instance_paths = sorted(Path(args.instances).glob("*.cnf"))
+        if not instance_paths:
+            raise FileNotFoundError(f"no .cnf instances under {args.instances}")
+        n = len(instance_paths)
         cfg = _sampler_config(args)
         policy = ConstructionPolicy(args.policy, args.policy_seed)
         # cap and budget before any worker starts; _bench_one checks each variable count
         allsat_mod.check_enumeration(0, args.cap, args.time_budget_us)
         workers = _worker_count(n)
-        _check_out_dir(args.out)
         if args.reports_dir:
             reports_dir = Path(args.reports_dir)
             reports_dir.mkdir(parents=True, exist_ok=True)
+            for path in instance_paths:
+                _check_out_dir(reports_dir / f"{path.stem}.report.json")
     samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
     # Instance idx (in sorted order) samples on stream idx of the master seed.
     jobs = (
@@ -393,11 +401,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        with _input_boundary():
+            _check_out_dir(args.out)  # every subcommand requires --out
         return args.func(args)
     except LimitError as exc:
         print(f"cascor: limit error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"cascor: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import re
@@ -26,6 +27,13 @@ from conftest import batch_of, brute_force_solutions
 
 def run(*argv):
     return main(list(argv))
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name, in build_parser()'s order."""
+    (action,) = (action for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return action.choices
 
 
 def gen_instance(tmp_path, name="inst.cnf", n=6, m=5, seed=7, cap=64,
@@ -482,16 +490,17 @@ def test_bench_reports_dir_naming_a_file_is_input_error_before_any_instance(
     assert not out.exists()
 
 
-def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch, capsys):
-    # The KeyError/ValueError catch covers parsing and flags only, not the pipeline.
+@pytest.mark.parametrize("error", [KeyError, FileNotFoundError])
+def test_internal_key_error_is_not_an_input_error(error, tmp_path, monkeypatch, capsys):
+    # The KeyError/ValueError/OSError catch covers parsing and flags only, not the pipeline.
     inst_dir = make_bench_dir(tmp_path)
     monkeypatch.setenv("CASCOR_THREADS", "1")
 
     def broken_summary(*args, **kwargs):
-        raise KeyError("internal")
+        raise error("internal")
 
     monkeypatch.setattr(metrics_mod, "summarize_instance", broken_summary)
-    with pytest.raises(KeyError, match="internal"):
+    with pytest.raises(error, match="internal"):
         run("bench", "--instances", str(inst_dir), "--seed", "1", "--reads", "5",
             "--sweeps", "3", "--out", str(tmp_path / "o.csv"))
     assert "input error" not in capsys.readouterr().err
@@ -534,7 +543,7 @@ def test_input_path_that_cannot_be_read_is_input_error(command, flag, stored_out
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "compile", "sample", "allsat", "metrics", "bench"])
+@pytest.mark.parametrize("command", list(subcommands()))
 def test_out_in_a_missing_directory_fails_before_any_work(command, stored_outputs, tmp_path,
                                                           capsys, monkeypatch):
     monkeypatch.setenv("CASCOR_THREADS", "1")
@@ -554,12 +563,76 @@ def test_out_in_a_missing_directory_fails_before_any_work(command, stored_output
         "bench": ["--instances", str(stored_outputs["cnf"].parent), "--seed", "1",
                   "--reads", "3", "--sweeps", "3"],
     }[command]
-    out = tmp_path / "nodir" / "out"
-    capsys.readouterr()
-    assert run(command, *argv, "--out", str(out)) == 2
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for out, message in [(tmp_path / "nodir" / "out", "no directory"),
+                         (taken, f"output path {str(taken)!r} is a directory")]:
+        capsys.readouterr()
+        assert run(command, *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cascor: input error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "nodir").exists() and not any(taken.iterdir())
+
+
+def test_gen_refuses_a_directory_at_its_sidecar_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sat_mod, "_draw_instance", lambda *args: pytest.fail("gen drew"))
+    (tmp_path / "g.cnf.json").mkdir()
+    assert run("gen", "--n", "6", "--m", "5", "--lengths", "2:1", "--cap", "64", "--seed", "1",
+               "--out", str(tmp_path / "g.cnf")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("cascor: input error: no directory") and "Traceback" not in err
-    assert not out.parent.exists()
+    assert err.startswith("cascor: input error: output path") and "Traceback" not in err
+    assert "g.cnf.json' is a directory" in err and not (tmp_path / "g.cnf").exists()
+
+
+def test_bench_refuses_a_directory_at_a_report_path_before_any_instance(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+    inst_dir = make_bench_dir(tmp_path)
+    monkeypatch.setattr(cli, "_bench_one", lambda *args: pytest.fail("bench ran an instance"))
+    (tmp_path / "rep" / "i1.report.json").mkdir(parents=True)
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert run("bench", "--instances", str(inst_dir), "--seed", "1", "--reports-dir",
+               str(tmp_path / "rep"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascor: input error: output path") and "Traceback" not in err
+    assert "i1.report.json' is a directory" in err and not out.exists()
+
+
+def test_every_subcommand_requires_out():
+    # main checks args.out once, before the command runs, for every command
+    for name, parser in subcommands().items():
+        (out,) = (action for action in parser._actions if "--out" in action.option_strings)
+        assert out.required, name
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+@pytest.mark.parametrize("command", ["sample", "metrics"])
+def test_a_compile_fault_in_reading_a_model_is_not_an_input_error(command, error, stored_outputs,
+                                                                  tmp_path, capsys, monkeypatch):
+    def broken_compile(*args, **kwargs):
+        raise error("internal")
+
+    def argv(cnf):
+        paths = {"--cnf": str(cnf), **{f"--{name}": str(stored_outputs[name])
+                                       for name in ("model", "samples", "events")}}
+        flags = {
+            "sample": ["--model", "--cnf", "--seed", "1", "--reads", "2", "--sweeps", "2"],
+            "metrics": ["--cnf", "--model", "--samples", "--events"],
+        }[command]
+        return [part for arg in flags for part in ([arg, paths[arg]] if arg in paths else [arg])]
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "compile_cnf", broken_compile)
+    with pytest.raises(RuntimeError, match="internal") as info:
+        run(command, *argv(stored_outputs["cnf"]), "--out", str(out))
+    assert type(info.value.__cause__) is error
+    assert "input error" not in capsys.readouterr().err and not out.exists()
+    # an empty CNF is still the input's fault, and is found before the compile
+    empty = tmp_path / "empty.cnf"
+    empty.write_text("p cnf 3 0\n")
+    assert run(command, *argv(empty), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "cascor: input error: cannot compile a CNF with no clauses\n"
 
 
 def test_gen_draw_past_the_size_limit_is_limit_error(tmp_path, capsys):
