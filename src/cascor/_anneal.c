@@ -17,10 +17,10 @@
  * sum the neighbour row at every proposal, so their rounding stays that of a
  * row sum; integral models whose table would be too large run this loop too.
  *
- * On x86-64 hosts with AVX-512F, DQ, VL and IFMA, cascor_anneal_int anneals
- * sixteen reads at once, one per 32-bit lane of a 512-bit vector of local
- * fields; elsewhere it runs the scalar integral loop, which stays exported as
- * cascor_anneal_int_scalar.  Each lane draws only its own read's stream and
+ * On x86-64 hosts with AVX-512F, DQ, VL, IFMA and VBMI, cascor_anneal_int
+ * anneals sixteen reads at once, one per 32-bit lane of a 512-bit vector of
+ * local fields; elsewhere it runs the scalar integral loop, which stays exported
+ * as cascor_anneal_int_scalar.  Each lane draws only its own read's stream and
  * makes that read's proposals in the scalar order, so the lane loop's spins
  * are the scalar loop's bit for bit.  The float loop is scalar everywhere.
  * The lane loop keeps its per-read work small:
@@ -28,15 +28,25 @@
  * - Fields.  A table row has an entry for every |v| up to the largest |local|,
  *   and samplers caps the table at 2^17 entries, so every field, h, J and 2 J
  *   fits int32 and one register holds a spin's field in all sixteen reads.
- *   An accepted flip moves each neighbour's field with one masked add and one
- *   masked subtract for the sixteen reads.
+ *   The fields start at a 64-byte boundary of the scratch, so each spin's
+ *   sixteen take one cache line.  An accepted flip moves each neighbour's
+ *   field with one masked add and one masked subtract for the sixteen reads.
  * - Streams.  Each lane's 128-bit PCG64 state and increment are held as limbs
  *   of 52, 52 and 24 bits, and a step multiplies them with IFMA's 52-bit
- *   multiply-adds (pcg_next_x8), for lanes 0-7 and 8-15 in turn.
- * - Register rows.  Once per sweep it loads the sweep's acceptance row into
- *   up to eight vector registers, when the row has at most 64 entries, and
- *   looks each lane's entry up with permutes and blends; a wider row is
- *   gathered from memory at every proposal.
+ *   multiply-adds (pcg_next_x8), for lanes 0-7 and 8-15 in turn.  VBMI's
+ *   byte-wise multishift moves the limbs' bits for the carries, the output
+ *   word and its rotate count, off the vector shift unit.
+ * - Acceptance in 32 bits.  A proposal is accepted when its word's top 53 bits
+ *   m are below the row's entry E.  One 32-bit compare for the sixteen lanes
+ *   sets each lane's top 32 bits, m >> 21, against its entry's,
+ *   min(E >> 21, 2^32 - 1), taken once per call from the table into the
+ *   scratch.  That decides every lane whose bits differ; when a lane's are
+ *   equal, about once in 2^28 proposals, every lane takes the exact 53-bit
+ *   test (anneal_int_lanes).
+ * - Register rows.  Once per sweep it loads the 32-bit row into one, two or
+ *   four vector registers, when the row has at most 16, 32 or 64 entries, and
+ *   looks each lane's entry up with permutes; a wider row is gathered from
+ *   memory at every proposal.
  * - Spins in.  Each lane's stream is seeded by seed_stream, as in the scalar
  *   loops, and the sixteen reads' initial spins are drawn straight into the
  *   lane masks.
@@ -238,7 +248,8 @@ void cascor_anneal_int_scalar(const uint32_t *restrict seed_words, int64_t seed_
 
 #if defined(__x86_64__)
 #define LANES 16
-#define LANE_TARGET __attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma")))
+#define LANE_TARGET \
+    __attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma,avx512vbmi")))
 #define M52 ((1ULL << 52) - 1)
 
 /* Eight PCG64 streams, one per 64-bit lane, each lane's state and increment
@@ -247,16 +258,28 @@ typedef struct {
     __m512i s0, s1, s2, c0, c1, c2;
 } pcg64x8;
 
+/* Byte j of a multishift control is the bit offset, within a 64-bit lane, of
+ * the eight bits (wrapping past bit 63) that VBMI's vpmultishiftqb puts in byte
+ * j of that lane.  A fresh limb 0 is below 2^53, limb 1 below 2^54 and limb 2
+ * below 2^55 (see pcg_next_x8), so offset 56 reads a zero byte of each. */
+#define BITS_52_UP 0x3838383838383834ULL  /* limb >> 52 */
+#define ROR_12 0x043c342c241c140cULL      /* ror(limb, 12) */
+#define SHL_40 0x1008003838383838ULL      /* limb << 40 */
+#define BITS_18_UP 18ULL                  /* bits 18-23 at bits 0-5, the rest unused */
+
 /* pcg_next in every lane.  Nine 52-bit multiply-adds, one per partial product
  * of state * mult below bit 128, accumulate onto the increment's limbs; two
- * shift-adds then carry limb 0 into limb 1 and limb 1 into limb 2.  A limb
- * keeps its carry bits: the multiply-adds read only its low 52 bits, and bits
- * 24 and up of limb 2 weigh 2^128 or more. */
+ * adds then carry limb 0 into limb 1 and limb 1 into limb 2.  A limb keeps its
+ * carry bits: the multiply-adds read only its low 52 bits, and bits 24 and up
+ * of limb 2 weigh 2^128 or more.  Each limb is the increment's limb, below
+ * 2^52, plus at most five terms below 2^52 and a carry, hence the bounds that
+ * the multishift controls rely on. */
 LANE_TARGET static inline __m512i pcg_next_x8(pcg64x8 *g)
 {
     const __m512i m0 = _mm512_set1_epi64((long long)((uint64_t)PCG_MULT & M52));
     const __m512i m1 = _mm512_set1_epi64((long long)((uint64_t)(PCG_MULT >> 52) & M52));
     const __m512i m2 = _mm512_set1_epi64((long long)(uint64_t)(PCG_MULT >> 104));
+    const __m512i carry = _mm512_set1_epi64((long long)BITS_52_UP);
     __m512i s0 = _mm512_madd52lo_epu64(g->c0, g->s0, m0);
     __m512i s1 = _mm512_madd52hi_epu64(g->c1, g->s0, m0);
     __m512i s2 = _mm512_madd52hi_epu64(g->c2, g->s0, m1);
@@ -266,17 +289,23 @@ LANE_TARGET static inline __m512i pcg_next_x8(pcg64x8 *g)
     s2 = _mm512_madd52hi_epu64(s2, g->s1, m0);
     s2 = _mm512_madd52lo_epu64(s2, g->s1, m1);
     s2 = _mm512_madd52lo_epu64(s2, g->s2, m0);
-    s1 = _mm512_add_epi64(s1, _mm512_srli_epi64(s0, 52));
-    s2 = _mm512_add_epi64(s2, _mm512_srli_epi64(s1, 52));
+    s1 = _mm512_add_epi64(s1, _mm512_multishift_epi64_epi8(carry, s0));
+    s2 = _mm512_add_epi64(s2, _mm512_multishift_epi64_epi8(carry, s1));
     g->s0 = s0, g->s1 = s1, g->s2 = s2;
-    /* ternary logic 0xea is a & b | c: lo = limb0 & M52 | limb1 << 52 and
-     * hi = limb1 >> 12 & M52 >> 12 | limb2 << 40 */
-    const __m512i top = _mm512_slli_epi64(s2, 40);
-    const __m512i lo = _mm512_ternarylogic_epi64(s0, _mm512_set1_epi64(M52),
-                                                 _mm512_slli_epi64(s1, 52), 0xea);
-    const __m512i hi = _mm512_ternarylogic_epi64(_mm512_srli_epi64(s1, 12),
-                                                 _mm512_set1_epi64(M52 >> 12), top, 0xea);
-    return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(top, 58));
+    /* The word is lo ^ hi, lo = s0 bits 0-51 | s1 bits 0-11 << 52 and hi = s1
+     * bits 12-51 | s2 << 40.  ror(s1, 12) holds s1's bits 12-51 at 0-39 and its
+     * bits 0-11 at 52-63, so lo ^ hi = (s0 & M52) ^ s2 << 40 ^ (ror(s1, 12)
+     * outside bits 40-51).  Ternary logic 0x6a is a & b ^ c, and 0xb4 a ^ b & ~c. */
+    const __m512i low_and_top =
+        _mm512_ternarylogic_epi64(s0, _mm512_set1_epi64(M52),
+                                  _mm512_multishift_epi64_epi8(_mm512_set1_epi64(SHL_40), s2),
+                                  0x6a);
+    const __m512i word = _mm512_ternarylogic_epi64(
+        low_and_top, _mm512_multishift_epi64_epi8(_mm512_set1_epi64(ROR_12), s1),
+        _mm512_set1_epi64(0xfffULL << 40), 0xb4);
+    /* rotated by state >> 122, s2's bits 18-23: vprorvq reads a count's low 6 bits */
+    return _mm512_rorv_epi64(word,
+                             _mm512_multishift_epi64_epi8(_mm512_set1_epi64(BITS_18_UP), s2));
 }
 
 /* One mask over sixteen lanes from masks over lanes 0-7 and lanes 8-15. */
@@ -285,75 +314,83 @@ static inline __mmask16 join_lanes(__mmask8 low, __mmask8 high)
     return (__mmask16)(low | high << 8);
 }
 
-/* Entry index[l] of a row of at most 8 blocks entries, held in blocks registers
- * of eight: 2, 4 or 8.  Every index is below the row's width, so a row of at
- * most 8 entries, whose second register is zero, takes the two-register path. */
-LANE_TARGET static inline __m512i row_entry(const __m512i *row, int blocks, __m512i index)
+/* Entry index[l] of a row of at most 16 regs entries, held in regs registers of
+ * sixteen: 1, 2 or 4.  Every index is below the row's width. */
+LANE_TARGET static inline __m512i row_entry(const __m512i *row, int regs, __m512i index)
 {
-    /* index bits 0-3 pick among 16 entries, bit 4 among 32 and bit 5 among 64 */
-    __m512i entry = _mm512_permutex2var_epi64(row[0], index, row[1]);
-    if (blocks == 2)
+    if (regs == 1)
+        return _mm512_permutexvar_epi32(index, row[0]);
+    /* index bits 0-4 pick among 32 entries, and bit 5 among 64 */
+    const __m512i entry = _mm512_permutex2var_epi32(row[0], index, row[1]);
+    if (regs == 2)
         return entry;
-    const __mmask8 bit4 = _mm512_test_epi64_mask(index, _mm512_set1_epi64(16));
-    entry = _mm512_mask_blend_epi64(bit4, entry, _mm512_permutex2var_epi64(row[2], index, row[3]));
-    if (blocks == 4)
-        return entry;
-    const __m512i upper =
-        _mm512_mask_blend_epi64(bit4, _mm512_permutex2var_epi64(row[4], index, row[5]),
-                                _mm512_permutex2var_epi64(row[6], index, row[7]));
-    return _mm512_mask_blend_epi64(_mm512_test_epi64_mask(index, _mm512_set1_epi64(32)), entry,
-                                   upper);
+    return _mm512_mask_blend_epi32(_mm512_test_epi32_mask(index, _mm512_set1_epi32(32)), entry,
+                                   _mm512_permutex2var_epi32(row[2], index, row[3]));
 }
 
-/* Lanes whose 53-bit integers m fall below their row entries index[l]: the
- * entries from blocks registers (row_entry), or gathered from row when blocks
- * is 0. */
-LANE_TARGET static inline __mmask8 accepted(int blocks, const __m512i *entries,
-                                            const uint64_t *row, __m256i index, __m512i m)
+/* Lanes whose words' 53-bit integers m = word >> 11 fall below their entries
+ * row[index[l]]: lanes 0-7 from low's words and 8-15 from high's. */
+LANE_TARGET static inline __mmask16 below_entries(const uint64_t *row, __m512i index,
+                                                  __m512i low, __m512i high)
 {
-    const __m512i limit = blocks ? row_entry(entries, blocks, _mm512_cvtepi32_epi64(index))
-                                 : _mm512_i32gather_epi64(index, row, 8);
-    return _mm512_cmplt_epu64_mask(m, limit);
+    const __m512i low_entries = _mm512_i32gather_epi64(_mm512_castsi512_si256(index), row, 8);
+    const __m512i high_entries =
+        _mm512_i32gather_epi64(_mm512_extracti64x4_epi64(index, 1), row, 8);
+    return join_lanes(_mm512_cmplt_epu64_mask(_mm512_srli_epi64(low, 11), low_entries),
+                      _mm512_cmplt_epu64_mask(_mm512_srli_epi64(high, 11), high_entries));
 }
 
-/* Every sweep of one lane group, its rows in blocks registers (row_entry), or
- * gathered from the table when blocks is 0.  Inlined once per value of blocks. */
+/* Every sweep of one lane group, its rows of tops in regs registers
+ * (row_entry), or gathered from tops when regs is 0.  Inlined once per value
+ * of regs. */
 LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
-    int blocks, pcg64x8 *g, int64_t n, int64_t sweeps, const int64_t *restrict indptr,
+    int regs, pcg64x8 *g, int64_t n, int64_t sweeps, const int64_t *restrict indptr,
     const int64_t *restrict indices, const int64_t *restrict values,
-    const uint64_t *restrict table, int64_t table_width, int32_t *restrict fields,
-    uint16_t *restrict up)
+    const uint64_t *restrict table, const uint32_t *restrict tops, int64_t table_width,
+    int32_t *restrict fields, uint16_t *restrict up)
 {
     const __m512i zero = _mm512_setzero_si512();
+    /* the high 32-bit half of every 64-bit lane of two vectors, the first's first */
+    const __m512i high_halves = _mm512_set_epi32(31, 29, 27, 25, 23, 21, 19, 17, 15, 13, 11,
+                                                 9, 7, 5, 3, 1);
     for (int64_t t = 0; t < sweeps; t++) {
         const uint64_t *row = table + t * table_width;
-        __m512i entries[8];
-        for (int b = 0; b < blocks; b++) {
-            const int64_t left = table_width - 8 * b;  /* entries from block b on */
-            entries[b] = left <= 0 ? zero
-                         : _mm512_maskz_loadu_epi64(left >= 8 ? 0xff : (__mmask8)((1u << left) - 1),
-                                                    row + 8 * b);
+        const uint32_t *top_row = tops + t * table_width;
+        __m512i entries[4];
+        for (int b = 0; b < regs; b++) {
+            const int64_t left = table_width - 16 * b;  /* entries from register b on */
+            entries[b] =
+                left <= 0 ? zero
+                          : _mm512_maskz_loadu_epi32(
+                                left >= 16 ? 0xffff : (__mmask16)((1u << left) - 1),
+                                top_row + 16 * b);
         }
         for (int64_t i = 0; i < n; i++) {
-            const __m512i m_low = _mm512_srli_epi64(pcg_next_x8(&g[0]), 11);
-            const __m512i m_high = _mm512_srli_epi64(pcg_next_x8(&g[1]), 11);
-            const __m512i local = _mm512_loadu_si512(fields + LANES * i);
+            const __m512i low = pcg_next_x8(&g[0]), high = pcg_next_x8(&g[1]);
+            /* each lane's m >> 21, the top 32 bits of its word */
+            const __m512i top = _mm512_permutex2var_epi32(low, high_halves, high);
+            const __m512i local = _mm512_load_si512(fields + LANES * i);
             /* -v = -s_i * local; the table index is max(-v, 0) */
             const __m512i neg_v = _mm512_mask_sub_epi32(local, up[i], zero, local);
             const __m512i index = _mm512_max_epi32(neg_v, zero);
-            const __mmask16 flip = join_lanes(
-                accepted(blocks, entries, row, _mm512_castsi512_si256(index), m_low),
-                accepted(blocks, entries, row, _mm512_extracti64x4_epi64(index, 1), m_high));
+            const __m512i limit = regs ? row_entry(entries, regs, index)
+                                       : _mm512_i32gather_epi32(index, top_row, 4);
+            /* top < limit means m < entry and top > limit means m >= entry (see
+             * anneal_int_lanes); on a tie, in about one proposal in 2^28, every
+             * lane takes the exact test */
+            __mmask16 flip = _mm512_cmplt_epu32_mask(top, limit);
+            if (__builtin_expect(_mm512_cmpeq_epi32_mask(top, limit) != 0, 0))
+                flip = below_entries(row, index, low, high);
             if (flip) {
                 up[i] ^= flip;
                 const __mmask16 rise = flip & up[i], fall = flip & (__mmask16)~up[i];
                 for (int64_t k = indptr[i]; k < indptr[i + 1]; k++) {
                     const __m512i step = _mm512_set1_epi32((int32_t)(2 * values[k]));
                     int32_t *f = fields + LANES * indices[k];
-                    __m512i field = _mm512_loadu_si512(f);
+                    __m512i field = _mm512_load_si512(f);
                     field = _mm512_mask_add_epi32(field, rise, field, step);
                     field = _mm512_mask_sub_epi32(field, fall, field, step);
-                    _mm512_storeu_si512(f, field);
+                    _mm512_store_si512(f, field);
                 }
             }
         }
@@ -365,20 +402,35 @@ LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
  * lane draws its own read's stream and makes that read's proposals in the
  * same order, so every read ends with the scalar loop's spins.  In the last
  * group, lanes past the final read anneal the reads that would follow it and
- * are never written out.  scratch holds 16 n int32 fields and then n 16-bit
- * lane masks. */
+ * are never written out.
+ *
+ * A proposal is accepted when m = word >> 11 is below its entry E <= 2^53.
+ * The lanes first compare word >> 32 = m >> 21 with the entry's top
+ * T = min(E >> 21, 2^32 - 1), from tops, built here from table: m >> 21 < T
+ * gives m < (T + 1) 2^21 <= E, and m >> 21 > T gives T = E >> 21 (only
+ * E = 2^53 saturates, and m >> 21 < 2^32) and so m >= (T + 1) 2^21 > E.  Only
+ * m >> 21 = T leaves the answer open, and below_entries settles it.
+ *
+ * scratch holds 16 n int32 fields, from its first 64-byte boundary, so that
+ * each spin's sixteen fields take one cache line; then the sweeps x
+ * table_width tops as uint32, and then n 16-bit lane masks. */
 LANE_TARGET static void anneal_int_lanes(
     const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads, int64_t n,
     int64_t sweeps, const int64_t *restrict indptr, const int64_t *restrict indices,
     const int64_t *restrict values, const int64_t *restrict h, const uint64_t *restrict table,
     int64_t table_width, int64_t *restrict scratch, int8_t *restrict out)
 {
-    int32_t *fields = (int32_t *)scratch;  /* spin i's field in lane l is fields[LANES * i + l] */
-    uint16_t *up = (uint16_t *)(fields + LANES * n);  /* bit l of up[i]: spin i is +1 in lane l */
-    const int blocks = table_width <= 16   ? 2
-                       : table_width <= 32 ? 4
-                       : table_width <= 64 ? 8
-                                           : 0;
+    /* spin i's field in lane l is fields[LANES * i + l] */
+    int32_t *fields = (int32_t *)(((uintptr_t)scratch + 63) & ~(uintptr_t)63);
+    uint32_t *tops = (uint32_t *)(fields + LANES * n);
+    for (int64_t k = 0; k < sweeps * table_width; k++)
+        tops[k] = table[k] >> 21 > UINT32_MAX ? UINT32_MAX : (uint32_t)(table[k] >> 21);
+    /* bit l of up[i]: spin i is +1 in lane l */
+    uint16_t *up = (uint16_t *)(tops + sweeps * table_width);
+    const int regs = table_width <= 16   ? 1
+                     : table_width <= 32 ? 2
+                     : table_width <= 64 ? 4
+                                         : 0;
     for (int64_t r0 = 0; r0 < reads; r0 += LANES) {
         const int lanes = reads - r0 < LANES ? (int)(reads - r0) : LANES;
         /* per stream group, as a pcg64x8 lays them out: state limbs s0 s1 s2, then
@@ -409,15 +461,15 @@ LANE_TARGET static void anneal_int_lanes(
                 local = _mm512_mask_add_epi32(local, plus, local, value);
                 local = _mm512_mask_sub_epi32(local, (__mmask16)~plus, local, value);
             }
-            _mm512_storeu_si512(fields + LANES * i, local);
+            _mm512_store_si512(fields + LANES * i, local);
         }
-#define SWEEP_LANES(blocks)                                                                \
-    sweep_lanes((blocks), g, n, sweeps, indptr, indices, values, table, table_width, fields, \
-                up)
-        switch (blocks) {
+#define SWEEP_LANES(regs)                                                                  \
+    sweep_lanes((regs), g, n, sweeps, indptr, indices, values, table, tops, table_width, \
+                fields, up)
+        switch (regs) {
+        case 1: SWEEP_LANES(1); break;
         case 2: SWEEP_LANES(2); break;
         case 4: SWEEP_LANES(4); break;
-        case 8: SWEEP_LANES(8); break;
         default: SWEEP_LANES(0);
         }
 #undef SWEEP_LANES
@@ -444,8 +496,10 @@ LANE_TARGET static void anneal_int_lanes(
 #endif
 
 /* cascor_anneal_int_scalar's spins, from the sixteen-lane loop on hosts with
- * AVX-512F, DQ, VL and IFMA and from the scalar loop elsewhere.  fields is
- * scratch for 9 n int64.  The lane loop's int32 fields, h, values and steps
+ * AVX-512F, DQ, VL, IFMA and VBMI and from the scalar loop elsewhere.  fields
+ * is scratch for 9 n + 8 + ceil(sweeps table_width / 2) int64: 66 bytes per
+ * spin, 4 per table entry and 63 to reach a 64-byte boundary for the lane
+ * loop (anneal_int_lanes).  The lane loop's int32 fields, h, values and steps
  * 2 values[k] are all within table_width - 1 or twice that in magnitude, so a
  * table wider than 2^30 entries runs the scalar loop. */
 void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, int64_t reads,
@@ -457,7 +511,7 @@ void cascor_anneal_int(const uint32_t *restrict seed_words, int64_t seed_len, in
 #if defined(__x86_64__)
     if (table_width <= (1 << 30) && __builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512ifma")) {
+        __builtin_cpu_supports("avx512ifma") && __builtin_cpu_supports("avx512vbmi")) {
         anneal_int_lanes(seed_words, seed_len, reads, n, sweeps, indptr, indices, values, h,
                          table, table_width, fields, out);
         return;

@@ -275,15 +275,12 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(path: Path, cfg, policy, args) -> metrics_mod.InstanceReport:
-    with _input_boundary():
-        cnf = _read_compilable_cnf(path)
-        allsat_mod.check_enumeration(cnf.num_vars, args.cap, args.time_budget_us)
+def _bench_one(cnf: Cnf, instance_id: str, cfg, policy, args) -> metrics_mod.InstanceReport:
     model, layout = compile_cnf(cnf, policy)
     runs = _sample_runs(model, cfg, args.gauges)
     result = allsat_mod.enumerate_all(cnf, cap=args.cap, time_budget_us=args.time_budget_us)
     events = _stabilized_events(result.events) if args.stable_output else list(result.events)
-    return metrics_mod.summarize_instance(runs, events, layout, cnf, instance_id=path.stem)
+    return metrics_mod.summarize_instance(runs, events, layout, cnf, instance_id=instance_id)
 
 
 def _worker_count(num_tasks: int) -> int:
@@ -304,8 +301,10 @@ def cmd_bench(args) -> int:
         n = len(instance_paths)
         cfg = _sampler_config(args)
         policy = ConstructionPolicy(args.policy, args.policy_seed)
-        # cap and budget before any worker starts; _bench_one checks each variable count
-        allsat_mod.check_enumeration(0, args.cap, args.time_budget_us)
+        # every instance, and the cap and budget on the widest, before any anneal or worker
+        cnfs = [_read_compilable_cnf(path) for path in instance_paths]
+        allsat_mod.check_enumeration(max(cnf.num_vars for cnf in cnfs), args.cap,
+                                     args.time_budget_us)
         workers = _worker_count(n)
         if args.reports_dir:
             reports_dir = Path(args.reports_dir)
@@ -315,7 +314,8 @@ def cmd_bench(args) -> int:
     samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
     # Instance idx (in sorted order) samples on stream idx of the master seed.
     jobs = (
-        instance_paths,
+        cnfs,
+        [path.stem for path in instance_paths],
         [replace(cfg, seed=_derived_seed(args.seed, idx)) for idx in range(n)],
         [policy] * n,
         [args] * n,

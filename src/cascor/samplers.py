@@ -57,15 +57,18 @@ when u < exp(2 beta v).  The kernel has two loops:
   of the uniform u = m / 2**53 is below it.  For an integer m, m < p * 2**53
   holds exactly when m < ceil(p * 2**53), and scaling by 2**53 (ldexp) is
   exact for every double in [0, 1], subnormals included, so the integer
-  comparison is u < p bit for bit.  On x86-64 hosts with AVX-512F, DQ, VL
-  and IFMA this loop anneals sixteen reads at once, one per 32-bit vector
-  lane of int32 local fields (the table cap keeps every field below 2**17),
-  each lane on its own read's stream; its spins are the one-read-at-a-time
-  loop's bit for bit, and other hosts run that loop.  Every loop seeds a
-  read's stream the same way, one read at a time; the lane loop steps the
-  sixteen streams with IFMA's 52-bit multiply-adds, eight at a time, and,
-  when a sweep's row of the table has at most 64 entries, looks acceptance up
-  in registers (see _anneal.c).
+  comparison is u < p bit for bit.  On x86-64 hosts with AVX-512F, DQ, VL,
+  IFMA and VBMI this loop anneals sixteen reads at once, one per 32-bit
+  vector lane of int32 local fields (the table cap keeps every field below
+  2**17), each lane on its own read's stream; its spins are the
+  one-read-at-a-time loop's bit for bit, and other hosts run that loop.
+  Every loop seeds a read's stream the same way, one read at a time; the lane
+  loop steps the sixteen streams with IFMA's 52-bit multiply-adds, eight at a
+  time.  It compares the top 32 bits of m with those of the entry,
+  min(entry >> 21, 2**32 - 1), which settles u < p whenever they differ, and
+  takes the exact 53-bit comparison when they are equal.  When a sweep's row
+  of the table has at most 64 entries, it looks those 32-bit entries up in
+  registers (see _anneal.c).
 - Float models sum each local field over its neighbour row at every
   proposal, since fields updated incrementally would drift from a row sum.
 
@@ -331,21 +334,29 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
         row_abs = np.diff(np.concatenate([[0], np.cumsum(np.abs(a.data))])[a.indptr])
         vmax = int(np.max(np.abs(a.h) + row_abs, initial=0))
         if cfg.sweeps * (vmax + 1) * 8 <= _TABLE_BYTES:
-            # u < p exactly when u's 53-bit integer is below ceil(p * 2**53).  A
-            # product past float64's range is -inf, whose exp is the reference's 0.
-            with np.errstate(over="ignore"):
-                p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
-            table = np.ceil(np.ldexp(p, 53)).astype(np.uint64)
-            # scratch of 72 bytes per qubit: the lane loop takes 66 of them, sixteen
-            # lanes' int32 fields and then 16 bits of lane spins
-            _kernel().cascor_anneal_int(*head, a.data, a.h, table, vmax + 1,
-                                        np.empty(9 * n, dtype=np.int64), spins)
+            table = _acceptance_table(two_betas, vmax)
+            # scratch for the lane loop: sixteen lanes' int32 fields and 16 bits of lane
+            # spins, 66 of 72 bytes per qubit, 4 bytes per table entry for the top 32
+            # bits of its 53, and 64 bytes to align the fields to a cache line
+            scratch = np.empty(9 * n + 8 + (table.size + 1) // 2, dtype=np.int64)
+            _kernel().cascor_anneal_int(*head, a.data, a.h, table, table.shape[1], scratch,
+                                        spins)
             return spins
     # Integer sums below 2**53 are exact in float64, so an integral model past
     # the table cap gets the same v, uniform and exp call in the float loop.
     _kernel().cascor_anneal_float(*head, a.data.astype(np.float64, copy=False),
                                   a.h.astype(np.float64, copy=False), two_betas, spins)
     return spins
+
+
+def _acceptance_table(two_betas: np.ndarray, vmax: int) -> np.ndarray:
+    """(sweeps, vmax + 1) uint64 acceptance table: entry [t, k] is ceil(p * 2**53) for
+    p = exp(-two_betas[t] * k), so a uniform u is below p exactly when its 53-bit
+    integer is below the entry."""
+    # A product past float64's range is -inf, whose exp is the reference's 0.
+    with np.errstate(over="ignore"):
+        p = np.exp(np.outer(two_betas, -np.arange(vmax + 1)))
+    return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
 
 
 def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:

@@ -599,6 +599,22 @@ def test_bench_refuses_a_directory_at_a_report_path_before_any_instance(tmp_path
     assert "i1.report.json' is a directory" in err and not out.exists()
 
 
+def test_bench_refuses_a_bad_instance_among_good_ones_before_any_anneal(tmp_path, capsys,
+                                                                       monkeypatch):
+    # z.cnf sorts last, so an instance-by-instance check would anneal i0..i2 first
+    monkeypatch.setenv("CASCOR_THREADS", "1")
+    inst_dir = make_bench_dir(tmp_path)
+    (inst_dir / "z.cnf").write_text("")
+    monkeypatch.setattr(cli, "_sample_runs", lambda *args: pytest.fail("bench annealed"))
+    out, reports = tmp_path / "o.csv", tmp_path / "rep"
+    capsys.readouterr()
+    assert run("bench", "--instances", str(inst_dir), "--seed", "1", "--reports-dir",
+               str(reports), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascor: input error:") and "Traceback" not in err
+    assert not out.exists() and not reports.exists()
+
+
 def test_every_subcommand_requires_out():
     # main checks args.out once, before the command runs, for every command
     for name, parser in subcommands().items():

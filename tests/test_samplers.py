@@ -155,8 +155,8 @@ def _cpu_flags() -> set[str]:
 # its dispatched entry is the scalar loop, and comparing the two shows nothing.
 needs_lanes = pytest.mark.skipif(
     platform.machine() != "x86_64"
-    or not {"avx512f", "avx512dq", "avx512vl", "avx512ifma"} <= _cpu_flags(),
-    reason="the CPU lacks AVX-512F, DQ, VL or IFMA, so the kernel runs no lane loop")
+    or not {"avx512f", "avx512dq", "avx512vl", "avx512ifma", "avx512vbmi"} <= _cpu_flags(),
+    reason="the CPU lacks AVX-512F, DQ, VL, IFMA or VBMI, so the kernel runs no lane loop")
 INT_ENTRIES = [pytest.param("cascor_anneal_int", id="dispatched", marks=needs_lanes),
                pytest.param("cascor_anneal_int_scalar", id="scalar")]
 
@@ -207,9 +207,9 @@ EDGE_RUNS = {
                                 beta_end=2e-3)),
     "1003-reads": (lambda: compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
                    SamplerConfig(num_reads=1003, sweeps=12, seed=31, beta_end=3.0)),
-    # The lane loop holds rows of at most 16, 32 and 64 entries (vmax 15, 31, 63) in 2,
-    # 4 and 8 registers, rows of 8 and 9 among them; one entry more takes the next
-    # count, and 65 the gather.
+    # The lane loop holds the 32-bit tops of rows of at most 16, 32 and 64 entries
+    # (vmax 15, 31, 63) in 1, 2 and 4 registers of sixteen; one entry more takes the
+    # next count, and 65 the gather.  Rows of 8 and 9 fill part of one register.
     # At these betas spin 0 flips against its field of vmax - 2 or vmax, the row's top.
     **{f"row-{vmax + 1}": (functools.partial(table_cap_model, vmax),
                            SamplerConfig(num_reads=43, sweeps=16, seed=vmax, beta_start=0.01,
@@ -266,6 +266,40 @@ def test_lane_loop_matches_scalar_loop_over_a_long_stream():
     assert model.is_integral() and cfg.sweeps * 4 * 8 <= samplers._TABLE_BYTES
     assert np.array_equal(anneal_with("cascor_anneal_int", model, cfg),
                           anneal_with("cascor_anneal_int_scalar", model, cfg))
+
+
+def first_proposal(seed: int, r: int, n: int) -> tuple[list[int], int]:
+    """Read r's initial spins and the 53-bit integer m of its first uniform, from the
+    stream slow_anneal draws read r from."""
+    rng = _derived_rng(seed, r)
+    spins = (2 * rng.integers(0, 2, size=n) - 1).tolist()
+    return spins, int(rng.random() * 2**53)
+
+
+@pytest.mark.parametrize("entry", INT_ENTRIES)
+@pytest.mark.parametrize("h", [1, 65], ids=["register-row", "gathered-row"])
+@pytest.mark.parametrize("case", ["reject-accept", "accept-reject", "saturated"])
+def test_ties_of_the_top_32_bits_are_settled_exactly(entry, h, case):
+    # One qubit with field h and one sweep: read r proposes once, from spin s, at
+    # table index 0 for s = +1 and h for s = -1, and flips when its uniform's 53-bit
+    # integer m is below that entry.  The entries m (rejects) and m + 1 (accepts) have
+    # m's top 32 bits, m >> 21, so the lane loop's 32-bit test ties on them; they are
+    # set for a read in lanes 0-7 and one in lanes 8-15.  2**53 saturates those bits.
+    model = IsingModel(1, {0: h}, {})
+    cfg = SamplerConfig(num_reads=16, sweeps=1, seed=7)
+    draws = [first_proposal(cfg.seed, r, 1) for r in range(16)]
+    m_up = next(m for spins, m in draws[:8] if spins == [1])
+    m_down = next(m for spins, m in draws[8:] if spins == [-1])
+    assert (m_up + 1) >> 21 == m_up >> 21 and (m_down + 1) >> 21 == m_down >> 21
+    up, down = {"reject-accept": (m_up, m_down + 1), "accept-reject": (m_up + 1, m_down),
+                "saturated": (m_up, 2**53)}[case]
+    table = np.zeros((1, h + 1), dtype=np.uint64)
+    table[0, 0], table[0, h] = up, down
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samplers, "_acceptance_table", lambda two_betas, vmax: table)
+        spins = anneal_with(entry, model, cfg)
+    expected = [[-s if m < (up if s == 1 else down) else s] for [s], m in draws]
+    assert spins.tolist() == expected
 
 
 def boltzmann_chi_square(model: IsingModel, beta: float, spins: np.ndarray) -> tuple[float, int]:
@@ -367,10 +401,13 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 
 # Loads the kernel built at argv[1] through samplers._kernel and anneals
-# integral models (one of them with a 64-entry acceptance row, the lane loop's
-# register limit, and one with 65) through both integral loops, at seeds of one
-# and of three entropy words, and a float model and an integral one past the
-# table cap through the float loop; anneals one long run of 17 reads x 2000
+# integral models (among them ones with acceptance rows of 16, 32 and 64
+# entries, the lane loop's limits for 1, 2 and 4 registers, and with one entry
+# more) through both integral loops, at seeds of one and of three entropy words,
+# and a float model and an integral one past the table cap through the float
+# loop; anneals 16 reads of one proposal on a table whose entries tie with two
+# reads' top 32 bits (test_ties_of_the_top_32_bits_are_settled_exactly) through
+# both integral loops; anneals one long run of 17 reads x 2000
 # sweeps through both integral loops, a full group of sixteen lanes and a
 # partial one, so the lane loop's PCG64 limbs carry well past seeding; writes
 # and scans sample text through the codec, whole, cut at every byte and past
@@ -386,23 +423,35 @@ import numpy as np
 from cascor import samplers
 from cascor.compiler import compile_cnf
 from cascor.ising import IsingModel
-from cascor.sat import Cnf
+from cascor.sat import Cnf, _derived_rng
 
 samplers._build_kernel = lambda: Path(sys.argv[1])
 lib = samplers._kernel()
 models = [compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
           IsingModel(4, {0: 0.5, 2: -1.25}, {(0, 1): 0.75, (1, 3): -0.5}),
           IsingModel(3, {0: 10**6}, {(0, 1): 1, (1, 2): -2}),
-          IsingModel(3, {0: 62}, {(0, 1): 1, (1, 2): -2}),
-          IsingModel(3, {0: 63}, {(0, 1): 1, (1, 2): -2})]
+          *(IsingModel(3, {0: h}, {(0, 1): 1, (1, 2): -2}) for h in (14, 15, 30, 31, 62, 63))]
 cfg, wide = (samplers.SamplerConfig(num_reads=19, sweeps=7, seed=seed) for seed in (5, 2**64 + 3))
 long = samplers.SamplerConfig(num_reads=17, sweeps=2000, seed=2**64 + 3, beta_end=1.0)
+one, tie = IsingModel(1, {0: 1}, {}), samplers.SamplerConfig(num_reads=16, sweeps=1, seed=7)
+draws = []
+for r in range(16):
+    rng = _derived_rng(tie.seed, r)
+    draws.append((int(rng.integers(0, 2, size=1)[0]), int(rng.random() * 2**53)))
+table = np.array([[next(m for s, m in draws[:8] if s == 1),
+                   next(m for s, m in draws[8:] if s == 0) + 1]], dtype=np.uint64)
+acceptance_table = samplers._acceptance_table
 runs = []
 for entry in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
     lib.cascor_anneal_int = entry
     runs.append([samplers._anneal(model, c) for model in models for c in (cfg, wide)]
                 + [samplers._anneal(models[0], long)])
+    samplers._acceptance_table = lambda two_betas, vmax: table
+    runs[-1].append(samplers._anneal(one, tie))
+    samplers._acceptance_table = acceptance_table
 assert all(np.array_equal(a, b) for a, b in zip(*runs))
+assert runs[0][-1].tolist() == [[1 - 2 * s if m < table[0, 1 - s] else 2 * s - 1]
+                                for s, m in draws]
 
 batches = samplers.sample_with_srt_rotation(models[1], cfg, samplers.random_gauges(4, 2, 5))
 batches.append(samplers.SampleBatch(batches[0].spins[:2], np.array([0, 2**63 - 1]),
