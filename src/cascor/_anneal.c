@@ -1,7 +1,7 @@
 /* Sequential Metropolis anneal of every read of one sampling run, the
  * mixed-SAT instance draw and solution count, and the sample file codec.
  *
- * Built on first use by cascor.samplers and called through ctypes.  Read r
+ * Built on first use by cascor._native and called through ctypes.  Read r
  * draws from the stream numpy's Generator(PCG64(SeedSequence((seed, r))))
  * would give: its n initial spins come from the top bits of consecutive
  * 32-bit halves (low half first), as rng.integers(0, 2, size=n) takes them,

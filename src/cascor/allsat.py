@@ -17,7 +17,7 @@ consistent block holds it.  This is the same pruning the clauses would
 provide, computed in bulk.
 
 count_solutions_capped counts without enumerating, in one call of the C
-library that anneals (samplers._kernel): it walks a bit-sliced truth table
+library that anneals (_native._kernel): it walks a bit-sliced truth table
 word by word without storing it; generate_mixed_sat screens its draws with it.
 Both take each clause's masks from the one word of Cnf.masks.
 
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import samplers
+from . import _native
 from .sat import Assignment, Cnf, _column, _jsonl_objects
 
 __all__ = [
@@ -378,7 +378,7 @@ def count_solutions_capped(cnf: Cnf, cap: int) -> int | None:
         result = enumerate_all(cnf, cap)
         return None if result.cap_hit else len(result.events)
     masks = np.ascontiguousarray(cnf.masks[:, :, 0].T)  # (pos, neg) per clause: n <= 26
-    count = samplers._kernel().cascor_count_solutions(
+    count = _native._kernel().cascor_count_solutions(
         n, len(cnf.clauses), masks, min(cap, 1 << n), np.empty(3 * len(cnf.clauses), np.uint64))
     return None if count < 0 else count
 

@@ -18,9 +18,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+from . import _native
 from . import allsat as allsat_mod
 from . import metrics as metrics_mod
 from . import samplers as samplers_mod
@@ -50,7 +51,7 @@ class InputError(Exception):
 
 
 @contextmanager
-def _input_boundary():
+def _input_boundary(source: Path | None = None):
     """Report KeyError/ValueError from parsing, reading or flag-to-config code as InputError.
 
     OSError from reading an input file (a directory, say, or one without read
@@ -59,12 +60,13 @@ def _input_boundary():
     and gen and bench check their other output files in theirs before any work.
     Only that code runs inside, and output files are written outside; the same
     classes raised by the pipeline itself are internal faults and propagate
-    unchanged.  main catches InputError and LimitError and nothing else.
+    unchanged.  main catches InputError and LimitError and nothing else.  With a
+    source, the InputError's message starts with that file's name.
     """
     try:
         yield
     except (KeyError, ValueError, OSError) as exc:
-        raise InputError(exc) from exc
+        raise InputError(f"{source}: {exc}" if source else exc) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,31 +139,25 @@ def _read_events(path: str, cnf: Cnf) -> list:
     return events
 
 
+# Each sampler flag and the SamplerConfig field it sets (--seed is each command's own)
+_SAMPLER_FLAGS = {"--reads": "num_reads", "--sweeps": "sweeps", "--beta-start": "beta_start",
+                  "--beta-end": "beta_end", "--core-time-us": "core_time_per_read_us",
+                  "--programming-us": "programming_us", "--readout-us": "per_read_readout_us"}
+
+
 def _sampler_config(args) -> samplers_mod.SamplerConfig:
     """The flags' SamplerConfig; ValueError for a value it or --gauges cannot take."""
     if args.gauges < 0:
         raise ValueError(f"--gauges must be >= 0, not {args.gauges}")
-    return samplers_mod.SamplerConfig(
-        num_reads=args.reads,
-        sweeps=args.sweeps,
-        beta_start=args.beta_start,
-        beta_end=args.beta_end,
-        seed=args.seed,
-        core_time_per_read_us=args.core_time_us,
-        programming_us=args.programming_us,
-        per_read_readout_us=args.readout_us,
-    )
+    config = samplers_mod.SamplerConfig
+    return config(**{field.name: getattr(args, field.name) for field in fields(config)})
 
 
 def _add_sampler_flags(sub) -> None:
-    config = samplers_mod.SamplerConfig
-    sub.add_argument("--reads", type=int, default=config.num_reads)
-    sub.add_argument("--sweeps", type=int, default=config.sweeps)
-    sub.add_argument("--beta-start", type=float, default=config.beta_start)
-    sub.add_argument("--beta-end", type=float, default=config.beta_end)
-    sub.add_argument("--core-time-us", type=int, default=config.core_time_per_read_us)
-    sub.add_argument("--programming-us", type=int, default=config.programming_us)
-    sub.add_argument("--readout-us", type=int, default=config.per_read_readout_us)
+    for flag, name in _SAMPLER_FLAGS.items():
+        default = getattr(samplers_mod.SamplerConfig, name)
+        sub.add_argument(flag, type=type(default), default=default, dest=name,
+                         metavar=flag[2:].replace("-", "_").upper())
     sub.add_argument("--gauges", type=int, default=0,
                      help="number of spin-reversal gauge streams (0 = plain run)")
 
@@ -222,13 +218,11 @@ def cmd_sample(args) -> int:
         cfg = _sampler_config(args)
         model, layout = _read_compiled(args.model, cnf)
     # every run's spins and decoded bits are held at once, so they share one run's
-    # limit; both are checked before the first anneal, the spins first, as sampling
-    # would, and then the schedule that sampling checks next
+    # limit; both are checked before the first anneal, the spins first, as sampling would
     rows = cfg.num_reads * max(args.gauges, 1)
-    samplers_mod._check_run_size(rows, model.num_qubits,
-                                 "spins of every gauge" if args.gauges else "spins")
-    samplers_mod._check_run_size(rows, cnf.num_vars, "decoded bits of every run")
-    samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
+    _native._check_run_size(rows, model.num_qubits,
+                            "spins of every gauge" if args.gauges else "spins")
+    _native._check_run_size(rows, cnf.num_vars, "decoded bits of every run")
     cnf.masks  # decode_all's clause masks, built (or refused) before the first anneal
     runs = _sample_runs(model, cfg, args.gauges)
     decoded = [samplers_mod.decode_all(batch, layout, cnf) for batch in runs]
@@ -302,7 +296,10 @@ def cmd_bench(args) -> int:
         cfg = _sampler_config(args)
         policy = ConstructionPolicy(args.policy, args.policy_seed)
         # every instance, and the cap and budget on the widest, before any anneal or worker
-        cnfs = [_read_compilable_cnf(path) for path in instance_paths]
+        cnfs = []
+        for path in instance_paths:
+            with _input_boundary(path):
+                cnfs.append(_read_compilable_cnf(path))
         allsat_mod.check_enumeration(max(cnf.num_vars for cnf in cnfs), args.cap,
                                      args.time_budget_us)
         workers = _worker_count(n)
@@ -311,7 +308,6 @@ def cmd_bench(args) -> int:
             reports_dir.mkdir(parents=True, exist_ok=True)
             for path in instance_paths:
                 _check_out_dir(reports_dir / f"{path.stem}.report.json")
-    samplers_mod._check_run_size(cfg.sweeps, 8, "anneal schedule")
     # Instance idx (in sorted order) samples on stream idx of the master seed.
     jobs = (
         cnfs,

@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import samplers
 from .compiler import PenaltyLayout
 from .sat import Assignment, Cnf
 
@@ -171,9 +172,7 @@ def _first_reads(batch, layout: PenaltyLayout, cnf: Cnf, mask: int) -> dict[int,
 
     Only the first read of each distinct spins row is decoded into a code.
     """
-    from .samplers import decode_all  # local import keeps module deps one-way
-
-    decoded = decode_all(batch, layout, cnf)
+    decoded = samplers.decode_all(batch, layout, cnf)
     found: dict[int, int] = {}
     for r in np.sort(batch.distinct_rows[0]).tolist():
         if decoded[r] is not None:

@@ -26,11 +26,11 @@ keeping a tuple of the five fields read from each line.  Both paths feed the
 same checks, so a file reads the same, or fails with the same message,
 either way.
 
-A run's spins, decoded bits and anneal schedule may take at most _RUN_BYTES,
-and so may the gauges of an SRT rotation, the spins of all its runs together
-and a CNF's clause masks (Cnf.masks, which decode_all evaluates the reads'
-variable bits against); sample, decode_all, random_gauges and
-sample_with_srt_rotation raise LimitError before allocating more.
+A run's spins and decoded bits may take at most _native._RUN_BYTES, and so may
+the gauges of an SRT rotation, the spins of all its runs together and a CNF's
+clause masks (Cnf.masks, which decode_all evaluates the reads' variable bits
+against); sample, decode_all, random_gauges and sample_with_srt_rotation raise
+LimitError before allocating more, and SamplerConfig when it is built.
 
 Determinism: read r consumes only its own RNG stream, the one numpy's
 Generator(PCG64(SeedSequence((seed, r)))) gives: n draws of
@@ -38,14 +38,10 @@ integers(0, 2) for its initial spins, then one uniform per proposal, spin by
 spin and sweep by sweep.  So read r depends only on (seed, r), and a k-read
 run is the first k reads of any longer run.
 
-The anneal runs in a C kernel (_anneal.c, which also holds the sample file
-codec and the mixed-SAT draw and count that sat and allsat call), compiled
-with the system C compiler (``cc``) on first use into the per-user cache
-directory ($XDG_CACHE_HOME/cascor, else ~/.cache/cascor) and loaded through
-ctypes.  It replays each read's stream itself and sweeps the
-spins in order over the model's CSR neighbour lists (IsingModel.arrays).  A
-flip with v = s_i * local >= 0 is always accepted; otherwise it is accepted
-when u < exp(2 beta v).  The kernel has two loops:
+The anneal runs in the C library of _anneal.c (_native._kernel).  It replays
+each read's stream itself and sweeps the spins in order over the model's CSR
+neighbour lists (IsingModel.arrays).  A flip with v = s_i * local >= 0 is
+always accepted; otherwise it is accepted when u < exp(2 beta v).  The kernel has two loops:
 
 - Integral models keep integer local fields, summed once per read and updated
   along a flipped spin's neighbour list on each accepted flip.  Integer sums
@@ -81,34 +77,27 @@ acceptance probability.
 """
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
 import json
 import math
 import operator
-import os
-import subprocess
-import tempfile
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _native
 from .compiler import PenaltyLayout
 from .ising import Gauge, IsingModel, SpinState, apply_gauge, energies_of_states
 from .sat import (
     Assignment,
     Cnf,
-    LimitError,
     _bit_text,
     _column,
     _derived_rng,
     _derived_seed,
     _falsified,
     _jsonl_objects,
-    _seed_words,
 )
 
 __all__ = [
@@ -123,17 +112,8 @@ __all__ = [
     "samples_from_jsonl",
 ]
 
-_SOURCE = Path(__file__).with_name("_anneal.c")
-_CC = "cc"
-# No -ffast-math, and no fused multiply-adds: local fields and exp arguments
-# must round as the numpy reference rounds them.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # Integral models whose acceptance table would exceed this many bytes run the float loop.
 _TABLE_BYTES = 1 << 20
-# A run's spins and decoded bits, one byte per read and qubit or variable, may
-# take at most this many bytes; files and lists built from them take several
-# times more.
-_RUN_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -144,7 +124,8 @@ class SamplerConfig:
     per_read_readout_us of wallclock; programming_us is charged to the
     wallclock once, before the first read.  The run's last wall time,
     programming_us + num_reads * (core_time_per_read_us + per_read_readout_us),
-    must be below 2**63, so that every time of the run fits int64.
+    must be below 2**63, so that every time of the run fits int64.  LimitError
+    when the anneal schedule, two floats per sweep, would pass the run size limit.
     """
 
     num_reads: int = 1000
@@ -174,6 +155,7 @@ class SamplerConfig:
                                                         + self.per_read_readout_us)
         if clock >= 2**63:
             raise ValueError(f"the run's clock would reach {clock} us, past int64's range")
+        _native._check_run_size(self.sweeps, 8, "anneal schedule")
 
 
 @dataclass(frozen=True)
@@ -250,78 +232,9 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
-def _build_kernel() -> Path:
-    """Path of the compiled kernel in the per-user cache, compiling it first if absent.
-
-    The file is keyed by a SHA-256 of the source, compiler and flags, and is
-    compiled under a temporary name and renamed into place, so processes that
-    build at once each load a complete library.
-    """
-    command = [_CC, *_CFLAGS]
-    key = hashlib.sha256(repr(command).encode() + _SOURCE.read_bytes()).hexdigest()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "cascor"
-    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    info = cache.stat()
-    if info.st_uid != os.getuid() or info.st_mode & 0o022:
-        raise RuntimeError(f"kernel cache {cache} is not private to this user")
-    lib = cache / f"_anneal-{key[:32]}.so"
-    if lib.exists():
-        return lib
-    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
-    os.close(fd)
-    try:
-        done = subprocess.run([*command, "-o", tmp, str(_SOURCE), "-lm"],
-                              capture_output=True, text=True)
-        if done.returncode != 0:
-            raise RuntimeError(f"C compiler {_CC!r} failed on {_SOURCE.name}:\n{done.stderr}")
-        os.replace(tmp, lib)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return lib
-
-
-@functools.cache
-def _kernel():
-    """The C library of the anneal kernel, the sample codec and the mixed-SAT draw and count,
-    built and loaded on first use."""
-    try:
-        lib = ctypes.CDLL(str(_build_kernel()))
-    except OSError as exc:
-        # say, no compiler: cli.main would report a FileNotFoundError as an input error
-        raise RuntimeError(
-            f"cannot build or load the anneal kernel with C compiler {_CC!r}: {exc}") from exc
-    i64 = ctypes.c_int64
-    u32s, u64s, i64s, f64s, i8s = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                                   for t in (np.uint32, np.uint64, np.int64, np.float64, np.int8))
-    head = [u32s, i64, i64, i64, i64, i64s, i64s]  # stream, sizes and CSR structure
-    lib.cascor_anneal_float.argtypes = [*head, f64s, f64s, f64s, i8s]
-    for anneal in (lib.cascor_anneal_int, lib.cascor_anneal_int_scalar):
-        anneal.argtypes = [*head, i64s, i64s, u64s, i64, i64s, i8s]
-        anneal.restype = None
-    lib.cascor_anneal_float.restype = None
-    lib.cascor_sample_lines.argtypes = [i64, *[i64s] * 5, i64, ctypes.c_char_p, i64s,
-                                        np.ctypeslib.ndpointer(np.uint8), i64]
-    lib.cascor_sample_scan.argtypes = [ctypes.c_char_p, i64, i64, i64, i64s, i8s]
-    lib.cascor_sample_lines.restype = lib.cascor_sample_scan.restype = i64
-    lib.cascor_draw_instance.argtypes = [u32s, i64, ctypes.c_uint64, i64, i64, i64s, f64s, i64,
-                                         i64s, i64s]
-    lib.cascor_count_solutions.argtypes = [i64, i64, u64s, i64, u64s]
-    lib.cascor_draw_instance.restype = lib.cascor_count_solutions.restype = i64
-    return lib
-
-
-def _check_run_size(rows: int, width: int, what: str) -> None:
-    """LimitError unless rows of width bytes, plus 8 bytes per row, fit _RUN_BYTES."""
-    size = rows * (width + 8)
-    if size > _RUN_BYTES:
-        raise LimitError(f"{what} of {rows} rows x {width} would take {size} bytes, "
-                         f"past the {_RUN_BYTES}-byte limit")
-
-
 def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     """Final spins of every read, (reads, qubits) int8."""
-    seed_words = _seed_words(cfg.seed)
+    seed_words = _native._seed_words(cfg.seed)
     n = model.num_qubits
     a = model.arrays
     two_betas = 2.0 * np.linspace(cfg.beta_start, cfg.beta_end, cfg.sweeps)
@@ -339,13 +252,13 @@ def _anneal(model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
             # spins, 66 of 72 bytes per qubit, 4 bytes per table entry for the top 32
             # bits of its 53, and 64 bytes to align the fields to a cache line
             scratch = np.empty(9 * n + 8 + (table.size + 1) // 2, dtype=np.int64)
-            _kernel().cascor_anneal_int(*head, a.data, a.h, table, table.shape[1], scratch,
-                                        spins)
+            _native._kernel().cascor_anneal_int(*head, a.data, a.h, table, table.shape[1],
+                                                scratch, spins)
             return spins
     # Integer sums below 2**53 are exact in float64, so an integral model past
     # the table cap gets the same v, uniform and exp call in the float loop.
-    _kernel().cascor_anneal_float(*head, a.data.astype(np.float64, copy=False),
-                                  a.h.astype(np.float64, copy=False), two_betas, spins)
+    _native._kernel().cascor_anneal_float(*head, a.data.astype(np.float64, copy=False),
+                                          a.h.astype(np.float64, copy=False), two_betas, spins)
     return spins
 
 
@@ -362,11 +275,9 @@ def _acceptance_table(two_betas: np.ndarray, vmax: int) -> np.ndarray:
 def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:
     """Draw cfg.num_reads independent annealed samples with cumulative timing.
 
-    Raises LimitError when the spins, or the schedule of two floats per
-    sweep, would pass the run size limit.
+    Raises LimitError when the spins would pass the run size limit.
     """
-    _check_run_size(cfg.num_reads, model.num_qubits, "spins")
-    _check_run_size(cfg.sweeps, 8, "anneal schedule")
+    _native._check_run_size(cfg.num_reads, model.num_qubits, "spins")
     spins = _anneal(model, cfg)
     reads_done = np.arange(1, cfg.num_reads + 1, dtype=np.int64)
     per_read_wall = cfg.core_time_per_read_us + cfg.per_read_readout_us
@@ -386,7 +297,7 @@ def decode_all(batch: SampleBatch, layout: PenaltyLayout, cnf: Cnf) -> list[Assi
     Each distinct spins row (SampleBatch.distinct_rows) is projected and checked
     (sat._falsified on Cnf.masks) once, and every read of a row gets its tuple.
     """
-    _check_run_size(len(batch), cnf.num_vars, "decoded bits")
+    _native._check_run_size(len(batch), cnf.num_vars, "decoded bits")
     first, inverse = batch.distinct_rows
     bits = np.zeros((len(first), cnf.num_vars), dtype=bool)
     var_to_qubit = layout.var_to_qubit
@@ -406,7 +317,7 @@ def random_gauges(num_qubits: int, count: int, seed: int) -> list[Gauge]:
     Raises LimitError, before drawing any, when count gauges of num_qubits
     would pass the run size limit.
     """
-    _check_run_size(count, num_qubits, "gauges")
+    _native._check_run_size(count, num_qubits, "gauges")
     rng = _derived_rng(seed, _GAUGE_STREAM_TAG)
     return [
         tuple(int(g) for g in (2 * rng.integers(0, 2, size=num_qubits) - 1))
@@ -427,7 +338,7 @@ def sample_with_srt_rotation(
     Raises LimitError, before the first run, when the spins of every run
     together would pass the run size limit.
     """
-    _check_run_size(len(gauges) * cfg.num_reads, model.num_qubits, "spins of every gauge")
+    _native._check_run_size(len(gauges) * cfg.num_reads, model.num_qubits, "spins of every gauge")
     runs: list[SampleBatch] = []
     for gi, gauge in enumerate(gauges):
         if len(gauge) != model.num_qubits:
@@ -488,9 +399,9 @@ def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],
     # a line's texts, and at most 200 bytes of keys and integers
     capacity = int(sizes[rows].sum()) + 200 * len(reads)
     out = np.empty(capacity, dtype=np.uint8)
-    size = _kernel().cascor_sample_lines(len(reads), reads, cores, walls, gauges, rows,
-                                         len(distinct), "".join(texts).encode(), offsets, out,
-                                         capacity)
+    size = _native._kernel().cascor_sample_lines(len(reads), reads, cores, walls, gauges,
+                                                 rows, len(distinct), "".join(texts).encode(),
+                                                 offsets, out, capacity)
     if size < 0:
         raise RuntimeError("sample lines overran their buffer")
     return out[:size].tobytes()
@@ -554,7 +465,7 @@ def _writer_columns(raw: bytes) -> dict[int, dict[str, np.ndarray]] | None:
         return None
     ints = np.empty((4, lines), dtype=np.int64)
     spins = np.empty((lines, width), dtype=np.int8)
-    if not _kernel().cascor_sample_scan(raw, len(raw), lines, width, ints, spins):
+    if not _native._kernel().cascor_sample_scan(raw, len(raw), lines, width, ints, spins):
         return None
     read, core, wall, gauge = ints
     order = np.argsort(gauge, kind="stable")

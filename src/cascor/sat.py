@@ -7,8 +7,7 @@ form: Cnf.masks, checked by _falsified against assignments packed into
 uint64 words.
 
 generate_mixed_sat draws each attempt in one call of the C library that
-anneals (samplers._kernel, imported at call time since samplers imports this
-module).  The draw replays the PCG64 stream of
+anneals (_native._kernel).  The draw replays the PCG64 stream of
 ``Generator(PCG64(SeedSequence((seed, attempt))))`` and makes on it the draws
 that numpy's choice and random made when the generator was numpy code
 (tests/conftest.py::slow_draw_instance), so its instances depend on PCG64 and
@@ -19,11 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+
+from . import _native
+from ._native import LimitError
 
 __all__ = [
     "Literal",
@@ -46,10 +47,6 @@ Assignment = tuple[bool, ...]
 
 class DimacsError(ValueError):
     """Raised when DIMACS text is malformed or inconsistent with its header."""
-
-
-class LimitError(RuntimeError):
-    """Raised when a run would pass a fixed resource limit; the CLI exits 3."""
 
 
 class GenerationError(LimitError):
@@ -267,9 +264,8 @@ def evaluate(cnf: Cnf, assignment: Assignment) -> bool:
 def _code_words(codes: Iterable[int], count: int, num_vars: int, what: str) -> np.ndarray:
     """count codes below 2**num_vars as read-only rows of uint64 words, bit (v-1) % 64 of
     word (v-1) // 64 holding variable v; LimitError, before taking one, past the run limit."""
-    from . import samplers  # deferred: samplers imports this module
     width = 8 * max(1, -(-num_vars // 64))
-    samplers._check_run_size(count, width, what)
+    _native._check_run_size(count, width, what)
     packed = b"".join([code.to_bytes(width, "little") for code in codes])
     return np.frombuffer(packed, dtype="<u8").reshape(count, width // 8)
 
@@ -351,13 +347,6 @@ def _derived_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)[0])
 
 
-def _seed_words(seed: int) -> np.ndarray:
-    """SeedSequence's entropy words for a seed >= 0: its 32-bit digits, least significant first."""
-    seed = operator.index(seed)
-    shifts = range(0, max(seed.bit_length(), 1), 32)
-    return np.array([seed >> shift & 0xFFFFFFFF for shift in shifts], dtype=np.uint32)
-
-
 # A drawn clause's Python objects, by tracemalloc on CPython 3.11: 128 bytes for the
 # Clause and its tuple, and 104 a literal for its Literal and its int in a list
 _CLAUSE_BYTES, _LITERAL_BYTES = 128, 104
@@ -369,10 +358,8 @@ def _draw_instance(spec: MixedSatSpec, attempt: int) -> Cnf:
     The clauses are those that numpy's choice and random draw on
     ``_derived_rng(spec.seed, attempt)`` (tests/conftest.py::slow_draw_instance)
     for num_vars up to 10000.  Raises LimitError, before allocating them, when
-    the draw's arrays and objects would pass the sampler's run size limit.
+    the draw's arrays and objects would pass the run size limit.
     """
-    from . import samplers  # deferred: samplers imports this module
-
     lengths = sorted(k for k, w in spec.length_weights.items() if w > 0)
     weights = np.array([spec.length_weights[k] for k in lengths], dtype=float)
     weights /= weights.sum()
@@ -380,11 +367,11 @@ def _draw_instance(spec: MixedSatSpec, attempt: int) -> Cnf:
     cdf /= cdf[-1]  # as choice normalizes its cumulative weights
     # per clause: its length, a row of the longest length's literals, and its objects
     row = (8 + _LITERAL_BYTES) * lengths[-1] + _CLAUSE_BYTES
-    samplers._check_run_size(spec.num_clauses, row, "drawn clauses")
+    _native._check_run_size(spec.num_clauses, row, "drawn clauses")
     sizes = np.empty(spec.num_clauses, dtype=np.int64)
     literals = np.empty(spec.num_clauses * lengths[-1], dtype=np.int64)
-    seed_words = _seed_words(spec.seed)
-    total = samplers._kernel().cascor_draw_instance(
+    seed_words = _native._seed_words(spec.seed)
+    total = _native._kernel().cascor_draw_instance(
         seed_words, len(seed_words), attempt, spec.num_vars, spec.num_clauses,
         np.array(lengths, dtype=np.int64), cdf, len(lengths), sizes, literals)
     flat = literals[:total].tolist()
@@ -406,7 +393,7 @@ def generate_mixed_sat(spec: MixedSatSpec, max_attempts: int = 1000) -> tuple[Cn
     instance and count.  Raises ValueError, before the first draw, when the
     counter cannot take the spec's variables or cap.
     """
-    from . import allsat  # deferred: allsat imports this module's types
+    from . import allsat  # deferred: allsat sits above sat, and its count can enumerate
 
     allsat.check_enumeration(spec.num_vars, spec.solution_cap)
     for attempt in range(max_attempts):

@@ -526,9 +526,9 @@ def rng():
 @pytest.fixture
 def private_kernel_cache(tmp_path, monkeypatch):
     """An empty kernel cache directory; the kernel loaded from it is forgotten afterwards."""
-    from cascor import samplers
+    from cascor import _native
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    samplers._kernel.cache_clear()
+    _native._kernel.cache_clear()
     yield tmp_path / "cascor"
-    samplers._kernel.cache_clear()
+    _native._kernel.cache_clear()

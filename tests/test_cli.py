@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cascor._native as native_mod
 import cascor.allsat as allsat_mod
 import cascor.cli as cli
 import cascor.ising as ising_mod
@@ -126,18 +127,38 @@ def test_run_past_the_size_limit_is_limit_error(command, num_vars, flags, tmp_pa
     assert "cascor: limit error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, reader", [("sample", "_read_compiled"),
+                                              ("bench", "_read_compilable_cnf")])
+def test_schedule_past_the_size_limit_is_refused_as_the_flags_are_read(
+        command, reader, tmp_path, capsys, monkeypatch):
+    # SamplerConfig bounds its schedule when the flags build it: before sample reads
+    # the model, and before bench reads an instance or creates --reports-dir
+    monkeypatch.setattr(cli, reader, lambda *args: pytest.fail("read an input"))
+    cnf_path = tmp_path / "or.cnf"
+    cnf_path.write_text("p cnf 2 1\n1 2 0\n")
+    inputs = {"sample": ["--model", str(tmp_path / "m.json"), "--cnf", str(cnf_path)],
+              "bench": ["--instances", str(tmp_path), "--reports-dir", str(tmp_path / "rep")]}
+    capsys.readouterr()
+    assert run(command, *inputs[command], "--seed", "1", "--sweeps", str(10**12),
+               "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cascor: limit error: anneal schedule") and "Traceback" not in err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_sample_gauges_past_the_size_limit_is_limit_error(tmp_path, capsys, monkeypatch):
-    # each run of 50 reads fits the patched limit, and so do the 50 gauges; their runs do not
+    # each run of 50 reads fits the patched limit, and so do the 50 gauges and the schedule
+    # of 2 sweeps; their runs do not
     cnf_path = tmp_path / "or.cnf"
     cnf_path.write_text("p cnf 2 1\n1 2 0\n")
     model = tmp_path / "model.json"
     assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
-    monkeypatch.setattr(samplers_mod, "_RUN_BYTES", 1000)
+    monkeypatch.setattr(native_mod, "_RUN_BYTES", 1000)
     monkeypatch.setattr(samplers_mod, "sample", lambda *args: pytest.fail("sampled a run"))
     capsys.readouterr()
     out = tmp_path / "samples.jsonl"
     assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
-               "--reads", "50", "--gauges", "50", "--out", str(out)) == 3
+               "--reads", "50", "--sweeps", "2", "--gauges", "50", "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert "cascor: limit error: spins of every gauge" in err and "Traceback" not in err
     assert not out.exists()
@@ -185,18 +206,19 @@ def test_compile_malformed_cnf_is_input_error(tmp_path):
 def test_sample_decoded_bits_of_every_gauge_past_the_size_limit_is_limit_error(
         tmp_path, capsys, monkeypatch):
     # 2 qubits and 100 variables: the spins of 8 runs of 5 reads fit the patched
-    # limit, and so do one run's decoded bits (5 x 108 bytes), but not all 40 reads'
+    # limit, and so do one run's decoded bits (5 x 108 bytes) and the schedule of 2
+    # sweeps, but not all 40 reads' decoded bits
     cnf_path = tmp_path / "wide.cnf"
     cnf_path.write_text("p cnf 100 1\n1 2 0\n")
     model = tmp_path / "model.json"
     assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
-    monkeypatch.setattr(samplers_mod, "_RUN_BYTES", 1000)
+    monkeypatch.setattr(native_mod, "_RUN_BYTES", 1000)
     monkeypatch.setattr(samplers_mod, "decode_all", lambda *args: pytest.fail("decoded a run"))
     monkeypatch.setattr(samplers_mod, "_anneal", lambda *args: pytest.fail("annealed a run"))
     capsys.readouterr()
     out = tmp_path / "samples.jsonl"
     assert run("sample", "--model", str(model), "--cnf", str(cnf_path), "--seed", "1",
-               "--reads", "5", "--gauges", "8", "--out", str(out)) == 3
+               "--reads", "5", "--sweeps", "2", "--gauges", "8", "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert "cascor: limit error: decoded bits of every run of 40 rows" in err
     assert "Traceback" not in err and not out.exists()
@@ -273,7 +295,7 @@ def test_missing_compiler_is_not_an_input_error(tmp_path, private_kernel_cache, 
     cnf_path.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     model = tmp_path / "model.json"
     assert run("compile", "--cnf", str(cnf_path), "--out", str(model)) == 0
-    monkeypatch.setattr(samplers_mod, "_CC", "cascor-no-such-cc")
+    monkeypatch.setattr(native_mod, "_CC", "cascor-no-such-cc")
     # subprocess raises FileNotFoundError, which main() would report as exit 2
     for command, argv in [
         ("gen", ["--n", "6", "--m", "5", "--lengths", "2:1", "--cap", "64"]),
@@ -612,6 +634,7 @@ def test_bench_refuses_a_bad_instance_among_good_ones_before_any_anneal(tmp_path
                str(reports), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("cascor: input error:") and "Traceback" not in err
+    assert "z.cnf" in err
     assert not out.exists() and not reports.exists()
 
 
@@ -1060,7 +1083,7 @@ def test_clause_masks_past_the_limit_are_refused_before_any_work(
 def test_gen_refuses_clause_objects_past_the_size_limit_at_once(tmp_path, monkeypatch, capsys):
     # 10**7 clauses of 2 literals: their arrays (240 MB) fit the limit, their Clause and
     # Literal objects (3.4 GB) do not, so no draw starts
-    monkeypatch.setattr(samplers_mod, "_kernel", lambda: pytest.fail("drew an instance"))
+    monkeypatch.setattr(native_mod, "_kernel", lambda: pytest.fail("drew an instance"))
     tracemalloc.start()
     try:
         assert run("gen", "--n", "20", "--m", str(10**7), "--lengths", "2:1", "--cap", "5",

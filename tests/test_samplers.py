@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cascor._native as native
 import cascor.samplers as samplers
 from cascor.compiler import PenaltyLayout, compile_cnf
 from cascor.ising import IsingModel, energies_of_states, enumerate_ground_states
@@ -163,7 +164,7 @@ INT_ENTRIES = [pytest.param("cascor_anneal_int", id="dispatched", marks=needs_la
 
 def anneal_with(entry: str, model: IsingModel, cfg: SamplerConfig) -> np.ndarray:
     """samplers._anneal's spins, its integral loop called through the kernel symbol entry."""
-    lib = samplers._kernel()
+    lib = native._kernel()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lib, "cascor_anneal_int", getattr(lib, entry))
         return samplers._anneal(model, cfg)
@@ -394,13 +395,13 @@ def test_table_products_past_the_float_range_are_zero_entries():
 def test_kernel_source_compiles_without_warnings(tmp_path):
     # a full optimised build, since some warnings (maybe-uninitialized, array-bounds)
     # come only from the optimiser's passes
-    done = subprocess.run([samplers._CC, *samplers._CFLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "_anneal.so"), str(samplers._SOURCE), "-lm"],
+    done = subprocess.run([native._CC, *native._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "_anneal.so"), str(native._SOURCE), "-lm"],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
-# Loads the kernel built at argv[1] through samplers._kernel and anneals
+# Loads the kernel built at argv[1] through _native._kernel and anneals
 # integral models (among them ones with acceptance rows of 16, 32 and 64
 # entries, the lane loop's limits for 1, 2 and 4 registers, and with one entry
 # more) through both integral loops, at seeds of one and of three entropy words,
@@ -420,13 +421,13 @@ from pathlib import Path
 
 import numpy as np
 
-from cascor import samplers
+from cascor import _native, samplers
 from cascor.compiler import compile_cnf
 from cascor.ising import IsingModel
 from cascor.sat import Cnf, _derived_rng
 
-samplers._build_kernel = lambda: Path(sys.argv[1])
-lib = samplers._kernel()
+_native._build_kernel = lambda: Path(sys.argv[1])
+lib = _native._kernel()
 models = [compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
           IsingModel(4, {0: 0.5, 2: -1.25}, {(0, 1): 0.75, (1, 3): -0.5}),
           IsingModel(3, {0: 10**6}, {(0, 1): 1, (1, 2): -2}),
@@ -477,14 +478,14 @@ print("ok")
 def test_kernel_runs_clean_under_ubsan(tmp_path):
     # UBSan aborts the child at a misaligned vector access or an overflowing shift,
     # which a byte-equality test would show at best as a crash.
-    flags = [*samplers._CFLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    flags = [*native._CFLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all"]
     probe = tmp_path / "probe.c"
     probe.write_text("int probe(int x) { return x + 1; }\n")
-    if subprocess.run([samplers._CC, *flags, "-o", str(tmp_path / "probe.so"), str(probe)],
+    if subprocess.run([native._CC, *flags, "-o", str(tmp_path / "probe.so"), str(probe)],
                       capture_output=True).returncode != 0:
-        pytest.skip(f"{samplers._CC} cannot link UBSan")
+        pytest.skip(f"{native._CC} cannot link UBSan")
     lib = tmp_path / "_anneal-ubsan.so"
-    done = subprocess.run([samplers._CC, *flags, "-o", str(lib), str(samplers._SOURCE), "-lm"],
+    done = subprocess.run([native._CC, *flags, "-o", str(lib), str(native._SOURCE), "-lm"],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     paths = [str(Path(samplers.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -505,14 +506,14 @@ def test_cold_and_warm_kernel_cache_give_identical_spins(private_kernel_cache):
     [lib] = private_kernel_cache.iterdir()  # the build left no temporary file
     assert private_kernel_cache.stat().st_mode & 0o777 == 0o700
     built = lib.stat().st_mtime_ns
-    samplers._kernel.cache_clear()
+    native._kernel.cache_clear()
     warm = sample(H2, cfg).spins
     assert list(private_kernel_cache.iterdir()) == [lib] and lib.stat().st_mtime_ns == built
     assert np.array_equal(cold, warm)
 
 
 def test_failed_kernel_build_carries_compiler_stderr(private_kernel_cache, monkeypatch):
-    monkeypatch.setattr(samplers, "_CFLAGS", samplers._CFLAGS + ("-fno-such-option",))
+    monkeypatch.setattr(native, "_CFLAGS", native._CFLAGS + ("-fno-such-option",))
     with pytest.raises(RuntimeError, match="(?s)'cc'.*no-such-option"):
         sample(H2, SamplerConfig(num_reads=1, sweeps=1))
     assert list(private_kernel_cache.iterdir()) == []
@@ -612,6 +613,16 @@ def test_run_clock_must_fit_int64():
     for past in (dict(fits, programming_us=2**59), dict(fits, core_time_per_read_us=10**20)):
         with pytest.raises(ValueError, match="past int64"):
             SamplerConfig(**past)
+
+
+def test_config_bounds_its_schedule_when_built(monkeypatch):
+    # two floats per sweep and 8 bytes per row: 62 sweeps take 992 bytes, 63 take 1008
+    monkeypatch.setattr(native, "_RUN_BYTES", 1000)
+    cfg = SamplerConfig(num_reads=1, sweeps=62)
+    with pytest.raises(LimitError, match="anneal schedule of 63 rows x 8 would take 1008"):
+        SamplerConfig(num_reads=1, sweeps=63)
+    with pytest.raises(LimitError, match="anneal schedule of 63 rows"):
+        replace(cfg, sweeps=63)
 
 
 @pytest.mark.parametrize("name", ["core_time_us", "wall_time_us"])
@@ -878,7 +889,7 @@ def test_srt_gauge_dimension_check():
 
 def test_random_gauges_are_bounded_before_any_is_drawn(monkeypatch):
     # count gauges of 2 qubits take count x (2 + 8) bytes against the patched limit
-    monkeypatch.setattr(samplers, "_RUN_BYTES", 1000)
+    monkeypatch.setattr(native, "_RUN_BYTES", 1000)
     assert len(random_gauges(2, 100, seed=0)) == 100
     monkeypatch.setattr(samplers, "_derived_rng", lambda *args: pytest.fail("drew a gauge"))
     with pytest.raises(LimitError, match="gauges of 101 rows"):
@@ -887,7 +898,7 @@ def test_random_gauges_are_bounded_before_any_is_drawn(monkeypatch):
 
 def test_srt_rotation_is_bounded_as_a_whole(monkeypatch):
     # each run of 50 reads of 2 qubits fits the patched limit; two runs fit, three do not
-    monkeypatch.setattr(samplers, "_RUN_BYTES", 1000)
+    monkeypatch.setattr(native, "_RUN_BYTES", 1000)
     cfg = SamplerConfig(num_reads=50, sweeps=2, seed=0)
     assert len(sample_with_srt_rotation(H2, cfg, [(1, 1), (-1, 1)])) == 2
     monkeypatch.setattr(samplers, "sample", lambda *args: pytest.fail("sampled a run"))
