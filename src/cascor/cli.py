@@ -1,6 +1,7 @@
 """Command-line pipeline: gen, compile, sample, allsat, metrics, bench.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 resource/limit error.
+Exit codes: 0 success, 2 usage or input error, 3 resource/limit error; 1 only
+for an internal fault, with its traceback (Python's code for an uncaught exception).
 Every command refuses an --out whose directory does not exist or that names a
 directory (exit 2) before any work.  A fault inside the pipeline propagates with
 its traceback; it is never reported as an input error.
@@ -41,7 +42,6 @@ from .sat import (
 THREADS_ENV = "CASCOR_THREADS"
 
 EXIT_OK = 0
-EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
@@ -67,12 +67,6 @@ def _input_boundary(source: Path | None = None):
         yield
     except (KeyError, ValueError, OSError) as exc:
         raise InputError(f"{source}: {exc}" if source else exc) from exc
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _parse_lengths(text: str) -> dict[int, float]:
@@ -214,8 +208,8 @@ def _sample_runs(model, cfg, num_gauges):
 
 def cmd_sample(args) -> int:
     with _input_boundary():
-        cnf = _read_compilable_cnf(args.cnf)
         cfg = _sampler_config(args)
+        cnf = _read_compilable_cnf(args.cnf)
         model, layout = _read_compiled(args.model, cnf)
     # every run's spins and decoded bits are held at once, so they share one run's
     # limit; both are checked before the first anneal, the spins first, as sampling would
@@ -333,8 +327,8 @@ def cmd_bench(args) -> int:
 
 
 @functools.cache  # parse_args keeps no state in the parser, so one tree serves every call
-def build_parser() -> _Parser:
-    parser = _Parser(prog="cascor", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cascor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random mixed-SAT instance")

@@ -9,6 +9,8 @@ one-off programming time and a per-read readout time, all set in SamplerConfig.
 A run comes back as one SampleBatch: the final spins of every read in a
 single int8 array and the cumulative core and wall times, which the batch
 checks as it is built (SamplerConfig keeps a run's clock below 2**63).
+With a spin-reversal gauge, sample anneals apply_gauge(model, gauge) and reads
+the spins back times the gauge before it builds the batch: batches hold logical spins.
 Iterating a batch yields one SampleRecord per read, a row of plain Python
 values.  The sample JSONL file is written whole by samples_to_jsonl, the
 one place a read's energy is computed, and read back, every field checked, by
@@ -272,13 +274,17 @@ def _acceptance_table(two_betas: np.ndarray, vmax: int) -> np.ndarray:
     return np.ceil(np.ldexp(p, 53)).astype(np.uint64)
 
 
-def sample(model: IsingModel, cfg: SamplerConfig) -> SampleBatch:
+def sample(model: IsingModel, cfg: SamplerConfig, *, gauge: Gauge | None = None) -> SampleBatch:
     """Draw cfg.num_reads independent annealed samples with cumulative timing.
 
+    With a gauge, the run anneals apply_gauge(model, gauge) and reads its
+    spins back times the gauge, so the batch holds model's spins either way.
     Raises LimitError when the spins would pass the run size limit.
     """
     _native._check_run_size(cfg.num_reads, model.num_qubits, "spins")
-    spins = _anneal(model, cfg)
+    spins = _anneal(model if gauge is None else apply_gauge(model, gauge), cfg)
+    if gauge is not None:  # read the programmed spins back in model's frame
+        spins *= np.array(gauge, dtype=np.int8)
     reads_done = np.arange(1, cfg.num_reads + 1, dtype=np.int64)
     per_read_wall = cfg.core_time_per_read_us + cfg.per_read_readout_us
     return SampleBatch(
@@ -328,27 +334,25 @@ def random_gauges(num_qubits: int, count: int, seed: int) -> list[Gauge]:
 def sample_with_srt_rotation(
     model: IsingModel, cfg: SamplerConfig, gauges: list[Gauge]
 ) -> list[SampleBatch]:
-    """Sample once per gauge on the gauge-transformed model, un-gauging the spins.
+    """Run sample on model once per gauge, each run programmed with its gauge.
 
     A gauge changes only the streams: v = s_i * local_i is gauge-invariant,
-    so run g, un-gauged, is the plain anneal of model from g times its
-    initial spins on the streams of _derived_seed(cfg.seed, g); only control
-    errors fixed in hardware units would give gauges something to act on.
+    so run g is the plain anneal of model from g times its initial spins on
+    the streams of _derived_seed(cfg.seed, g); only control errors fixed in
+    hardware units would give gauges something to act on.
 
-    Raises LimitError, before the first run, when the spins of every run
-    together would pass the run size limit.
+    Raises LimitError when the spins of every run together would pass the
+    run size limit, and ValueError when a gauge's length is not the model's
+    qubit count, both before the first run.
     """
     _native._check_run_size(len(gauges) * cfg.num_reads, model.num_qubits, "spins of every gauge")
-    runs: list[SampleBatch] = []
     for gi, gauge in enumerate(gauges):
         if len(gauge) != model.num_qubits:
             raise ValueError(
                 f"gauge {gi} has length {len(gauge)}, model has {model.num_qubits} qubits"
             )
-        gauged = apply_gauge(model, gauge)
-        batch = sample(gauged, replace(cfg, seed=_derived_seed(cfg.seed, gi)))
-        runs.append(replace(batch, spins=batch.spins * np.array(gauge, dtype=np.int8)))
-    return runs
+    return [sample(model, replace(cfg, seed=_derived_seed(cfg.seed, gi)), gauge=gauge)
+            for gi, gauge in enumerate(gauges)]
 
 
 def samples_to_jsonl(model: IsingModel, runs: Sequence[SampleBatch],

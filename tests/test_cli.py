@@ -89,7 +89,7 @@ def test_gen_missing_weights_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run("gen", "--n", "4", "--m", "2", "--cap", "8", "--seed", "1",
             "--out", str(tmp_path / "x.cnf"))
-    assert info.value.code == 1
+    assert info.value.code == 2
 
 
 def test_gen_retry_exhaustion_exit_code(tmp_path):
@@ -128,11 +128,12 @@ def test_run_past_the_size_limit_is_limit_error(command, num_vars, flags, tmp_pa
 
 
 @pytest.mark.parametrize("command, reader", [("sample", "_read_compiled"),
+                                              ("sample", "_read_compilable_cnf"),
                                               ("bench", "_read_compilable_cnf")])
 def test_schedule_past_the_size_limit_is_refused_as_the_flags_are_read(
         command, reader, tmp_path, capsys, monkeypatch):
     # SamplerConfig bounds its schedule when the flags build it: before sample reads
-    # the model, and before bench reads an instance or creates --reports-dir
+    # the CNF or the model, and before bench reads an instance or creates --reports-dir
     monkeypatch.setattr(cli, reader, lambda *args: pytest.fail("read an input"))
     cnf_path = tmp_path / "or.cnf"
     cnf_path.write_text("p cnf 2 1\n1 2 0\n")
@@ -685,19 +686,18 @@ def test_gen_draw_past_the_size_limit_is_limit_error(tmp_path, capsys):
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         run("frobnicate")
-    assert info.value.code == 1
+    assert info.value.code == 2
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
-    built = []
+    built, init = [], argparse.ArgumentParser.__init__
 
-    class CountedParser(cli._Parser):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            if self.prog == "cascor":  # subcommand parsers are named "cascor gen" and so on
-                built.append(self)
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "cascor":  # subcommand parsers are named "cascor gen" and so on
+            built.append(self)
 
-    monkeypatch.setattr(cli, "_Parser", CountedParser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     cli.build_parser.cache_clear()
     try:
         cnf_path = gen_instance(tmp_path)
@@ -738,7 +738,7 @@ def test_one_parser_gives_the_bytes_of_fresh_calls(tmp_path, capsys):
     for name in calls:
         cli.build_parser.cache_clear()
         assert call(name, tmp_path / f"fresh-{name}.jsonl") == in_sequence[name], name
-    assert [in_sequence[name][0] for name in calls] == [0, 1, 0]
+    assert [in_sequence[name][0] for name in calls] == [0, 2, 0]
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import operator
 import os
 import platform
 import re
@@ -103,10 +104,13 @@ def random_float_model(rng: np.random.Generator, n: int) -> IsingModel:
     integral=st.booleans(),
     reads=st.integers(1, 9),
     sweeps=st.integers(1, 12),
+    gauged=st.booleans(),
 )
-@example(seed=1, integral=True, reads=7, sweeps=7)
-@example(seed=2, integral=False, reads=5, sweeps=4)
-def test_sample_matches_reference_anneal(seed, integral, reads, sweeps):
+@example(seed=1, integral=True, reads=7, sweeps=7, gauged=False)
+@example(seed=2, integral=False, reads=5, sweeps=4, gauged=False)
+@example(seed=3, integral=True, reads=6, sweeps=5, gauged=True)
+@example(seed=4, integral=False, reads=5, sweeps=6, gauged=True)
+def test_sample_matches_reference_anneal(seed, integral, reads, sweeps, gauged):
     rng = np.random.default_rng(seed)
     if integral:
         cnf = random_small_cnf(rng, n=int(rng.integers(1, 7)), m=int(rng.integers(1, 7)))
@@ -115,12 +119,15 @@ def test_sample_matches_reference_anneal(seed, integral, reads, sweeps):
         model = random_float_model(rng, int(rng.integers(1, 9)))
     cfg = SamplerConfig(num_reads=reads, sweeps=sweeps, seed=seed,
                         beta_end=float(rng.uniform(0.1, 8.0)))
+    # the reference anneals model itself from the gauged initial spins
+    gauge = tuple(rng.choice([-1, 1], size=model.num_qubits).tolist()) if gauged else None
     # Float-valued local fields may differ from the reference's in the last bit
     # (the dot products sum in another order), and libm's exp from numpy's; a
     # spin could differ only if a uniform fell within that rounding of its
-    # acceptance probability.
-    expected = slow_anneal(model, cfg)
-    spins = sample(model, cfg).spins
+    # acceptance probability.  A gauge only flips the signs of terms, and
+    # rounding is symmetric in sign, so it adds no such difference.
+    expected = slow_anneal(model, cfg, gauge=gauge)
+    spins = sample(model, cfg, gauge=gauge).spins
     assert spins.dtype == expected.dtype and np.array_equal(spins, expected)
     assert spins.strides == expected.strides  # row-major, as consumers of reads expect
 
@@ -885,6 +892,24 @@ def test_srt_gauge_dimension_check():
     cfg = SamplerConfig(num_reads=2, sweeps=2, seed=0)
     with pytest.raises(ValueError):
         sample_with_srt_rotation(H2, cfg, [(1, 1, 1)])
+
+
+def test_srt_rotation_builds_one_batch_per_run_after_checking_every_gauge(monkeypatch):
+    # sample reads a gauged run back into model's frame before it builds the batch
+    built, post_init = [], SampleBatch.__post_init__
+
+    def counted(batch):
+        built.append(batch)
+        post_init(batch)
+
+    monkeypatch.setattr(SampleBatch, "__post_init__", counted)
+    cfg = SamplerConfig(num_reads=20, sweeps=5, seed=8)
+    runs = sample_with_srt_rotation(H2, cfg, [(1, 1), (-1, 1), (-1, -1)])
+    assert len(built) == 3 and all(map(operator.is_, runs, built))
+    # every gauge's length is checked before the first run anneals
+    monkeypatch.setattr(samplers, "_anneal", lambda *args: pytest.fail("annealed a run"))
+    with pytest.raises(ValueError, match="gauge 1 has length 3, model has 2 qubits"):
+        sample_with_srt_rotation(H2, cfg, [(1, 1), (1, 1, 1)])
 
 
 def test_random_gauges_are_bounded_before_any_is_drawn(monkeypatch):
