@@ -43,10 +43,10 @@
  *   scratch.  That decides every lane whose bits differ; when a lane's are
  *   equal, about once in 2^28 proposals, every lane takes the exact 53-bit
  *   test (anneal_int_lanes).
- * - Register rows.  Once per sweep it loads the 32-bit row into one, two or
- *   four vector registers, when the row has at most 16, 32 or 64 entries, and
- *   looks each lane's entry up with permutes; a wider row is gathered from
- *   memory at every proposal.
+ * - Register rows.  When a row has at most 32 entries, it loads the 32-bit
+ *   row into two vector registers once per sweep and looks each lane's entry
+ *   up with one two-register permute; a wider row is gathered from memory at
+ *   every proposal.
  * - Spins in.  Each lane's stream is seeded by seed_stream, as in the scalar
  *   loops, and the sixteen reads' initial spins are drawn straight into the
  *   lane masks.
@@ -314,20 +314,6 @@ static inline __mmask16 join_lanes(__mmask8 low, __mmask8 high)
     return (__mmask16)(low | high << 8);
 }
 
-/* Entry index[l] of a row of at most 16 regs entries, held in regs registers of
- * sixteen: 1, 2 or 4.  Every index is below the row's width. */
-LANE_TARGET static inline __m512i row_entry(const __m512i *row, int regs, __m512i index)
-{
-    if (regs == 1)
-        return _mm512_permutexvar_epi32(index, row[0]);
-    /* index bits 0-4 pick among 32 entries, and bit 5 among 64 */
-    const __m512i entry = _mm512_permutex2var_epi32(row[0], index, row[1]);
-    if (regs == 2)
-        return entry;
-    return _mm512_mask_blend_epi32(_mm512_test_epi32_mask(index, _mm512_set1_epi32(32)), entry,
-                                   _mm512_permutex2var_epi32(row[2], index, row[3]));
-}
-
 /* Lanes whose words' 53-bit integers m = word >> 11 fall below their entries
  * row[index[l]]: lanes 0-7 from low's words and 8-15 from high's. */
 LANE_TARGET static inline __mmask16 below_entries(const uint64_t *row, __m512i index,
@@ -340,9 +326,10 @@ LANE_TARGET static inline __mmask16 below_entries(const uint64_t *row, __m512i i
                       _mm512_cmplt_epu64_mask(_mm512_srli_epi64(high, 11), high_entries));
 }
 
-/* Every sweep of one lane group, its rows of tops in regs registers
- * (row_entry), or gathered from tops when regs is 0.  Inlined once per value
- * of regs. */
+/* Every sweep of one lane group.  With regs 2, each sweep's row of tops, of at
+ * most 32 entries, is held in two registers and each lane's entry is looked up
+ * with one permute; with regs 0 it is gathered from tops.  Inlined once per
+ * value of regs. */
 LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
     int regs, pcg64x8 *g, int64_t n, int64_t sweeps, const int64_t *restrict indptr,
     const int64_t *restrict indices, const int64_t *restrict values,
@@ -356,7 +343,7 @@ LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
     for (int64_t t = 0; t < sweeps; t++) {
         const uint64_t *row = table + t * table_width;
         const uint32_t *top_row = tops + t * table_width;
-        __m512i entries[4];
+        __m512i entries[2];
         for (int b = 0; b < regs; b++) {
             const int64_t left = table_width - 16 * b;  /* entries from register b on */
             entries[b] =
@@ -373,7 +360,8 @@ LANE_TARGET static inline __attribute__((always_inline)) void sweep_lanes(
             /* -v = -s_i * local; the table index is max(-v, 0) */
             const __m512i neg_v = _mm512_mask_sub_epi32(local, up[i], zero, local);
             const __m512i index = _mm512_max_epi32(neg_v, zero);
-            const __m512i limit = regs ? row_entry(entries, regs, index)
+            /* index bits 0-4 pick among the 32 entries of the two registers */
+            const __m512i limit = regs ? _mm512_permutex2var_epi32(entries[0], index, entries[1])
                                        : _mm512_i32gather_epi32(index, top_row, 4);
             /* top < limit means m < entry and top > limit means m >= entry (see
              * anneal_int_lanes); on a tie, in about one proposal in 2^28, every
@@ -427,10 +415,6 @@ LANE_TARGET static void anneal_int_lanes(
         tops[k] = table[k] >> 21 > UINT32_MAX ? UINT32_MAX : (uint32_t)(table[k] >> 21);
     /* bit l of up[i]: spin i is +1 in lane l */
     uint16_t *up = (uint16_t *)(tops + sweeps * table_width);
-    const int regs = table_width <= 16   ? 1
-                     : table_width <= 32 ? 2
-                     : table_width <= 64 ? 4
-                                         : 0;
     for (int64_t r0 = 0; r0 < reads; r0 += LANES) {
         const int lanes = reads - r0 < LANES ? (int)(reads - r0) : LANES;
         /* per stream group, as a pcg64x8 lays them out: state limbs s0 s1 s2, then
@@ -463,16 +447,12 @@ LANE_TARGET static void anneal_int_lanes(
             }
             _mm512_store_si512(fields + LANES * i, local);
         }
-#define SWEEP_LANES(regs)                                                                  \
-    sweep_lanes((regs), g, n, sweeps, indptr, indices, values, table, tops, table_width, \
-                fields, up)
-        switch (regs) {
-        case 1: SWEEP_LANES(1); break;
-        case 2: SWEEP_LANES(2); break;
-        case 4: SWEEP_LANES(4); break;
-        default: SWEEP_LANES(0);
-        }
-#undef SWEEP_LANES
+        if (table_width <= 32)
+            sweep_lanes(2, g, n, sweeps, indptr, indices, values, table, tops, table_width,
+                        fields, up);
+        else
+            sweep_lanes(0, g, n, sweeps, indptr, indices, values, table, tops, table_width,
+                        fields, up);
         int64_t i = 0;
         for (; i + 8 <= n; i += 8) {  /* eight spins per word: byte k is spin i + k */
             /* the low and the high bytes of masks i .. i + 7: lanes 0-7, then lanes 8-15 */

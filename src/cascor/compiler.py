@@ -237,7 +237,6 @@ def compile_cnf(
 
     variables = cnf.variables_used()
     var_to_qubit = {v: i for i, v in enumerate(variables)}
-    num_qubits = len(variables) + sum(max(len(c) - 2, 0) for c in cnf.clauses)
     ancillas = itertools.count(len(variables))
 
     total = TermSet()
@@ -251,6 +250,7 @@ def compile_cnf(
         total.merge(penalty.terms)
         clause_ancillas.append(penalty.ancilla_qubits)
         clause_grounds.append(penalty.ground_energy)
+    num_qubits = next(ancillas)  # one past the last ancilla drawn
 
     model = IsingModel(num_qubits, total.linear, total.quadratic)
     layout = PenaltyLayout(

@@ -236,12 +236,10 @@ def _double(table: np.ndarray, steps: np.ndarray) -> None:
         np.add(table[:1 << k], step, out=table[1 << k:2 << k])
 
 
-def enumerate_ground_states(
-    model: IsingModel, limit: int = ENUMERATION_QUBIT_LIMIT
-) -> tuple[float, set[SpinState]]:
+def enumerate_ground_states(model: IsingModel) -> tuple[float, set[SpinState]]:
     """Scan all 2^N states; return the exact minimum energy and every attaining state.
 
-    Intended as a verification oracle, so it refuses models above ``limit``
+    As a verification oracle it refuses models above ENUMERATION_QUBIT_LIMIT
     qubits rather than approximating.  The scan splits the qubits into a low
     half, whose states are the columns of a block, and a high half, whose
     states are its rows; a block holds 2^b consecutive high states, so they
@@ -259,8 +257,8 @@ def enumerate_ground_states(
     bound; float models agree with any other order of summation to rounding.
     """
     n = model.num_qubits
-    if n > limit:
-        raise ValueError(f"{n} qubits exceeds enumeration limit {limit}")
+    if n > ENUMERATION_QUBIT_LIMIT:
+        raise ValueError(f"{n} qubits exceeds enumeration limit {ENUMERATION_QUBIT_LIMIT}")
 
     small = model.is_integral() and model._integer_magnitude < 2**24
     dtype = np.float32 if small else np.float64

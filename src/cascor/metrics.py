@@ -73,7 +73,7 @@ CSV_COLUMNS = [
 
 
 def _check_nondecreasing(times: Sequence[float], what: str) -> None:
-    for a, b in zip(times, times[1:]):
+    for a, b in zip([0, *times], times):  # a first time below 0 decreases from 0
         if b < a:
             raise ValueError(f"{what} times decrease at t={b}")
 

@@ -65,8 +65,8 @@ always accepted; otherwise it is accepted when u < exp(2 beta v).  The kernel ha
   time.  It compares the top 32 bits of m with those of the entry,
   min(entry >> 21, 2**32 - 1), which settles u < p whenever they differ, and
   takes the exact 53-bit comparison when they are equal.  When a sweep's row
-  of the table has at most 64 entries, it looks those 32-bit entries up in
-  registers (see _anneal.c).
+  of the table has at most 32 entries, it holds those 32-bit entries in two
+  registers, and else gathers them from memory (see _anneal.c).
 - Float models sum each local field over its neighbour row at every
   proposal, since fields updated incrementally would drift from a row sum.
 

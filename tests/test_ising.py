@@ -233,7 +233,7 @@ def test_enumerate_is_exact_past_float32():
 
 def test_enumerate_limit():
     with pytest.raises(ValueError):
-        enumerate_ground_states(IsingModel(30), limit=26)
+        enumerate_ground_states(IsingModel(30))
 
 
 def test_enumerate_chunked_consistency(rng, monkeypatch):

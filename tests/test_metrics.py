@@ -37,6 +37,8 @@ def line(times, source="classical-wall"):
 def test_timeline_invariants():
     with pytest.raises(ValueError):
         DistinctTimeline((10, 5), "classical-wall")
+    with pytest.raises(ValueError, match="times decrease at t=-5"):
+        DistinctTimeline((-5, -3), "x")
     assert DistinctTimeline((10, 10, 20), "classical-wall").to_json() == {
         "source": "classical-wall", "points": [[10, 1], [10, 2], [20, 3]]}
 
@@ -185,26 +187,29 @@ def _streams_with_a_decrease(stream):
     """Runs and events whose times decrease only in stream (None: nowhere).
 
     Each decrease falls between two reads, or two events, of the same
-    solution, so the first-occurrence times alone never decrease.
+    solution, so the first-occurrence times alone never decrease; in
+    "negative" the events start below 0, a decrease from time 0.
     """
     tt, tf = (1, 1), (1, -1)
-    core, wall, last_event = [10, 20, 30], [110, 120, 130], 40
+    core, wall, event_times = [10, 20, 30], [110, 120, 130], [10, 30, 40]
     runs = []
     if stream == "core":
         core[2] = 15
     elif stream == "wall":
         wall[2] = 115
     elif stream == "classical":
-        last_event = 20
+        event_times[2] = 20
+    elif stream == "negative":
+        event_times[:2] = [-7, -2]
     elif stream == "gauge-offset":  # the second gauge starts before the first one ends
         runs.append(batch_of([tf], [-5], [0]))
     runs.insert(0, batch_of([tt, tf, tf], core, wall))
-    events = [SolutionEvent(1, 10, 0b11), SolutionEvent(2, 30, 0b10),
-              SolutionEvent(3, last_event, 0b10)]
+    events = [SolutionEvent(1, event_times[0], 0b11), SolutionEvent(2, event_times[1], 0b10),
+              SolutionEvent(3, event_times[2], 0b10)]
     return runs, events
 
 
-@pytest.mark.parametrize("stream", ["core", "wall", "classical", "gauge-offset"])
+@pytest.mark.parametrize("stream", ["core", "wall", "classical", "negative", "gauge-offset"])
 def test_summarize_rejects_decreasing_times(stream):
     cnf, model, layout = _fixture_instance()
     summarize_instance(*_streams_with_a_decrease(None), layout, cnf)

@@ -215,10 +215,11 @@ EDGE_RUNS = {
                                 beta_end=2e-3)),
     "1003-reads": (lambda: compile_cnf(Cnf.of(5, [[1, 2, 3], [-1, 4], [2, -5, 3, 4]]))[0],
                    SamplerConfig(num_reads=1003, sweeps=12, seed=31, beta_end=3.0)),
-    # The lane loop holds the 32-bit tops of rows of at most 16, 32 and 64 entries
-    # (vmax 15, 31, 63) in 1, 2 and 4 registers of sixteen; one entry more takes the
-    # next count, and 65 the gather.  Rows of 8 and 9 fill part of one register.
-    # At these betas spin 0 flips against its field of vmax - 2 or vmax, the row's top.
+    # The lane loop holds the 32-bit tops of rows of at most 32 entries (vmax 31) in
+    # two registers of sixteen and gathers wider rows from memory.  Rows of 8, 9, 16
+    # and 17 fill part of the two registers, 32 fills both, and 33, 64 and 65 are
+    # gathered.  At these betas spin 0 flips against its field of vmax - 2 or vmax,
+    # the row's top.
     **{f"row-{vmax + 1}": (functools.partial(table_cap_model, vmax),
                            SamplerConfig(num_reads=43, sweeps=16, seed=vmax, beta_start=0.01,
                                          beta_end=0.1))
@@ -410,9 +411,9 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 # Loads the kernel built at argv[1] through _native._kernel and anneals
 # integral models (among them ones with acceptance rows of 16, 32 and 64
-# entries, the lane loop's limits for 1, 2 and 4 registers, and with one entry
-# more) through both integral loops, at seeds of one and of three entropy words,
-# and a float model and an integral one past the table cap through the float
+# entries and with one entry more: 32 is the lane loop's limit for its two
+# registers, and wider rows are gathered) through both integral loops, at
+# seeds of one and of three entropy words, and a float model and an integral one past the table cap through the float
 # loop; anneals 16 reads of one proposal on a table whose entries tie with two
 # reads' top 32 bits (test_ties_of_the_top_32_bits_are_settled_exactly) through
 # both integral loops; anneals one long run of 17 reads x 2000
